@@ -103,8 +103,29 @@ int main(int argc, char** argv) {
                  "%.3f"));
     print_kv("kernel GFLOP/s (paper acct.)",
              fmt(stats.kernel_flop_count / kern / 1e9, "%.2f"));
+    print_kv("(primary, bin) epilogues",
+             fmt(static_cast<double>(stats.bin_epilogues), "%.3e"));
+    print_kv("bucket flushes full / partial",
+             fmt(static_cast<double>(stats.full_flushes), "%.3e") + " / " +
+                 fmt(static_cast<double>(stats.partial_flushes), "%.3e"));
     print_kv("wall time (s)", fmt(stats.wall_seconds, "%.3f"));
     print_kv("primaries", fmt(static_cast<double>(res.n_primaries), "%.0f"));
+  };
+
+  // Phase split plus the per-primary epilogue counters: every touched
+  // (primary, bin) pays one fused lane reduction and one bin of a_lm,
+  // whatever its pair count.
+  auto driver_json = [](const core::EngineStats& stats) {
+    JsonObject o = phases_json(stats);
+    o.add("bin_epilogues", stats.bin_epilogues)
+        .add("pairs_per_epilogue",
+             stats.bin_epilogues > 0
+                 ? static_cast<double>(stats.pairs) /
+                       static_cast<double>(stats.bin_epilogues)
+                 : 0.0)
+        .add("full_flushes", stats.full_flushes)
+        .add("partial_flushes", stats.partial_flushes);
+    return o;
   };
 
   core::EngineStats per_primary, leaf_blocked;
@@ -163,8 +184,8 @@ int main(int argc, char** argv) {
     JsonObject root;
     root.add("bench", "fig4_breakdown")
         .add_raw("config", config.str(2))
-        .add_raw("per_primary", phases_json(per_primary).str(2))
-        .add_raw("leaf_blocked", phases_json(leaf_blocked).str(2))
+        .add_raw("per_primary", driver_json(per_primary).str(2))
+        .add_raw("leaf_blocked", driver_json(leaf_blocked).str(2))
         .add_raw("kernel_isa_ab", ab)
         .add("neighbor_query_speedup", q_lb > 0 ? q_pp / q_lb : 0.0);
     write_json_file(json_path, root.str());

@@ -7,11 +7,13 @@
 // (2 FLOPs per monomial per pair = 572 FLOP/pair at lmax = 10).
 #include <benchmark/benchmark.h>
 
+#include <complex>
 #include <string>
 #include <vector>
 
 #include "core/kernel.hpp"
 #include "math/rng.hpp"
+#include "math/sph_table.hpp"
 
 namespace c = galactos::core;
 namespace m = galactos::math;
@@ -143,12 +145,14 @@ static void BM_KernelReferenceScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelReferenceScalar)->ArgNames({"lmax"})->Arg(10)->Arg(5);
 
-// Full accumulator path including binning/bucketing overhead — what the
-// engine actually pays per pair.
+// Full accumulator path including binning/bucketing overhead and the
+// fused per-bin epilogue — what the engine actually pays per pair. 370
+// pairs over 10 bins is a mock-batch primary (about 37 pairs per bin),
+// where the epilogue outweighs the pair work.
 static void BM_AccumulatorEndToEnd(benchmark::State& state) {
   const int lmax = 10;
   const int nbins = static_cast<int>(state.range(0));
-  const int npairs = 8192;
+  const int npairs = static_cast<int>(state.range(1));
   c::KernelConfig cfg;
   cfg.lmax = lmax;
   cfg.nbins = nbins;
@@ -163,8 +167,58 @@ static void BM_AccumulatorEndToEnd(benchmark::State& state) {
     for (int i = 0; i < npairs; ++i)
       acc.push(bins[i], b.ux[i], b.uy[i], b.uz[i], b.w[i]);
     acc.finish_primary();
-    benchmark::DoNotOptimize(acc.power_sums(0));
+    benchmark::DoNotOptimize(acc.sums());
   }
   set_flops(state, lmax, npairs);
 }
-BENCHMARK(BM_AccumulatorEndToEnd)->ArgNames({"nbins"})->Arg(10)->Arg(20);
+BENCHMARK(BM_AccumulatorEndToEnd)
+    ->ArgNames({"nbins", "pairs"})
+    ->Args({10, 8192})
+    ->Args({20, 8192})
+    ->Args({10, 370});
+
+// One primary's a_lm at lmax 10 over 10 touched bins: the bins-as-lanes
+// assembly the engine runs vs the per-bin serial chains it replaces (the
+// oracle). isa as above for the bins-as-lanes case.
+static void BM_AlmBinsAsLanes(benchmark::State& state) {
+  const int nbins = 10;
+  IsaRun isa(state, static_cast<int>(state.range(0)));
+  if (!isa.ok) return;
+  const m::SphHarmTable table(10);
+  const std::size_t stride = 16;
+  const int nlm = m::nlm(10);
+  std::vector<double> sums(stride * m::monomial_count(10));
+  m::Rng rng(47);
+  for (double& x : sums) x = rng.uniform(-1, 1);
+  std::vector<int> bins(nbins);
+  for (int b = 0; b < nbins; ++b) bins[b] = b;
+  std::vector<std::size_t> off(nlm), step(nlm, nlm);
+  for (int lm = 0; lm < nlm; ++lm) off[lm] = lm;
+  std::vector<double> re(static_cast<std::size_t>(nbins) * nlm), im(re.size());
+  for (auto _ : state) {
+    c::alm_bins_as_lanes(table, sums.data(), stride, bins.data(), nbins,
+                         re.data(), im.data(), off.data(), step.data());
+    benchmark::DoNotOptimize(re.data());
+    benchmark::DoNotOptimize(im.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AlmBinsAsLanes)->ArgNames({"isa"})->Arg(0)->Arg(1)->Arg(2);
+
+static void BM_AlmPerBinOracle(benchmark::State& state) {
+  const int nbins = 10;
+  const m::SphHarmTable table(10);
+  const int nmono = m::monomial_count(10);
+  std::vector<double> sums(static_cast<std::size_t>(nbins) * nmono);
+  m::Rng rng(47);
+  for (double& x : sums) x = rng.uniform(-1, 1);
+  std::vector<std::complex<double>> alm(m::nlm(10));
+  for (auto _ : state) {
+    for (int b = 0; b < nbins; ++b) {
+      table.alm_from_power_sums(sums.data() + b * nmono, alm.data());
+      benchmark::DoNotOptimize(alm.data());
+      benchmark::ClobberMemory();
+    }
+  }
+}
+BENCHMARK(BM_AlmPerBinOracle);

@@ -4,17 +4,27 @@
 
 namespace galactos::core {
 
+void compute_alm(const math::SphHarmTable& table, const double* sums,
+                 std::size_t stride, const int* bins, int nb,
+                 std::complex<double>* alm) {
+  // Complex [bin][lm] as two planes: real parts at even doubles, imaginary
+  // at odd ones.
+  const std::size_t nlm = math::nlm(table.lmax());
+  std::vector<std::size_t> off(nlm), step(nlm, 2 * nlm);
+  for (std::size_t lm = 0; lm < nlm; ++lm) off[lm] = 2 * lm;
+  double* out = reinterpret_cast<double*>(alm);
+  alm_bins_as_lanes(table, sums, stride, bins, nb, out, out + 1, off.data(),
+                    step.data());
+}
+
 void compute_alm(const math::SphHarmTable& table,
                  const MultipoleAccumulator& acc, std::complex<double>* alm,
                  std::uint8_t* touched) {
   const int nbins = acc.config().nbins;
-  const int nlm = math::nlm(table.lmax());
-  for (int b = 0; b < nbins; ++b) {
-    touched[b] = acc.bin_touched(b) ? 1 : 0;
-    if (!touched[b]) continue;
-    table.alm_from_power_sums(acc.power_sums(b),
-                              alm + static_cast<std::size_t>(b) * nlm);
-  }
+  for (int b = 0; b < nbins; ++b) touched[b] = acc.bin_touched(b) ? 1 : 0;
+  const std::vector<int>& bins = acc.touched_bins();
+  compute_alm(table, acc.sums(), acc.sums_stride(), bins.data(),
+              static_cast<int>(bins.size()), alm);
 }
 
 SelfPairAccumulator::SelfPairAccumulator(const math::SphHarmTable& table,

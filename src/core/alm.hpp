@@ -1,7 +1,13 @@
 // Per-primary a_lm assembly and the optional self-pair correction.
 //
 // After the kernel has reduced a primary's power sums, a_lm(bin) follows
-// from the precomputed Y_lm monomial tables (math/sph_table.hpp). For
+// from the precomputed Y_lm monomial tables (math/sph_table.hpp). Every
+// production path assembles it with alm_bins_as_lanes (core/kernel.hpp):
+// all touched bins of a primary at once, bins as SIMD lanes, from the
+// bin-interleaved sums the kernel's fused reduction writes — bitwise the
+// per-bin SphHarmTable::alm_from_power_sums, which stays as the oracle.
+// ZetaAccumulator::add_primary_sums writes straight into the zeta batch;
+// compute_alm below fills the complex [bin][lm] arrays of pass 2. For
 // diagonal bin pairs (r1 and r2 in the same shell) the product
 // a_lm(b) a*_l'm(b) includes the degenerate j == k terms — "triangles"
 // whose two secondaries are the same galaxy. SelfPairAccumulator tracks
@@ -25,9 +31,16 @@
 
 namespace galactos::core {
 
-// Computes alm[bin][lm] for every touched bin of `acc`; untouched bins are
-// left unmodified (callers consult `touched`). alm must hold
-// nbins * nlm(lmax) complex entries; touched must hold nbins flags.
+// Computes alm[bin][lm] for the nb bins listed in `bins` from
+// bin-interleaved power sums S[mono * stride + bin]; other bins are left
+// unmodified. alm must hold (largest listed bin + 1) * nlm(lmax) complex
+// entries.
+void compute_alm(const math::SphHarmTable& table, const double* sums,
+                 std::size_t stride, const int* bins, int nb,
+                 std::complex<double>* alm);
+
+// The same for every touched bin of `acc`, flagged in touched[nbins];
+// untouched bins are left unmodified (callers consult `touched`).
 void compute_alm(const math::SphHarmTable& table,
                  const MultipoleAccumulator& acc, std::complex<double>* alm,
                  std::uint8_t* touched);

@@ -28,7 +28,7 @@ namespace detail {
 // Owned-only power sums snapshotted during pass 1 for primaries that might
 // see halo secondaries (within R_max of the SecondaryBound box). One
 // instance per thread; concatenated SoA records, looked up by primary id
-// in pass 2 so the owned a_lm is rebuilt by alm_from_power_sums instead of
+// in pass 2 so the owned a_lm is rebuilt by compute_alm instead of
 // a kernel re-run.
 struct SavedPrimaries {
   std::vector<std::int64_t> prim;  // primary id per record
@@ -160,6 +160,12 @@ inline void form_separations(const tree::NeighborBlock<Real>& block, Real px,
   }
 }
 
+void add_counters(EngineStats& stats, const MultipoleAccumulator::Counters& c) {
+  stats.bin_epilogues += c.epilogues;
+  stats.full_flushes += c.full_flushes;
+  stats.partial_flushes += c.partial_flushes;
+}
+
 // Number of leaf-blocked leaves (resp. per-primary primaries) the master
 // thread processes between poll() invocations during the owned pass.
 constexpr int kPollLeafStride = 4;
@@ -188,7 +194,6 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
   Timer wall;
   const int nbins = cfg.bins.count();
   const int lmax = cfg.lmax;
-  const int nlm = math::nlm(lmax);
   const math::SphHarmTable table(lmax);
   const LlmIndex llm(lmax);
 
@@ -243,6 +248,7 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
       skip_parts(nthreads, 0);
   std::vector<double> tq_parts(nthreads, 0), tk_parts(nthreads, 0),
       tz_parts(nthreads, 0);
+  std::vector<MultipoleAccumulator::Counters> kc_parts(nthreads);
 
   Timer tcompute;
 #pragma omp parallel num_threads(nthreads)
@@ -255,7 +261,6 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
     kc.scheme = cfg.tree.scheme;
     kc.ilp = cfg.tree.ilp;
     MultipoleAccumulator acc(kc);
-    std::vector<std::complex<double>> alm_bin(static_cast<std::size_t>(nlm));
     ZetaAccumulator zeta(lmax, nbins);
     TwoPcfAccumulator xi(lmax, nbins);
     std::optional<SelfPairAccumulator> sp;
@@ -305,20 +310,25 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
         for (int b = 0; b < nbins; ++b)
           if (acc.bin_touched(b)) {
             save_to->bins.push_back(b);
-            const double* s = acc.power_sums(b);
-            save_to->sums.insert(save_to->sums.end(), s, s + acc.n_mono());
+            // Grow a whole block at a time, as a range insert does:
+            // per-value push_back rounds this megabyte-scale buffer's
+            // capacity up further.
+            const std::size_t at = save_to->sums.size();
+            save_to->sums.resize(at + acc.n_mono());
+            const MultipoleAccumulator::PowerSums s = acc.power_sums(b);
+            for (int t = 0; t < acc.n_mono(); ++t) save_to->sums[at + t] = s[t];
             ++nb;
           }
         save_to->nbins.push_back(nb);
       }
       const double wp = catalog.w[static_cast<std::size_t>(p)];
-      for (int b = 0; b < nbins; ++b) {
-        if (!acc.bin_touched(b)) continue;
-        xi.add_primary_bin(wp, b, acc.power_sums(b), table.monomials());
-        table.alm_from_power_sums(acc.power_sums(b), alm_bin.data());
-        zeta.stage_bin(b, alm_bin.data());
-      }
-      zeta.add_staged_primary(wp);
+      for (int b = 0; b < nbins; ++b)
+        if (acc.bin_touched(b))
+          xi.add_primary_bin(wp, b, acc.sums() + b, table.monomials(),
+                             acc.sums_stride());
+      const std::vector<int>& bins = acc.touched_bins();
+      zeta.add_primary_sums(wp, table, acc.sums(), acc.sums_stride(),
+                            bins.data(), static_cast<int>(bins.size()));
       if (sp)
         for (int b = 0; b < nbins; ++b)
           if (sp->bin_touched(b)) {
@@ -511,6 +521,7 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
     zeta_parts[tid] = std::make_unique<ZetaAccumulator>(std::move(zeta));
     xi_parts[tid] = std::make_unique<TwoPcfAccumulator>(std::move(xi));
     pairs_parts[tid] = acc.pairs_processed();
+    kc_parts[tid] = acc.counters();
     cand_parts[tid] = my_cand;
     skip_parts[tid] = my_skip;
     tq_parts[tid] = q_time;
@@ -526,6 +537,7 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
     pairs_total += pairs_parts[t];
     cand_total += cand_parts[t];
     skipped_total += skip_parts[t];
+    add_counters(stats, kc_parts[t]);
     t_query += tq_parts[t];
     t_kernel += tk_parts[t];
     t_zeta += tz_parts[t];
@@ -629,7 +641,7 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
   }
 
   // Pass-1 snapshot lookup (SecondaryBound hint): primary id → its saved
-  // owned power sums, so the owned a_lm comes from alm_from_power_sums
+  // owned power sums, so the owned a_lm comes from compute_alm
   // instead of a kernel re-run. Primaries without a record (hint absent,
   // or a secondary landed inside the promised bound) take the exact
   // recompute fallback.
@@ -663,6 +675,7 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
       cand_parts(nthreads, 0);
   std::vector<double> tq_parts(nthreads, 0), tk_parts(nthreads, 0),
       tz_parts(nthreads, 0);
+  std::vector<MultipoleAccumulator::Counters> kc_parts(2 * nthreads);
 
   Timer tcompute;
   if (secondary) {
@@ -681,6 +694,8 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
           static_cast<std::size_t>(nbins) * nlm),
           alm_b(static_cast<std::size_t>(nbins) * nlm);
       std::vector<std::uint8_t> touched_a(nbins, 0), touched_b(nbins, 0);
+      // A snapshot record's bin-major sums, re-interleaved for compute_alm.
+      std::vector<double> saved_sums(acc_a.sums_stride() * n_mono, 0.0);
       ZetaAccumulator& zeta = *parts.zeta[tid];
       TwoPcfAccumulator& xi = *parts.xi[tid];
       std::optional<SelfPairAccumulator> sp;
@@ -708,13 +723,16 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
         if (ref.count < 0) return false;
         Timer tz;
         std::fill(touched_a.begin(), touched_a.end(), 0);
+        const std::size_t stride = acc_a.sums_stride();
         for (int i = 0; i < ref.count; ++i) {
           const int b = ref.bins[i];
           touched_a[b] = 1;
-          table.alm_from_power_sums(
-              ref.sums + static_cast<std::size_t>(i) * n_mono,
-              alm_a.data() + static_cast<std::size_t>(b) * nlm);
+          const double* s = ref.sums + static_cast<std::size_t>(i) * n_mono;
+          for (int t = 0; t < n_mono; ++t)
+            saved_sums[static_cast<std::size_t>(t) * stride + b] = s[t];
         }
+        compute_alm(table, saved_sums.data(), stride, ref.bins, ref.count,
+                    alm_a.data());
         z_time += tz.seconds();
         return true;
       };
@@ -728,7 +746,8 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
         const double wp = catalog.w[static_cast<std::size_t>(p)];
         for (int b = 0; b < nbins; ++b)
           if (touched_b[b])
-            xi.add_primary_bin(wp, b, acc_b.power_sums(b), table.monomials());
+            xi.add_primary_bin(wp, b, acc_b.sums() + b, table.monomials(),
+                               acc_b.sums_stride());
         zeta.add_primary_cross(wp, alm_a.data(), touched_a.data(),
                                alm_b.data(), touched_b.data());
         if (sp)
@@ -973,6 +992,8 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
 
       halo_parts[tid] = acc_b.pairs_processed();
       rec_parts[tid] = acc_a.pairs_processed();
+      kc_parts[2 * tid] = acc_a.counters();
+      kc_parts[2 * tid + 1] = acc_b.counters();
       cand_parts[tid] = my_cand;
       tq_parts[tid] = q_time;
       tk_parts[tid] = k_time;
@@ -988,6 +1009,8 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
   for (int t = 0; t < nthreads; ++t) {
     halo_pairs += halo_parts[t];
     rec_pairs += rec_parts[t];
+    add_counters(stats, kc_parts[2 * t]);
+    add_counters(stats, kc_parts[2 * t + 1]);
     cand_total += cand_parts[t];
     t_query += tq_parts[t];
     t_kernel += tk_parts[t];

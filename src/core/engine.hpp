@@ -157,6 +157,14 @@ struct EngineStats {
   // Kernel FLOPs using the paper's accounting (2 FLOPs per monomial per
   // pair; 572 FLOP/pair at lmax = 10).
   double kernel_flop_count = 0.0;
+  // Per-primary epilogue work (MultipoleAccumulator::Counters, summed over
+  // threads and, in the secondary pass, over both accumulators): touched
+  // (primary, bin) epilogues — each one fused lane reduction and one bin
+  // of a_lm, whatever its pair count — and bucket flushes with a full
+  // bucket vs a final partial one.
+  std::uint64_t bin_epilogues = 0;
+  std::uint64_t full_flushes = 0;
+  std::uint64_t partial_flushes = 0;
 };
 
 class Engine {

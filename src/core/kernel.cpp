@@ -141,49 +141,79 @@ KernelIsa kernel_isa_from_env() {
 
 void kernel_running_product(const double* ux, const double* uy,
                             const double* uz, const double* w, int count,
-                            int lmax, double* acc, int ilp, bool overwrite) {
+                            int lmax, double* acc, int ilp, bool overwrite,
+                            double* sums, std::size_t sums_stride) {
   GLX_CHECK(count % kLanes == 0);
   GLX_CHECK(ilp == 1 || ilp == 2 || ilp == 4);
+  GLX_CHECK(!sums || count > 0);
   switch (active_isa()) {
 #if defined(GALACTOS_KERNEL_HAVE_AVX512)
     case KernelIsa::kAvx512:
       isa_avx512::kernel_running_product(ux, uy, uz, w, count, lmax, acc, ilp,
-                                         overwrite);
+                                         overwrite, sums, sums_stride);
       return;
 #endif
 #if defined(GALACTOS_KERNEL_HAVE_AVX2)
     case KernelIsa::kAvx2:
       isa_avx2::kernel_running_product(ux, uy, uz, w, count, lmax, acc, ilp,
-                                       overwrite);
+                                       overwrite, sums, sums_stride);
       return;
 #endif
     default:
       isa_scalar::kernel_running_product(ux, uy, uz, w, count, lmax, acc, ilp,
-                                         overwrite);
+                                         overwrite, sums, sums_stride);
       return;
   }
 }
 
 void kernel_zbuffered(const double* ux, const double* uy, const double* uz,
                       const double* w, int count, int lmax, double* acc,
-                      double* zscratch, bool overwrite) {
+                      double* zscratch, bool overwrite, double* sums,
+                      std::size_t sums_stride) {
   GLX_CHECK(count % kLanes == 0);
+  GLX_CHECK(!sums || count > 0);
   switch (active_isa()) {
 #if defined(GALACTOS_KERNEL_HAVE_AVX512)
     case KernelIsa::kAvx512:
       isa_avx512::kernel_zbuffered(ux, uy, uz, w, count, lmax, acc, zscratch,
-                                   overwrite);
+                                   overwrite, sums, sums_stride);
       return;
 #endif
 #if defined(GALACTOS_KERNEL_HAVE_AVX2)
     case KernelIsa::kAvx2:
       isa_avx2::kernel_zbuffered(ux, uy, uz, w, count, lmax, acc, zscratch,
-                                 overwrite);
+                                 overwrite, sums, sums_stride);
       return;
 #endif
     default:
       isa_scalar::kernel_zbuffered(ux, uy, uz, w, count, lmax, acc, zscratch,
-                                   overwrite);
+                                   overwrite, sums, sums_stride);
+      return;
+  }
+}
+
+void alm_bins_as_lanes(const math::SphHarmTable& table, const double* sums,
+                       std::size_t stride, const int* bins, int nb,
+                       double* out_re, double* out_im,
+                       const std::size_t* out_off,
+                       const std::size_t* out_step) {
+  GLX_CHECK(stride % kLanes == 0);
+  switch (active_isa()) {
+#if defined(GALACTOS_KERNEL_HAVE_AVX512)
+    case KernelIsa::kAvx512:
+      isa_avx512::alm_bins_as_lanes(table, sums, stride, bins, nb, out_re,
+                                    out_im, out_off, out_step);
+      return;
+#endif
+#if defined(GALACTOS_KERNEL_HAVE_AVX2)
+    case KernelIsa::kAvx2:
+      isa_avx2::alm_bins_as_lanes(table, sums, stride, bins, nb, out_re,
+                                  out_im, out_off, out_step);
+      return;
+#endif
+    default:
+      isa_scalar::alm_bins_as_lanes(table, sums, stride, bins, nb, out_re,
+                                    out_im, out_off, out_step);
       return;
   }
 }
@@ -233,7 +263,10 @@ void kernel_reference(const double* ux, const double* uy, const double* uz,
 }
 
 MultipoleAccumulator::MultipoleAccumulator(const KernelConfig& cfg)
-    : cfg_(cfg), n_mono_(math::monomial_count(cfg.lmax)) {
+    : cfg_(cfg),
+      n_mono_(math::monomial_count(cfg.lmax)),
+      sums_stride_(static_cast<std::size_t>(cfg.nbins + kLanes - 1) / kLanes *
+                   kLanes) {
   GLX_CHECK(cfg.lmax >= 0 && cfg.lmax <= 16);
   GLX_CHECK(cfg.nbins >= 1);
   GLX_CHECK_MSG(cfg.bucket_capacity >= kLanes &&
@@ -244,7 +277,8 @@ MultipoleAccumulator::MultipoleAccumulator(const KernelConfig& cfg)
   const std::size_t nb = static_cast<std::size_t>(cfg.nbins);
   acc_.reset(nb * n_mono_ * kLanes);
   bucket_.reset(nb * 4 * cfg.bucket_capacity);
-  sums_.reset(nb * n_mono_);
+  sums_.reset(sums_stride_ * n_mono_);
+  sums_.fill(0.0);
   zscratch_.reset(2 * static_cast<std::size_t>(cfg.bucket_capacity));
   fill_.assign(cfg.nbins, 0);
   touched_.assign(cfg.nbins, 0);
@@ -267,27 +301,13 @@ void MultipoleAccumulator::touch(int bin) {
   touched_list_.push_back(bin);
 }
 
-void MultipoleAccumulator::run_kernel(int bin, const double* ux,
-                                      const double* uy, const double* uz,
-                                      const double* w, int padded) {
-  double* a = acc_.data() + static_cast<std::size_t>(bin) * n_mono_ * kLanes;
-  const bool overwrite = first_flush_[bin] != 0;
-  first_flush_[bin] = 0;
-  if (cfg_.scheme == KernelScheme::kRunningProduct) {
-    kernel_running_product(ux, uy, uz, w, padded, cfg_.lmax, a, cfg_.ilp,
-                           overwrite);
-  } else {
-    kernel_zbuffered(ux, uy, uz, w, padded, cfg_.lmax, a, zscratch_.data(),
-                     overwrite);
-  }
-}
-
-void MultipoleAccumulator::flush(int bin) {
+void MultipoleAccumulator::flush(int bin, bool last) {
   const int cap = cfg_.bucket_capacity;
   double* bu = bucket_.data() + static_cast<std::size_t>(bin) * 4 * cap;
-  int count = fill_[bin];
+  const int count = fill_[bin];
   if (count == 0) return;
   pairs_ += static_cast<std::uint64_t>(count);
+  ++(count == cap ? counters_.full_flushes : counters_.partial_flushes);
   // Pad to a full lane group with zero-weight entries.
   const int padded = (count + kLanes - 1) / kLanes * kLanes;
   for (int i = count; i < padded; ++i) {
@@ -296,23 +316,27 @@ void MultipoleAccumulator::flush(int bin) {
     bu[2 * cap + i] = 0.0;
     bu[3 * cap + i] = 0.0;
   }
-  run_kernel(bin, bu, bu + cap, bu + 2 * cap, bu + 3 * cap, padded);
+  double* a = acc_.data() + static_cast<std::size_t>(bin) * n_mono_ * kLanes;
+  const bool overwrite = first_flush_[bin] != 0;
+  first_flush_[bin] = 0;
+  double* sums = last ? sums_.data() + bin : nullptr;
+  if (cfg_.scheme == KernelScheme::kRunningProduct) {
+    kernel_running_product(bu, bu + cap, bu + 2 * cap, bu + 3 * cap, padded,
+                           cfg_.lmax, a, cfg_.ilp, overwrite, sums,
+                           sums_stride_);
+  } else {
+    kernel_zbuffered(bu, bu + cap, bu + 2 * cap, bu + 3 * cap, padded,
+                     cfg_.lmax, a, zscratch_.data(), overwrite, sums,
+                     sums_stride_);
+  }
   fill_[bin] = 0;
 }
 
 void MultipoleAccumulator::finish_primary() {
-  for (int bin : touched_list_) {
-    if (fill_[bin] > 0) flush(bin);
-    // Single lane reduction per primary (paper §3.3.2).
-    const double* a =
-        acc_.data() + static_cast<std::size_t>(bin) * n_mono_ * kLanes;
-    double* s = sums_.data() + static_cast<std::size_t>(bin) * n_mono_;
-    for (int t = 0; t < n_mono_; ++t) {
-      const double* at = a + static_cast<std::size_t>(t) * kLanes;
-      s[t] = ((at[0] + at[1]) + (at[2] + at[3])) +
-             ((at[4] + at[5]) + (at[6] + at[7]));
-    }
-  }
+  // The single lane reduction per (primary, bin) (paper §3.3.2), fused
+  // into the last bucket's kernel call.
+  for (int bin : touched_list_) flush(bin, true);
+  counters_.epilogues += touched_list_.size();
 }
 
 }  // namespace galactos::core

@@ -13,8 +13,13 @@
 //   `bucket_capacity` (paper: k = 128) and processed a bucket at a time, so
 //   vector operations touch a single bin's accumulators (cache reuse).
 // * Lane accumulators (§3.3.2): each S[a,b,c] is an 8-wide lane array;
-//   groups of 8 pairs accumulate lane-wise and a single reduction per
-//   primary collapses lanes — replacing N/8 vector reductions with one.
+//   groups of 8 pairs accumulate lane-wise and one reduction per (primary,
+//   bin) collapses the lanes — replacing N/8 vector reductions with one. It
+//   is fused into the bin's last bucket block: the final lane values are
+//   summed in registers with the fixed tree ((0+1)+(2+3))+((4+5)+(6+7)) and
+//   written as the power sum, so that block never stores its lane block.
+//   The power sums land bin-interleaved, [n_mono][nbins padded to kLanes],
+//   ready for the bins-as-lanes a_lm assembly (alm_bins_as_lanes).
 // * Two accumulation schemes (ablation, §3.3.2/§3.3.3):
 //   - kRunningProduct: per 8-pair chunk, walk the (a,b,c) monomial tree
 //     with running products; `ilp` independent chunks are interleaved to
@@ -27,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "math/sph_table.hpp"
 #include "util/aligned.hpp"
@@ -40,12 +46,12 @@ enum class KernelScheme { kRunningProduct, kZBuffered };
 
 // --- Runtime ISA dispatch -------------------------------------------------
 //
-// The bucket kernels and the batched zeta update below are compiled once
-// per ISA level (scalar / AVX2+FMA / AVX-512) into separate translation
-// units with per-source target flags; every call dispatches to the best
-// level the CPU supports. Every level executes the identical per-lane
-// operation sequence, so power sums and zeta are BITWISE identical across
-// levels (asserted in ctest).
+// The bucket kernels, the a_lm assembly and the batched zeta update below
+// are compiled once per ISA level (scalar / AVX2+FMA / AVX-512) into
+// separate translation units with per-source target flags; every call
+// dispatches to the best level the CPU supports. Every level executes the
+// identical per-lane operation sequence, so power sums, a_lm and zeta are
+// BITWISE identical across levels (asserted in ctest).
 //
 // The first kernel call resolves the GALACTOS_KERNEL_ISA environment
 // variable (scalar | avx2 | avx512 | auto; unset means auto). A malformed
@@ -93,20 +99,53 @@ inline double kernel_flops_per_pair(int lmax) {
 // the lane accumulator block acc[n_mono][kLanes]. With `overwrite` the
 // first contribution stores instead of accumulating, so callers never have
 // to zero `acc` (the memset would cost as much as a ~40-pair bucket).
+//
+// With `sums` the bucket is the bin's last of the primary (count > 0): its
+// final block does not store its lane values but reduces each monomial's
+// 8 lanes in registers, ((0+1)+(2+3))+((4+5)+(6+7)), and writes the power
+// sum to sums[t * sums_stride]. Earlier blocks of the bucket still update
+// `acc`; after the call `acc` is stale.
 
 void kernel_running_product(const double* ux, const double* uy,
                             const double* uz, const double* w, int count,
                             int lmax, double* acc, int ilp,
-                            bool overwrite = false);
+                            bool overwrite = false, double* sums = nullptr,
+                            std::size_t sums_stride = 1);
 
 void kernel_zbuffered(const double* ux, const double* uy, const double* uz,
                       const double* w, int count, int lmax, double* acc,
                       double* zscratch /* >= 2*count doubles */,
-                      bool overwrite = false);
+                      bool overwrite = false, double* sums = nullptr,
+                      std::size_t sums_stride = 1);
 
 // Scalar oracle (any count), accumulating directly into sums[n_mono].
 void kernel_reference(const double* ux, const double* uy, const double* uz,
                       const double* w, int count, int lmax, double* sums);
+
+// --- Bins-as-lanes a_lm assembly (ZetaAccumulator / compute_alm). ---
+//
+// For every (l, m >= 0) and every bin b of the nb listed in `bins`, replays
+// SphHarmTable::alm_from_power_sums' chain
+//
+//   a = 0;  for each term t of table.terms(l, m):  a += conj(c_t) * S[mono_t]
+//
+// with the bins as SIMD lanes: per term one broadcast of the coefficient,
+// one contiguous load over bins, then a mul and an add. conj(c_t) is purely
+// real or purely imaginary (SphHarmTable::plane_terms), so each term feeds
+// one plane: the other plane's product is +-0, and adding +-0 leaves a
+// chain that starts at +0 unchanged (it never reaches -0). For finite sums
+// each lane therefore ends on exactly the bits of alm_from_power_sums of
+// its bin, at every ISA level. `sums` is bin-interleaved,
+// S[mono * stride + bin] (MultipoleAccumulator::sums()), with stride a
+// multiple of kLanes; lanes past the last listed bin's vector are never
+// read, and unlisted lanes may hold anything.
+// Bin b's a_lm lands at out_re / out_im [out_off[lm] + b * out_step[lm]],
+// lm = lm_index(l, m); no other entry is written.
+void alm_bins_as_lanes(const math::SphHarmTable& table, const double* sums,
+                       std::size_t stride, const int* bins, int nb,
+                       double* out_re, double* out_im,
+                       const std::size_t* out_off,
+                       const std::size_t* out_step);
 
 // --- Batched zeta update (ZetaAccumulator's flush; exposed for tests). ---
 //
@@ -134,7 +173,11 @@ void zeta_batch_update(const double* wp, int np, const double* vr,
 // --- Per-primary accumulator used by the engine. ---
 //
 // Lifecycle per primary: start_primary(); push(...) per secondary;
-// finish_primary(); then read power_sums(bin) for each touched bin.
+// finish_primary(); then read the touched bins' power sums. A full bucket
+// is flushed on the next push into its bin, not on the push that fills it:
+// the bucket boundaries are the same, but every touched bin reaches
+// finish_primary with 1..capacity pending pairs, whose flush carries the
+// fused lane reduction.
 class MultipoleAccumulator {
  public:
   explicit MultipoleAccumulator(const KernelConfig& cfg);
@@ -150,45 +193,75 @@ class MultipoleAccumulator {
     if (!touched_[bin]) touch(bin);
     double* bu = bucket_.data() +
                  static_cast<std::size_t>(bin) * 4 * cfg_.bucket_capacity;
-    const int f = fill_[bin];
+    int f = fill_[bin];
+    if (f == cfg_.bucket_capacity) {
+      flush(bin, false);
+      f = 0;
+    }
     bu[f] = ux;
     bu[cfg_.bucket_capacity + f] = uy;
     bu[2 * cfg_.bucket_capacity + f] = uz;
     bu[3 * cfg_.bucket_capacity + f] = w;
-    if ((fill_[bin] = f + 1) == cfg_.bucket_capacity) flush(bin);
+    fill_[bin] = f + 1;
   }
 
   void finish_primary();
 
-  // Power sums S[a,b,c] for `bin` in MonomialMap order; valid after
-  // finish_primary(). Zero pointer semantics: only touched bins are valid.
-  const double* power_sums(int bin) const {
+  // One bin's power sums S[a,b,c] in MonomialMap order, read with the
+  // bin-interleaved stride; valid after finish_primary() for touched bins.
+  struct PowerSums {
+    const double* base;
+    std::size_t stride;
+    double operator[](int t) const {
+      return base[static_cast<std::size_t>(t) * stride];
+    }
+  };
+  PowerSums power_sums(int bin) const {
     GLX_DCHECK(bin >= 0 && bin < cfg_.nbins);
-    return sums_.data() + static_cast<std::size_t>(bin) * n_mono_;
+    return {sums_.data() + bin, sums_stride_};
   }
+  // Every bin's sums at once, S[t * sums_stride() + bin], sums_stride() =
+  // nbins rounded up to kLanes: the alm_bins_as_lanes operand. Untouched
+  // bins hold stale finite values, the padding lanes zero.
+  const double* sums() const { return sums_.data(); }
+  std::size_t sums_stride() const { return sums_stride_; }
   bool bin_touched(int bin) const { return touched_[bin] != 0; }
+  // The current primary's touched bins, in first-push order.
+  const std::vector<int>& touched_bins() const { return touched_list_; }
 
   std::uint64_t pairs_processed() const { return pairs_; }
 
+  // Lifetime work counters. Every touched (primary, bin) costs one
+  // epilogue: its final flush with the fused lane reduction, and one bin
+  // of a_lm downstream. Flushes split into full buckets (capacity pairs)
+  // and final partial ones (fewer).
+  struct Counters {
+    std::uint64_t epilogues = 0;
+    std::uint64_t full_flushes = 0;
+    std::uint64_t partial_flushes = 0;
+  };
+  const Counters& counters() const { return counters_; }
+
  private:
   void touch(int bin);
-  void flush(int bin);
-  // Runs the configured bucket kernel on `padded` pairs (a multiple of
-  // kLanes) from any memory, honoring the bin's first-flush overwrite.
-  void run_kernel(int bin, const double* ux, const double* uy,
-                  const double* uz, const double* w, int padded);
+  // Runs the configured bucket kernel over the bin's pending pairs (padded
+  // to kLanes with zero weight), honoring the bin's first-flush overwrite;
+  // `last` fuses the lane reduction into the bin's power sums.
+  void flush(int bin, bool last);
 
   KernelConfig cfg_;
   int n_mono_;
+  std::size_t sums_stride_;
   AlignedBuffer<double> acc_;     // [nbins][n_mono][kLanes]
   AlignedBuffer<double> bucket_;  // [nbins][4][capacity]
-  AlignedBuffer<double> sums_;    // [nbins][n_mono]
+  AlignedBuffer<double> sums_;    // [n_mono][sums_stride_]
   AlignedBuffer<double> zscratch_;
   std::vector<int> fill_;
   std::vector<std::uint8_t> touched_;
   std::vector<std::uint8_t> first_flush_;
   std::vector<int> touched_list_;
   std::uint64_t pairs_ = 0;
+  Counters counters_;
 };
 
 }  // namespace galactos::core

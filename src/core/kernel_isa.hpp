@@ -1,4 +1,4 @@
-// Internal: the per-ISA multipole kernel entry points.
+// Internal: the per-ISA multipole kernel, a_lm and zeta entry points.
 //
 // Each namespace is defined by one translation unit that includes
 // core/kernel_body.hpp under its own target flags (see CMakeLists.txt —
@@ -12,17 +12,28 @@
 
 #include <cstddef>
 
+namespace galactos::math {
+class SphHarmTable;
+}
+
 namespace galactos::core {
 
 #define GLX_KERNEL_ISA_DECL                                                  \
   void kernel_running_product(const double* ux, const double* uy,            \
                               const double* uz, const double* w, int count,  \
                               int lmax, double* acc, int ilp,                \
-                              bool overwrite);                               \
+                              bool overwrite, double* sums,                  \
+                              std::size_t sums_stride);                      \
   void kernel_zbuffered(const double* ux, const double* uy,                  \
                         const double* uz, const double* w, int count,        \
                         int lmax, double* acc, double* zscratch,             \
-                        bool overwrite);                                     \
+                        bool overwrite, double* sums,                        \
+                        std::size_t sums_stride);                            \
+  void alm_bins_as_lanes(const math::SphHarmTable& table, const double* sums, \
+                         std::size_t stride, const int* bins, int nb,        \
+                         double* out_re, double* out_im,                     \
+                         const std::size_t* out_off,                         \
+                         const std::size_t* out_step);                       \
   void zeta_batch_update(const double* wp, int np, const double* vr,         \
                          const double* vi, std::size_t vstride, int rows,    \
                          int cols, double* zr, double* zi, std::size_t ld);

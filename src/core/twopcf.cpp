@@ -19,11 +19,13 @@ TwoPcfAccumulator::TwoPcfAccumulator(int lmax, int nbins)
 }
 
 void TwoPcfAccumulator::add_primary_bin(double wp, int bin, const double* S,
-                                        const math::MonomialMap& mono) {
+                                        const math::MonomialMap& mono,
+                                        std::size_t stride) {
   GLX_DCHECK(bin >= 0 && bin < nbins_);
   // Gather the pure-z sums S[0,0,c].
-  double sz[32];
-  for (int c = 0; c <= lmax_; ++c) sz[c] = S[mono.index(0, 0, c)];
+  double sz[32] = {};
+  for (int c = 0; c <= lmax_; ++c)
+    sz[c] = S[static_cast<std::size_t>(mono.index(0, 0, c)) * stride];
   counts_[bin] += wp * sz[0];
   for (int l = 0; l <= lmax_; ++l) {
     double v = 0.0;

@@ -7,6 +7,7 @@
 // analyses of the 2PCF use (paper §1.1) and it costs nothing extra.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "math/sph_table.hpp"
@@ -17,10 +18,11 @@ class TwoPcfAccumulator {
  public:
   TwoPcfAccumulator(int lmax, int nbins);
 
-  // Adds one touched bin of one primary: S is the bin's power-sum array in
-  // MonomialMap order (the accumulator extracts the S[0,0,c] entries).
+  // Adds one touched bin of one primary: S[t * stride] is the bin's power
+  // sum t in MonomialMap order (the accumulator extracts the S[0,0,c]
+  // entries; the engine's sums are bin-interleaved, hence the stride).
   void add_primary_bin(double wp, int bin, const double* S,
-                       const math::MonomialMap& mono);
+                       const math::MonomialMap& mono, std::size_t stride = 1);
 
   void merge(const TwoPcfAccumulator& other);
 

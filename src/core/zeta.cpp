@@ -36,6 +36,11 @@ ZetaAccumulator::ZetaAccumulator(int lmax, int nbins)
                          llm_.size());
   re_.assign(total, 0.0);
   im_.assign(total, 0.0);
+  for (int l = 0; l <= lmax; ++l)
+    for (int m = 0; m <= l; ++m) {
+      slot_off_.push_back(plane_offset(m) + static_cast<std::size_t>(l - m));
+      slot_step_.push_back(static_cast<std::size_t>(lmax + 1 - m));
+    }
 }
 
 std::size_t ZetaAccumulator::slot_size() const {
@@ -55,33 +60,42 @@ void ZetaAccumulator::ensure_batch() const {
 
 void ZetaAccumulator::add_primary(double wp, const std::complex<double>* alm,
                                   const std::uint8_t* touched) {
-  const int nlm = math::nlm(llm_.lmax());
-  for (int b = 0; b < nbins_; ++b)
-    if (touched[b]) stage_bin(b, alm + static_cast<std::size_t>(b) * nlm);
-  add_staged_primary(wp);
-}
-
-void ZetaAccumulator::stage_bin(int bin, const std::complex<double>* alm_bin) {
-  GLX_DCHECK(bin >= 0 && bin < nbins_);
   ensure_batch();
-  const int lmax = llm_.lmax();
+  const int nlm = math::nlm(llm_.lmax());
   const std::size_t slot = static_cast<std::size_t>(batch_.count) * slot_size();
   double* sr = batch_.re.data() + slot;
   double* si = batch_.im.data() + slot;
-  for (int m = 0; m <= lmax; ++m) {
-    const std::size_t base = plane_offset(m) +
-                             static_cast<std::size_t>(bin) * (lmax + 1 - m);
-    for (int l = m; l <= lmax; ++l) {
-      const std::complex<double> v = alm_bin[math::lm_index(l, m)];
-      sr[base + (l - m)] = v.real();
-      si[base + (l - m)] = v.imag();
+  for (int b = 0; b < nbins_; ++b) {
+    if (!touched[b]) continue;
+    const std::complex<double>* a = alm + static_cast<std::size_t>(b) * nlm;
+    for (int lm = 0; lm < nlm; ++lm) {
+      const std::size_t k = slot_off_[lm] + b * slot_step_[lm];
+      sr[k] = a[lm].real();
+      si[k] = a[lm].imag();
     }
+    batch_.open[b] = 1;
   }
-  batch_.open[bin] = 1;
+  commit_primary(wp);
 }
 
-void ZetaAccumulator::add_staged_primary(double wp) {
+void ZetaAccumulator::add_primary_sums(double wp,
+                                       const math::SphHarmTable& table,
+                                       const double* sums, std::size_t stride,
+                                       const int* bins, int nb) {
+  GLX_CHECK(table.lmax() == llm_.lmax());
   ensure_batch();
+  const std::size_t slot = static_cast<std::size_t>(batch_.count) * slot_size();
+  alm_bins_as_lanes(table, sums, stride, bins, nb, batch_.re.data() + slot,
+                    batch_.im.data() + slot, slot_off_.data(),
+                    slot_step_.data());
+  for (int i = 0; i < nb; ++i) {
+    GLX_DCHECK(bins[i] >= 0 && bins[i] < nbins_);
+    batch_.open[bins[i]] = 1;
+  }
+  commit_primary(wp);
+}
+
+void ZetaAccumulator::commit_primary(double wp) {
   const int lmax = llm_.lmax();
   const std::size_t slot = static_cast<std::size_t>(batch_.count) * slot_size();
   for (int b = 0; b < nbins_; ++b) {

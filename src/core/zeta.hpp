@@ -20,6 +20,10 @@
 #include "core/bins.hpp"
 #include "util/check.hpp"
 
+namespace galactos::math {
+class SphHarmTable;
+}
+
 namespace galactos::core {
 
 // Canonical enumeration of (l, l', m) with 0 <= l, l' <= lmax and
@@ -63,8 +67,8 @@ class LlmIndex {
 // count equals the public [bin_pair][llm] order, which snapshot() and
 // raw() present.
 //
-// Batching: add_primary only stages the primary's a_lm, transposed to
-// m-major planes [m][bin][l], in a slot of a kBatch-primary batch
+// Batching: add_primary / add_primary_sums only stage the primary's a_lm,
+// as m-major planes [m][bin][l], in a slot of a kBatch-primary batch
 // (allocated on first use). A full batch is applied by one register-tiled
 // update (zeta_batch_update in core/kernel.hpp, dispatched like the
 // multipole kernel, so GALACTOS_KERNEL_ISA pins it too) that keeps a
@@ -99,12 +103,15 @@ class ZetaAccumulator {
   void add_primary(double wp, const std::complex<double>* alm,
                    const std::uint8_t* touched);
 
-  // add_primary in two steps, for callers that assemble a_lm bin by bin
-  // (the engine): stage_bin(b, alm_b) for each touched bin, alm_b holding
-  // nlm(lmax) complex values, then add_staged_primary(wp). No other member
-  // may run in between.
-  void stage_bin(int bin, const std::complex<double>* alm_bin);
-  void add_staged_primary(double wp);
+  // add_primary straight from one primary's power sums, as the engine's
+  // MultipoleAccumulator holds them: bin-interleaved S[mono * stride + bin]
+  // (MultipoleAccumulator::sums()), valid for the nb bins listed in `bins`.
+  // One bins-as-lanes pass (alm_bins_as_lanes in core/kernel.hpp) writes
+  // their a_lm straight into the batch slot — for finite sums bitwise what
+  // add_primary with SphHarmTable::alm_from_power_sums per bin would stage.
+  void add_primary_sums(double wp, const math::SphHarmTable& table,
+                        const double* sums, std::size_t stride,
+                        const int* bins, int nb);
 
   // Applies the staged primaries. Every reader does this itself; the
   // engine calls it once per thread so the cost lands in its own timer.
@@ -156,10 +163,16 @@ class ZetaAccumulator {
   }
   std::size_t slot_size() const;
   void ensure_batch() const;
+  // Counts the primary whose touched bins are flagged in batch_.open and
+  // zeroes the slot's other bins; flushes a full batch.
+  void commit_primary(double wp);
 
   int nbins_;
   LlmIndex llm_;
   std::vector<std::size_t> zeta_offset_;  // per-m start of the m block
+  // Per lm_index(l, m): a_lm(l, m) of bin b sits at slot_off_[lm] +
+  // b * slot_step_[lm] in a slot (the alm_bins_as_lanes output layout).
+  std::vector<std::size_t> slot_off_, slot_step_;
   // The staged batch. Mutable with re_/im_: flushing leaves the observable
   // value unchanged, so the const readers apply it first.
   struct Batch {

@@ -9,13 +9,16 @@
 // core/kernel.cpp dispatches between at runtime.
 //
 // The arithmetic set is intentionally tiny: lane-wise load/store, add, sub,
-// mul, div, and explicit FMA. add/mul are exact IEEE per lane on every
-// level, which is what lets the per-ISA kernels stay bitwise identical —
-// each lane of the 8-wide accumulator block sees the same operation
-// sequence no matter how many lanes a hardware vector holds. fmadd/fmsub
-// fuse on AVX2/AVX-512 and fall back to mul-then-add on the generic level;
-// use them only where cross-level bitwise identity is NOT required (the
-// self-pair a_lm accumulation, the batched Y_lm recurrence).
+// mul, div, explicit FMA, and a horizontal sum. add/mul are exact IEEE per
+// lane on every level, which is what lets the per-ISA kernels stay bitwise
+// identical — each lane of the 8-wide accumulator block sees the same
+// operation sequence no matter how many lanes a hardware vector holds. The
+// horizontal sum dv_hsum uses a fixed pairwise tree per width, so the two
+// AVX2 halves of an 8-lane block, summed, give the 8-wide tree bit for
+// bit. fmadd/fmsub fuse on AVX2/AVX-512 and fall back to mul-then-add on
+// the generic level; use them only where cross-level bitwise identity is
+// NOT required (the self-pair a_lm accumulation, the batched Y_lm
+// recurrence).
 #pragma once
 
 #include <cstddef>
@@ -52,6 +55,18 @@ inline DVec operator+(DVec a, DVec b) { return {_mm512_add_pd(a.v, b.v)}; }
 inline DVec operator-(DVec a, DVec b) { return {_mm512_sub_pd(a.v, b.v)}; }
 inline DVec operator*(DVec a, DVec b) { return {_mm512_mul_pd(a.v, b.v)}; }
 inline DVec operator/(DVec a, DVec b) { return {_mm512_div_pd(a.v, b.v)}; }
+// ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)): pairs within 128-bit lanes, then
+// pairs of pairs within each 256-bit half, then the two halves. (The
+// all-ones masked forms with the operand as pass-through are the plain
+// shuffles; GCC's unmasked ones trip -Wmaybe-uninitialized.)
+inline double dv_hsum(DVec a) {
+  const __m512d p =
+      _mm512_add_pd(a.v, _mm512_mask_permute_pd(a.v, 0xFF, a.v, 0x55));
+  const __m512d q =
+      _mm512_add_pd(p, _mm512_mask_permutex_pd(p, 0xFF, p, 0x4E));
+  const __m512d h = _mm512_mask_shuffle_f64x2(q, 0xFF, q, q, 0x02);
+  return _mm512_cvtsd_f64(q) + _mm512_cvtsd_f64(h);
+}
 // a*b + c
 inline DVec dv_fmadd(DVec a, DVec b, DVec c) {
   return {_mm512_fmadd_pd(a.v, b.v, c.v)};
@@ -85,6 +100,12 @@ inline DVec operator+(DVec a, DVec b) { return {_mm256_add_pd(a.v, b.v)}; }
 inline DVec operator-(DVec a, DVec b) { return {_mm256_sub_pd(a.v, b.v)}; }
 inline DVec operator*(DVec a, DVec b) { return {_mm256_mul_pd(a.v, b.v)}; }
 inline DVec operator/(DVec a, DVec b) { return {_mm256_div_pd(a.v, b.v)}; }
+// (a0+a1)+(a2+a3)
+inline double dv_hsum(DVec a) {
+  const __m256d p = _mm256_add_pd(a.v, _mm256_permute_pd(a.v, 0x5));
+  return _mm_cvtsd_f64(_mm_add_sd(_mm256_castpd256_pd128(p),
+                                  _mm256_extractf128_pd(p, 1)));
+}
 inline DVec dv_fmadd(DVec a, DVec b, DVec c) {
   return {_mm256_fmadd_pd(a.v, b.v, c.v)};
 }
@@ -137,6 +158,12 @@ GLX_DVEC_LANEWISE(operator-, a.v[i] - b.v[i])
 GLX_DVEC_LANEWISE(operator*, a.v[i] * b.v[i])
 GLX_DVEC_LANEWISE(operator/, a.v[i] / b.v[i])
 #undef GLX_DVEC_LANEWISE
+
+// ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), the AVX-512 tree.
+inline double dv_hsum(DVec a) {
+  const double* v = a.v;
+  return ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]));
+}
 
 inline DVec dv_fmadd(DVec a, DVec b, DVec c) { return a * b + c; }
 inline DVec dv_fmsub(DVec a, DVec b, DVec c) { return a * b - c; }

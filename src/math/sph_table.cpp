@@ -54,6 +54,15 @@ SphHarmTable::SphHarmTable(int lmax) : lmax_(lmax), mono_(lmax) {
       }
     }
   }
+  plane_terms_.resize(2 * terms_.size());
+  for (std::size_t lm = 0; lm < terms_.size(); ++lm)
+    for (const Term& t : terms_[lm]) {
+      const std::complex<double> c = std::conj(t.coeff);
+      GLX_CHECK(c.real() == 0.0 || c.imag() == 0.0);
+      if (c.real() != 0.0) plane_terms_[2 * lm].push_back({t.mono, c.real()});
+      if (c.imag() != 0.0)
+        plane_terms_[2 * lm + 1].push_back({t.mono, c.imag()});
+    }
 }
 
 std::complex<double> SphHarmTable::eval(int l, int m, double ux, double uy,

@@ -77,6 +77,20 @@ class SphHarmTable {
     return terms_[lm_index(l, m)];
   }
 
+  // conj(coeff) of the terms of lm = lm_index(l, m), split by plane:
+  // plane 0 holds the real parts of the real coefficients, plane 1 the
+  // imaginary parts of the imaginary ones, each in terms() order.
+  // (x + iy)^m expands in powers of i, so every coefficient is purely real
+  // or purely imaginary and each term lands in exactly one plane.
+  struct PlaneTerm {
+    int mono;
+    double coeff;
+  };
+  const std::vector<PlaneTerm>& plane_terms(int lm, int plane) const {
+    GLX_DCHECK(lm >= 0 && lm < nlm(lmax_) && (plane == 0 || plane == 1));
+    return plane_terms_[2 * lm + plane];
+  }
+
   // Direct evaluation of Y_lm(u) for a unit vector u, m may be negative.
   // Reference path for tests and the brute-force oracle.
   std::complex<double> eval(int l, int m, double ux, double uy,
@@ -96,6 +110,7 @@ class SphHarmTable {
   int lmax_;
   MonomialMap mono_;
   std::vector<std::vector<Term>> terms_;
+  std::vector<std::vector<PlaneTerm>> plane_terms_;  // [lm][plane]
 };
 
 }  // namespace galactos::math

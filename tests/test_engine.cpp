@@ -174,6 +174,39 @@ TEST(Engine, StatsArePopulated) {
   EXPECT_GT(stats.phases.get("index build"), 0.0);
 }
 
+// Every touched (primary, bin) is one epilogue: the count matches a brute
+// force over the catalog, both drivers agree, and the flush split bounds
+// the pair count (full buckets hold capacity pairs, final partial ones
+// fewer).
+TEST(Engine, EpilogueCountersMatchBruteForce) {
+  const s::Catalog cat = s::uniform_box(400, s::Aabb::cube(40), 21);
+  c::EngineConfig cfg = small_config();
+  cfg.tree.bucket_capacity = 16;
+  std::uint64_t expect = 0;
+  for (std::size_t p = 0; p < cat.size(); ++p) {
+    std::vector<bool> hit(cfg.bins.count(), false);
+    for (std::size_t j = 0; j < cat.size(); ++j) {
+      if (j == p) continue;
+      const double r = std::sqrt((cat.position(j) - cat.position(p)).norm2());
+      const int bin = cfg.bins.bin_of(r);
+      if (bin >= 0) hit[bin] = true;
+    }
+    for (bool h : hit) expect += h;
+  }
+  const std::uint64_t cap = 16;
+  for (c::TraversalMode mode :
+       {c::TraversalMode::kPerPrimary, c::TraversalMode::kLeafBlocked}) {
+    cfg.tree.traversal = mode;
+    c::EngineStats st;
+    c::Engine(cfg).run(cat, nullptr, &st);
+    EXPECT_EQ(st.bin_epilogues, expect);
+    EXPECT_LE(st.partial_flushes, st.bin_epilogues);
+    EXPECT_LE(st.bin_epilogues, st.full_flushes + st.partial_flushes);
+    EXPECT_GE(st.pairs, st.full_flushes * cap + st.partial_flushes);
+    EXPECT_LE(st.pairs, st.full_flushes * cap + st.partial_flushes * (cap - 1));
+  }
+}
+
 TEST(Engine, PairCountMatchesExpectation) {
   // For a uniform box, pairs within [rmin, rmax) per primary ~ n * V_shell.
   const double side = 100.0;

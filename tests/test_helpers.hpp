@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
+#include "core/kernel.hpp"
 #include "core/zeta.hpp"
 #include "math/rng.hpp"
+#include "math/sph_table.hpp"
 #include "sim/catalog.hpp"
 #include "sim/generators.hpp"
 
@@ -89,6 +95,71 @@ inline sim::Catalog clumpy_catalog(std::size_t n, double side,
     (void)nclump;
   }
   return c;
+}
+
+// The IEEE bit pattern of a double, so equality checks see -0 vs +0.
+inline std::uint64_t bits(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+// One bin's power sums the way the accumulator computed them before the
+// lane reduction was fused into the kernel: capacity-sized buckets of the
+// pairs, each zero-padded to kLanes and run through the raw bucket kernel
+// into the lane block (the first one overwriting), then one standalone
+// reduction per monomial with the tree ((0+1)+(2+3))+((4+5)+(6+7)). The
+// fused epilogue must reproduce it bit for bit.
+inline std::vector<double> unfused_power_sums(const core::KernelConfig& cfg,
+                                              const double* ux,
+                                              const double* uy,
+                                              const double* uz,
+                                              const double* w, int n) {
+  const int cap = cfg.bucket_capacity;
+  const int nmono = math::monomial_count(cfg.lmax);
+  std::vector<double> acc(static_cast<std::size_t>(nmono) * core::kLanes);
+  std::vector<double> bx, by, bz, bw, zs(2 * static_cast<std::size_t>(cap));
+  for (int i0 = 0; i0 < n; i0 += cap) {
+    const int cnt = std::min(cap, n - i0);
+    const int padded = (cnt + core::kLanes - 1) / core::kLanes * core::kLanes;
+    bx.assign(padded, 0.0);
+    by.assign(padded, 0.0);
+    bz.assign(padded, 0.0);
+    bw.assign(padded, 0.0);
+    std::copy(ux + i0, ux + i0 + cnt, bx.begin());
+    std::copy(uy + i0, uy + i0 + cnt, by.begin());
+    std::copy(uz + i0, uz + i0 + cnt, bz.begin());
+    std::copy(w + i0, w + i0 + cnt, bw.begin());
+    if (cfg.scheme == core::KernelScheme::kRunningProduct)
+      core::kernel_running_product(bx.data(), by.data(), bz.data(), bw.data(),
+                                   padded, cfg.lmax, acc.data(), cfg.ilp,
+                                   i0 == 0);
+    else
+      core::kernel_zbuffered(bx.data(), by.data(), bz.data(), bw.data(),
+                             padded, cfg.lmax, acc.data(), zs.data(),
+                             i0 == 0);
+  }
+  std::vector<double> s(nmono);
+  for (int t = 0; t < nmono; ++t) {
+    const double* a = acc.data() + static_cast<std::size_t>(t) * core::kLanes;
+    s[t] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+  }
+  return s;
+}
+
+// Per-bin oracle of the bins-as-lanes a_lm: SphHarmTable::
+// alm_from_power_sums on bin b's column of bin-interleaved sums
+// S[t * stride + b].
+inline std::vector<std::complex<double>> per_bin_alm(
+    const math::SphHarmTable& table, const std::vector<double>& sums,
+    std::size_t stride, int b) {
+  const int nmono = math::monomial_count(table.lmax());
+  std::vector<double> col(nmono);
+  for (int t = 0; t < nmono; ++t)
+    col[t] = sums[static_cast<std::size_t>(t) * stride + b];
+  std::vector<std::complex<double>> alm(math::nlm(table.lmax()));
+  table.alm_from_power_sums(col.data(), alm.data());
+  return alm;
 }
 
 }  // namespace galactos::testing

@@ -1,8 +1,9 @@
 // Runtime kernel-ISA dispatch: the GALACTOS_KERNEL_ISA env contract, the
 // set_kernel_isa override, and the cross-ISA equivalence matrix — every
 // compiled+supported level must produce BITWISE identical power sums (the
-// per-lane operation sequence is the same at every level) and bitwise
-// identical engine results, over ragged bucket tails and zero-weight pads.
+// per-lane operation sequence is the same at every level), fused epilogues,
+// bins-as-lanes a_lm, zeta updates and engine results, over ragged bucket
+// tails and zero-weight pads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +14,14 @@
 #include "core/engine.hpp"
 #include "core/kernel.hpp"
 #include "math/rng.hpp"
+#include "math/sph_table.hpp"
 #include "sim/generators.hpp"
 #include "test_helpers.hpp"
 
 namespace c = galactos::core;
 namespace m = galactos::math;
 namespace s = galactos::sim;
+using galactos::testing::bits;
 using galactos::testing::expect_results_match;
 
 namespace {
@@ -74,10 +77,8 @@ std::vector<double> sums_at(c::KernelIsa isa, const c::KernelConfig& cfg,
     acc.push(i % cfg.nbins, p.ux[i], p.uy[i], p.uz[i], p.w[i]);
   acc.finish_primary();
   std::vector<double> out;
-  for (int b = 0; b < cfg.nbins; ++b) {
-    const double* s = acc.power_sums(b);
-    out.insert(out.end(), s, s + acc.n_mono());
-  }
+  for (int b = 0; b < cfg.nbins; ++b)
+    for (int t = 0; t < acc.n_mono(); ++t) out.push_back(acc.power_sums(b)[t]);
   return out;
 }
 
@@ -220,6 +221,83 @@ TEST(KernelIsaEquivalence, RawKernelsBitwiseAcrossLevels) {
     for (std::size_t i = 0; i < ref.size(); ++i)
       ASSERT_EQ(got[i], ref[i])
           << "zbuffered isa=" << c::kernel_isa_name(isa) << " i=" << i;
+  }
+}
+
+// Fused epilogue at every level vs the standalone lane reduction at the
+// scalar level: the in-register tree (AVX-512 permutes, AVX2 per-half
+// sums, the scalar expression) must land on the same bits.
+TEST(KernelIsaEquivalence, FusedEpilogueBitwiseAcrossLevels) {
+  IsaGuard guard;
+  for (c::KernelScheme scheme :
+       {c::KernelScheme::kRunningProduct, c::KernelScheme::kZBuffered})
+    for (int lmax : {0, 2, 5, 10})
+      for (int count : {1, 7, 8, 9, 31, 32, 33, 127, 128, 129, 256}) {
+        c::KernelConfig cfg;
+        cfg.lmax = lmax;
+        cfg.nbins = 2;
+        cfg.scheme = scheme;
+        const PairSet p = random_pairs(count, count / 4, 80 * count + lmax);
+        c::set_kernel_isa(c::KernelIsa::kScalar);
+        const std::vector<double> ref = galactos::testing::unfused_power_sums(
+            cfg, p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(), count);
+        for (c::KernelIsa isa : supported_levels()) {
+          c::set_kernel_isa(isa);
+          c::MultipoleAccumulator acc(cfg);
+          acc.start_primary();
+          for (int i = 0; i < count; ++i)
+            acc.push(1, p.ux[i], p.uy[i], p.uz[i], p.w[i]);
+          acc.finish_primary();
+          for (int t = 0; t < acc.n_mono(); ++t)
+            ASSERT_EQ(bits(acc.power_sums(1)[t]), bits(ref[t]))
+                << "isa=" << c::kernel_isa_name(isa) << " scheme="
+                << static_cast<int>(scheme) << " lmax=" << lmax
+                << " count=" << count << " t=" << t;
+        }
+      }
+}
+
+// Bins-as-lanes a_lm at every level vs per-bin alm_from_power_sums, over
+// bin counts around the 4- and 8-lane vectors with untouched bins.
+TEST(KernelIsaEquivalence, AlmBinsAsLanesBitwiseAcrossLevels) {
+  IsaGuard guard;
+  m::Rng rng(515);
+  for (int lmax : {0, 2, 5, 10}) {
+    const m::SphHarmTable table(lmax);
+    const int nlm = m::nlm(lmax);
+    for (int nbins : {1, 3, 8, 9, 10, 16, 17}) {
+      const std::size_t stride =
+          static_cast<std::size_t>(nbins + c::kLanes - 1) / c::kLanes *
+          c::kLanes;
+      std::vector<double> sums(stride * m::monomial_count(lmax));
+      for (double& x : sums) x = rng.uniform(-3, 3);
+      std::vector<int> bins;
+      for (int b = 0; b < nbins; ++b)
+        if (nbins == 1 || rng.uniform() < 0.6) bins.push_back(b);
+      // Output planes [bin][lm].
+      std::vector<std::size_t> off(nlm), step(nlm, nlm);
+      for (int lm = 0; lm < nlm; ++lm) off[lm] = lm;
+      for (c::KernelIsa isa : supported_levels()) {
+        c::set_kernel_isa(isa);
+        std::vector<double> re(static_cast<std::size_t>(nbins) * nlm, 0.0),
+            im(re.size(), 0.0);
+        c::alm_bins_as_lanes(table, sums.data(), stride, bins.data(),
+                             static_cast<int>(bins.size()), re.data(),
+                             im.data(), off.data(), step.data());
+        for (int b : bins) {
+          const std::vector<std::complex<double>> ref =
+              galactos::testing::per_bin_alm(table, sums, stride, b);
+          for (int lm = 0; lm < nlm; ++lm) {
+            ASSERT_EQ(bits(re[b * nlm + lm]), bits(ref[lm].real()))
+                << "isa=" << c::kernel_isa_name(isa) << " lmax=" << lmax
+                << " nbins=" << nbins << " bin=" << b;
+            ASSERT_EQ(bits(im[b * nlm + lm]), bits(ref[lm].imag()))
+                << "isa=" << c::kernel_isa_name(isa) << " lmax=" << lmax
+                << " nbins=" << nbins << " bin=" << b;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -6,11 +6,15 @@
 #include <cmath>
 #include <complex>
 
+#include "core/alm.hpp"
+#include "core/kernel.hpp"
 #include "math/legendre.hpp"
 #include "math/rng.hpp"
 #include "math/sph_table.hpp"
 #include "math/ylm_recurrence.hpp"
+#include "test_helpers.hpp"
 
+namespace c = galactos::core;
 namespace m = galactos::math;
 using cd = std::complex<double>;
 
@@ -199,6 +203,79 @@ TEST(SphHarmTable, AlmFromPowerSumsMatchesDirectSum) {
   table.alm_from_power_sums(S.data(), alm.data());
   for (int i = 0; i < m::nlm(lmax); ++i)
     EXPECT_NEAR(std::abs(alm[i] - direct[i]), 0.0, 1e-9) << "lm flat " << i;
+}
+
+// Bins-as-lanes a_lm (every touched bin at once, bins as SIMD lanes) must
+// replay alm_from_power_sums' per-bin chain bit for bit: bin counts below,
+// at and around one and two lane blocks, untouched bins (also the top one)
+// whose columns hold junk, and both output layouts — a strided plane pair
+// and compute_alm's complex [bin][lm].
+TEST(AlmBinsAsLanes, MatchesPerBinOracleBitwise) {
+  using galactos::testing::bits;
+  using galactos::testing::per_bin_alm;
+  const double sentinel = -12345.0;
+  for (int lmax : {0, 2, 5, 10}) {
+    const m::SphHarmTable table(lmax);
+    const int nlm = m::nlm(lmax);
+    const int nmono = m::monomial_count(lmax);
+    for (int nbins : {1, 3, 8, 9, 10, 16, 17}) {
+      m::Rng rng(100 * lmax + nbins);
+      const std::size_t stride =
+          static_cast<std::size_t>(nbins + c::kLanes - 1) / c::kLanes *
+          c::kLanes;
+      std::vector<double> sums(stride * nmono);
+      for (double& x : sums) x = rng.uniform(-3, 3);
+      // Touched: every other bin from a random start, listed in reverse.
+      std::vector<int> bins;
+      for (int b = nbins - 1 - static_cast<int>(rng.uniform_u64(2)); b >= 0;
+           b -= 2)
+        bins.push_back(b);
+      const std::string what =
+          "lmax=" + std::to_string(lmax) + " nbins=" + std::to_string(nbins);
+
+      // Planes: (l, m) of bin b at off[lm] + b * step[lm], steps differing
+      // per lm and gaps left between entries.
+      std::vector<std::size_t> off(nlm), step(nlm);
+      std::size_t size = 0;
+      for (int lm = 0; lm < nlm; ++lm) {
+        off[lm] = size;
+        step[lm] = static_cast<std::size_t>(2 + lm % 3);
+        size += step[lm] * nbins;
+      }
+      std::vector<double> re(size, sentinel), im(size, sentinel);
+      c::alm_bins_as_lanes(table, sums.data(), stride, bins.data(),
+                           static_cast<int>(bins.size()), re.data(),
+                           im.data(), off.data(), step.data());
+
+      std::vector<cd> alm(static_cast<std::size_t>(nbins) * nlm,
+                          cd{sentinel, sentinel});
+      c::compute_alm(table, sums.data(), stride, bins.data(),
+                     static_cast<int>(bins.size()), alm.data());
+
+      std::vector<std::uint8_t> touched(nbins, 0);
+      for (int b : bins) touched[b] = 1;
+      for (int b = 0; b < nbins; ++b) {
+        std::vector<cd> ref(nlm, cd{sentinel, sentinel});
+        if (touched[b]) ref = per_bin_alm(table, sums, stride, b);
+        for (int lm = 0; lm < nlm; ++lm) {
+          const std::size_t k = off[lm] + b * step[lm];
+          ASSERT_EQ(bits(re[k]), bits(ref[lm].real()))
+              << what << " bin=" << b;
+          ASSERT_EQ(bits(im[k]), bits(ref[lm].imag()))
+              << what << " bin=" << b;
+          const cd got = alm[static_cast<std::size_t>(b) * nlm + lm];
+          ASSERT_EQ(bits(got.real()), bits(ref[lm].real()))
+              << what << " bin=" << b;
+          ASSERT_EQ(bits(got.imag()), bits(ref[lm].imag()))
+              << what << " bin=" << b;
+        }
+      }
+      // Nothing is written between a bin's entries.
+      std::size_t written = 0;
+      for (std::size_t k = 0; k < size; ++k) written += re[k] != sentinel;
+      EXPECT_EQ(written, bins.size() * nlm) << what;
+    }
+  }
 }
 
 TEST(YlmRecurrence, MatchesTable) {

@@ -1,9 +1,10 @@
 // Leaf-blocked vs per-primary traversal equivalence (paper §3.3).
 //
 // The leaf-blocked driver prunes node-vs-node instead of point-vs-node and
-// feeds the kernel through batched push_block calls; per-primary pair
-// sequences are bitwise identical to the per-primary driver, so the two
-// modes may differ only by cross-primary FP reassociation. The sweep
+// feeds the kernel from one shared neighbor block per leaf, pushing each
+// primary's accepted pairs through MultipoleAccumulator::push; per-primary
+// pair sequences are bitwise identical to the per-primary driver, so the
+// two modes may differ only by cross-primary FP reassociation. The sweep
 // covers KdTree/CellGrid × double/mixed × plane-parallel/radial LOS ×
 // all/subset primaries (the distributed-runner path).
 #include <gtest/gtest.h>

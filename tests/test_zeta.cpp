@@ -322,44 +322,55 @@ struct PerPrimaryZeta {
   }
 };
 
-// One random primary: arbitrary a_lm values (the update never assumes
-// Y_lm structure), a random touched pattern in which the last bin is never
-// touched (when there is more than one), and a weight of either sign.
+// One random primary: arbitrary power sums (the update never assumes Y_lm
+// structure), bin-interleaved as the engine holds them, and their a_lm from
+// the per-bin oracle SphHarmTable::alm_from_power_sums; a random touched
+// pattern in which the last bin is never touched (when there is more than
+// one); and a weight of either sign.
 struct RandomPrimary {
   double wp;
+  std::vector<double> sums;  // [n_mono][stride]
+  std::size_t stride;
+  std::vector<int> bins;     // touched, in a shuffled order
   std::vector<cd> alm;
   std::vector<std::uint8_t> touched;
 };
 
-RandomPrimary random_primary(int lmax, int nbins, m::Rng& rng) {
+RandomPrimary random_primary(const m::SphHarmTable& table, int nbins,
+                             m::Rng& rng) {
+  const int lmax = table.lmax();
+  const int n_mono = m::monomial_count(lmax);
   RandomPrimary p;
   p.wp = rng.uniform(-0.5, 2.0);
+  p.stride = static_cast<std::size_t>(nbins + 7) / 8 * 8;
+  p.sums.resize(p.stride * n_mono);
+  for (double& x : p.sums) x = rng.uniform(-2, 2);  // stale lanes included
   p.alm.assign(static_cast<std::size_t>(nbins) * m::nlm(lmax), cd{});
   p.touched.assign(nbins, 0);
+  std::vector<double> bin_sums(n_mono);
   for (int b = 0; b < nbins; ++b) {
     if (nbins > 1 && b == nbins - 1) continue;
     if (rng.uniform() < 0.25) continue;
     p.touched[b] = 1;
-    for (int k = 0; k < m::nlm(lmax); ++k)
-      p.alm[static_cast<std::size_t>(b) * m::nlm(lmax) + k] =
-          cd{rng.uniform(-2, 2), rng.uniform(-2, 2)};
+    p.bins.insert(p.bins.begin() + rng.uniform_u64(p.bins.size() + 1), b);
+    for (int t = 0; t < n_mono; ++t) bin_sums[t] = p.sums[t * p.stride + b];
+    table.alm_from_power_sums(
+        bin_sums.data(), p.alm.data() + static_cast<std::size_t>(b) *
+                                            m::nlm(lmax));
   }
   return p;
 }
 
-// Adds the primary through add_primary or, alternately, through the
-// engine's bin-by-bin staging; the oracle takes the one-shot update.
+// Adds the primary through add_primary or, alternately, straight from its
+// power sums as the engine does; the oracle takes the one-shot update.
 void add_both(c::ZetaAccumulator& z, PerPrimaryZeta& ref,
-              const RandomPrimary& p, bool staged) {
-  if (staged) {
-    for (int b = 0; b < z.nbins(); ++b)
-      if (p.touched[b])
-        z.stage_bin(b, p.alm.data() +
-                           static_cast<std::size_t>(b) * m::nlm(z.lmax()));
-    z.add_staged_primary(p.wp);
-  } else {
+              const m::SphHarmTable& table, const RandomPrimary& p,
+              bool from_sums) {
+  if (from_sums)
+    z.add_primary_sums(p.wp, table, p.sums.data(), p.stride, p.bins.data(),
+                       static_cast<int>(p.bins.size()));
+  else
     z.add_primary(p.wp, p.alm.data(), p.touched.data());
-  }
   ref.add_primary(p.wp, p.alm.data(), p.touched.data());
 }
 
@@ -385,12 +396,13 @@ TEST(ZetaBatch, MatchesPerPrimaryOracleBitwise) {
     for (int nbins : kNbinsGrid)
       for (int np : {1, 7, 8, 9, 17}) {
         m::Rng rng(1000 + 97 * lmax + 13 * nbins + np);
+        const m::SphHarmTable table(lmax);
         c::ZetaAccumulator z(lmax, nbins);
         PerPrimaryZeta ref(lmax, nbins);
         double sum_wp = 0.0;
         for (int p = 0; p < np; ++p) {
-          const RandomPrimary pr = random_primary(lmax, nbins, rng);
-          add_both(z, ref, pr, p % 2 == 1);
+          const RandomPrimary pr = random_primary(table, nbins, rng);
+          add_both(z, ref, table, pr, p % 2 == 1);
           sum_wp += pr.wp;
         }
         EXPECT_EQ(z.primaries(), static_cast<std::uint64_t>(np));
@@ -406,9 +418,10 @@ TEST(ZetaBatch, MatchesPerPrimaryOracleBitwise) {
 TEST(ZetaBatch, UntouchedBinsStayZero) {
   const int lmax = 5, nbins = 3;
   m::Rng rng(5);
+  const m::SphHarmTable table(lmax);
   c::ZetaAccumulator z(lmax, nbins);
   for (int p = 0; p < 11; ++p) {
-    RandomPrimary pr = random_primary(lmax, nbins, rng);
+    RandomPrimary pr = random_primary(table, nbins, rng);
     z.add_primary(pr.wp, pr.alm.data(), pr.touched.data());
   }
   for (int b = 0; b < nbins; ++b)
@@ -432,11 +445,13 @@ TEST(ZetaBatch, MembersInterleavedMidBatchMatchOracleBitwise) {
           "lmax=" + std::to_string(lmax) + " nbins=" + std::to_string(nbins);
       const int nllm = c::LlmIndex(lmax).size();
       m::Rng rng(77 + lmax * 31 + nbins);
+      const m::SphHarmTable table(lmax);
       c::ZetaAccumulator z(lmax, nbins), other(lmax, nbins);
       PerPrimaryZeta ref(lmax, nbins), ref_other(lmax, nbins);
       auto add = [&](int n) {
         for (int p = 0; p < n; ++p)
-          add_both(z, ref, random_primary(lmax, nbins, rng), p % 3 == 0);
+          add_both(z, ref, table, random_primary(table, nbins, rng),
+                   p % 3 == 0);
       };
 
       add(3);
@@ -461,8 +476,8 @@ TEST(ZetaBatch, MembersInterleavedMidBatchMatchOracleBitwise) {
               }
 
       add(2);
-      const RandomPrimary a = random_primary(lmax, nbins, rng);
-      const RandomPrimary b = random_primary(lmax, nbins, rng);
+      const RandomPrimary a = random_primary(table, nbins, rng);
+      const RandomPrimary b = random_primary(table, nbins, rng);
       z.add_primary_cross(1.3, a.alm.data(), a.touched.data(), b.alm.data(),
                           b.touched.data());
       ref.add_primary_cross(1.3, a.alm.data(), a.touched.data(),
@@ -470,7 +485,8 @@ TEST(ZetaBatch, MembersInterleavedMidBatchMatchOracleBitwise) {
 
       add(5);
       for (int p = 0; p < 3; ++p)
-        add_both(other, ref_other, random_primary(lmax, nbins, rng), false);
+        add_both(other, ref_other, table, random_primary(table, nbins, rng),
+                 false);
       z.merge(other);
       ref.merge(ref_other);
       add(4);
