@@ -31,17 +31,33 @@
 
 namespace galactos::core {
 
+// compute_alm's complex [bin][lm] output as the per-lm (offset, step) pairs
+// alm_bins_as_lanes scatters through: real parts at even doubles, imaginary
+// at odd ones. Fixed per lmax; build it once beside the table and reuse it.
+class AlmLayout {
+ public:
+  explicit AlmLayout(int lmax);
+
+  int lmax() const { return lmax_; }
+  const std::size_t* off() const { return off_.data(); }
+  const std::size_t* step() const { return step_.data(); }
+
+ private:
+  int lmax_;
+  std::vector<std::size_t> off_, step_;
+};
+
 // Computes alm[bin][lm] for the nb bins listed in `bins` from
 // bin-interleaved power sums S[mono * stride + bin]; other bins are left
 // unmodified. alm must hold (largest listed bin + 1) * nlm(lmax) complex
 // entries.
-void compute_alm(const math::SphHarmTable& table, const double* sums,
-                 std::size_t stride, const int* bins, int nb,
-                 std::complex<double>* alm);
+void compute_alm(const math::SphHarmTable& table, const AlmLayout& layout,
+                 const double* sums, std::size_t stride, const int* bins,
+                 int nb, std::complex<double>* alm);
 
 // The same for every touched bin of `acc`, flagged in touched[nbins];
 // untouched bins are left unmodified (callers consult `touched`).
-void compute_alm(const math::SphHarmTable& table,
+void compute_alm(const math::SphHarmTable& table, const AlmLayout& layout,
                  const MultipoleAccumulator& acc, std::complex<double>* alm,
                  std::uint8_t* touched);
 

@@ -160,10 +160,19 @@ inline void form_separations(const tree::NeighborBlock<Real>& block, Real px,
   }
 }
 
-void add_counters(EngineStats& stats, const MultipoleAccumulator::Counters& c) {
-  stats.bin_epilogues += c.epilogues;
-  stats.full_flushes += c.full_flushes;
-  stats.partial_flushes += c.partial_flushes;
+// Sums the per-accumulator epilogue counters into `stats` (assigned, like
+// every other EngineStats field, so a reused stats object does not grow).
+void set_counters(EngineStats& stats,
+                  const std::vector<MultipoleAccumulator::Counters>& parts) {
+  MultipoleAccumulator::Counters total;
+  for (const MultipoleAccumulator::Counters& c : parts) {
+    total.epilogues += c.epilogues;
+    total.full_flushes += c.full_flushes;
+    total.partial_flushes += c.partial_flushes;
+  }
+  stats.bin_epilogues = total.epilogues;
+  stats.full_flushes = total.full_flushes;
+  stats.partial_flushes = total.partial_flushes;
 }
 
 // Number of leaf-blocked leaves (resp. per-primary primaries) the master
@@ -537,7 +546,6 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
     pairs_total += pairs_parts[t];
     cand_total += cand_parts[t];
     skipped_total += skip_parts[t];
-    add_counters(stats, kc_parts[t]);
     t_query += tq_parts[t];
     t_kernel += tk_parts[t];
     t_zeta += tz_parts[t];
@@ -557,6 +565,7 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
 
   stats.pairs = pairs_total;
   stats.candidates = cand_total;
+  set_counters(stats, kc_parts);
   stats.primaries_skipped = skipped_total;
   stats.pairs_per_thread = std::move(per_thread);
   stats.kernel_flop_count =
@@ -621,6 +630,7 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
   const int lmax = cfg.lmax;
   const int nlm = math::nlm(lmax);
   const math::SphHarmTable table(lmax);
+  const AlmLayout alm_layout(lmax);
   const LlmIndex llm(lmax);
 
   const int nthreads = cfg.threads > 0 ? cfg.threads : omp_get_max_threads();
@@ -731,8 +741,8 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
           for (int t = 0; t < n_mono; ++t)
             saved_sums[static_cast<std::size_t>(t) * stride + b] = s[t];
         }
-        compute_alm(table, saved_sums.data(), stride, ref.bins, ref.count,
-                    alm_a.data());
+        compute_alm(table, alm_layout, saved_sums.data(), stride, ref.bins,
+                    ref.count, alm_a.data());
         z_time += tz.seconds();
         return true;
       };
@@ -742,7 +752,7 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
       // term plus the additive halo-side 2PCF / self terms.
       auto finish_cross = [&](std::int64_t p) {
         Timer tz;
-        compute_alm(table, acc_b, alm_b.data(), touched_b.data());
+        compute_alm(table, alm_layout, acc_b, alm_b.data(), touched_b.data());
         const double wp = catalog.w[static_cast<std::size_t>(p)];
         for (int b = 0; b < nbins; ++b)
           if (touched_b[b])
@@ -830,7 +840,8 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
             acc_a.finish_primary();
             k_time += tk2.seconds();
             Timer tza;
-            compute_alm(table, acc_a, alm_a.data(), touched_a.data());
+            compute_alm(table, alm_layout, acc_a, alm_a.data(),
+                        touched_a.data());
             z_time += tza.seconds();
           }
           finish_cross(p);
@@ -972,7 +983,8 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
             k_time += tk2.seconds();
             my_cand += ma;
             Timer tza;
-            compute_alm(table, acc_a, alm_a.data(), touched_a.data());
+            compute_alm(table, alm_layout, acc_a, alm_a.data(),
+                        touched_a.data());
             z_time += tza.seconds();
 
             finish_cross(p);
@@ -1009,8 +1021,6 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
   for (int t = 0; t < nthreads; ++t) {
     halo_pairs += halo_parts[t];
     rec_pairs += rec_parts[t];
-    add_counters(stats, kc_parts[2 * t]);
-    add_counters(stats, kc_parts[2 * t + 1]);
     cand_total += cand_parts[t];
     t_query += tq_parts[t];
     t_kernel += tk_parts[t];
@@ -1027,6 +1037,7 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
                                      (t_query + t_kernel + t_zeta) / dn));
   stats.pairs = halo_pairs;
   stats.candidates = cand_total;
+  set_counters(stats, kc_parts);
   stats.primaries_skipped = 0;  // skips were counted by the owned pass
   stats.pairs_per_thread = std::move(per_thread);
   stats.kernel_flop_count = static_cast<double>(halo_pairs + rec_pairs) *

@@ -374,34 +374,6 @@ void alm_bins_as_lanes(const math::SphHarmTable& table, const double* sums,
                        const std::size_t* out_step) {
   constexpr int kW = DVec::kWidth;
   constexpr int kMaxVectors = 4;  // 2 * kMaxVectors accumulator chains
-  if constexpr (math::simd::kLevel == 0) {
-    // No hardware vectors: the listed bins, four at a time (the last group
-    // repeats its final bin), are the independent chains.
-    constexpr int kG = 4;
-    const int nlm = math::nlm(table.lmax());
-    for (int i0 = 0; i0 < nb; i0 += kG) {
-      const double* s[kG];
-      for (int j = 0; j < kG; ++j) s[j] = sums + bins[std::min(i0 + j, nb - 1)];
-      for (int lm = 0; lm < nlm; ++lm) {
-        double a[2][kG] = {};
-        for (int plane = 0; plane < 2; ++plane)
-          for (const math::SphHarmTable::PlaneTerm& t :
-               table.plane_terms(lm, plane)) {
-            const std::size_t o = static_cast<std::size_t>(t.mono) * stride;
-            for (int j = 0; j < kG; ++j)
-              a[plane][j] = a[plane][j] + t.coeff * s[j][o];
-          }
-        for (int j = 0; j < kG && i0 + j < nb; ++j) {
-          const std::size_t o = out_off[lm] +
-                                static_cast<std::size_t>(bins[i0 + j]) *
-                                    out_step[lm];
-          out_re[o] = a[0][j];
-          out_im[o] = a[1][j];
-        }
-      }
-    }
-    return;
-  }
   if (nb == 0) return;
   int top = 0;
   for (int i = 0; i < nb; ++i) top = std::max(top, bins[i]);

@@ -242,6 +242,9 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
     local = staged.run_secondary_pass(&sec_stats);
     secondary_pass_seconds = tsec.seconds();
     stats.pairs += sec_stats.pairs;  // owned + halo = the single-node total
+    stats.bin_epilogues += sec_stats.bin_epilogues;
+    stats.full_flushes += sec_stats.full_flushes;
+    stats.partial_flushes += sec_stats.partial_flushes;
     engine_seconds = owned_pass_seconds + secondary_pass_seconds;
   } else {
     comm.set_phase(Phase::kOwnedPass);  // the fused owned+halo traversal

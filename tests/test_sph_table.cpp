@@ -249,8 +249,8 @@ TEST(AlmBinsAsLanes, MatchesPerBinOracleBitwise) {
 
       std::vector<cd> alm(static_cast<std::size_t>(nbins) * nlm,
                           cd{sentinel, sentinel});
-      c::compute_alm(table, sums.data(), stride, bins.data(),
-                     static_cast<int>(bins.size()), alm.data());
+      c::compute_alm(table, c::AlmLayout(lmax), sums.data(), stride,
+                     bins.data(), static_cast<int>(bins.size()), alm.data());
 
       std::vector<std::uint8_t> touched(nbins, 0);
       for (int b : bins) touched[b] = 1;

@@ -322,51 +322,61 @@ struct PerPrimaryZeta {
   }
 };
 
-// One random primary: arbitrary power sums (the update never assumes Y_lm
-// structure), bin-interleaved as the engine holds them, and their a_lm from
-// the per-bin oracle SphHarmTable::alm_from_power_sums; a random touched
-// pattern in which the last bin is never touched (when there is more than
-// one); and a weight of either sign.
+// One random primary: a random touched pattern in which the last bin is
+// never touched (when there is more than one), a weight of either sign, and
+// a_lm for add_primary — arbitrary values (the update never assumes Y_lm
+// structure, so Im a_l0 is nonzero too). With `from_sums` it instead carries
+// arbitrary power sums, bin-interleaved as the engine holds them, for
+// add_primary_sums, and its a_lm come from the per-bin oracle
+// SphHarmTable::alm_from_power_sums.
 struct RandomPrimary {
   double wp;
-  std::vector<double> sums;  // [n_mono][stride]
-  std::size_t stride;
+  bool from_sums;
+  std::vector<double> sums;  // [n_mono][stride], from_sums only
+  std::size_t stride = 0;
   std::vector<int> bins;     // touched, in a shuffled order
   std::vector<cd> alm;
   std::vector<std::uint8_t> touched;
 };
 
 RandomPrimary random_primary(const m::SphHarmTable& table, int nbins,
-                             m::Rng& rng) {
+                             m::Rng& rng, bool from_sums = false) {
   const int lmax = table.lmax();
+  const int nlm = m::nlm(lmax);
   const int n_mono = m::monomial_count(lmax);
   RandomPrimary p;
   p.wp = rng.uniform(-0.5, 2.0);
-  p.stride = static_cast<std::size_t>(nbins + 7) / 8 * 8;
-  p.sums.resize(p.stride * n_mono);
-  for (double& x : p.sums) x = rng.uniform(-2, 2);  // stale lanes included
-  p.alm.assign(static_cast<std::size_t>(nbins) * m::nlm(lmax), cd{});
+  p.from_sums = from_sums;
+  if (from_sums) {
+    p.stride = static_cast<std::size_t>(nbins + 7) / 8 * 8;
+    p.sums.resize(p.stride * n_mono);
+    for (double& x : p.sums) x = rng.uniform(-2, 2);  // stale lanes included
+  }
+  p.alm.assign(static_cast<std::size_t>(nbins) * nlm, cd{});
   p.touched.assign(nbins, 0);
   std::vector<double> bin_sums(n_mono);
   for (int b = 0; b < nbins; ++b) {
     if (nbins > 1 && b == nbins - 1) continue;
     if (rng.uniform() < 0.25) continue;
     p.touched[b] = 1;
+    cd* alm = p.alm.data() + static_cast<std::size_t>(b) * nlm;
+    if (!from_sums) {
+      for (int k = 0; k < nlm; ++k)
+        alm[k] = cd{rng.uniform(-2, 2), rng.uniform(-2, 2)};
+      continue;
+    }
     p.bins.insert(p.bins.begin() + rng.uniform_u64(p.bins.size() + 1), b);
     for (int t = 0; t < n_mono; ++t) bin_sums[t] = p.sums[t * p.stride + b];
-    table.alm_from_power_sums(
-        bin_sums.data(), p.alm.data() + static_cast<std::size_t>(b) *
-                                            m::nlm(lmax));
+    table.alm_from_power_sums(bin_sums.data(), alm);
   }
   return p;
 }
 
-// Adds the primary through add_primary or, alternately, straight from its
-// power sums as the engine does; the oracle takes the one-shot update.
+// Adds the primary through add_primary_sums (from_sums primaries, as the
+// engine does) or add_primary; the oracle takes the one-shot update.
 void add_both(c::ZetaAccumulator& z, PerPrimaryZeta& ref,
-              const m::SphHarmTable& table, const RandomPrimary& p,
-              bool from_sums) {
-  if (from_sums)
+              const m::SphHarmTable& table, const RandomPrimary& p) {
+  if (p.from_sums)
     z.add_primary_sums(p.wp, table, p.sums.data(), p.stride, p.bins.data(),
                        static_cast<int>(p.bins.size()));
   else
@@ -401,8 +411,9 @@ TEST(ZetaBatch, MatchesPerPrimaryOracleBitwise) {
         PerPrimaryZeta ref(lmax, nbins);
         double sum_wp = 0.0;
         for (int p = 0; p < np; ++p) {
-          const RandomPrimary pr = random_primary(table, nbins, rng);
-          add_both(z, ref, table, pr, p % 2 == 1);
+          const RandomPrimary pr =
+              random_primary(table, nbins, rng, p % 2 == 1);
+          add_both(z, ref, table, pr);
           sum_wp += pr.wp;
         }
         EXPECT_EQ(z.primaries(), static_cast<std::uint64_t>(np));
@@ -450,8 +461,8 @@ TEST(ZetaBatch, MembersInterleavedMidBatchMatchOracleBitwise) {
       PerPrimaryZeta ref(lmax, nbins), ref_other(lmax, nbins);
       auto add = [&](int n) {
         for (int p = 0; p < n; ++p)
-          add_both(z, ref, table, random_primary(table, nbins, rng),
-                   p % 3 == 0);
+          add_both(z, ref, table,
+                   random_primary(table, nbins, rng, p % 3 == 0));
       };
 
       add(3);
@@ -485,8 +496,7 @@ TEST(ZetaBatch, MembersInterleavedMidBatchMatchOracleBitwise) {
 
       add(5);
       for (int p = 0; p < 3; ++p)
-        add_both(other, ref_other, table, random_primary(table, nbins, rng),
-                 false);
+        add_both(other, ref_other, table, random_primary(table, nbins, rng));
       z.merge(other);
       ref.merge(ref_other);
       add(4);
