@@ -19,17 +19,10 @@ namespace galactos::core {
 
 namespace detail {
 
-// Per-thread partial accumulators parked in the Staged handle between the
-// owned pass and the secondary pass. In the fused run_indexed path the
-// same partials live on the stack for the duration of one call; the
-// two-pass pipeline moves their lifetime here so pass 2 can keep adding
-// into the exact per-thread slots pass 1 filled, and the final merge runs
-// in the same thread-id order either way.
 // Owned-only power sums snapshotted during pass 1 for primaries that might
 // see halo secondaries (within R_max of the SecondaryBound box). One
 // instance per thread; concatenated SoA records, looked up by primary id
-// in pass 2 so the owned a_lm is rebuilt by compute_alm instead of
-// a kernel re-run.
+// in pass 2, where compute_alm rebuilds the owned a_lm from them.
 struct SavedPrimaries {
   std::vector<std::int64_t> prim;  // primary id per record
   std::vector<int> nbins;          // touched-bin count per record
@@ -37,12 +30,20 @@ struct SavedPrimaries {
   std::vector<double> sums;        // concatenated [n_mono] blocks
 };
 
+// Per-thread partial accumulators, merged in thread-id order. The fused
+// run_indexed path merges them as soon as its traversal ends; the two-pass
+// pipeline parks them in the Staged handle between the passes, so pass 2
+// keeps adding into the exact per-thread slots pass 1 filled and the final
+// merge runs in the same thread-id order either way.
 struct TraversalPartials {
-  int nthreads = 0;
+  explicit TraversalPartials(int n)
+      : nthreads(n), zeta(n), xi(n), pairs(n, 0), saved(n) {}
+
+  int nthreads;
   std::vector<std::unique_ptr<ZetaAccumulator>> zeta;
   std::vector<std::unique_ptr<TwoPcfAccumulator>> xi;
   std::vector<std::uint64_t> pairs;   // per thread; pass 2 adds halo pairs
-  std::vector<SavedPrimaries> saved;  // per thread; empty without a bound
+  std::vector<SavedPrimaries> saved;  // per thread; filled by the owned pass
 };
 
 }  // namespace detail
@@ -160,437 +161,283 @@ inline void form_separations(const tree::NeighborBlock<Real>& block, Real px,
   }
 }
 
-// Sums the per-accumulator epilogue counters into `stats` (assigned, like
-// every other EngineStats field, so a reused stats object does not grow).
-void set_counters(EngineStats& stats,
-                  const std::vector<MultipoleAccumulator::Counters>& parts) {
-  MultipoleAccumulator::Counters total;
-  for (const MultipoleAccumulator::Counters& c : parts) {
-    total.epilogues += c.epilogues;
-    total.full_flushes += c.full_flushes;
-    total.partial_flushes += c.partial_flushes;
+// Bins one primary's staged pairs, rotates them into its LOS frame (`rot`
+// null: plane-parallel) and pushes them through the kernel accumulator and,
+// when self pairs are subtracted, its self-pair twin. Returns the number of
+// pairs that landed in a bin.
+inline std::uint64_t push_pairs(MultipoleAccumulator& acc,
+                                SelfPairAccumulator* sp, const PairStage& ps,
+                                const RadialBins& bins, const Rotation* rot) {
+  acc.start_primary();
+  if (sp) sp->start_primary();
+  std::uint64_t accepted = 0;
+  for (std::size_t j = 0; j < ps.count; ++j) {
+    const int bin = bins.bin_of(ps.r[j]);
+    if (bin < 0) continue;
+    double dx = ps.dx[j];
+    double dy = ps.dy[j];
+    double dz = ps.dz[j];
+    if (rot) rot->apply(dx, dy, dz);
+    const double inv = ps.inv[j];
+    acc.push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
+    if (sp) sp->add(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
+    ++accepted;
   }
-  stats.bin_epilogues = total.epilogues;
-  stats.full_flushes = total.full_flushes;
-  stats.partial_flushes = total.partial_flushes;
+  acc.finish_primary();
+  return accepted;
 }
 
-// Number of leaf-blocked leaves (resp. per-primary primaries) the master
-// thread processes between poll() invocations during the owned pass.
+KernelConfig kernel_config(const EngineConfig& cfg) {
+  KernelConfig kc;
+  kc.lmax = cfg.lmax;
+  kc.nbins = cfg.bins.count();
+  kc.bucket_capacity = cfg.tree.bucket_capacity;
+  kc.scheme = cfg.tree.scheme;
+  kc.ilp = cfg.tree.ilp;
+  return kc;
+}
+
+int thread_count(const EngineConfig& cfg) {
+  return cfg.threads > 0 ? cfg.threads : omp_get_max_threads();
+}
+
+// What one thread's share of a traversal adds up to: candidates scanned,
+// primaries skipped and per-phase seconds (kept by the per-leaf bodies),
+// plus the kernel's pair count and epilogue counters (read off the
+// accumulator at the end).
+struct LaneTally {
+  std::uint64_t pairs = 0, candidates = 0, skipped = 0;
+  double t_query = 0, t_kernel = 0, t_zeta = 0;
+  MultipoleAccumulator::Counters kernel;
+};
+
+// One thread's traversal state, handed to its per-leaf body: the kernel
+// accumulator with its self-pair twin, the pair staging, this thread's
+// zeta / 2PCF partials and its tally.
+template <typename Real>
+struct Lane {
+  Lane(const EngineConfig& c, const sim::Catalog& cat,
+       const math::SphHarmTable& t, const LlmIndex& llm, ZetaAccumulator& z,
+       TwoPcfAccumulator& x, int id)
+      : cfg(c), catalog(cat), table(t), tid(id), acc(kernel_config(c)),
+        zeta(z), xi(x) {
+    if (c.subtract_self_pairs) sp.emplace(t, llm, c.bins.count());
+  }
+
+  // LOS setup: false when the primary must be skipped (radial mode,
+  // primary at the observer); `rotate` stays false for plane-parallel.
+  bool make_rotation(std::int64_t p, Rotation& rot, bool& rotate) const {
+    rotate = false;
+    if (cfg.los == LineOfSight::kRadial) {
+      const sim::Vec3 rel =
+          catalog.position(static_cast<std::size_t>(p)) - cfg.observer;
+      if (rel.norm2() == 0.0) return false;
+      rot = rotation_to_z(rel);
+      rotate = true;
+    }
+    return true;
+  }
+
+  // Stages one primary's pairs against a gathered block: SIMD separations,
+  // then the range filter, self exclusion and compaction of PairStage::fill
+  // (bitwise the accept set and order of a per-primary index query).
+  // Neighbor-search work, so it counts toward the query phase.
+  void stage(const tree::NeighborBlock<Real>& block, Real px, Real py,
+             Real pz, Real r2max, std::int64_t self) {
+    Timer tq;
+    const std::size_t m = block.size();
+    sdx.resize(m);
+    sdy.resize(m);
+    sdz.resize(m);
+    sr2.resize(m);
+    form_separations(block, px, py, pz, sdx.data(), sdy.data(), sdz.data(),
+                     sr2.data());
+    ps.fill(sdx.data(), sdy.data(), sdz.data(), sr2.data(), block.w.data(),
+            block.idx.data(), m, r2max, self);
+    tally.candidates += m;
+    tally.t_query += tq.seconds();
+  }
+
+  // push_pairs on this lane's accumulators, timed as kernel work.
+  std::uint64_t push(bool rotate, const Rotation& rot) {
+    Timer tk;
+    const std::uint64_t n = push_pairs(acc, sp ? &*sp : nullptr, ps,
+                                       cfg.bins, rotate ? &rot : nullptr);
+    tally.t_kernel += tk.seconds();
+    return n;
+  }
+
+  // The 2PCF moments of the pairs just pushed.
+  void add_xi(double wp) {
+    for (int b = 0; b < cfg.bins.count(); ++b)
+      if (acc.bin_touched(b))
+        xi.add_primary_bin(wp, b, acc.sums() + b, table.monomials(),
+                           acc.sums_stride());
+  }
+
+  // Removes the degenerate j == k terms of the pairs just pushed.
+  void subtract_self(double wp) {
+    if (!sp) return;
+    for (int b = 0; b < cfg.bins.count(); ++b)
+      if (sp->bin_touched(b))
+        zeta.subtract_self(wp, b, sp->self_re(b), sp->self_im(b));
+  }
+
+  const EngineConfig& cfg;
+  const sim::Catalog& catalog;
+  const math::SphHarmTable& table;
+  const int tid;
+  MultipoleAccumulator acc;
+  std::optional<SelfPairAccumulator> sp;
+  ZetaAccumulator& zeta;
+  TwoPcfAccumulator& xi;
+  PairStage ps;
+  LaneTally tally;
+  std::vector<Real> sdx, sdy, sdz, sr2;  // stage() buffers
+};
+
+// Number of leaves the master thread processes between poll() calls.
 constexpr int kPollLeafStride = 4;
-constexpr int kPollPrimaryStride = 256;
 
-// Traversal over prebuilt indexes. `catalog` holds the owned points (the
-// only ones that can act as primaries); `secondary`, when given, indexes
-// halo points that act as secondaries only — its candidates are unioned
-// with the primary index's per leaf (leaf-blocked) or per primary
-// (per-primary), with original indices offset by catalog.size() so they can
-// never collide with a primary index.
-//
-// When `park` is non-null the per-thread partials are moved into it
-// instead of being merged (`result` is left untouched) — the two-pass
-// owned pass. `poll`, when set, is called from the master thread between
-// leaf/primary batches; `bound`, when set with `park`, snapshots boundary
-// primaries' power sums for the secondary pass (see Staged::run_owned_pass).
-template <typename Real, typename Index>
-void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
-                      const Index& index, const Index* secondary,
-                      const std::vector<std::int64_t>* primaries,
-                      ZetaResult& result, EngineStats& stats,
-                      detail::TraversalPartials* park = nullptr,
-                      const std::function<void()>& poll = {},
-                      const Engine::SecondaryBound* bound = nullptr) {
-  Timer wall;
+// The one traversal skeleton behind every tree-backend pass: Algorithm 1
+// amortized a leaf at a time (§3.3), one parallel loop over the primary
+// index's leaves under the configured schedule. The master thread — the
+// caller's own OS thread, so single-threaded MPI progress rules hold —
+// calls `poll`, when set, every kPollLeafStride leaves. Each thread builds
+// a Lane over its slot of `parts` (creating the zeta / 2PCF partials on
+// first use) and asks `make_body(lane)` once for its per-leaf body, called
+// as body(leaf, prims) with the leaf's primaries: index positions in leaf
+// order, restricted to `primaries` when given. Afterwards each lane's
+// kernel pairs are added to parts.pairs and the tallies are rolled up into
+// `stats`.
+template <typename Real, typename Index, typename MakeBody>
+void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
+                     const Index& index,
+                     const std::vector<std::int64_t>* primaries,
+                     const std::function<void()>& poll,
+                     detail::TraversalPartials& parts, EngineStats& stats,
+                     MakeBody&& make_body) {
+  const int nthreads = parts.nthreads;
   const int nbins = cfg.bins.count();
-  const int lmax = cfg.lmax;
-  const math::SphHarmTable table(lmax);
-  const LlmIndex llm(lmax);
+  const math::SphHarmTable table(cfg.lmax);
+  const LlmIndex llm(cfg.lmax);
 
-  const std::int64_t halo_offset = static_cast<std::int64_t>(catalog.size());
-
-  const std::int64_t np =
-      primaries ? static_cast<std::int64_t>(primaries->size())
-                : static_cast<std::int64_t>(catalog.size());
-
-  const int nthreads =
-      cfg.threads > 0 ? cfg.threads : omp_get_max_threads();
-
-  // Too few leaves starve a leaf-parallel run (e.g. a CellGrid whose
-  // extent is a handful of R_max cells); the per-primary driver computes
-  // the same answer, so fall back to it rather than idle most threads.
-  TraversalMode traversal = cfg.tree.traversal;
-  if (traversal == TraversalMode::kLeafBlocked &&
-      index.leaf_count() < 2 * static_cast<std::size_t>(nthreads))
-    traversal = TraversalMode::kPerPrimary;
-
-  // Membership mask for the leaf-blocked driver: leaves hold points in
-  // index order, so a subset of primaries is tested per point.
+  // Leaves hold points in index order, so a subset of primaries is tested
+  // per point.
   std::vector<std::uint8_t> is_primary;
-  if (primaries && traversal == TraversalMode::kLeafBlocked) {
+  if (primaries) {
     is_primary.assign(catalog.size(), 0);
     for (std::int64_t p : *primaries)
       is_primary[static_cast<std::size_t>(p)] = 1;
   }
 
-  // Conservative "might see a secondary" margin for the bound hint: the
-  // Real-precision accept filter can admit pairs a few ulps beyond R_max,
-  // so pad the shell the same way the cell grid pads its box walk.
-  const bool save_boundary = park != nullptr && bound != nullptr;
-  double bound_pad = 0.0;
-  if (save_boundary) {
-    park->saved.resize(static_cast<std::size_t>(nthreads));
-    const double max_abs = std::max(
-        {std::abs(bound->lo.x), std::abs(bound->lo.y), std::abs(bound->lo.z),
-         std::abs(bound->hi.x), std::abs(bound->hi.y),
-         std::abs(bound->hi.z)});
-    const double eps =
-        static_cast<double>(std::numeric_limits<Real>::epsilon());
-    bound_pad = cfg.bins.rmax() * (1.0 + 1e-5) +
-                8.0 * eps * (max_abs + cfg.bins.rmax());
-  }
-
-  // Per-thread partial accumulators, merged in thread-id order after the
-  // parallel region so results are bit-identical run to run.
-  std::vector<std::unique_ptr<ZetaAccumulator>> zeta_parts(nthreads);
-  std::vector<std::unique_ptr<TwoPcfAccumulator>> xi_parts(nthreads);
-  std::vector<std::uint64_t> pairs_parts(nthreads, 0), cand_parts(nthreads, 0),
-      skip_parts(nthreads, 0);
-  std::vector<double> tq_parts(nthreads, 0), tk_parts(nthreads, 0),
-      tz_parts(nthreads, 0);
-  std::vector<MultipoleAccumulator::Counters> kc_parts(nthreads);
-
+  std::vector<LaneTally> tallies(static_cast<std::size_t>(nthreads));
   Timer tcompute;
 #pragma omp parallel num_threads(nthreads)
   {
     const int tid = omp_get_thread_num();
-    KernelConfig kc;
-    kc.lmax = lmax;
-    kc.nbins = nbins;
-    kc.bucket_capacity = cfg.tree.bucket_capacity;
-    kc.scheme = cfg.tree.scheme;
-    kc.ilp = cfg.tree.ilp;
-    MultipoleAccumulator acc(kc);
-    ZetaAccumulator zeta(lmax, nbins);
-    TwoPcfAccumulator xi(lmax, nbins);
-    std::optional<SelfPairAccumulator> sp;
-    if (cfg.subtract_self_pairs) sp.emplace(table, llm, nbins);
-    double q_time = 0, k_time = 0, z_time = 0;
-    std::uint64_t my_cand = 0, my_skip = 0;
-    // Communication progress hook (two-pass owned pass): only the master
-    // thread — the rank's own OS thread, so single-threaded MPI progress
-    // rules hold — polls, every few batches.
+    std::unique_ptr<ZetaAccumulator>& zeta = parts.zeta[tid];
+    if (!zeta) zeta = std::make_unique<ZetaAccumulator>(cfg.lmax, nbins);
+    std::unique_ptr<TwoPcfAccumulator>& xi = parts.xi[tid];
+    if (!xi) xi = std::make_unique<TwoPcfAccumulator>(cfg.lmax, nbins);
+    Lane<Real> lane(cfg, catalog, table, llm, *zeta, *xi, tid);
+    auto body = make_body(lane);
     const bool do_poll = static_cast<bool>(poll) && tid == 0;
     int since_poll = 0;
+    std::vector<std::size_t> prims;
 
-    // LOS setup shared by both drivers; returns false when the primary
-    // must be skipped (radial mode, primary at the observer).
-    auto make_rotation = [&](std::int64_t p, Rotation& rot, bool& rotate) {
-      rotate = false;
-      if (cfg.los == LineOfSight::kRadial) {
-        const sim::Vec3 rel =
-            catalog.position(static_cast<std::size_t>(p)) - cfg.observer;
-        if (rel.norm2() == 0.0) return false;
-        rot = rotation_to_z(rel);
-        rotate = true;
+    auto process_leaf = [&](std::int64_t l) {
+      if (do_poll && ++since_poll >= kPollLeafStride) {
+        since_poll = 0;
+        poll();
       }
-      return true;
+      const std::size_t leaf = static_cast<std::size_t>(l);
+      prims.clear();
+      const std::size_t end = static_cast<std::size_t>(index.leaf_end(leaf));
+      for (auto t = static_cast<std::size_t>(index.leaf_begin(leaf)); t < end;
+           ++t)
+        if (is_primary.empty() ||
+            is_primary[static_cast<std::size_t>(index.original_index(t))])
+          prims.push_back(t);
+      if (!prims.empty()) body(leaf, prims);
     };
 
-    // Boundary-primary snapshot (two-pass with a SecondaryBound hint): a
-    // primary within the padded shell of the bound box may see halo
-    // secondaries, so park its owned power sums for pass 2.
-    detail::SavedPrimaries* save_to =
-        save_boundary ? &park->saved[static_cast<std::size_t>(tid)] : nullptr;
-    auto near_bound = [&](std::int64_t p) {
-      const sim::Vec3 pos = catalog.position(static_cast<std::size_t>(p));
-      const double margin = std::min(
-          {pos.x - bound->lo.x, bound->hi.x - pos.x, pos.y - bound->lo.y,
-           bound->hi.y - pos.y, pos.z - bound->lo.z, bound->hi.z - pos.z});
-      return margin <= bound_pad;
-    };
-
-    // a_lm assembly + zeta/xi accumulation after the kernel has consumed
-    // one primary's pairs; identical for both drivers.
-    auto finish_primary = [&](std::int64_t p) {
-      Timer tz;
-      if (save_to && near_bound(p)) {
-        save_to->prim.push_back(p);
-        int nb = 0;
-        for (int b = 0; b < nbins; ++b)
-          if (acc.bin_touched(b)) {
-            save_to->bins.push_back(b);
-            // Grow a whole block at a time, as a range insert does:
-            // per-value push_back rounds this megabyte-scale buffer's
-            // capacity up further.
-            const std::size_t at = save_to->sums.size();
-            save_to->sums.resize(at + acc.n_mono());
-            const MultipoleAccumulator::PowerSums s = acc.power_sums(b);
-            for (int t = 0; t < acc.n_mono(); ++t) save_to->sums[at + t] = s[t];
-            ++nb;
-          }
-        save_to->nbins.push_back(nb);
-      }
-      const double wp = catalog.w[static_cast<std::size_t>(p)];
-      for (int b = 0; b < nbins; ++b)
-        if (acc.bin_touched(b))
-          xi.add_primary_bin(wp, b, acc.sums() + b, table.monomials(),
-                             acc.sums_stride());
-      const std::vector<int>& bins = acc.touched_bins();
-      zeta.add_primary_sums(wp, table, acc.sums(), acc.sums_stride(),
-                            bins.data(), static_cast<int>(bins.size()));
-      if (sp)
-        for (int b = 0; b < nbins; ++b)
-          if (sp->bin_touched(b)) {
-            zeta.subtract_self(wp, b, sp->self_re(b), sp->self_im(b));
-          }
-      z_time += tz.seconds();
-    };
-
-    if (traversal == TraversalMode::kPerPrimary) {
-      tree::NeighborList<Real> nl;
-      PairStage ps;
-
-      auto process = [&](std::int64_t pi) {
-        if (do_poll && ++since_poll >= kPollPrimaryStride) {
-          since_poll = 0;
-          poll();
-        }
-        const std::int64_t p = primaries ? (*primaries)[pi] : pi;
-        const sim::Vec3 pos = catalog.position(static_cast<std::size_t>(p));
-
-        Rotation rot;
-        bool rotate = false;
-        if (!make_rotation(p, rot, rotate)) {
-          ++my_skip;
-          return;
-        }
-
-        Timer tq;
-        nl.clear();
-        index.gather_neighbors(pos.x, pos.y, pos.z, cfg.bins.rmax(), nl);
-        if (secondary) {
-          const std::size_t before = nl.size();
-          secondary->gather_neighbors(pos.x, pos.y, pos.z, cfg.bins.rmax(),
-                                      nl);
-          for (std::size_t j = before; j < nl.size(); ++j)
-            nl.idx[j] += halo_offset;
-        }
-        const std::size_t count = nl.size();
-        // The index already computed (and range-filtered) r2 in Real;
-        // rotation preserves the norm, so bin on the stored value instead
-        // of recomputing. Excluding the primary itself and coincident
-        // galaxies (direction undefined) completes the accept set.
-        ps.fill(nl.dx.data(), nl.dy.data(), nl.dz.data(), nl.r2.data(),
-                nl.w.data(), nl.idx.data(), count,
-                std::numeric_limits<Real>::infinity(), p);
-        q_time += tq.seconds();
-
-        Timer tk;
-        acc.start_primary();
-        if (sp) sp->start_primary();
-        for (std::size_t j = 0; j < ps.count; ++j) {
-          const int bin = cfg.bins.bin_of(ps.r[j]);
-          if (bin < 0) continue;
-          double dx = ps.dx[j];
-          double dy = ps.dy[j];
-          double dz = ps.dz[j];
-          if (rotate) rot.apply(dx, dy, dz);
-          const double inv = ps.inv[j];
-          acc.push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-          if (sp) sp->add(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-        }
-        acc.finish_primary();
-        k_time += tk.seconds();
-        my_cand += count;
-
-        finish_primary(p);
-      };
-
-      if (cfg.tree.schedule == OmpSchedule::kDynamic) {
-#pragma omp for schedule(dynamic, 4)
-        for (std::int64_t i = 0; i < np; ++i) process(i);
-      } else {
-#pragma omp for schedule(static)
-        for (std::int64_t i = 0; i < np; ++i) process(i);
-      }
-    } else {
-      // Leaf-blocked driver: one gather per source leaf, amortized over
-      // the ~leaf_size primaries it stores; the shared block stays hot in
-      // cache while each primary forms its separations by SIMD
-      // subtraction, range-filters on the Real r2 (bitwise the same
-      // accept set and order as a per-primary index query) and pushes the
-      // accepted pairs into the kernel's per-bin buckets.
-      tree::NeighborBlock<Real> block;
-      std::vector<Real> sdx, sdy, sdz, sr2;
-      PairStage ps;
-      std::vector<std::size_t> leaf_prims;
-      const Real r2max = static_cast<Real>(cfg.bins.rmax()) *
-                         static_cast<Real>(cfg.bins.rmax());
-
-      auto process_leaf = [&](std::int64_t l) {
-        if (do_poll && ++since_poll >= kPollLeafStride) {
-          since_poll = 0;
-          poll();
-        }
-        const std::size_t leaf = static_cast<std::size_t>(l);
-        const std::int64_t begin =
-            static_cast<std::int64_t>(index.leaf_begin(leaf));
-        const std::int64_t end =
-            static_cast<std::int64_t>(index.leaf_end(leaf));
-
-        leaf_prims.clear();
-        for (std::int64_t t = begin; t < end; ++t) {
-          const std::int64_t p =
-              index.original_index(static_cast<std::size_t>(t));
-          if (!is_primary.empty() &&
-              !is_primary[static_cast<std::size_t>(p)])
-            continue;
-          leaf_prims.push_back(static_cast<std::size_t>(t));
-        }
-        if (leaf_prims.empty()) return;
-
-        Timer tq;
-        block.clear();
-        index.gather_leaf_neighbors(leaf, cfg.bins.rmax(), block);
-        if (secondary) {
-          Real blo[3], bhi[3];
-          index.leaf_box(leaf, blo, bhi);
-          const std::size_t before = block.size();
-          secondary->gather_box_neighbors(blo, bhi, cfg.bins.rmax(), block);
-          for (std::size_t j = before; j < block.size(); ++j)
-            block.idx[j] += halo_offset;
-        }
-        const std::size_t m = block.size();
-        sdx.resize(m);
-        sdy.resize(m);
-        sdz.resize(m);
-        sr2.resize(m);
-        q_time += tq.seconds();
-
-        for (const std::size_t t : leaf_prims) {
-          const std::int64_t p = index.original_index(t);
-
-          Rotation rot;
-          bool rotate = false;
-          if (!make_rotation(p, rot, rotate)) {
-            ++my_skip;
-            continue;
-          }
-
-          // Separation formation (and the range filter + compaction a
-          // per-primary index query would have applied during the gather)
-          // is neighbor-search work, so it counts toward the "neighbor
-          // query" phase.
-          Timer tsep;
-          const Real px = index.x(t), py = index.y(t), pz = index.z(t);
-          form_separations(block, px, py, pz, sdx.data(), sdy.data(),
-                           sdz.data(), sr2.data());
-          ps.fill(sdx.data(), sdy.data(), sdz.data(), sr2.data(),
-                  block.w.data(), block.idx.data(), m, r2max, p);
-          q_time += tsep.seconds();
-
-          Timer tk;
-          acc.start_primary();
-          if (sp) sp->start_primary();
-          for (std::size_t j = 0; j < ps.count; ++j) {
-            const int bin = cfg.bins.bin_of(ps.r[j]);
-            if (bin < 0) continue;
-            double dx = ps.dx[j];
-            double dy = ps.dy[j];
-            double dz = ps.dz[j];
-            if (rotate) rot.apply(dx, dy, dz);
-            const double inv = ps.inv[j];
-            acc.push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-            if (sp) sp->add(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-          }
-          acc.finish_primary();
-          k_time += tk.seconds();
-          my_cand += m;
-
-          finish_primary(p);
-        }
-      };
-
-      const std::int64_t nleaves =
-          static_cast<std::int64_t>(index.leaf_count());
-      if (cfg.tree.schedule == OmpSchedule::kDynamic) {
+    const std::int64_t nleaves =
+        static_cast<std::int64_t>(index.leaf_count());
+    if (cfg.tree.schedule == OmpSchedule::kDynamic) {
 #pragma omp for schedule(dynamic, 1)
-        for (std::int64_t l = 0; l < nleaves; ++l) process_leaf(l);
-      } else {
+      for (std::int64_t l = 0; l < nleaves; ++l) process_leaf(l);
+    } else {
 #pragma omp for schedule(static)
-        for (std::int64_t l = 0; l < nleaves; ++l) process_leaf(l);
-      }
+      for (std::int64_t l = 0; l < nleaves; ++l) process_leaf(l);
     }
 
     {
       Timer tz;
-      zeta.flush();  // the last, partial batch
-      z_time += tz.seconds();
+      lane.zeta.flush();  // the last, partial batch
+      lane.tally.t_zeta += tz.seconds();
     }
-    zeta_parts[tid] = std::make_unique<ZetaAccumulator>(std::move(zeta));
-    xi_parts[tid] = std::make_unique<TwoPcfAccumulator>(std::move(xi));
-    pairs_parts[tid] = acc.pairs_processed();
-    kc_parts[tid] = acc.counters();
-    cand_parts[tid] = my_cand;
-    skip_parts[tid] = my_skip;
-    tq_parts[tid] = q_time;
-    tk_parts[tid] = k_time;
-    tz_parts[tid] = z_time;
+    lane.tally.pairs = lane.acc.pairs_processed();
+    lane.tally.kernel = lane.acc.counters();
+    parts.pairs[tid] += lane.tally.pairs;
+    tallies[tid] = lane.tally;
   }
   const double compute_wall = tcompute.seconds();
 
-  std::uint64_t pairs_total = 0, cand_total = 0, skipped_total = 0;
-  double t_query = 0, t_kernel = 0, t_zeta = 0;
+  LaneTally sum;
   std::vector<std::uint64_t> per_thread;
-  for (int t = 0; t < nthreads; ++t) {
-    pairs_total += pairs_parts[t];
-    cand_total += cand_parts[t];
-    skipped_total += skip_parts[t];
-    t_query += tq_parts[t];
-    t_kernel += tk_parts[t];
-    t_zeta += tz_parts[t];
-    per_thread.push_back(pairs_parts[t]);
+  for (const LaneTally& t : tallies) {
+    sum.pairs += t.pairs;
+    sum.candidates += t.candidates;
+    sum.skipped += t.skipped;
+    sum.t_query += t.t_query;
+    sum.t_kernel += t.t_kernel;
+    sum.t_zeta += t.t_zeta;
+    sum.kernel.epilogues += t.kernel.epilogues;
+    sum.kernel.full_flushes += t.kernel.full_flushes;
+    sum.kernel.partial_flushes += t.kernel.partial_flushes;
+    per_thread.push_back(t.pairs);
   }
 
   // Thread-summed phase times divided by thread count approximate the
   // wall-clock share of each phase inside the parallel region; the residual
   // (imbalance + merge) is reported separately so shares sum to the wall.
   const double dn = static_cast<double>(nthreads);
-  stats.phases.add("neighbor query", t_query / dn);
-  stats.phases.add("multipole kernel", t_kernel / dn);
-  stats.phases.add("alm+zeta", t_zeta / dn);
-  stats.phases.add("imbalance+merge",
-                   std::max(0.0, compute_wall -
-                                     (t_query + t_kernel + t_zeta) / dn));
-
-  stats.pairs = pairs_total;
-  stats.candidates = cand_total;
-  set_counters(stats, kc_parts);
-  stats.primaries_skipped = skipped_total;
+  stats.phases.add("neighbor query", sum.t_query / dn);
+  stats.phases.add("multipole kernel", sum.t_kernel / dn);
+  stats.phases.add("alm+zeta", sum.t_zeta / dn);
+  const double busy = (sum.t_query + sum.t_kernel + sum.t_zeta) / dn;
+  stats.phases.add("imbalance+merge", std::max(0.0, compute_wall - busy));
+  // Assigned, like every EngineStats field, so a reused stats object does
+  // not grow.
+  stats.pairs = sum.pairs;
+  stats.candidates = sum.candidates;
+  stats.bin_epilogues = sum.kernel.epilogues;
+  stats.full_flushes = sum.kernel.full_flushes;
+  stats.partial_flushes = sum.kernel.partial_flushes;
+  stats.primaries_skipped = sum.skipped;
   stats.pairs_per_thread = std::move(per_thread);
   stats.kernel_flop_count =
-      static_cast<double>(pairs_total) * kernel_flops_per_pair(lmax);
-  stats.wall_seconds = wall.seconds();
+      static_cast<double>(sum.pairs) * kernel_flops_per_pair(cfg.lmax);
+}
 
-  if (park) {
-    // Two-pass owned pass: the partials survive in the handle; the merge
-    // (below, in identical thread-id order) happens in run_secondary_pass.
-    park->nthreads = nthreads;
-    park->zeta = std::move(zeta_parts);
-    park->xi = std::move(xi_parts);
-    park->pairs = std::move(pairs_parts);
-    return;
-  }
-
-  ZetaAccumulator zeta_total(lmax, nbins);
-  TwoPcfAccumulator xi_total(lmax, nbins);
-  for (int t = 0; t < nthreads; ++t) {
-    if (zeta_parts[t]) zeta_total.merge(*zeta_parts[t]);
-    if (xi_parts[t]) xi_total.merge(*xi_parts[t]);
+// Merges the per-thread partials into `result` in thread-id order — the
+// same order after one pass or two, so an empty secondary pass reproduces
+// run_indexed bitwise.
+void merge_partials(const EngineConfig& cfg,
+                    const detail::TraversalPartials& parts,
+                    ZetaResult& result) {
+  ZetaAccumulator zeta_total(cfg.lmax, cfg.bins.count());
+  TwoPcfAccumulator xi_total(cfg.lmax, cfg.bins.count());
+  std::uint64_t pairs_total = 0;
+  for (int t = 0; t < parts.nthreads; ++t) {
+    if (parts.zeta[t]) zeta_total.merge(*parts.zeta[t]);
+    if (parts.xi[t]) xi_total.merge(*parts.xi[t]);
+    pairs_total += parts.pairs[t];
   }
 
   result.bins = cfg.bins;
-  result.lmax = lmax;
+  result.lmax = cfg.lmax;
   result.n_primaries = zeta_total.primaries();
   result.sum_primary_weight = zeta_total.sum_weight();
   result.n_pairs = pairs_total;
@@ -599,25 +446,164 @@ void run_indexed_impl(const EngineConfig& cfg, const sim::Catalog& catalog,
   result.xi_raw = xi_total.xi_raw();
 }
 
+// The fused pass and the two-pass owned pass: every primary against the
+// primary index — plus, fused, the candidates of `secondary`, whose catalog
+// indices are offset by catalog.size() so they never collide with a
+// primary's — with the finished power sums folded into zeta and the 2PCF.
+//
+// kLeafBlocked gathers one candidate block per leaf (one pruned
+// node-vs-node walk, or its precomputed interaction list), which the
+// leaf's primaries drain while it is hot in cache; kPerPrimary queries the
+// index once per primary instead (the literal Algorithm 1, kept as the
+// reference the blocked gather is checked against). Per-primary pair
+// sequences are bitwise the same either way.
+//
+// Under a `bound` (the owned pass) every primary within the padded R_max
+// shell of the bound box also has its power sums snapshotted for pass 2.
+template <typename Real, typename Index>
+void run_primary_pass(const EngineConfig& cfg, const sim::Catalog& catalog,
+                      const Index& index, const Index* secondary,
+                      const std::vector<std::int64_t>* primaries,
+                      const Engine::SecondaryBound* bound,
+                      const std::function<void()>& poll,
+                      detail::TraversalPartials& parts, EngineStats& stats) {
+  Timer wall;
+  const int nbins = cfg.bins.count();
+  const double rmax = cfg.bins.rmax();
+  const Real r2max = static_cast<Real>(rmax) * static_cast<Real>(rmax);
+  const std::int64_t halo_offset = static_cast<std::int64_t>(catalog.size());
+  const bool per_primary = cfg.tree.traversal == TraversalMode::kPerPrimary;
+
+  // "Might see a secondary": the Real-precision accept filter can admit
+  // pairs a few ulps beyond R_max, so pad the shell the same way the cell
+  // grid pads its box walk. An empty box (lo > hi) leaves every primary a
+  // negative margin, so all of them are snapshotted.
+  double bound_pad = 0.0;
+  if (bound) {
+    const double max_abs = std::max(
+        {std::abs(bound->lo.x), std::abs(bound->lo.y), std::abs(bound->lo.z),
+         std::abs(bound->hi.x), std::abs(bound->hi.y),
+         std::abs(bound->hi.z)});
+    const double eps =
+        static_cast<double>(std::numeric_limits<Real>::epsilon());
+    bound_pad = rmax * (1.0 + 1e-5) + 8.0 * eps * (max_abs + rmax);
+  }
+  auto near_bound = [&](std::int64_t p) {
+    const sim::Vec3 pos = catalog.position(static_cast<std::size_t>(p));
+    const double margin = std::min(
+        {pos.x - bound->lo.x, bound->hi.x - pos.x, pos.y - bound->lo.y,
+         bound->hi.y - pos.y, pos.z - bound->lo.z, bound->hi.z - pos.z});
+    return margin <= bound_pad;
+  };
+
+  traverse_leaves<Real>(
+      cfg, catalog, index, primaries, poll, parts, stats,
+      [&](Lane<Real>& lane) {
+        detail::SavedPrimaries* save_to =
+            bound ? &parts.saved[static_cast<std::size_t>(lane.tid)]
+                  : nullptr;
+        return [&, save_to, block = tree::NeighborBlock<Real>{},
+                nl = tree::NeighborList<Real>{}](
+                   std::size_t leaf,
+                   const std::vector<std::size_t>& prims) mutable {
+          if (!per_primary) {
+            Timer tq;
+            block.clear();
+            index.gather_leaf_neighbors(leaf, rmax, block);
+            if (secondary) {
+              Real blo[3], bhi[3];
+              index.leaf_box(leaf, blo, bhi);
+              const std::size_t before = block.size();
+              secondary->gather_box_neighbors(blo, bhi, rmax, block);
+              for (std::size_t j = before; j < block.size(); ++j)
+                block.idx[j] += halo_offset;
+            }
+            lane.tally.t_query += tq.seconds();
+          }
+
+          for (const std::size_t t : prims) {
+            const std::int64_t p = index.original_index(t);
+            Rotation rot;
+            bool rotate = false;
+            if (!lane.make_rotation(p, rot, rotate)) {
+              ++lane.tally.skipped;
+              continue;
+            }
+            if (per_primary) {
+              // The index already range-filtered and computed r2 in Real;
+              // rotation preserves the norm, so binning uses that value.
+              Timer tq;
+              const sim::Vec3 pos =
+                  catalog.position(static_cast<std::size_t>(p));
+              nl.clear();
+              index.gather_neighbors(pos.x, pos.y, pos.z, rmax, nl);
+              if (secondary) {
+                const std::size_t before = nl.size();
+                secondary->gather_neighbors(pos.x, pos.y, pos.z, rmax, nl);
+                for (std::size_t j = before; j < nl.size(); ++j)
+                  nl.idx[j] += halo_offset;
+              }
+              lane.ps.fill(nl.dx.data(), nl.dy.data(), nl.dz.data(),
+                           nl.r2.data(), nl.w.data(), nl.idx.data(),
+                           nl.size(), std::numeric_limits<Real>::infinity(),
+                           p);
+              lane.tally.candidates += nl.size();
+              lane.tally.t_query += tq.seconds();
+            } else {
+              lane.stage(block, index.x(t), index.y(t), index.z(t), r2max, p);
+            }
+            lane.push(rotate, rot);
+
+            Timer tz;
+            MultipoleAccumulator& acc = lane.acc;
+            if (save_to && near_bound(p)) {
+              save_to->prim.push_back(p);
+              int nb = 0;
+              for (int b = 0; b < nbins; ++b)
+                if (acc.bin_touched(b)) {
+                  save_to->bins.push_back(b);
+                  // Grow a whole block at a time, as a range insert does:
+                  // per-value push_back rounds this megabyte-scale
+                  // buffer's capacity up further.
+                  const std::size_t at = save_to->sums.size();
+                  save_to->sums.resize(at + acc.n_mono());
+                  const MultipoleAccumulator::PowerSums s = acc.power_sums(b);
+                  for (int m = 0; m < acc.n_mono(); ++m)
+                    save_to->sums[at + m] = s[m];
+                  ++nb;
+                }
+              save_to->nbins.push_back(nb);
+            }
+            const double wp = catalog.w[static_cast<std::size_t>(p)];
+            lane.add_xi(wp);
+            const std::vector<int>& bins = acc.touched_bins();
+            lane.zeta.add_primary_sums(wp, lane.table, acc.sums(),
+                                       acc.sums_stride(), bins.data(),
+                                       static_cast<int>(bins.size()));
+            lane.subtract_self(wp);
+            lane.tally.t_zeta += tz.seconds();
+          }
+        };
+      });
+  stats.wall_seconds = wall.seconds();
+}
+
 // Pass 2 of the two-pass pipeline: adds every owned-vs-halo contribution
 // into the parked pass-1 partials, then merges them into `result`.
 //
 // Per affected primary the completion is exact (see Staged::run_owned_pass
-// in the header): the owned-only a_lm A is recomputed — the same gather and
-// kernel order as pass 1, so bitwise the pass-1 value — the halo-only a_lm
-// B is formed from the secondary index alone, and zeta gains
-// wp·(A·B* + B·A* + B·B*) while the 2PCF moments, pair counts and
-// self-pair terms (all additive over secondaries) gain their halo-only
-// share. Primaries with no accepted halo pair — and entire leaves whose
-// box is beyond R_max of the secondary index — are skipped: their pass-1
-// contribution is already final. The owned recompute is therefore paid
-// only on the halo-adjacent surface of the domain, which is what makes
-// running the whole O(N·n_nbr) pass 1 while the halo is in flight a net
-// win.
+// in the header): the owned-only a_lm A is rebuilt from the pass-1
+// snapshot, the halo-only a_lm B is formed from the secondary index alone,
+// and zeta gains wp·(A·B* + B·A* + B·B*) while the 2PCF moments, pair
+// counts and self-pair terms (all additive over secondaries) gain their
+// halo-only share. Primaries with no accepted halo pair — and entire leaves
+// whose box is beyond R_max of the secondary index — are skipped: their
+// pass-1 contribution is already final. An affected primary without a
+// snapshot means a secondary broke the SecondaryBound promise; that is
+// reported after the parallel region, which an exception must not escape.
 //
 // stats.pairs counts the NEW physical (owned, halo) kernel pairs — the
-// runner adds it to the owned-pass count to recover the single-node total;
-// kernel_flop_count counts executed kernel work (recompute included).
+// runner adds it to the owned-pass count to recover the single-node total.
 template <typename Real, typename Index>
 void run_secondary_pass_impl(const EngineConfig& cfg,
                              const sim::Catalog& catalog, const Index& index,
@@ -626,443 +612,119 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
                              detail::TraversalPartials& parts,
                              ZetaResult& result, EngineStats& stats) {
   Timer wall;
-  const int nbins = cfg.bins.count();
-  const int lmax = cfg.lmax;
-  const int nlm = math::nlm(lmax);
-  const math::SphHarmTable table(lmax);
-  const AlmLayout alm_layout(lmax);
-  const LlmIndex llm(lmax);
-
-  const int nthreads = cfg.threads > 0 ? cfg.threads : omp_get_max_threads();
+  const int nthreads = thread_count(cfg);
   GLX_CHECK_MSG(nthreads == parts.nthreads,
                 "run_secondary_pass: thread count changed since the owned "
                 "pass (" << parts.nthreads << " -> " << nthreads << ")");
 
-  TraversalMode traversal = cfg.tree.traversal;
-  if (traversal == TraversalMode::kLeafBlocked &&
-      index.leaf_count() < 2 * static_cast<std::size_t>(nthreads))
-    traversal = TraversalMode::kPerPrimary;
-
-  std::vector<std::uint8_t> is_primary;
-  if (primaries && traversal == TraversalMode::kLeafBlocked) {
-    is_primary.assign(catalog.size(), 0);
-    for (std::int64_t p : *primaries)
-      is_primary[static_cast<std::size_t>(p)] = 1;
-  }
-
-  // Pass-1 snapshot lookup (SecondaryBound hint): primary id → its saved
-  // owned power sums, so the owned a_lm comes from compute_alm
-  // instead of a kernel re-run. Primaries without a record (hint absent,
-  // or a secondary landed inside the promised bound) take the exact
-  // recompute fallback.
-  struct SavedRef {
-    const int* bins = nullptr;
-    const double* sums = nullptr;
-    int count = -1;  // -1 = no snapshot
-  };
-  const int n_mono = math::monomial_count(lmax);
-  std::vector<SavedRef> snapshot;
-  {
-    std::size_t total = 0;
-    for (const detail::SavedPrimaries& sv : parts.saved)
-      total += sv.prim.size();
-    if (total > 0) {
-      snapshot.resize(catalog.size());
-      for (const detail::SavedPrimaries& sv : parts.saved) {
-        std::size_t bin_off = 0;
-        for (std::size_t i = 0; i < sv.prim.size(); ++i) {
-          SavedRef& ref = snapshot[static_cast<std::size_t>(sv.prim[i])];
-          ref.bins = sv.bins.data() + bin_off;
-          ref.sums = sv.sums.data() + bin_off * n_mono;
-          ref.count = sv.nbins[i];
-          bin_off += static_cast<std::size_t>(sv.nbins[i]);
-        }
-      }
-    }
-  }
-
-  std::vector<std::uint64_t> halo_parts(nthreads, 0), rec_parts(nthreads, 0),
-      cand_parts(nthreads, 0);
-  std::vector<double> tq_parts(nthreads, 0), tk_parts(nthreads, 0),
-      tz_parts(nthreads, 0);
-  std::vector<MultipoleAccumulator::Counters> kc_parts(2 * nthreads);
-
-  Timer tcompute;
   if (secondary) {
-#pragma omp parallel num_threads(nthreads)
-    {
-      const int tid = omp_get_thread_num();
-      KernelConfig kc;
-      kc.lmax = lmax;
-      kc.nbins = nbins;
-      kc.bucket_capacity = cfg.tree.bucket_capacity;
-      kc.scheme = cfg.tree.scheme;
-      kc.ilp = cfg.tree.ilp;
-      MultipoleAccumulator acc_a(kc);  // owned-only recompute (A)
-      MultipoleAccumulator acc_b(kc);  // halo-only (B)
-      std::vector<std::complex<double>> alm_a(
-          static_cast<std::size_t>(nbins) * nlm),
-          alm_b(static_cast<std::size_t>(nbins) * nlm);
-      std::vector<std::uint8_t> touched_a(nbins, 0), touched_b(nbins, 0);
-      // A snapshot record's bin-major sums, re-interleaved for compute_alm.
-      std::vector<double> saved_sums(acc_a.sums_stride() * n_mono, 0.0);
-      ZetaAccumulator& zeta = *parts.zeta[tid];
-      TwoPcfAccumulator& xi = *parts.xi[tid];
-      std::optional<SelfPairAccumulator> sp;
-      if (cfg.subtract_self_pairs) sp.emplace(table, llm, nbins);
-      double q_time = 0, k_time = 0, z_time = 0;
-      std::uint64_t my_cand = 0;
+    const int nbins = cfg.bins.count();
+    const int nlm = math::nlm(cfg.lmax);
+    const int n_mono = math::monomial_count(cfg.lmax);
+    const double rmax = cfg.bins.rmax();
+    const Real r2max = static_cast<Real>(rmax) * static_cast<Real>(rmax);
+    const AlmLayout alm_layout(cfg.lmax);
 
-      auto make_rotation = [&](std::int64_t p, Rotation& rot, bool& rotate) {
-        rotate = false;
-        if (cfg.los == LineOfSight::kRadial) {
-          const sim::Vec3 rel =
-              catalog.position(static_cast<std::size_t>(p)) - cfg.observer;
-          if (rel.norm2() == 0.0) return false;
-          rot = rotation_to_z(rel);
-          rotate = true;
-        }
-        return true;
-      };
-
-      // Rebuilds one primary's owned a_lm A from its pass-1 snapshot;
-      // false when no snapshot exists (caller recomputes).
-      auto restore_a = [&](std::int64_t p) {
-        if (snapshot.empty()) return false;
-        const SavedRef& ref = snapshot[static_cast<std::size_t>(p)];
-        if (ref.count < 0) return false;
-        Timer tz;
-        std::fill(touched_a.begin(), touched_a.end(), 0);
-        const std::size_t stride = acc_a.sums_stride();
-        for (int i = 0; i < ref.count; ++i) {
-          const int b = ref.bins[i];
-          touched_a[b] = 1;
-          const double* s = ref.sums + static_cast<std::size_t>(i) * n_mono;
-          for (int t = 0; t < n_mono; ++t)
-            saved_sums[static_cast<std::size_t>(t) * stride + b] = s[t];
-        }
-        compute_alm(table, alm_layout, saved_sums.data(), stride, ref.bins,
-                    ref.count, alm_a.data());
-        z_time += tz.seconds();
-        return true;
-      };
-
-      // Assembles B for one affected primary (A is already prepared by
-      // restore_a or the recompute fallback) and adds the exact completion
-      // term plus the additive halo-side 2PCF / self terms.
-      auto finish_cross = [&](std::int64_t p) {
-        Timer tz;
-        compute_alm(table, alm_layout, acc_b, alm_b.data(), touched_b.data());
-        const double wp = catalog.w[static_cast<std::size_t>(p)];
-        for (int b = 0; b < nbins; ++b)
-          if (touched_b[b])
-            xi.add_primary_bin(wp, b, acc_b.sums() + b, table.monomials(),
-                               acc_b.sums_stride());
-        zeta.add_primary_cross(wp, alm_a.data(), touched_a.data(),
-                               alm_b.data(), touched_b.data());
-        if (sp)
-          for (int b = 0; b < nbins; ++b)
-            if (sp->bin_touched(b)) {
-              zeta.subtract_self(wp, b, sp->self_re(b), sp->self_im(b));
-            }
-        z_time += tz.seconds();
-      };
-
-      if (traversal == TraversalMode::kPerPrimary) {
-        const std::int64_t np =
-            primaries ? static_cast<std::int64_t>(primaries->size())
-                      : static_cast<std::int64_t>(catalog.size());
-        tree::NeighborList<Real> nl_b, nl_a;
-        PairStage ps;
-
-        auto process = [&](std::int64_t pi) {
-          const std::int64_t p = primaries ? (*primaries)[pi] : pi;
-          const sim::Vec3 pos = catalog.position(static_cast<std::size_t>(p));
-          Rotation rot;
-          bool rotate = false;
-          if (!make_rotation(p, rot, rotate)) return;  // counted in pass 1
-
-          Timer tq;
-          nl_b.clear();
-          secondary->gather_neighbors(pos.x, pos.y, pos.z, cfg.bins.rmax(),
-                                      nl_b);
-          // Halo blocks are disjoint from the owned set: no self-exclusion.
-          ps.fill(nl_b.dx.data(), nl_b.dy.data(), nl_b.dz.data(),
-                  nl_b.r2.data(), nl_b.w.data(), nl_b.idx.data(), nl_b.size(),
-                  std::numeric_limits<Real>::infinity(), -1);
-          q_time += tq.seconds();
-          my_cand += nl_b.size();
-          if (nl_b.size() == 0) return;
-
-          Timer tk;
-          acc_b.start_primary();
-          if (sp) sp->start_primary();
-          std::uint64_t accepted = 0;
-          for (std::size_t j = 0; j < ps.count; ++j) {
-            const int bin = cfg.bins.bin_of(ps.r[j]);
-            if (bin < 0) continue;
-            double dx = ps.dx[j];
-            double dy = ps.dy[j];
-            double dz = ps.dz[j];
-            if (rotate) rot.apply(dx, dy, dz);
-            const double inv = ps.inv[j];
-            acc_b.push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-            if (sp) sp->add(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-            ++accepted;
-          }
-          acc_b.finish_primary();
-          k_time += tk.seconds();
-          if (accepted == 0) return;  // pass-1 contribution already final
-
-          if (!restore_a(p)) {
-            Timer tq2;
-            nl_a.clear();
-            index.gather_neighbors(pos.x, pos.y, pos.z, cfg.bins.rmax(),
-                                   nl_a);
-            ps.fill(nl_a.dx.data(), nl_a.dy.data(), nl_a.dz.data(),
-                    nl_a.r2.data(), nl_a.w.data(), nl_a.idx.data(),
-                    nl_a.size(), std::numeric_limits<Real>::infinity(), p);
-            q_time += tq2.seconds();
-            my_cand += nl_a.size();
-
-            Timer tk2;
-            acc_a.start_primary();
-            for (std::size_t j = 0; j < ps.count; ++j) {
-              const int bin = cfg.bins.bin_of(ps.r[j]);
-              if (bin < 0) continue;
-              double dx = ps.dx[j];
-              double dy = ps.dy[j];
-              double dz = ps.dz[j];
-              if (rotate) rot.apply(dx, dy, dz);
-              const double inv = ps.inv[j];
-              acc_a.push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-            }
-            acc_a.finish_primary();
-            k_time += tk2.seconds();
-            Timer tza;
-            compute_alm(table, alm_layout, acc_a, alm_a.data(),
-                        touched_a.data());
-            z_time += tza.seconds();
-          }
-          finish_cross(p);
-        };
-
-        if (cfg.tree.schedule == OmpSchedule::kDynamic) {
-#pragma omp for schedule(dynamic, 4)
-          for (std::int64_t i = 0; i < np; ++i) process(i);
-        } else {
-#pragma omp for schedule(static)
-          for (std::int64_t i = 0; i < np; ++i) process(i);
-        }
-      } else {
-        tree::NeighborBlock<Real> halo_block, owned_block;
-        std::vector<Real> bdx, bdy, bdz, br2, adx, ady, adz, ar2;
-        PairStage ps;
-        std::vector<std::size_t> leaf_prims;
-        const Real r2max = static_cast<Real>(cfg.bins.rmax()) *
-                           static_cast<Real>(cfg.bins.rmax());
-
-        auto process_leaf = [&](std::int64_t l) {
-          const std::size_t leaf = static_cast<std::size_t>(l);
-          // O(1) whole-secondary prune: interior leaves exit before any
-          // gather or block formation.
-          Real blo[3], bhi[3];
-          index.leaf_box(leaf, blo, bhi);
-          if (secondary->box_beyond_reach(blo, bhi, cfg.bins.rmax())) return;
-
-          const std::int64_t begin =
-              static_cast<std::int64_t>(index.leaf_begin(leaf));
-          const std::int64_t end =
-              static_cast<std::int64_t>(index.leaf_end(leaf));
-          leaf_prims.clear();
-          for (std::int64_t t = begin; t < end; ++t) {
-            const std::int64_t p =
-                index.original_index(static_cast<std::size_t>(t));
-            if (!is_primary.empty() &&
-                !is_primary[static_cast<std::size_t>(p)])
-              continue;
-            leaf_prims.push_back(static_cast<std::size_t>(t));
-          }
-          if (leaf_prims.empty()) return;
-
-          Timer tq;
-          halo_block.clear();
-          secondary->gather_box_neighbors(blo, bhi, cfg.bins.rmax(),
-                                          halo_block);
-          q_time += tq.seconds();
-          if (halo_block.size() == 0) return;
-          const std::size_t mb = halo_block.size();
-          bdx.resize(mb);
-          bdy.resize(mb);
-          bdz.resize(mb);
-          br2.resize(mb);
-
-          // The owned block is re-formed lazily — only once some primary
-          // in this leaf actually accepts a halo pair — and then shared by
-          // the leaf's remaining primaries, the same amortization as
-          // pass 1.
-          bool owned_ready = false;
-          std::size_t ma = 0;
-
-          for (const std::size_t t : leaf_prims) {
-            const std::int64_t p = index.original_index(t);
-            Rotation rot;
-            bool rotate = false;
-            if (!make_rotation(p, rot, rotate)) continue;
-
-            Timer tsep;
-            const Real px = index.x(t), py = index.y(t), pz = index.z(t);
-            form_separations(halo_block, px, py, pz, bdx.data(), bdy.data(),
-                             bdz.data(), br2.data());
-            // Halo block is disjoint from the owned set: no self-exclusion.
-            ps.fill(bdx.data(), bdy.data(), bdz.data(), br2.data(),
-                    halo_block.w.data(), halo_block.idx.data(), mb, r2max,
-                    -1);
-            q_time += tsep.seconds();
-
-            Timer tk;
-            acc_b.start_primary();
-            if (sp) sp->start_primary();
-            std::uint64_t accepted = 0;
-            for (std::size_t j = 0; j < ps.count; ++j) {
-              const int bin = cfg.bins.bin_of(ps.r[j]);
-              if (bin < 0) continue;
-              double dx = ps.dx[j];
-              double dy = ps.dy[j];
-              double dz = ps.dz[j];
-              if (rotate) rot.apply(dx, dy, dz);
-              const double inv = ps.inv[j];
-              acc_b.push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-              if (sp) sp->add(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-              ++accepted;
-            }
-            acc_b.finish_primary();
-            k_time += tk.seconds();
-            my_cand += mb;
-            if (accepted == 0) continue;  // pass-1 contribution final
-
-            if (restore_a(p)) {
-              finish_cross(p);
-              continue;
-            }
-
-            if (!owned_ready) {
-              Timer tg;
-              owned_block.clear();
-              index.gather_leaf_neighbors(leaf, cfg.bins.rmax(), owned_block);
-              ma = owned_block.size();
-              adx.resize(ma);
-              ady.resize(ma);
-              adz.resize(ma);
-              ar2.resize(ma);
-              q_time += tg.seconds();
-              owned_ready = true;
-            }
-
-            Timer tsep2;
-            form_separations(owned_block, px, py, pz, adx.data(), ady.data(),
-                             adz.data(), ar2.data());
-            ps.fill(adx.data(), ady.data(), adz.data(), ar2.data(),
-                    owned_block.w.data(), owned_block.idx.data(), ma, r2max,
-                    p);
-            q_time += tsep2.seconds();
-
-            Timer tk2;
-            acc_a.start_primary();
-            for (std::size_t j = 0; j < ps.count; ++j) {
-              const int bin = cfg.bins.bin_of(ps.r[j]);
-              if (bin < 0) continue;
-              double dx = ps.dx[j];
-              double dy = ps.dy[j];
-              double dz = ps.dz[j];
-              if (rotate) rot.apply(dx, dy, dz);
-              const double inv = ps.inv[j];
-              acc_a.push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-            }
-            acc_a.finish_primary();
-            k_time += tk2.seconds();
-            my_cand += ma;
-            Timer tza;
-            compute_alm(table, alm_layout, acc_a, alm_a.data(),
-                        touched_a.data());
-            z_time += tza.seconds();
-
-            finish_cross(p);
-          }
-        };
-
-        const std::int64_t nleaves =
-            static_cast<std::int64_t>(index.leaf_count());
-        if (cfg.tree.schedule == OmpSchedule::kDynamic) {
-#pragma omp for schedule(dynamic, 1)
-          for (std::int64_t l = 0; l < nleaves; ++l) process_leaf(l);
-        } else {
-#pragma omp for schedule(static)
-          for (std::int64_t l = 0; l < nleaves; ++l) process_leaf(l);
-        }
+    // Pass-1 snapshot lookup: primary id → its saved owned power sums.
+    struct SavedRef {
+      const int* bins = nullptr;
+      const double* sums = nullptr;
+      int count = -1;  // -1 = no snapshot
+    };
+    std::vector<SavedRef> snapshot(catalog.size());
+    for (const detail::SavedPrimaries& sv : parts.saved) {
+      std::size_t bin_off = 0;
+      for (std::size_t i = 0; i < sv.prim.size(); ++i) {
+        SavedRef& ref = snapshot[static_cast<std::size_t>(sv.prim[i])];
+        ref.bins = sv.bins.data() + bin_off;
+        ref.sums = sv.sums.data() + bin_off * n_mono;
+        ref.count = sv.nbins[i];
+        bin_off += static_cast<std::size_t>(sv.nbins[i]);
       }
-
-      halo_parts[tid] = acc_b.pairs_processed();
-      rec_parts[tid] = acc_a.pairs_processed();
-      kc_parts[2 * tid] = acc_a.counters();
-      kc_parts[2 * tid + 1] = acc_b.counters();
-      cand_parts[tid] = my_cand;
-      tq_parts[tid] = q_time;
-      tk_parts[tid] = k_time;
-      tz_parts[tid] = z_time;
-      parts.pairs[tid] += acc_b.pairs_processed();
     }
-  }
-  const double compute_wall = tcompute.seconds();
+    // Per thread, the first affected primary found without a snapshot.
+    std::vector<std::int64_t> unsaved(static_cast<std::size_t>(nthreads), -1);
 
-  std::uint64_t halo_pairs = 0, rec_pairs = 0, cand_total = 0;
-  double t_query = 0, t_kernel = 0, t_zeta = 0;
-  std::vector<std::uint64_t> per_thread;
-  for (int t = 0; t < nthreads; ++t) {
-    halo_pairs += halo_parts[t];
-    rec_pairs += rec_parts[t];
-    cand_total += cand_parts[t];
-    t_query += tq_parts[t];
-    t_kernel += tk_parts[t];
-    t_zeta += tz_parts[t];
-    per_thread.push_back(halo_parts[t]);
+    traverse_leaves<Real>(
+        cfg, catalog, index, primaries, {}, parts, stats,
+        [&](Lane<Real>& lane) {
+          const std::size_t stride = lane.acc.sums_stride();
+          const std::size_t nalm = static_cast<std::size_t>(nbins) * nlm;
+          return [&, stride, halo = tree::NeighborBlock<Real>{},
+                  alm_a = std::vector<std::complex<double>>(nalm),
+                  alm_b = std::vector<std::complex<double>>(nalm),
+                  touched_a = std::vector<std::uint8_t>(nbins, 0),
+                  touched_b = std::vector<std::uint8_t>(nbins, 0),
+                  saved_sums = std::vector<double>(stride * n_mono, 0.0)](
+                     std::size_t leaf,
+                     const std::vector<std::size_t>& prims) mutable {
+            // O(1) whole-secondary prune: interior leaves exit before any
+            // gather or block formation.
+            Real blo[3], bhi[3];
+            index.leaf_box(leaf, blo, bhi);
+            if (secondary->box_beyond_reach(blo, bhi, rmax)) return;
+            Timer tq;
+            halo.clear();
+            secondary->gather_box_neighbors(blo, bhi, rmax, halo);
+            lane.tally.t_query += tq.seconds();
+            if (halo.size() == 0) return;
+
+            for (const std::size_t t : prims) {
+              const std::int64_t p = index.original_index(t);
+              Rotation rot;
+              bool rotate = false;
+              // A primary at the observer was skipped (and counted) in
+              // pass 1.
+              if (!lane.make_rotation(p, rot, rotate)) continue;
+              // The halo block is disjoint from the owned set: no
+              // self-exclusion.
+              lane.stage(halo, index.x(t), index.y(t), index.z(t), r2max, -1);
+              // No halo pair in a bin: the pass-1 contribution is final.
+              if (lane.push(rotate, rot) == 0) continue;
+              const SavedRef& ref = snapshot[static_cast<std::size_t>(p)];
+              if (ref.count < 0) {
+                if (unsaved[static_cast<std::size_t>(lane.tid)] < 0)
+                  unsaved[static_cast<std::size_t>(lane.tid)] = p;
+                continue;
+              }
+
+              Timer tz;
+              // A from the snapshot, re-interleaved for compute_alm.
+              std::fill(touched_a.begin(), touched_a.end(), 0);
+              for (int i = 0; i < ref.count; ++i) {
+                const int b = ref.bins[i];
+                touched_a[b] = 1;
+                const double* s =
+                    ref.sums + static_cast<std::size_t>(i) * n_mono;
+                for (int m = 0; m < n_mono; ++m)
+                  saved_sums[static_cast<std::size_t>(m) * stride + b] = s[m];
+              }
+              compute_alm(lane.table, alm_layout, saved_sums.data(), stride,
+                          ref.bins, ref.count, alm_a.data());
+              compute_alm(lane.table, alm_layout, lane.acc, alm_b.data(),
+                          touched_b.data());
+              const double wp = catalog.w[static_cast<std::size_t>(p)];
+              lane.add_xi(wp);
+              lane.zeta.add_primary_cross(wp, alm_a.data(), touched_a.data(),
+                                          alm_b.data(), touched_b.data());
+              lane.subtract_self(wp);
+              lane.tally.t_zeta += tz.seconds();
+            }
+          };
+        });
+    stats.primaries_skipped = 0;  // skips were counted by the owned pass
+
+    for (const std::int64_t p : unsaved)
+      GLX_CHECK_MSG(p < 0,
+                    "run_secondary_pass: primary "
+                        << p
+                        << " has halo secondaries within R_max but no "
+                           "pass-1 snapshot: a secondary lies inside the "
+                           "SecondaryBound given to run_owned_pass");
   }
 
-  const double dn = static_cast<double>(nthreads);
-  stats.phases.add("neighbor query", t_query / dn);
-  stats.phases.add("multipole kernel", t_kernel / dn);
-  stats.phases.add("alm+zeta", t_zeta / dn);
-  stats.phases.add("imbalance+merge",
-                   std::max(0.0, compute_wall -
-                                     (t_query + t_kernel + t_zeta) / dn));
-  stats.pairs = halo_pairs;
-  stats.candidates = cand_total;
-  set_counters(stats, kc_parts);
-  stats.primaries_skipped = 0;  // skips were counted by the owned pass
-  stats.pairs_per_thread = std::move(per_thread);
-  stats.kernel_flop_count = static_cast<double>(halo_pairs + rec_pairs) *
-                            kernel_flops_per_pair(lmax);
-
-  // Merge the completed partials — identical thread-id order to the fused
-  // path, so an empty secondary pass reproduces run_indexed bitwise.
-  ZetaAccumulator zeta_total(lmax, nbins);
-  TwoPcfAccumulator xi_total(lmax, nbins);
-  std::uint64_t pairs_total = 0;
-  for (int t = 0; t < parts.nthreads; ++t) {
-    if (parts.zeta[t]) zeta_total.merge(*parts.zeta[t]);
-    if (parts.xi[t]) xi_total.merge(*parts.xi[t]);
-    pairs_total += parts.pairs[t];
-  }
+  merge_partials(cfg, parts, result);
   stats.wall_seconds = wall.seconds();
-
-  result.bins = cfg.bins;
-  result.lmax = lmax;
-  result.n_primaries = zeta_total.primaries();
-  result.sum_primary_weight = zeta_total.sum_weight();
-  result.n_pairs = pairs_total;
-  result.zeta_data = zeta_total.snapshot();
-  result.pair_counts = xi_total.counts();
-  result.xi_raw = xi_total.xi_raw();
 }
 
 }  // namespace
@@ -1078,12 +740,13 @@ struct EngineStagedImpl {
   virtual bool has_secondary() const = 0;
   virtual void run(const std::vector<std::int64_t>* primaries,
                    ZetaResult& result, EngineStats& stats) const = 0;
-  virtual void owned_pass(const std::vector<std::int64_t>* primaries,
+  virtual void owned_pass(const Engine::SecondaryBound& bound,
+                          const std::vector<std::int64_t>* primaries,
                           EngineStats& stats,
-                          const std::function<void()>& poll,
-                          const Engine::SecondaryBound* bound) = 0;
+                          const std::function<void()>& poll) = 0;
   virtual void secondary_pass(const std::vector<std::int64_t>* primaries,
-                              ZetaResult& result, EngineStats& stats) = 0;
+                              TraversalPartials& parts, ZetaResult& result,
+                              EngineStats& stats) const = 0;
 
   EngineConfig cfg;
   std::size_t owned_size = 0;
@@ -1105,28 +768,15 @@ namespace {
 
 template <typename Real, typename Index>
 struct StagedImplT final : detail::EngineStagedImpl {
-  // `copy_owned` — the public staged pipeline copies the catalog (the
-  // caller's buffer may move or be freed before run_indexed; e.g. the
-  // runner's halo append reallocates it), while the fused Engine::run path
-  // references the caller's catalog, which outlives the call, to keep the
-  // hot path free of an O(N) copy.
-  StagedImplT(const EngineConfig& c, const sim::Catalog& o, bool copy_owned) {
+  // `borrowed` non-null: reference the caller's catalog, which outlives
+  // the handle (the fused Engine::run path, kept free of an O(N) copy).
+  // Otherwise `adopted` — the caller's copy or moved-in buffer — becomes
+  // the handle's own storage (the caller's buffer may move or be freed
+  // before run_indexed; e.g. the runner's halo append reallocates it).
+  StagedImplT(const EngineConfig& c, const sim::Catalog* borrowed,
+              sim::Catalog&& adopted)
+      : storage(std::move(adopted)), owned(borrowed ? borrowed : &storage) {
     cfg = c;
-    if (copy_owned) {
-      storage = o;
-      owned = &storage;
-    } else {
-      owned = &o;
-    }
-    owned_size = owned->size();
-    primary = make_index<Real, Index>(*owned, cfg, /*for_secondary=*/false);
-  }
-
-  // Move variant: adopts the caller's buffer as storage (no copy).
-  StagedImplT(const EngineConfig& c, sim::Catalog&& o) {
-    cfg = c;
-    storage = std::move(o);
-    owned = &storage;
     owned_size = owned->size();
     primary = make_index<Real, Index>(*owned, cfg, /*for_secondary=*/false);
   }
@@ -1137,32 +787,38 @@ struct StagedImplT final : detail::EngineStagedImpl {
 
   bool has_secondary() const override { return secondary.has_value(); }
 
-  void run(const std::vector<std::int64_t>* primaries, ZetaResult& result,
-           EngineStats& stats) const override {
-    run_indexed_impl<Real, Index>(cfg, *owned, primary,
-                                  secondary ? &*secondary : nullptr,
-                                  primaries, result, stats);
+  const Index* secondary_index() const {
+    return secondary ? &*secondary : nullptr;
   }
 
-  void owned_pass(const std::vector<std::int64_t>* primaries,
-                  EngineStats& stats, const std::function<void()>& poll,
-                  const Engine::SecondaryBound* bound) override {
-    partials = std::make_unique<detail::TraversalPartials>();
-    ZetaResult scratch;  // untouched: the partials are parked, not merged
-    run_indexed_impl<Real, Index>(cfg, *owned, primary, /*secondary=*/nullptr,
-                                  primaries, scratch, stats, partials.get(),
-                                  poll, bound);
+  void run(const std::vector<std::int64_t>* primaries, ZetaResult& result,
+           EngineStats& stats) const override {
+    detail::TraversalPartials parts(thread_count(cfg));
+    run_primary_pass<Real, Index>(cfg, *owned, primary, secondary_index(),
+                                  primaries, /*bound=*/nullptr, /*poll=*/{},
+                                  parts, stats);
+    merge_partials(cfg, parts, result);
+  }
+
+  void owned_pass(const Engine::SecondaryBound& bound,
+                  const std::vector<std::int64_t>* primaries,
+                  EngineStats& stats,
+                  const std::function<void()>& poll) override {
+    partials = std::make_unique<detail::TraversalPartials>(thread_count(cfg));
+    run_primary_pass<Real, Index>(cfg, *owned, primary, /*secondary=*/nullptr,
+                                  primaries, &bound, poll, *partials, stats);
   }
 
   void secondary_pass(const std::vector<std::int64_t>* primaries,
-                      ZetaResult& result, EngineStats& stats) override {
+                      detail::TraversalPartials& parts, ZetaResult& result,
+                      EngineStats& stats) const override {
     run_secondary_pass_impl<Real, Index>(cfg, *owned, primary,
-                                         secondary ? &*secondary : nullptr,
-                                         primaries, *partials, result, stats);
+                                         secondary_index(), primaries, parts,
+                                         result, stats);
   }
 
-  sim::Catalog storage;                    // only when copy_owned
-  const sim::Catalog* owned = nullptr;     // primaries index into this
+  sim::Catalog storage;                 // empty when borrowed
+  const sim::Catalog* owned = nullptr;  // primaries index into this
   Index primary;
   std::optional<Index> secondary;
 };
@@ -1217,37 +873,26 @@ std::shared_ptr<detail::EngineStagedImpl> dispatch_staged(
 }  // namespace
 
 Engine::Staged Engine::build_index(const sim::Catalog& owned) const {
-  return build_index_impl(owned, /*copy_owned=*/true);
+  return build_index_impl(nullptr, sim::Catalog(owned));
 }
 
 Engine::Staged Engine::build_index(sim::Catalog&& owned) const {
-  GLX_CHECK_MSG(cfg_.backend == EstimatorBackend::kTree,
-                "build_index: the staged pipeline is tree-backend only "
-                "(the FFT backend decomposes the mesh, not the points)");
-  GLX_CHECK_MSG(!owned.empty(), "build_index: empty catalog");
-  Timer tbuild;
-  Staged staged;
-  staged.impl_ = dispatch_staged(
-      cfg_, [&](auto tag) -> std::shared_ptr<detail::EngineStagedImpl> {
-        using Impl = typename decltype(tag)::Impl;
-        return std::make_shared<Impl>(cfg_, std::move(owned));
-      });
-  staged.impl_->build_seconds = tbuild.seconds();
-  return staged;
+  return build_index_impl(nullptr, std::move(owned));
 }
 
-Engine::Staged Engine::build_index_impl(const sim::Catalog& owned,
-                                        bool copy_owned) const {
+Engine::Staged Engine::build_index_impl(const sim::Catalog* borrowed,
+                                        sim::Catalog&& adopted) const {
   GLX_CHECK_MSG(cfg_.backend == EstimatorBackend::kTree,
                 "build_index: the staged pipeline is tree-backend only "
                 "(the FFT backend decomposes the mesh, not the points)");
-  GLX_CHECK_MSG(!owned.empty(), "build_index: empty catalog");
+  GLX_CHECK_MSG(!(borrowed ? *borrowed : adopted).empty(),
+                "build_index: empty catalog");
   Timer tbuild;
   Staged staged;
   staged.impl_ = dispatch_staged(
       cfg_, [&](auto tag) -> std::shared_ptr<detail::EngineStagedImpl> {
         using Impl = typename decltype(tag)::Impl;
-        return std::make_shared<Impl>(cfg_, owned, copy_owned);
+        return std::make_shared<Impl>(cfg_, borrowed, std::move(adopted));
       });
   staged.impl_->build_seconds = tbuild.seconds();
   return staged;
@@ -1317,8 +962,8 @@ ZetaResult Engine::Staged::run_indexed(
 }
 
 void Engine::Staged::run_owned_pass(
-    const std::vector<std::int64_t>* primaries, EngineStats* stats,
-    const std::function<void()>& poll, const SecondaryBound* bound) {
+    const SecondaryBound& bound, const std::vector<std::int64_t>* primaries,
+    EngineStats* stats, const std::function<void()>& poll) {
   GLX_CHECK_MSG(impl_ != nullptr, "run_owned_pass on an empty Staged handle");
   GLX_CHECK_MSG(impl_->partials == nullptr,
                 "run_owned_pass called twice without run_secondary_pass");
@@ -1332,8 +977,8 @@ void Engine::Staged::run_owned_pass(
   st.phases.add("index build", impl_->build_seconds);
   impl_->build_reported = impl_->build_seconds;
   impl_->owned_pass(
-      impl_->restrict_primaries ? &impl_->primaries_storage : nullptr, st,
-      poll, bound);
+      bound, impl_->restrict_primaries ? &impl_->primaries_storage : nullptr,
+      st, poll);
 }
 
 ZetaResult Engine::Staged::run_secondary_pass(EngineStats* stats) {
@@ -1349,11 +994,14 @@ ZetaResult Engine::Staged::run_secondary_pass(EngineStats* stats) {
   // order).
   st.phases.add("index build", impl_->build_seconds - impl_->build_reported);
   impl_->build_reported = impl_->build_seconds;
+  // The parked state is consumed even when the pass throws (a broken
+  // SecondaryBound promise), so the handle accepts a fresh run_owned_pass.
+  const std::unique_ptr<detail::TraversalPartials> parts =
+      std::move(impl_->partials);
   ZetaResult result;
   impl_->secondary_pass(
-      impl_->restrict_primaries ? &impl_->primaries_storage : nullptr, result,
-      st);
-  impl_->partials.reset();
+      impl_->restrict_primaries ? &impl_->primaries_storage : nullptr, *parts,
+      result, st);
   return result;
 }
 
@@ -1371,8 +1019,7 @@ ZetaResult Engine::run(const sim::Catalog& catalog,
   // The catalog outlives this call, so the staged handle references it
   // instead of copying (it never escapes this scope).
   const ZetaResult result =
-      build_index_impl(catalog, /*copy_owned=*/false)
-          .run_indexed(primaries, stats);
+      build_index_impl(&catalog, sim::Catalog{}).run_indexed(primaries, stats);
   if (stats) stats->wall_seconds = wall.seconds();
   return result;
 }

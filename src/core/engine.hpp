@@ -6,18 +6,21 @@
 //     bin pairs into radial shells, bucket them, run the multipole kernel
 //     assemble a_lm per shell; accumulate zeta^m_ll'(r1,r2) and xi_l(r)
 //
-// Two traversal drivers implement the outer loop (§3.3):
+// One traversal skeleton implements the outer loop (§3.3): primaries are
+// processed a leaf at a time, in parallel over the primary index's leaves,
+// and every pass plugs its per-leaf body into it. Two gathers feed the
+// fused and owned passes:
 //
-// * kPerPrimary — one index query per primary (the literal Algorithm 1).
-// * kLeafBlocked (default) — primaries are processed a leaf at a time: one
-//   pruned node-vs-node traversal per source leaf emits a shared candidate
-//   block that ~leaf_size primaries drain while it is hot in cache;
-//   per-primary separations are SIMD subtractions from the block, and
-//   accepted pairs reach the kernel through MultipoleAccumulator::push.
-//   Per-primary pair sequences are bitwise identical to kPerPrimary; only
-//   the cross-primary accumulation order differs (FP reassociation).
-//   Runs with fewer than 2x nthreads leaves (tiny catalogs, coarse grids)
-//   fall back to the per-primary driver so threads don't sit idle.
+// * kLeafBlocked (default) — one pruned node-vs-node traversal per source
+//   leaf emits a shared candidate block that the leaf's ~leaf_size
+//   primaries drain while it is hot in cache; per-primary separations are
+//   SIMD subtractions from the block, and accepted pairs reach the kernel
+//   through MultipoleAccumulator::push.
+// * kPerPrimary — one index query per primary (the literal Algorithm 1),
+//   kept as the reference the blocked gather is checked against.
+//
+// Per-primary pair sequences are bitwise identical between the two; only
+// the cross-primary accumulation order differs (FP reassociation).
 //
 // The outer API comes in two shapes: Engine::run builds the index and
 // traverses in one call; the staged pipeline (build_index →
@@ -26,13 +29,14 @@
 // exchange is still in flight, then index halo points into a SECONDARY
 // structure whose candidates union with the primary index's per leaf (or
 // per primary). With no secondaries the staged path is bitwise identical
-// to Engine::run.
+// to Engine::run. The two-pass variant (run_owned_pass →
+// run_secondary_pass) runs the owned traversal before the halo arrives and
+// adds the owned-vs-halo completion afterwards.
 //
-// Work is distributed over OpenMP threads with dynamic scheduling
-// (paper §3.3: "a significant performance boost over a static schedule" —
-// both are available here for the ablation bench), over primaries in
-// kPerPrimary mode and over leaves in kLeafBlocked mode. Each thread owns
-// private accumulators merged once at the end.
+// Work is distributed over OpenMP threads with dynamic scheduling over
+// leaves (paper §3.3: "a significant performance boost over a static
+// schedule" — both are available here for the ablation bench). Each thread
+// owns private accumulators merged once at the end, in thread-id order.
 #pragma once
 
 #include <cstdint>
@@ -150,7 +154,8 @@ struct EngineStats {
   std::uint64_t pairs = 0;      // kernel pairs (inside R_max and bins)
   // Candidate pairs examined per primary: index-query results in
   // kPerPrimary mode, shared-block entries scanned in kLeafBlocked mode
-  // (the block is gathered once per leaf but scanned by every primary).
+  // (the block is gathered once per leaf but scanned by every primary);
+  // in the secondary pass, the halo-block entries scanned.
   std::uint64_t candidates = 0;
   std::uint64_t primaries_skipped = 0;  // e.g. primary at the observer
   std::vector<std::uint64_t> pairs_per_thread;
@@ -173,15 +178,15 @@ class Engine {
 
   const EngineConfig& config() const { return cfg_; }
 
-  // Promise that every secondary later indexed via extend_with_secondaries
-  // lies OUTSIDE this axis-aligned box (the distributed runner passes its
-  // k-d leaf domain: halo copies come from other ranks' domains, which
-  // tile space disjointly). run_owned_pass then snapshots the owned power
-  // sums of primaries within R_max of the box boundary, so the secondary
-  // pass rebuilds their owned a_lm from the snapshot instead of re-running
-  // the kernel. Purely a performance hint: pass 2 falls back to an exact
-  // owned recompute for any affected primary without a snapshot, so a
-  // violated promise costs time, never correctness.
+  // The contract of the two-pass pipeline: every secondary later indexed
+  // via extend_with_secondaries lies OUTSIDE this axis-aligned box (the
+  // distributed runner passes its k-d leaf domain: halo copies come from
+  // other ranks' domains, which tile space disjointly). run_owned_pass
+  // snapshots the owned power sums of primaries within R_max of the box
+  // boundary, and the secondary pass rebuilds their owned a_lm from the
+  // snapshot. An empty box (lo > hi) is the weakest valid promise: every
+  // primary is snapshotted. A secondary that breaks the promise leaves an
+  // affected primary without a snapshot, and run_secondary_pass throws.
   struct SecondaryBound {
     sim::Vec3 lo, hi;
   };
@@ -227,29 +232,33 @@ class Engine {
     // arithmetic to run_indexed with no secondaries — but parks the
     // per-thread accumulators in this handle instead of merging them, so
     // the caller can run it while its halo exchange is still in flight.
+    // `bound` is the SecondaryBound promise above; the primaries it puts
+    // within R_max of a secondary have their power sums snapshotted.
     // `poll`, when given, is invoked from the master thread between leaf
-    // batches (per-primary fallback: every few hundred primaries) so the
-    // caller can progress outstanding communication requests.
+    // batches so the caller can progress outstanding communication
+    // requests.
     //
     // run_secondary_pass completes the result: for every primary-index
     // leaf whose box is within R_max of the secondary index it gathers the
-    // halo candidates, recomputes the owned-only a_lm A (bitwise the pass-1
-    // value — same gather, same kernel order), forms the halo-only a_lm B,
-    // and adds the exact completion term wp·(A·B* + B·A* + B·B*) plus the
-    // additive 2PCF/pair-count/self-pair halo contributions into the parked
+    // halo candidates, forms the halo-only a_lm B, rebuilds the owned-only
+    // a_lm A from the pass-1 snapshot (bitwise the pass-1 value), and adds
+    // the exact completion term wp·(A·B* + B·A* + B·B*) plus the additive
+    // 2PCF/pair-count/self-pair halo contributions into the parked
     // accumulators; then merges and returns. Leaves beyond reach of every
     // secondary — all of them when no secondaries were indexed — are
     // untouched, so with an empty halo the result is BITWISE identical to
-    // run_indexed. The parked state is consumed; the pair may be run again.
+    // run_indexed. A primary that accepts a halo pair but has no snapshot
+    // (the bound was broken) is a std::logic_error naming the primary. The
+    // parked state is consumed either way; the pair may be run again.
     //
     // The split is algebraically exact because a_lm is additive over
     // disjoint secondary sets (Slepian & Eisenstein 1709.10150): with
     // a = A + B, the zeta product a(b1)·a*(b2) is A·A* (pass 1) plus the
     // completion term (pass 2).
-    void run_owned_pass(const std::vector<std::int64_t>* primaries = nullptr,
+    void run_owned_pass(const SecondaryBound& bound,
+                        const std::vector<std::int64_t>* primaries = nullptr,
                         EngineStats* stats = nullptr,
-                        const std::function<void()>& poll = {},
-                        const SecondaryBound* bound = nullptr);
+                        const std::function<void()>& poll = {});
     ZetaResult run_secondary_pass(EngineStats* stats = nullptr);
 
     // True between run_owned_pass and run_secondary_pass.
@@ -279,7 +288,7 @@ class Engine {
   // only those indices act as primaries (the distributed runner passes the
   // rank-owned galaxies; halo copies are secondaries only — paper §3.3).
   // All points always act as secondaries. The list must not contain
-  // duplicates (the leaf-blocked driver tests membership per point);
+  // duplicates (the traversal tests membership per point);
   // duplicates are rejected like out-of-range indices.
   // Dispatches on cfg.backend: the tree path is unchanged by backend
   // selection (bit-for-bit), the FFT path delegates to FftEstimator.
@@ -294,9 +303,12 @@ class Engine {
   ZetaResult empty_result() const;
 
  private:
-  // copy_owned = false references the caller's catalog instead of copying
-  // (the fused run() path, where the catalog outlives the handle).
-  Staged build_index_impl(const sim::Catalog& owned, bool copy_owned) const;
+  // The one build body. `borrowed` non-null references the caller's
+  // catalog (the fused run() path, where it outlives the handle);
+  // otherwise the handle adopts `adopted` — a copy, or the caller's
+  // moved-in buffer.
+  Staged build_index_impl(const sim::Catalog* borrowed,
+                          sim::Catalog&& adopted) const;
 
   EngineConfig cfg_;
 };

@@ -181,14 +181,14 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
     if (cfg.overlap == OverlapMode::kTwoPass && staged.valid()) {
       comm.set_phase(Phase::kOwnedPass);
       // Halo copies come from other ranks' domains, which tile space
-      // disjointly from ours — so the k-d leaf domain bounds them away
-      // from the interior, and pass 1 snapshots only the boundary shell's
-      // power sums (pass 2 rebuilds those a_lm without a kernel re-run).
+      // disjointly from ours — so the k-d leaf domain is a valid
+      // SecondaryBound, and pass 1 snapshots only the boundary shell's
+      // power sums, from which pass 2 rebuilds their owned a_lm.
       const core::Engine::SecondaryBound bound{pending.result.domain.lo,
                                                pending.result.domain.hi};
       Timer tp;
-      staged.run_owned_pass(nullptr, &stats, [&pending] { pending.poll(); },
-                            &bound);
+      staged.run_owned_pass(bound, nullptr, &stats,
+                            [&pending] { pending.poll(); });
       owned_pass_seconds = tp.seconds();
       halo_hidden_seconds += owned_pass_seconds;
       rep.owned_pass_seconds = owned_pass_seconds;

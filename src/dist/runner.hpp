@@ -12,8 +12,12 @@
 // traversal (Engine::Staged::run_owned_pass, polling the outstanding
 // receives between leaf batches) before blocking on the exchange — the
 // entire O(N·n_nbr) kernel phase hides the halo, not just the index build.
-// The halo copies are then indexed into a secondary structure and
-// run_secondary_pass adds the owned-vs-halo completion exactly. The
+// The rank's k-d domain box is that pass's SecondaryBound: halo copies come
+// from other ranks' disjoint domains, so it holds by construction, and the
+// owned power sums of primaries within R_max of the domain boundary are
+// snapshotted. The halo copies are then indexed into a secondary structure
+// and run_secondary_pass adds the owned-vs-halo completion exactly,
+// rebuilding those primaries' owned a_lm from the snapshots. The
 // decomposition is exact — every (primary, secondary) pair is evaluated on
 // exactly one rank — so the reduced result matches the single-node engine
 // up to floating-point summation order (bitwise for one rank, ~1e-13

@@ -150,6 +150,70 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+// The two-pass pipeline against evidence that shares none of its code:
+// split a clumpy catalog at the plane x = cut, run run_owned_pass +
+// run_secondary_pass once with each side owned and the other as halo (the
+// owned half-space as the SecondaryBound), and add the two results. Every
+// (primary, secondary) pair is then evaluated exactly once, so the sum
+// must match direct summation over the union.
+struct TwoPassCase {
+  const char* name;
+  bool radial;
+  bool self;
+};
+
+class TwoPassVsDirect : public ::testing::TestWithParam<TwoPassCase> {};
+
+TEST_P(TwoPassVsDirect, PlaneSplitMatchesDirectSummation) {
+  const TwoPassCase& tc = GetParam();
+  b::OracleConfig ocfg;
+  ocfg.bins = c::RadialBins(2.0, 14.0, 3);
+  ocfg.lmax = 4;
+  ocfg.include_degenerate = !tc.self;
+  if (tc.radial) {
+    ocfg.los = c::LineOfSight::kRadial;
+    ocfg.observer = {-40.0, -35.0, -50.0};
+  }
+  const double side = 40.0, cut = side / 2;
+  const s::Catalog cat = galactos::testing::clumpy_catalog(150, side, 401);
+  s::Catalog left, right;
+  for (std::size_t i = 0; i < cat.size(); ++i)
+    (cat.position(i).x < cut ? left : right).push_back(cat.position(i),
+                                                       cat.w[i]);
+  ASSERT_GT(left.size(), 20u);
+  ASSERT_GT(right.size(), 20u);
+  const double far = 1e3;
+  const c::Engine::SecondaryBound left_slab{{-far, -far, -far},
+                                            {cut, far, far}};
+  const c::Engine::SecondaryBound right_slab{{cut, -far, -far},
+                                             {far, far, far}};
+
+  const c::Engine engine(engine_cfg(ocfg));
+  auto two_pass = [&](const s::Catalog& owned, const s::Catalog& halo,
+                      const c::Engine::SecondaryBound& bound) {
+    c::Engine::Staged staged = engine.build_index(owned);
+    staged.run_owned_pass(bound);
+    staged.extend_with_secondaries(halo);
+    return staged.run_secondary_pass();
+  };
+  c::ZetaResult split = two_pass(left, right, left_slab);
+  split.accumulate(two_pass(right, left, right_slab));
+
+  const c::ZetaResult direct = b::direct_summation(cat, ocfg);
+  EXPECT_EQ(split.n_pairs, direct.n_pairs);
+  expect_results_match(split, direct, 1e-9, 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, TwoPassVsDirect,
+    ::testing::Values(TwoPassCase{"plane", false, false},
+                      TwoPassCase{"plane_self", false, true},
+                      TwoPassCase{"radial", true, false},
+                      TwoPassCase{"radial_self", true, true}),
+    [](const ::testing::TestParamInfo<TwoPassCase>& info) {
+      return info.param.name;
+    });
+
 TEST(OracleConsistency, TripletsAgreeWithDirectSummation) {
   // The two oracles must agree with each other, both with and without
   // degenerate triplets.

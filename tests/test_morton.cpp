@@ -303,13 +303,11 @@ TEST_P(MortonEngineAblation, LayoutKnobsPreserveResults) {
     EXPECT_EQ(sref.pairs, st.pairs);
     EXPECT_EQ(sref.candidates, st.candidates)
         << "pruning must not depend on the layout knobs";
-    // Flipping morton reorders the leaf-blocked driver's LEAF processing
-    // order, so cross-primary accumulation reassociates; every other
-    // combination leaves the accumulation order untouched and must be
-    // bitwise. Per-primary iterates primaries in catalog order either way.
-    const bool reassociates =
-        traversal == c::TraversalMode::kLeafBlocked && !morton;
-    if (reassociates)
+    // Flipping morton reorders the LEAF processing order, which both
+    // gathers follow, so cross-primary accumulation reassociates; every
+    // other combination leaves the accumulation order untouched and must
+    // be bitwise.
+    if (!morton)
       expect_results_match(ref, got, 1e-10, 1e-10);
     else
       expect_results_match(ref, got, 0.0, 1e-300);  // bitwise

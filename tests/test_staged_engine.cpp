@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <numeric>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -37,6 +39,25 @@ std::string case_name(const ::testing::TestParamInfo<StagedCase>& info) {
                                                               : "PerPrimary";
   return n;
 }
+
+// The SecondaryBound of an owned slab: every halo point lies outside it.
+c::Engine::SecondaryBound bound_of(const s::Aabb& slab) {
+  return {slab.lo, slab.hi};
+}
+
+// The weakest valid promise: an empty box (lo > hi) makes the owned pass
+// snapshot every primary.
+const c::Engine::SecondaryBound kEmptyBound{{1, 1, 1}, {0, 0, 0}};
+
+// run_owned_pass has no overload without a bound.
+template <typename S, typename = void>
+struct CanRunUnbounded : std::false_type {};
+template <typename S>
+struct CanRunUnbounded<
+    S, std::void_t<decltype(std::declval<S&>().run_owned_pass())>>
+    : std::true_type {};
+static_assert(!CanRunUnbounded<c::Engine::Staged>::value,
+              "run_owned_pass must require a SecondaryBound");
 
 c::EngineConfig make_config(const StagedCase& p) {
   c::EngineConfig cfg;
@@ -123,7 +144,7 @@ TEST_P(StagedEngine, TwoPassNoSecondariesBitwiseMatchesRun) {
   c::Engine::Staged staged = engine.build_index(cat);
   EXPECT_FALSE(staged.owned_pass_pending());
   c::EngineStats pass1, pass2;
-  staged.run_owned_pass(nullptr, &pass1);
+  staged.run_owned_pass(bound_of(s::Aabb::cube(50)), nullptr, &pass1);
   EXPECT_TRUE(staged.owned_pass_pending());
   const c::ZetaResult piped = staged.run_secondary_pass(&pass2);
   EXPECT_FALSE(staged.owned_pass_pending());
@@ -153,7 +174,7 @@ TEST_P(StagedEngine, TwoPassWithSecondariesMatchesRunIndexed) {
 
   c::Engine::Staged staged = engine.build_index(owned);
   c::EngineStats pass1, pass2;
-  staged.run_owned_pass(nullptr, &pass1);
+  staged.run_owned_pass(bound_of({{0, 0, 0}, {25, 50, 50}}), nullptr, &pass1);
   staged.extend_with_secondaries(halo);
   const c::ZetaResult piped = staged.run_secondary_pass(&pass2);
 
@@ -166,6 +187,8 @@ TEST_P(StagedEngine, TwoPassWithSecondariesMatchesRunIndexed) {
 
 // Halo points scattered INSIDE the owned volume (no clean boundary): the
 // completion term must stay exact even when almost every leaf is affected.
+// Only an empty bound is a valid promise here, so every primary is
+// snapshotted.
 TEST_P(StagedEngine, TwoPassInterleavedHaloMatchesRunIndexed) {
   const c::EngineConfig cfg = make_config(GetParam());
   const s::Catalog owned = s::uniform_box(400, s::Aabb::cube(40), 68);
@@ -177,43 +200,17 @@ TEST_P(StagedEngine, TwoPassInterleavedHaloMatchesRunIndexed) {
   const c::ZetaResult fused = fused_staged.run_indexed();
 
   c::Engine::Staged staged = engine.build_index(owned);
-  staged.run_owned_pass();
+  staged.run_owned_pass(kEmptyBound);
   staged.extend_with_secondaries(halo);
   const c::ZetaResult piped = staged.run_secondary_pass();
 
   expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
-// The SecondaryBound hint (runner: "all halo lies outside my domain box")
-// lets pass 1 snapshot boundary power sums so pass 2 skips the owned
-// kernel re-run — the result must be IDENTICAL to the hint-less two-pass
-// (alm_from_power_sums over the same bits is the same arithmetic).
-TEST_P(StagedEngine, TwoPassSecondaryBoundHintMatchesNoHint) {
-  const c::EngineConfig cfg = make_config(GetParam());
-  const s::Catalog owned =
-      s::uniform_box(500, s::Aabb{{0, 0, 0}, {25, 50, 50}}, 62);
-  const s::Catalog halo =
-      s::uniform_box(500, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 63);
-  const c::Engine engine(cfg);
-
-  c::Engine::Staged plain = engine.build_index(owned);
-  plain.run_owned_pass();
-  plain.extend_with_secondaries(halo);
-  const c::ZetaResult no_hint = plain.run_secondary_pass();
-
-  const c::Engine::SecondaryBound bound{{0, 0, 0}, {25, 50, 50}};
-  c::Engine::Staged hinted = engine.build_index(owned);
-  hinted.run_owned_pass(nullptr, nullptr, {}, &bound);
-  hinted.extend_with_secondaries(halo);
-  const c::ZetaResult with_hint = hinted.run_secondary_pass();
-
-  expect_results_match(with_hint, no_hint, 0.0, 0.0);  // bitwise
-  EXPECT_EQ(with_hint.n_pairs, no_hint.n_pairs);
-}
-
-// A VIOLATED promise (secondaries inside the bound box) must cost time,
-// never correctness: unsnapshotted primaries take the recompute fallback.
-TEST_P(StagedEngine, TwoPassViolatedBoundFallsBackExactly) {
+// A BROKEN promise (secondaries inside the bound box) is an error, raised
+// from the calling thread after pass 2's parallel region; the parked state
+// is consumed, so the handle accepts a fresh, valid round.
+TEST_P(StagedEngine, TwoPassViolatedBoundThrows) {
   const c::EngineConfig cfg = make_config(GetParam());
   const s::Catalog owned = s::uniform_box(400, s::Aabb::cube(40), 68);
   const s::Catalog halo = s::uniform_box(300, s::Aabb::cube(40), 69);
@@ -227,11 +224,13 @@ TEST_P(StagedEngine, TwoPassViolatedBoundFallsBackExactly) {
   // snapshotted) that every secondary then violates by lying inside it.
   const c::Engine::SecondaryBound bound{{-200, -200, -200}, {200, 200, 200}};
   c::Engine::Staged staged = engine.build_index(owned);
-  staged.run_owned_pass(nullptr, nullptr, {}, &bound);
+  staged.run_owned_pass(bound);
   staged.extend_with_secondaries(halo);
-  const c::ZetaResult piped = staged.run_secondary_pass();
+  EXPECT_THROW(staged.run_secondary_pass(), std::logic_error);
+  EXPECT_FALSE(staged.owned_pass_pending());
 
-  expect_results_match(piped, fused, 1e-11, 1e-11);
+  staged.run_owned_pass(kEmptyBound);
+  expect_results_match(staged.run_secondary_pass(), fused, 1e-11, 1e-11);
 }
 
 // A primary subset must restrict both passes identically.
@@ -251,7 +250,7 @@ TEST_P(StagedEngine, TwoPassWithPrimarySubset) {
   const c::ZetaResult fused = fused_staged.run_indexed(&primaries);
 
   c::Engine::Staged staged = engine.build_index(owned);
-  staged.run_owned_pass(&primaries);
+  staged.run_owned_pass(bound_of({{0, 0, 0}, {25, 50, 50}}), &primaries);
   staged.extend_with_secondaries(halo);
   const c::ZetaResult piped = staged.run_secondary_pass();
 
@@ -321,20 +320,22 @@ TEST(StagedEngineApi, TwoPassMisuseThrows) {
   const s::Catalog cat = s::uniform_box(100, s::Aabb::cube(15), 73);
   const c::Engine engine(cfg);
 
+  const c::Engine::SecondaryBound bound = bound_of(s::Aabb::cube(15));
+
   c::Engine::Staged empty;
-  EXPECT_THROW(empty.run_owned_pass(), std::logic_error);
+  EXPECT_THROW(empty.run_owned_pass(bound), std::logic_error);
   EXPECT_THROW(empty.run_secondary_pass(), std::logic_error);
 
   c::Engine::Staged staged = engine.build_index(cat);
   // Secondary pass before any owned pass.
   EXPECT_THROW(staged.run_secondary_pass(), std::logic_error);
-  staged.run_owned_pass();
+  staged.run_owned_pass(bound);
   // Owned pass twice without completing; fused run mid-pipeline.
-  EXPECT_THROW(staged.run_owned_pass(), std::logic_error);
+  EXPECT_THROW(staged.run_owned_pass(bound), std::logic_error);
   EXPECT_THROW(staged.run_indexed(), std::logic_error);
   (void)staged.run_secondary_pass();
   // The parked state was consumed: a fresh round is legal again.
-  staged.run_owned_pass();
+  staged.run_owned_pass(bound);
   (void)staged.run_secondary_pass();
 }
 
@@ -351,7 +352,8 @@ TEST(StagedEngineApi, OwnedPassInvokesPollHook) {
 
   c::Engine::Staged staged = engine.build_index(cat);
   int polls = 0;
-  staged.run_owned_pass(nullptr, nullptr, [&polls] { ++polls; });
+  staged.run_owned_pass(bound_of(s::Aabb::cube(60)), nullptr, nullptr,
+                        [&polls] { ++polls; });
   EXPECT_GT(polls, 0);
 
   const c::ZetaResult piped = staged.run_secondary_pass();
@@ -377,7 +379,7 @@ TEST(StagedEngineApi, TwoPassSubtractSelfPairsMatchesFused) {
   const c::ZetaResult fused = fused_staged.run_indexed();
 
   c::Engine::Staged staged = engine.build_index(owned);
-  staged.run_owned_pass();
+  staged.run_owned_pass(bound_of({{0, 0, 0}, {15, 30, 30}}));
   staged.extend_with_secondaries(halo);
   const c::ZetaResult piped = staged.run_secondary_pass();
 
@@ -395,7 +397,7 @@ TEST(StagedEngineApi, TwoPassEmptyHaloIsBitwiseNoop) {
   const c::Engine engine(cfg);
 
   c::Engine::Staged staged = engine.build_index(cat);
-  staged.run_owned_pass();
+  staged.run_owned_pass(bound_of(s::Aabb::cube(20)));
   staged.extend_with_secondaries(s::Catalog{});
   expect_results_match(staged.run_secondary_pass(), engine.run(cat), 0.0,
                        0.0);

@@ -1,9 +1,9 @@
 // Leaf-blocked vs per-primary traversal equivalence (paper §3.3).
 //
-// The leaf-blocked driver prunes node-vs-node instead of point-vs-node and
+// The leaf-blocked gather prunes node-vs-node instead of point-vs-node and
 // feeds the kernel from one shared neighbor block per leaf, pushing each
 // primary's accepted pairs through MultipoleAccumulator::push; per-primary
-// pair sequences are bitwise identical to the per-primary driver, so the
+// pair sequences are bitwise identical to the per-primary gather, so the
 // two modes may differ only by cross-primary FP reassociation. The sweep
 // covers KdTree/CellGrid × double/mixed × plane-parallel/radial LOS ×
 // all/subset primaries (the distributed-runner path).
@@ -113,7 +113,7 @@ TEST(Traversal, CoincidentPointsMatch) {
   cfg.bins = c::RadialBins(1.0, 8.0, 2);
   cfg.lmax = 2;
   cfg.tree.leaf_size = 4;
-  cfg.threads = 1;  // so the few-leaf fallback keeps the blocked driver
+  cfg.threads = 1;
   expect_modes_agree(cfg, cat, nullptr);
 
   cfg.tree.traversal = c::TraversalMode::kLeafBlocked;
@@ -125,7 +125,7 @@ TEST(Traversal, RadialSubsetSkipsPrimaryAtObserver) {
   s::Catalog cat = s::uniform_box(60, s::Aabb::cube(20), 23);
   cat.push_back(0.0, 0.0, 0.0);  // exactly at the observer
   c::EngineConfig cfg = traversal_config();
-  cfg.threads = 1;  // so the few-leaf fallback keeps the blocked driver
+  cfg.threads = 1;
   cfg.los = c::LineOfSight::kRadial;
   cfg.observer = {0, 0, 0};
   // Stride-2 subset; cat.size() is odd so it includes the observer point.
@@ -136,9 +136,9 @@ TEST(Traversal, RadialSubsetSkipsPrimaryAtObserver) {
   expect_modes_agree(cfg, cat, &prims);
 }
 
-TEST(Traversal, TinyCatalogManyThreadsFallsBack) {
-  // Fewer leaves than 2x threads: the blocked driver falls back to
-  // per-primary instead of idling most threads; results are unchanged.
+TEST(Traversal, FewerLeavesThanThreads) {
+  // Fewer leaves than threads: most threads get no leaf at all, and both
+  // gathers still agree.
   const s::Catalog cat = s::uniform_box(50, s::Aabb::cube(15), 26);
   c::EngineConfig cfg = traversal_config();
   cfg.threads = 8;
