@@ -207,6 +207,32 @@ TEST_P(StagedEngine, TwoPassInterleavedHaloMatchesRunIndexed) {
   expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
+// A tight slab bound snapshots only the boundary primaries; the empty
+// bound carries no information and snapshots every primary. Pass 2 reads
+// the same snapshot bits for every affected primary either way, so the
+// hinted result must be IDENTICAL to the hint-less one.
+TEST_P(StagedEngine, TwoPassSecondaryBoundHintMatchesNoHint) {
+  const c::EngineConfig cfg = make_config(GetParam());
+  const s::Catalog owned =
+      s::uniform_box(500, s::Aabb{{0, 0, 0}, {25, 50, 50}}, 62);
+  const s::Catalog halo =
+      s::uniform_box(500, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 63);
+  const c::Engine engine(cfg);
+
+  c::Engine::Staged plain = engine.build_index(owned);
+  plain.run_owned_pass(kEmptyBound);
+  plain.extend_with_secondaries(halo);
+  const c::ZetaResult no_hint = plain.run_secondary_pass();
+
+  c::Engine::Staged hinted = engine.build_index(owned);
+  hinted.run_owned_pass(bound_of({{0, 0, 0}, {25, 50, 50}}));
+  hinted.extend_with_secondaries(halo);
+  const c::ZetaResult with_hint = hinted.run_secondary_pass();
+
+  expect_results_match(with_hint, no_hint, 0.0, 0.0);  // bitwise
+  EXPECT_EQ(with_hint.n_pairs, no_hint.n_pairs);
+}
+
 // A BROKEN promise (secondaries inside the bound box) is an error, raised
 // from the calling thread after pass 2's parallel region; the parked state
 // is consumed, so the handle accepts a fresh, valid round.
