@@ -3,9 +3,7 @@
 //
 //   pre-binning bucket size k  (paper: 128, sized to the vector registers)
 //   ILP stream count           (paper: 4 independent vectors; more hurts)
-//   kernel scheme              (running-product vs cache-blocked z-buffer)
 //   OpenMP schedule            (paper: dynamic >> static)
-//   neighbor index             (k-d tree vs cell grid)
 //   tree precision             (mixed vs double; paper: 9% end-to-end)
 //   k-d leaf size
 #include <cstdio>
@@ -52,7 +50,7 @@ int main(int argc, char** argv) {
     t.add_row({knob, setting, fmt(time, "%.3f"),
                fmt(100.0 * (time / t_base - 1.0), "%+.1f%%")});
   };
-  row("(default)", "running-product,k=128,ilp=4,dyn,kd,mixed", t_base);
+  row("(default)", "k=128,ilp=4,dyn,mixed", t_base);
 
   for (int k : {8, 32, 512, 1024}) {
     core::EngineConfig cfg = base;
@@ -66,18 +64,8 @@ int main(int argc, char** argv) {
   }
   {
     core::EngineConfig cfg = base;
-    cfg.tree.scheme = core::KernelScheme::kZBuffered;
-    row("kernel scheme", "z-buffered (cache-blocked)", run_best(cfg, cat));
-  }
-  {
-    core::EngineConfig cfg = base;
     cfg.tree.schedule = core::OmpSchedule::kStatic;
     row("omp schedule", "static (paper: dynamic wins)", run_best(cfg, cat));
-  }
-  {
-    core::EngineConfig cfg = base;
-    cfg.tree.index = core::NeighborIndex::kCellGrid;
-    row("neighbor index", "cell grid (S&E15 gridding)", run_best(cfg, cat));
   }
   {
     core::EngineConfig cfg = base;

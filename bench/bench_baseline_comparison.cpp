@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   const sim::Catalog cat = outer_rim_scaled(n, 31);
 
-  // Isotropic Legendre (per-pair Y_lm recurrences, cell-grid index).
+  // Isotropic Legendre (per-pair Y_lm recurrences, k-d tree queries).
   baseline::LegendreIsoConfig icfg;
   icfg.bins = core::RadialBins(rmax / 10.0, rmax, 10);
   icfg.lmax = 10;

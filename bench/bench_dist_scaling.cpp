@@ -7,16 +7,15 @@
 // policies over 1..max-ranks — kPairWeighted must sit below
 // kPrimaryBalanced.
 //
-// Section 2 — pipeline A/B/C: the same partition + halo exchange + index
+// Section 2 — pipeline A/B: the same partition + halo exchange + index
 // build + traversal, 2 ranks with a skewed initial scatter (realistic
-// ingest skew, so one rank genuinely lags), run under all three
-// OverlapModes: sequential (drain halo, then build + traverse),
-// index_build (halo hides behind the owned-index build only — the PR-3
-// pipeline) and two_pass (halo hides behind index build AND the whole
-// owned-vs-owned traversal, with the owned-vs-halo completion in a second
-// pass). Reports, per mode, the median rank critical path
-// (halo wait + index build + traversal) plus the blocked-vs-hidden halo
-// seconds over many repeats; deeper overlap must not lengthen it.
+// ingest skew, so one rank genuinely lags), run under both OverlapModes:
+// sequential (drain halo, then build + traverse) and two_pass (halo hides
+// behind index build AND the whole owned-vs-owned traversal, with the
+// owned-vs-halo completion in a second pass). Reports, per mode, the
+// median rank critical path (halo wait + index build + traversal) plus
+// the blocked-vs-hidden halo seconds over many repeats; deeper overlap
+// must not lengthen it.
 // On a single-core host the A/B is throughput-bound (total CPU is
 // conserved, so the margin is structural: one fewer block/wake on the
 // critical path and staggered builds); multi-core hosts — e.g. the CI
@@ -372,12 +371,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Section 2: three-way overlap A/B (sequential / index / two-pass) --
+  // --- Section 2: overlap A/B (sequential / two-pass) --------------------
   // Needs 2 ranks; an mpirun -np 1 world cannot host it.
   const bool run_ab = !mpi || session.size() >= 2;
   const dist::OverlapMode kAbModes[] = {dist::OverlapMode::kSequential,
-                                        dist::OverlapMode::kIndexBuild,
                                         dist::OverlapMode::kTwoPass};
+  constexpr int kAbCount = 2;
   struct AbResult {
     std::string mode;
     double critical_path = 0, halo_blocked = 0, halo_hidden = 0;
@@ -385,8 +384,7 @@ int main(int argc, char** argv) {
   std::vector<AbResult> ab_results;
   if (run_ab) {
     if (root) {
-      print_header(
-          "Pipeline A/B — sequential vs index-overlap vs two-pass");
+      print_header("Pipeline A/B — sequential vs two-pass");
       print_kv("galaxies", fmt(static_cast<double>(ab_n), "%.0f"));
       print_kv("ranks", "2 (95%/5% skewed scatter)");
       print_kv("lmax (A/B)", fmt(ab_lmax, "%.0f"));
@@ -397,17 +395,17 @@ int main(int argc, char** argv) {
     core::EngineConfig ab_cfg = ecfg;
     ab_cfg.lmax = ab_lmax;
 
-    // Interleave the modes inside every repeat so host noise hits all
-    // three alike.
-    std::vector<std::vector<AbSample>> samples(3);
+    // Interleave the modes inside every repeat so host noise hits both
+    // alike.
+    std::vector<std::vector<AbSample>> samples(kAbCount);
     for (int rep = 0; rep < ab_repeats; ++rep)
-      for (int m = 0; m < 3; ++m)
+      for (int m = 0; m < kAbCount; ++m)
         samples[m].push_back(
             pipeline_critical_path(session, ab_cat, ab_cfg, kAbModes[m]));
 
     Table abt({"overlap mode", "critical path (ms)", "halo blocked (ms)",
                "halo hidden (ms)", "hidden fraction"});
-    for (int m = 0; m < 3; ++m) {
+    for (int m = 0; m < kAbCount; ++m) {
       AbResult r;
       r.mode = dist::overlap_mode_name(kAbModes[m]);
       std::vector<double> crit, blocked, hidden;
@@ -431,10 +429,7 @@ int main(int argc, char** argv) {
       abt.print();
       std::printf("\n");
       print_kv("speedup, two-pass vs sequential",
-               fmt(ab_results[0].critical_path / ab_results[2].critical_path,
-                   "%.2fx"));
-      print_kv("speedup, two-pass vs index-overlap",
-               fmt(ab_results[1].critical_path / ab_results[2].critical_path,
+               fmt(ab_results[0].critical_path / ab_results[1].critical_path,
                    "%.2fx"));
     }
     // The JSON `note` alone is easy to miss when eyeballing the table, so
@@ -514,8 +509,8 @@ int main(int argc, char** argv) {
       modes += "\n    ]";
       ab.add_raw("modes", modes);
       ab.add("speedup_two_pass_vs_sequential",
-             ab_results[2].critical_path > 0
-                 ? ab_results[0].critical_path / ab_results[2].critical_path
+             ab_results[1].critical_path > 0
+                 ? ab_results[0].critical_path / ab_results[1].critical_path
                  : 0.0);
       if (std::thread::hardware_concurrency() < 2)
         ab.add("note",

@@ -1,11 +1,9 @@
 // Spatial-index microbenchmarks: k-d tree build and radius queries in both
 // precisions (the paper runs the tree in single precision — §5.1 notes the
-// search is "insensitive to the precision of galaxy locations"), and the
-// cell-grid alternative (§2.3's gridding scheme).
+// search is "insensitive to the precision of galaxy locations").
 #include <benchmark/benchmark.h>
 
 #include "sim/generators.hpp"
-#include "tree/cellgrid.hpp"
 #include "tree/kdtree.hpp"
 
 namespace s = galactos::sim;
@@ -61,38 +59,3 @@ BENCHMARK_TEMPLATE(BM_KdTreeQuery, double)
     ->Args({100000, 10})
     ->Args({100000, 20})
     ->Args({100000, 40});
-
-template <typename Real>
-static void BM_CellGridQuery(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const double rmax = static_cast<double>(state.range(1));
-  const s::Catalog cat = dataset(n);
-  const t::CellGrid<Real> grid(cat, rmax);
-  t::NeighborList<Real> nl;
-  std::size_t q = 0, found = 0;
-  for (auto _ : state) {
-    nl.clear();
-    grid.gather_neighbors(cat.x[q], cat.y[q], cat.z[q], rmax, nl);
-    found += nl.size();
-    q = (q + 1) % n;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(found));
-  state.counters["neighbors/query"] =
-      static_cast<double>(found) / static_cast<double>(state.iterations());
-}
-BENCHMARK_TEMPLATE(BM_CellGridQuery, float)
-    ->ArgNames({"n", "rmax"})
-    ->Args({100000, 10})
-    ->Args({100000, 20})
-    ->Args({100000, 40});
-
-static void BM_CellGridBuild(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const s::Catalog cat = dataset(n);
-  for (auto _ : state) {
-    t::CellGrid<float> grid(cat, 20.0);
-    benchmark::DoNotOptimize(grid.size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_CellGridBuild)->Arg(100000);

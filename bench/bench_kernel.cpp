@@ -2,9 +2,9 @@
 //
 // The paper reports 1017 GF (39 % of KNL peak) for this kernel at lmax = 10,
 // bucket k = 128, 8-lane accumulators, 4 independent streams. Here we
-// measure the same kernel's GF/s on the host CPU for both schemes, all ILP
-// widths and several bucket sizes, using the paper's FLOP accounting
-// (2 FLOPs per monomial per pair = 572 FLOP/pair at lmax = 10).
+// measure the same kernel's GF/s on the host CPU for all ILP widths and
+// several bucket sizes, using the paper's FLOP accounting (2 FLOPs per
+// monomial per pair = 572 FLOP/pair at lmax = 10).
 #include <benchmark/benchmark.h>
 
 #include <complex>
@@ -103,33 +103,6 @@ BENCHMARK(BM_KernelRunningProduct)
     ->Args({10, 512, 4, 3})
     ->Args({5, 128, 4, 3})
     ->Args({10, 32, 4, 3});
-
-static void BM_KernelZBuffered(benchmark::State& state) {
-  const int lmax = static_cast<int>(state.range(0));
-  const int count = static_cast<int>(state.range(1));
-  IsaRun isa(state, static_cast<int>(state.range(2)));
-  if (!isa.ok) return;
-  const Bucket b = make_bucket(count, 43);
-  std::vector<double> acc(
-      static_cast<std::size_t>(m::monomial_count(lmax)) * c::kLanes, 0.0);
-  std::vector<double> scratch(2 * count);
-  for (auto _ : state) {
-    c::kernel_zbuffered(b.ux.data(), b.uy.data(), b.uz.data(), b.w.data(),
-                        count, lmax, acc.data(), scratch.data());
-    benchmark::DoNotOptimize(acc.data());
-  }
-  set_flops(state, lmax, count);
-}
-BENCHMARK(BM_KernelZBuffered)
-    ->ArgNames({"lmax", "bucket", "isa"})
-    ->Args({10, 128, 0})
-    ->Args({10, 128, 1})
-    ->Args({10, 128, 2})
-    ->Args({10, 128, 3})
-    ->Args({10, 512, 3})
-    ->Args({10, 32, 3})
-    ->Args({5, 128, 3})
-    ->Args({2, 128, 3});
 
 static void BM_KernelReferenceScalar(benchmark::State& state) {
   const int lmax = static_cast<int>(state.range(0));

@@ -7,7 +7,7 @@
 
 #include "math/sph_table.hpp"
 #include "math/ylm_recurrence.hpp"
-#include "tree/cellgrid.hpp"
+#include "tree/kdtree.hpp"
 #include "util/timer.hpp"
 
 namespace galactos::baseline {
@@ -35,7 +35,7 @@ LegendreIsoResult legendre_isotropic_3pcf(const sim::Catalog& catalog,
   res.lmax = lmax;
   res.multipoles.assign(nbp * (lmax + 1), 0.0);
 
-  const tree::CellGrid<double> grid(catalog, cfg.bins.rmax());
+  const tree::KdTree<double> kd(catalog);
   const math::YlmRecurrence ylm_eval(lmax);
   const int nthreads = cfg.threads > 0 ? cfg.threads : omp_get_max_threads();
 
@@ -69,8 +69,8 @@ LegendreIsoResult legendre_isotropic_3pcf(const sim::Catalog& catalog,
          ++p) {
       const double wp = catalog.w[p];
       nl.clear();
-      grid.gather_neighbors(catalog.x[p], catalog.y[p], catalog.z[p],
-                            cfg.bins.rmax(), nl);
+      kd.gather_neighbors(catalog.x[p], catalog.y[p], catalog.z[p],
+                          cfg.bins.rmax(), nl);
       std::fill(are.begin(), are.end(), 0.0);
       std::fill(aim.begin(), aim.end(), 0.0);
       std::fill(touched.begin(), touched.end(), 0);

@@ -7,8 +7,9 @@
 // distribution in spherical harmonics (direct Y_lm evaluation in the global
 // frame — no LOS rotation, since the Legendre basis is rotation invariant),
 // and contract over spins with the addition theorem. O(N^2), like Galactos,
-// but tracks only the isotropic part. Neighbor finding uses the simple
-// cell-grid scheme the original implementation used.
+// but tracks only the isotropic part. Neighbors come from one k-d tree
+// query per primary; nothing else (pair staging, bucket kernel, a_lm
+// assembly) is shared with the engine.
 //
 // Cross-check: Galactos' isotropic projection (ZetaResult::isotropic) must
 // reproduce these multipoles exactly, because sum_m a_lm a*_l'm is rotation

@@ -11,7 +11,6 @@
 #include "core/alm.hpp"
 #include "core/fft_estimator.hpp"
 #include "core/twopcf.hpp"
-#include "tree/cellgrid.hpp"
 #include "tree/kdtree.hpp"
 #include "tree/let.hpp"
 
@@ -53,23 +52,15 @@ namespace {
 // `for_secondary`: halo indexes answer only per-point and per-box queries
 // (never gather_leaf_neighbors), so they skip the interaction-list build;
 // the Morton layout is shared with the primary build.
-template <typename Real, typename Index>
-Index make_index(const sim::Catalog& catalog, const EngineConfig& cfg,
-                 bool for_secondary) {
-  const double ilist_rmax =
+template <typename Real>
+tree::KdTree<Real> make_index(const sim::Catalog& catalog,
+                              const EngineConfig& cfg, bool for_secondary) {
+  typename tree::KdTree<Real>::BuildParams bp;
+  bp.leaf_size = cfg.tree.leaf_size;
+  bp.morton = cfg.tree.morton_order;
+  bp.interaction_rmax =
       (!for_secondary && cfg.tree.interaction_lists) ? cfg.bins.rmax() : 0.0;
-  if constexpr (std::is_same_v<Index, tree::KdTree<Real>>) {
-    typename tree::KdTree<Real>::BuildParams bp;
-    bp.leaf_size = cfg.tree.leaf_size;
-    bp.morton = cfg.tree.morton_order;
-    bp.interaction_rmax = ilist_rmax;
-    return tree::KdTree<Real>(catalog, bp);
-  } else {
-    typename tree::CellGrid<Real>::BuildParams bp;
-    bp.morton = cfg.tree.morton_order;
-    bp.interaction_rmax = ilist_rmax;
-    return tree::CellGrid<Real>(catalog, cfg.bins.rmax(), bp);
-  }
+  return tree::KdTree<Real>(catalog, bp);
 }
 
 // Dense accepted-pair staging shared by every traversal driver. fill()
@@ -192,7 +183,6 @@ KernelConfig kernel_config(const EngineConfig& cfg) {
   kc.lmax = cfg.lmax;
   kc.nbins = cfg.bins.count();
   kc.bucket_capacity = cfg.tree.bucket_capacity;
-  kc.scheme = cfg.tree.scheme;
   kc.ilp = cfg.tree.ilp;
   return kc;
 }
@@ -310,9 +300,9 @@ constexpr int kPollLeafStride = 4;
 // order, restricted to `primaries` when given. Afterwards each lane's
 // kernel pairs are added to parts.pairs and the tallies are rolled up into
 // `stats`.
-template <typename Real, typename Index, typename MakeBody>
+template <typename Real, typename MakeBody>
 void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
-                     const Index& index,
+                     const tree::KdTree<Real>& index,
                      const std::vector<std::int64_t>* primaries,
                      const std::function<void()>& poll,
                      detail::TraversalPartials& parts, EngineStats& stats,
@@ -460,9 +450,10 @@ void merge_partials(const EngineConfig& cfg,
 //
 // Under a `bound` (the owned pass) every primary within the padded R_max
 // shell of the bound box also has its power sums snapshotted for pass 2.
-template <typename Real, typename Index>
+template <typename Real>
 void run_primary_pass(const EngineConfig& cfg, const sim::Catalog& catalog,
-                      const Index& index, const Index* secondary,
+                      const tree::KdTree<Real>& index,
+                      const tree::KdTree<Real>* secondary,
                       const std::vector<std::int64_t>* primaries,
                       const Engine::SecondaryBound* bound,
                       const std::function<void()>& poll,
@@ -475,9 +466,10 @@ void run_primary_pass(const EngineConfig& cfg, const sim::Catalog& catalog,
   const bool per_primary = cfg.tree.traversal == TraversalMode::kPerPrimary;
 
   // "Might see a secondary": the Real-precision accept filter can admit
-  // pairs a few ulps beyond R_max, so pad the shell the same way the cell
-  // grid pads its box walk. An empty box (lo > hi) leaves every primary a
-  // negative margin, so all of them are snapshotted.
+  // pairs a few ulps beyond R_max, so pad the shell by a relative 1e-5 plus
+  // a few Real ulps of the coordinate magnitude. An empty box (lo > hi)
+  // leaves every primary a negative margin, so all of them are
+  // snapshotted.
   double bound_pad = 0.0;
   if (bound) {
     const double max_abs = std::max(
@@ -604,10 +596,11 @@ void run_primary_pass(const EngineConfig& cfg, const sim::Catalog& catalog,
 //
 // stats.pairs counts the NEW physical (owned, halo) kernel pairs — the
 // runner adds it to the owned-pass count to recover the single-node total.
-template <typename Real, typename Index>
+template <typename Real>
 void run_secondary_pass_impl(const EngineConfig& cfg,
-                             const sim::Catalog& catalog, const Index& index,
-                             const Index* secondary,
+                             const sim::Catalog& catalog,
+                             const tree::KdTree<Real>& index,
+                             const tree::KdTree<Real>* secondary,
                              const std::vector<std::int64_t>* primaries,
                              detail::TraversalPartials& parts,
                              ZetaResult& result, EngineStats& stats) {
@@ -731,9 +724,9 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
 
 namespace detail {
 
-// Type-erased holder behind Engine::Staged: the (Real, Index) template
-// choice is made once at build_index time, so extend/run dispatch without
-// re-deciding precision or index kind.
+// Type-erased holder behind Engine::Staged: the Real template choice is
+// made once at build_index time, so extend/run dispatch without re-deciding
+// precision.
 struct EngineStagedImpl {
   virtual ~EngineStagedImpl() = default;
   virtual void extend(const sim::Catalog& halo) = 0;
@@ -766,7 +759,7 @@ struct EngineStagedImpl {
 
 namespace {
 
-template <typename Real, typename Index>
+template <typename Real>
 struct StagedImplT final : detail::EngineStagedImpl {
   // `borrowed` non-null: reference the caller's catalog, which outlives
   // the handle (the fused Engine::run path, kept free of an O(N) copy).
@@ -778,25 +771,25 @@ struct StagedImplT final : detail::EngineStagedImpl {
       : storage(std::move(adopted)), owned(borrowed ? borrowed : &storage) {
     cfg = c;
     owned_size = owned->size();
-    primary = make_index<Real, Index>(*owned, cfg, /*for_secondary=*/false);
+    primary = make_index<Real>(*owned, cfg, /*for_secondary=*/false);
   }
 
   void extend(const sim::Catalog& halo) override {
-    secondary.emplace(make_index<Real, Index>(halo, cfg, /*for_secondary=*/true));
+    secondary.emplace(make_index<Real>(halo, cfg, /*for_secondary=*/true));
   }
 
   bool has_secondary() const override { return secondary.has_value(); }
 
-  const Index* secondary_index() const {
+  const tree::KdTree<Real>* secondary_index() const {
     return secondary ? &*secondary : nullptr;
   }
 
   void run(const std::vector<std::int64_t>* primaries, ZetaResult& result,
            EngineStats& stats) const override {
     detail::TraversalPartials parts(thread_count(cfg));
-    run_primary_pass<Real, Index>(cfg, *owned, primary, secondary_index(),
-                                  primaries, /*bound=*/nullptr, /*poll=*/{},
-                                  parts, stats);
+    run_primary_pass<Real>(cfg, *owned, primary, secondary_index(),
+                           primaries, /*bound=*/nullptr, /*poll=*/{}, parts,
+                           stats);
     merge_partials(cfg, parts, result);
   }
 
@@ -805,22 +798,21 @@ struct StagedImplT final : detail::EngineStagedImpl {
                   EngineStats& stats,
                   const std::function<void()>& poll) override {
     partials = std::make_unique<detail::TraversalPartials>(thread_count(cfg));
-    run_primary_pass<Real, Index>(cfg, *owned, primary, /*secondary=*/nullptr,
-                                  primaries, &bound, poll, *partials, stats);
+    run_primary_pass<Real>(cfg, *owned, primary, /*secondary=*/nullptr,
+                           primaries, &bound, poll, *partials, stats);
   }
 
   void secondary_pass(const std::vector<std::int64_t>* primaries,
                       detail::TraversalPartials& parts, ZetaResult& result,
                       EngineStats& stats) const override {
-    run_secondary_pass_impl<Real, Index>(cfg, *owned, primary,
-                                         secondary_index(), primaries, parts,
-                                         result, stats);
+    run_secondary_pass_impl<Real>(cfg, *owned, primary, secondary_index(),
+                                  primaries, parts, result, stats);
   }
 
   sim::Catalog storage;                 // empty when borrowed
   const sim::Catalog* owned = nullptr;  // primaries index into this
-  Index primary;
-  std::optional<Index> secondary;
+  tree::KdTree<Real> primary;
+  std::optional<tree::KdTree<Real>> secondary;
 };
 
 }  // namespace
@@ -850,28 +842,6 @@ ZetaResult Engine::empty_result() const {
   return ZetaResult::zero_like(cfg_.bins, cfg_.lmax);
 }
 
-namespace {
-
-// One definition of the (precision, index) dispatch: `make` is called with
-// a StagedImplT<Real, Index> type tag and returns the built impl.
-template <typename Real, typename Index>
-struct StagedTag {
-  using Impl = StagedImplT<Real, Index>;
-};
-
-template <typename Make>
-std::shared_ptr<detail::EngineStagedImpl> dispatch_staged(
-    const EngineConfig& cfg, Make&& make) {
-  const bool mixed = cfg.tree.precision == TreePrecision::kMixed;
-  const bool grid = cfg.tree.index == NeighborIndex::kCellGrid;
-  if (mixed && grid) return make(StagedTag<float, tree::CellGrid<float>>{});
-  if (mixed) return make(StagedTag<float, tree::KdTree<float>>{});
-  if (grid) return make(StagedTag<double, tree::CellGrid<double>>{});
-  return make(StagedTag<double, tree::KdTree<double>>{});
-}
-
-}  // namespace
-
 Engine::Staged Engine::build_index(const sim::Catalog& owned) const {
   return build_index_impl(nullptr, sim::Catalog(owned));
 }
@@ -889,11 +859,12 @@ Engine::Staged Engine::build_index_impl(const sim::Catalog* borrowed,
                 "build_index: empty catalog");
   Timer tbuild;
   Staged staged;
-  staged.impl_ = dispatch_staged(
-      cfg_, [&](auto tag) -> std::shared_ptr<detail::EngineStagedImpl> {
-        using Impl = typename decltype(tag)::Impl;
-        return std::make_shared<Impl>(cfg_, borrowed, std::move(adopted));
-      });
+  if (cfg_.tree.precision == TreePrecision::kMixed)
+    staged.impl_ = std::make_shared<StagedImplT<float>>(cfg_, borrowed,
+                                                        std::move(adopted));
+  else
+    staged.impl_ = std::make_shared<StagedImplT<double>>(cfg_, borrowed,
+                                                         std::move(adopted));
   staged.impl_->build_seconds = tbuild.seconds();
   return staged;
 }

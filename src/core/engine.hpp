@@ -1,15 +1,16 @@
 // The Galactos engine: Algorithm 1 of the paper.
 //
 //   for each primary galaxy:
-//     gather all secondaries within R_max (spatial index, possibly float)
+//     gather all secondaries within R_max (k-d tree, possibly float)
 //     rotate separations so the LOS to the primary is +z (survey mode)
 //     bin pairs into radial shells, bucket them, run the multipole kernel
 //     assemble a_lm per shell; accumulate zeta^m_ll'(r1,r2) and xi_l(r)
 //
-// One traversal skeleton implements the outer loop (§3.3): primaries are
-// processed a leaf at a time, in parallel over the primary index's leaves,
-// and every pass plugs its per-leaf body into it. Two gathers feed the
-// fused and owned passes:
+// One neighbor index — the k-d tree of §3.1/§3.3 — and one traversal
+// skeleton implement the outer loop (§3.3): primaries are processed a leaf
+// at a time, in parallel over the primary tree's leaves, and every pass
+// plugs its per-leaf body into it. Two gathers feed the fused and owned
+// passes:
 //
 // * kLeafBlocked (default) — one pruned node-vs-node traversal per source
 //   leaf emits a shared candidate block that the leaf's ~leaf_size
@@ -68,7 +69,6 @@ enum class TreePrecision {
   kMixed,   // spatial index + distances in float (paper's fast mode)
 };
 
-enum class NeighborIndex { kKdTree, kCellGrid };
 enum class OmpSchedule { kDynamic, kStatic };
 enum class TraversalMode { kPerPrimary, kLeafBlocked };
 
@@ -82,10 +82,12 @@ enum class EstimatorBackend { kTree, kFFT };
 const char* backend_name(EstimatorBackend b);
 EstimatorBackend backend_from_name(const std::string& name);  // "tree"|"fft"
 
-// Tree-backend knobs (the pair-counting engine).
+// Tree-backend knobs (the pair-counting engine). The neighbor index is
+// always a k-d tree (`leaf_size` points per leaf) and the multipole kernel
+// always the running product (`ilp` streams, `bucket_capacity` pairs per
+// bucket; see core/kernel.hpp).
 struct TreeConfig {
   TreePrecision precision = TreePrecision::kDouble;
-  NeighborIndex index = NeighborIndex::kKdTree;
   TraversalMode traversal = TraversalMode::kLeafBlocked;
   int leaf_size = 32;
 
@@ -100,7 +102,6 @@ struct TreeConfig {
   bool morton_order = true;
   bool interaction_lists = true;
 
-  KernelScheme scheme = KernelScheme::kRunningProduct;
   int ilp = 4;
   int bucket_capacity = 128;
 

@@ -166,32 +166,6 @@ void kernel_running_product(const double* ux, const double* uy,
   }
 }
 
-void kernel_zbuffered(const double* ux, const double* uy, const double* uz,
-                      const double* w, int count, int lmax, double* acc,
-                      double* zscratch, bool overwrite, double* sums,
-                      std::size_t sums_stride) {
-  GLX_CHECK(count % kLanes == 0);
-  GLX_CHECK(!sums || count > 0);
-  switch (active_isa()) {
-#if defined(GALACTOS_KERNEL_HAVE_AVX512)
-    case KernelIsa::kAvx512:
-      isa_avx512::kernel_zbuffered(ux, uy, uz, w, count, lmax, acc, zscratch,
-                                   overwrite, sums, sums_stride);
-      return;
-#endif
-#if defined(GALACTOS_KERNEL_HAVE_AVX2)
-    case KernelIsa::kAvx2:
-      isa_avx2::kernel_zbuffered(ux, uy, uz, w, count, lmax, acc, zscratch,
-                                 overwrite, sums, sums_stride);
-      return;
-#endif
-    default:
-      isa_scalar::kernel_zbuffered(ux, uy, uz, w, count, lmax, acc, zscratch,
-                                   overwrite, sums, sums_stride);
-      return;
-  }
-}
-
 void alm_bins_as_lanes(const math::SphHarmTable& table, const double* sums,
                        std::size_t stride, const int* bins, int nb,
                        double* out_re, double* out_im,
@@ -279,7 +253,6 @@ MultipoleAccumulator::MultipoleAccumulator(const KernelConfig& cfg)
   bucket_.reset(nb * 4 * cfg.bucket_capacity);
   sums_.reset(sums_stride_ * n_mono_);
   sums_.fill(0.0);
-  zscratch_.reset(2 * static_cast<std::size_t>(cfg.bucket_capacity));
   fill_.assign(cfg.nbins, 0);
   touched_.assign(cfg.nbins, 0);
   first_flush_.assign(cfg.nbins, 0);
@@ -320,15 +293,9 @@ void MultipoleAccumulator::flush(int bin, bool last) {
   const bool overwrite = first_flush_[bin] != 0;
   first_flush_[bin] = 0;
   double* sums = last ? sums_.data() + bin : nullptr;
-  if (cfg_.scheme == KernelScheme::kRunningProduct) {
-    kernel_running_product(bu, bu + cap, bu + 2 * cap, bu + 3 * cap, padded,
-                           cfg_.lmax, a, cfg_.ilp, overwrite, sums,
-                           sums_stride_);
-  } else {
-    kernel_zbuffered(bu, bu + cap, bu + 2 * cap, bu + 3 * cap, padded,
-                     cfg_.lmax, a, zscratch_.data(), overwrite, sums,
-                     sums_stride_);
-  }
+  kernel_running_product(bu, bu + cap, bu + 2 * cap, bu + 3 * cap, padded,
+                         cfg_.lmax, a, cfg_.ilp, overwrite, sums,
+                         sums_stride_);
   fill_[bin] = 0;
 }
 

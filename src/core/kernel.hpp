@@ -20,13 +20,12 @@
 //   written as the power sum, so that block never stores its lane block.
 //   The power sums land bin-interleaved, [n_mono][nbins padded to kLanes],
 //   ready for the bins-as-lanes a_lm assembly (alm_bins_as_lanes).
-// * Two accumulation schemes (ablation, §3.3.2/§3.3.3):
-//   - kRunningProduct: per 8-pair chunk, walk the (a,b,c) monomial tree
-//     with running products; `ilp` independent chunks are interleaved to
-//     expose instruction-level parallelism (paper: 4 independent vectors).
-//   - kZBuffered: block over (a,b); a z-running buffer holds the whole
-//     bucket so the inner c-loop streams 16 independent vectors per
-//     monomial (the paper's cache-blocked variant).
+// * One accumulation scheme, the running product (§3.3.2): per 8-pair
+//   chunk, walk the (a,b,c) monomial tree with running products; `ilp`
+//   independent chunks are interleaved to expose instruction-level
+//   parallelism (paper: 4 independent vectors). The cache-blocked
+//   z-buffered variant was dropped after measuring 21-36% slower
+//   end to end in the ablation bench.
 #pragma once
 
 #include <cstddef>
@@ -41,8 +40,6 @@
 namespace galactos::core {
 
 inline constexpr int kLanes = 8;  // 512-bit worth of doubles, as on KNL
-
-enum class KernelScheme { kRunningProduct, kZBuffered };
 
 // --- Runtime ISA dispatch -------------------------------------------------
 //
@@ -85,8 +82,7 @@ struct KernelConfig {
   int lmax = 10;
   int nbins = 10;
   int bucket_capacity = 128;  // pairs per bucket; multiple of kLanes
-  KernelScheme scheme = KernelScheme::kRunningProduct;  // paper's design
-  int ilp = 4;  // independent streams for kRunningProduct (1, 2 or 4)
+  int ilp = 4;  // independent running-product streams (1, 2 or 4)
 };
 
 // FLOPs per pair attributed to the kernel: one FMA (2 FLOPs) per monomial.
@@ -111,12 +107,6 @@ void kernel_running_product(const double* ux, const double* uy,
                             int lmax, double* acc, int ilp,
                             bool overwrite = false, double* sums = nullptr,
                             std::size_t sums_stride = 1);
-
-void kernel_zbuffered(const double* ux, const double* uy, const double* uz,
-                      const double* w, int count, int lmax, double* acc,
-                      double* zscratch /* >= 2*count doubles */,
-                      bool overwrite = false, double* sums = nullptr,
-                      std::size_t sums_stride = 1);
 
 // Scalar oracle (any count), accumulating directly into sums[n_mono].
 void kernel_reference(const double* ux, const double* uy, const double* uz,
@@ -244,7 +234,7 @@ class MultipoleAccumulator {
 
  private:
   void touch(int bin);
-  // Runs the configured bucket kernel over the bin's pending pairs (padded
+  // Runs the bucket kernel over the bin's pending pairs (padded
   // to kLanes with zero weight), honoring the bin's first-flush overwrite;
   // `last` fuses the lane reduction into the bin's power sums.
   void flush(int bin, bool last);
@@ -255,7 +245,6 @@ class MultipoleAccumulator {
   AlignedBuffer<double> acc_;     // [nbins][n_mono][kLanes]
   AlignedBuffer<double> bucket_;  // [nbins][4][capacity]
   AlignedBuffer<double> sums_;    // [n_mono][sums_stride_]
-  AlignedBuffer<double> zscratch_;
   std::vector<int> fill_;
   std::vector<std::uint8_t> touched_;
   std::vector<std::uint8_t> first_flush_;

@@ -310,63 +310,6 @@ void kernel_running_product(const double* ux, const double* uy,
   }
 }
 
-void kernel_zbuffered(const double* ux, const double* uy, const double* uz,
-                      const double* w, int count, int lmax, double* acc,
-                      double* zscratch, bool overwrite, double* sums,
-                      std::size_t sums_stride) {
-  double* __restrict xyw = zscratch;         // w * ux^a * uy^b
-  double* __restrict zz = zscratch + count;  // xyw * uz^c (running)
-
-  // Invariants at loop heads:
-  //   a-loop: xw_i = w_i * ux_i^a
-  //   b-loop: xyw_i = xw_i * uy_i^b
-  //   c-loop: zz_i  = xyw_i * uz_i^c
-  static thread_local std::vector<double> xw_storage;
-  if (static_cast<int>(xw_storage.size()) < count) xw_storage.resize(count);
-  double* __restrict xw = xw_storage.data();
-
-  for (int i = 0; i < count; i += DVec::kWidth)
-    dv_store(xw + i, dv_load(w + i));
-
-  int t = 0;
-  for (int a = 0; a <= lmax; ++a) {
-    for (int i = 0; i < count; i += DVec::kWidth)
-      dv_store(xyw + i, dv_load(xw + i));
-    for (int b = 0; a + b <= lmax; ++b) {
-      for (int i = 0; i < count; i += DVec::kWidth)
-        dv_store(zz + i, dv_load(xyw + i));
-      for (int c = 0; a + b + c <= lmax; ++c) {
-        double* __restrict at = acc + static_cast<std::size_t>(t) * kLanes;
-        DVec lane[kNB];
-        if (overwrite) {
-          for (int n = 0; n < kNB; ++n) lane[n] = math::simd::dv_zero();
-        } else {
-          for (int n = 0; n < kNB; ++n)
-            lane[n] = dv_load(at + n * DVec::kWidth);
-        }
-        for (int i = 0; i < count; i += kLanes) {
-          for (int n = 0; n < kNB; ++n) {
-            const int off = i + n * DVec::kWidth;
-            lane[n] = lane[n] + dv_load(zz + off);
-            dv_store(zz + off, dv_load(zz + off) * dv_load(uz + off));
-          }
-        }
-        // The whole bucket is one block per monomial: reduce or store.
-        if (sums)
-          sums[static_cast<std::size_t>(t) * sums_stride] = lane_sum(lane);
-        else
-          for (int n = 0; n < kNB; ++n)
-            dv_store(at + n * DVec::kWidth, lane[n]);
-        ++t;
-      }
-      for (int i = 0; i < count; i += DVec::kWidth)
-        dv_store(xyw + i, dv_load(xyw + i) * dv_load(uy + i));
-    }
-    for (int i = 0; i < count; i += DVec::kWidth)
-      dv_store(xw + i, dv_load(xw + i) * dv_load(ux + i));
-  }
-}
-
 void alm_bins_as_lanes(const math::SphHarmTable& table, const double* sums,
                        std::size_t stride, const int* bins, int nb,
                        double* out_re, double* out_im,

@@ -24,11 +24,6 @@ namespace galactos::core {
                               int lmax, double* acc, int ilp,                \
                               bool overwrite, double* sums,                  \
                               std::size_t sums_stride);                      \
-  void kernel_zbuffered(const double* ux, const double* uy,                  \
-                        const double* uz, const double* w, int count,        \
-                        int lmax, double* acc, double* zscratch,             \
-                        bool overwrite, double* sums,                        \
-                        std::size_t sums_stride);                            \
   void alm_bins_as_lanes(const math::SphHarmTable& table, const double* sums, \
                          std::size_t stride, const int* bins, int nb,        \
                          double* out_re, double* out_im,                     \

@@ -54,7 +54,6 @@ std::string json_escape(const std::string& s) {
 const char* overlap_mode_name(OverlapMode mode) {
   switch (mode) {
     case OverlapMode::kSequential: return "sequential";
-    case OverlapMode::kIndexBuild: return "index_build";
     case OverlapMode::kTwoPass: return "two_pass";
   }
   return "unknown";
@@ -139,9 +138,9 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
   // receives posted), so everything timed between here and
   // complete_halo_exchange() is work the halo hides behind
   // (halo_hidden_seconds). kSequential drains the exchange first — the A/B
-  // baseline; kIndexBuild hides the owned-index build (the PR-3 pipeline);
-  // kTwoPass additionally runs the whole owned-vs-owned traversal before
-  // blocking, polling the outstanding receives between leaf batches.
+  // baseline; kTwoPass builds the owned index and runs the whole
+  // owned-vs-owned traversal before blocking, polling the outstanding
+  // receives between leaf batches.
   double halo_seconds = 0.0;
   double index_seconds = 0.0;
   double owned_pass_seconds = 0.0;
@@ -177,8 +176,7 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
       staged = engine.build_index(pending.result.local);
       index_seconds += ti.seconds();
       halo_hidden_seconds += index_seconds;
-    }
-    if (cfg.overlap == OverlapMode::kTwoPass && staged.valid()) {
+
       comm.set_phase(Phase::kOwnedPass);
       // Halo copies come from other ranks' domains, which tile space
       // disjointly from ours — so the k-d leaf domain is a valid

@@ -35,15 +35,15 @@
 namespace galactos::dist {
 
 // How much of the pipeline runs while the halo exchange is in flight —
-// the three-way A/B axis of bench_dist_scaling.
+// the A/B axis of bench_dist_scaling. kSequential is the single reference
+// mode; kTwoPass is what production runs.
 enum class OverlapMode {
   kSequential,  // drain the exchange, then build + traverse (the baseline)
-  kIndexBuild,  // owned-index build hides the halo (the PR-3 pipeline)
   kTwoPass,     // index build + the full owned-vs-owned pass hide the halo,
                 // then a second pass adds owned-vs-halo (the default)
 };
 
-// Stable names for reports/JSON: "sequential" / "index_build" / "two_pass".
+// Stable names for reports/JSON: "sequential" / "two_pass".
 const char* overlap_mode_name(OverlapMode mode);
 
 struct DistRunConfig {
@@ -52,7 +52,7 @@ struct DistRunConfig {
   // What the k-d cuts equalize: raw galaxy counts or estimated pair counts
   // (the Fig. 7 imbalance fix).
   PartitionPolicy partition = PartitionPolicy::kPrimaryBalanced;
-  // What hides the halo exchange (A/B/C measurement axis).
+  // What hides the halo exchange (A/B measurement axis).
   OverlapMode overlap = OverlapMode::kTwoPass;
   // How the halo crosses the wire: flat point shower (kFullShell, the
   // reference) or pruned LET cells (kLet — comm volume scales with the
@@ -85,8 +85,8 @@ struct RankReport {
   double secondary_pass_seconds = 0.0;  // pass 2 (kTwoPass only)
   // Wall time spent computing between post_halo_exchange returning and
   // complete_halo_exchange being entered — the in-flight window filled
-  // with useful work instead of blocking. kSequential: 0. kIndexBuild:
-  // the index build. kTwoPass: index build + owned pass. The overlap
+  // with useful work instead of blocking. kSequential: 0. kTwoPass: index
+  // build + owned pass. The overlap
   // health metric is halo_hidden_seconds / (halo_hidden_seconds +
   // halo_seconds), gated by tools/check_bench_regression.py.
   double halo_hidden_seconds = 0.0;

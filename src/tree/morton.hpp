@@ -1,6 +1,6 @@
 // Morton (Z-order) keys for cache-aware spatial layout.
 //
-// Both indexes lay their leaf storage out in Morton order of the leaf
+// The k-d tree lays its leaf storage out in Morton order of the leaf
 // centers: leaves that are close in space become close in memory, so a
 // leaf-blocked gather — whose interaction list is exactly the spatial
 // neighborhood of the source leaf — streams a handful of contiguous cache

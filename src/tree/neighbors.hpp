@@ -1,7 +1,7 @@
-// Neighbor gather buffer shared by the spatial indexes.
+// Neighbor gather buffers filled by the k-d tree.
 //
 // The engine's first step per primary (paper Algorithm 1) is "search the
-// node-local k-d tree for all secondaries within R_max". The indexes fill
+// node-local k-d tree for all secondaries within R_max". The tree fills
 // this SoA buffer with separation components (in index precision — float in
 // the paper's mixed mode), weights and original indices; the engine then
 // rotates, bins and accumulates in double.
@@ -31,7 +31,7 @@ struct NeighborBlock {
     w.clear();
     idx.clear();
   }
-  // Indexes with interaction lists know each leaf's candidate count up
+  // Trees with interaction lists know each leaf's candidate count up
   // front (prefix sums recorded at build), so one reserve per gather keeps
   // block staging from reallocating mid-traversal.
   void reserve(std::size_t n) {
@@ -55,7 +55,7 @@ struct NeighborBlock {
 // Monotone float arithmetic guarantees the value never exceeds the
 // point-box distance of any point contained in the first box — the
 // conservative-superset property every pruned gather relies on. Shared by
-// the k-d tree's node pruning and both indexes' box_beyond_reach.
+// the k-d tree's node pruning and its box_beyond_reach.
 template <typename Real>
 inline Real box_box_dist2(const Real alo[3], const Real ahi[3],
                           const Real blo[3], const Real bhi[3]) {

@@ -228,5 +228,4 @@ TEST_P(OverlapModeEdges, EmptyHaloRanksStayExact) {
 
 INSTANTIATE_TEST_SUITE_P(AllModes, OverlapModeEdges,
                          ::testing::Values(d::OverlapMode::kSequential,
-                                           d::OverlapMode::kIndexBuild,
                                            d::OverlapMode::kTwoPass));

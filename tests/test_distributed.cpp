@@ -94,11 +94,6 @@ TEST_P(DistributedPipeline, MatchesSingleNode) {
         EXPECT_EQ(r.owned_pass_seconds, 0.0);
         EXPECT_EQ(r.secondary_pass_seconds, 0.0);
         break;
-      case d::OverlapMode::kIndexBuild:
-        EXPECT_EQ(r.owned_pass_seconds, 0.0);
-        EXPECT_EQ(r.secondary_pass_seconds, 0.0);
-        if (r.owned > 0) EXPECT_GT(r.halo_hidden_seconds, 0.0);
-        break;
       case d::OverlapMode::kTwoPass:
         if (r.owned > 0) {
           EXPECT_GT(r.owned_pass_seconds, 0.0);
@@ -128,7 +123,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(d::PartitionPolicy::kPrimaryBalanced,
                           d::PartitionPolicy::kPairWeighted),
         ::testing::Values(d::OverlapMode::kSequential,
-                          d::OverlapMode::kIndexBuild,
                           d::OverlapMode::kTwoPass)));
 
 // The per-rank kernel-pair totals are identical whichever overlap depth
@@ -137,8 +131,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DistributedPipelineModes, PairCountsAgreeAcrossModes) {
   const s::Catalog full = galactos::testing::clumpy_catalog(900, 60.0, 77);
   std::vector<std::vector<std::uint64_t>> per_mode;
-  for (auto mode : {d::OverlapMode::kSequential, d::OverlapMode::kIndexBuild,
-                    d::OverlapMode::kTwoPass}) {
+  for (auto mode : {d::OverlapMode::kSequential, d::OverlapMode::kTwoPass}) {
     d::DistRunConfig dcfg;
     dcfg.engine = base_config();
     dcfg.ranks = 4;
@@ -150,7 +143,6 @@ TEST(DistributedPipelineModes, PairCountsAgreeAcrossModes) {
     per_mode.push_back(std::move(pairs));
   }
   EXPECT_EQ(per_mode[0], per_mode[1]);
-  EXPECT_EQ(per_mode[0], per_mode[2]);
 }
 
 TEST(Distributed, ClusteredCatalogNonPowerOfTwo) {

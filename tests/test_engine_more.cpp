@@ -43,16 +43,6 @@ TEST(KernelOverwrite, FirstFlushStoresInsteadOfAccumulating) {
           << "ilp=" << ilp << " t=" << t;
     }
   }
-  // Z-buffered variant too.
-  std::fill(acc.begin(), acc.end(), 1e30);
-  std::vector<double> scratch(64);
-  c::kernel_zbuffered(ux.data(), uy.data(), uz.data(), w.data(), 32, lmax,
-                      acc.data(), scratch.data(), /*overwrite=*/true);
-  for (int t = 0; t < nmono; ++t) {
-    double sum = 0;
-    for (int l = 0; l < c::kLanes; ++l) sum += acc[t * c::kLanes + l];
-    EXPECT_NEAR(sum, ref[t], 1e-11 * (1 + std::abs(ref[t]))) << t;
-  }
 }
 
 TEST(EngineMore, LogBinsMatchOracle) {

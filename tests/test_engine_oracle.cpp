@@ -77,8 +77,7 @@ struct DirectCase {
   bool radial;
   bool self;
   c::TreePrecision precision;
-  c::KernelScheme scheme;
-  c::NeighborIndex index;
+  c::TraversalMode traversal;
   std::uint64_t seed;
 };
 
@@ -98,8 +97,7 @@ TEST_P(EngineVsDirect, MatchesDirectSummation) {
 
   c::EngineConfig ecfg = engine_cfg(ocfg);
   ecfg.tree.precision = tc.precision;
-  ecfg.tree.scheme = tc.scheme;
-  ecfg.tree.index = tc.index;
+  ecfg.tree.traversal = tc.traversal;
   const c::ZetaResult direct = b::direct_summation(cat, ocfg);
   const c::ZetaResult engine = c::Engine(ecfg).run(cat);
   const double tol = tc.precision == c::TreePrecision::kMixed ? 2e-3 : 1e-9;
@@ -123,29 +121,29 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, EngineVsDirect,
     ::testing::Values(
         DirectCase{"plane_l10", 400, 10, 4, false, false,
-                   c::TreePrecision::kDouble, c::KernelScheme::kZBuffered,
-                   c::NeighborIndex::kKdTree, 201},
+                   c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
+                   201},
         DirectCase{"plane_l10_running", 400, 10, 4, false, false,
-                   c::TreePrecision::kDouble, c::KernelScheme::kRunningProduct,
-                   c::NeighborIndex::kKdTree, 202},
+                   c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
+                   202},
         DirectCase{"radial_l5", 350, 5, 5, true, false,
-                   c::TreePrecision::kDouble, c::KernelScheme::kZBuffered,
-                   c::NeighborIndex::kKdTree, 203},
-        DirectCase{"grid_l6", 300, 6, 3, false, false,
-                   c::TreePrecision::kDouble, c::KernelScheme::kZBuffered,
-                   c::NeighborIndex::kCellGrid, 204},
+                   c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
+                   203},
+        DirectCase{"perprimary_l6", 300, 6, 3, false, false,
+                   c::TreePrecision::kDouble, c::TraversalMode::kPerPrimary,
+                   204},
         DirectCase{"self_l4", 300, 4, 4, false, true,
-                   c::TreePrecision::kDouble, c::KernelScheme::kZBuffered,
-                   c::NeighborIndex::kKdTree, 205},
+                   c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
+                   205},
         DirectCase{"radial_self_l4", 250, 4, 3, true, true,
-                   c::TreePrecision::kDouble, c::KernelScheme::kRunningProduct,
-                   c::NeighborIndex::kKdTree, 206},
+                   c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
+                   206},
         DirectCase{"mixed_l6", 500, 6, 4, false, false,
-                   c::TreePrecision::kMixed, c::KernelScheme::kZBuffered,
-                   c::NeighborIndex::kKdTree, 207},
+                   c::TreePrecision::kMixed, c::TraversalMode::kLeafBlocked,
+                   207},
         DirectCase{"plane_l0", 300, 0, 3, false, false,
-                   c::TreePrecision::kDouble, c::KernelScheme::kZBuffered,
-                   c::NeighborIndex::kKdTree, 208}),
+                   c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
+                   208}),
     [](const ::testing::TestParamInfo<DirectCase>& info) {
       return info.param.name;
     });

@@ -118,7 +118,7 @@ inline std::vector<double> unfused_power_sums(const core::KernelConfig& cfg,
   const int cap = cfg.bucket_capacity;
   const int nmono = math::monomial_count(cfg.lmax);
   std::vector<double> acc(static_cast<std::size_t>(nmono) * core::kLanes);
-  std::vector<double> bx, by, bz, bw, zs(2 * static_cast<std::size_t>(cap));
+  std::vector<double> bx, by, bz, bw;
   for (int i0 = 0; i0 < n; i0 += cap) {
     const int cnt = std::min(cap, n - i0);
     const int padded = (cnt + core::kLanes - 1) / core::kLanes * core::kLanes;
@@ -130,14 +130,9 @@ inline std::vector<double> unfused_power_sums(const core::KernelConfig& cfg,
     std::copy(uy + i0, uy + i0 + cnt, by.begin());
     std::copy(uz + i0, uz + i0 + cnt, bz.begin());
     std::copy(w + i0, w + i0 + cnt, bw.begin());
-    if (cfg.scheme == core::KernelScheme::kRunningProduct)
-      core::kernel_running_product(bx.data(), by.data(), bz.data(), bw.data(),
-                                   padded, cfg.lmax, acc.data(), cfg.ilp,
-                                   i0 == 0);
-    else
-      core::kernel_zbuffered(bx.data(), by.data(), bz.data(), bw.data(),
-                             padded, cfg.lmax, acc.data(), zs.data(),
-                             i0 == 0);
+    core::kernel_running_product(bx.data(), by.data(), bz.data(), bw.data(),
+                                 padded, cfg.lmax, acc.data(), cfg.ilp,
+                                 i0 == 0);
   }
   std::vector<double> s(nmono);
   for (int t = 0; t < nmono; ++t) {

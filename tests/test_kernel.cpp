@@ -1,4 +1,4 @@
-// The multipole kernel: both SIMD schemes against the scalar oracle, the
+// The multipole kernel: the running product against the scalar oracle, the
 // bucket/accumulator lifecycle, padding, bucket-size and ILP sweeps, and
 // the fused per-(primary, bin) epilogue against the standalone reduction.
 #include <gtest/gtest.h>
@@ -44,10 +44,10 @@ std::vector<double> reduce_lanes(const std::vector<double>& acc, int nmono) {
 
 }  // namespace
 
-class KernelSchemeTest
+class BucketKernelTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};  // lmax, count
 
-TEST_P(KernelSchemeTest, RunningProductMatchesReference) {
+TEST_P(BucketKernelTest, RunningProductMatchesReference) {
   const auto [lmax, count] = GetParam();
   ASSERT_EQ(count % c::kLanes, 0);
   const int nmono = m::monomial_count(lmax);
@@ -68,26 +68,8 @@ TEST_P(KernelSchemeTest, RunningProductMatchesReference) {
   }
 }
 
-TEST_P(KernelSchemeTest, ZBufferedMatchesReference) {
-  const auto [lmax, count] = GetParam();
-  const int nmono = m::monomial_count(lmax);
-  const PairSet p = random_pairs(count, 2000 + lmax);
-
-  std::vector<double> ref(nmono, 0.0);
-  c::kernel_reference(p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(),
-                      count, lmax, ref.data());
-
-  std::vector<double> acc(static_cast<std::size_t>(nmono) * c::kLanes, 0.0);
-  std::vector<double> scratch(2 * count);
-  c::kernel_zbuffered(p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(),
-                      count, lmax, acc.data(), scratch.data());
-  const std::vector<double> got = reduce_lanes(acc, nmono);
-  for (int t = 0; t < nmono; ++t)
-    EXPECT_NEAR(got[t], ref[t], 1e-11 * (1 + std::abs(ref[t]))) << t;
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, KernelSchemeTest,
+    Sweep, BucketKernelTest,
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 5, 10),
                        ::testing::Values(8, 32, 128, 256)));
 
@@ -114,12 +96,12 @@ TEST(Kernel, ZeroWeightPairsContributeNothing) {
     EXPECT_NEAR(got[t], ref[t], 1e-12 * (1 + std::abs(ref[t])));
 }
 
-class AccumulatorTest : public ::testing::TestWithParam<
-                            std::tuple<c::KernelScheme, int, int>> {};
-// scheme, bucket_capacity, ilp
+class AccumulatorTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+// bucket_capacity, ilp
 
 TEST_P(AccumulatorTest, MatchesReferenceAcrossBinsAndPrimaries) {
-  const auto [scheme, capacity, ilp] = GetParam();
+  const auto [capacity, ilp] = GetParam();
   const int lmax = 4;
   const int nbins = 5;
   const int nmono = m::monomial_count(lmax);
@@ -128,7 +110,6 @@ TEST_P(AccumulatorTest, MatchesReferenceAcrossBinsAndPrimaries) {
   cfg.lmax = lmax;
   cfg.nbins = nbins;
   cfg.bucket_capacity = capacity;
-  cfg.scheme = scheme;
   cfg.ilp = ilp;
   c::MultipoleAccumulator acc(cfg);
 
@@ -170,9 +151,7 @@ TEST_P(AccumulatorTest, MatchesReferenceAcrossBinsAndPrimaries) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AccumulatorTest,
-    ::testing::Combine(::testing::Values(c::KernelScheme::kRunningProduct,
-                                         c::KernelScheme::kZBuffered),
-                       ::testing::Values(8, 64, 128, 256),
+    ::testing::Combine(::testing::Values(8, 64, 128, 256),
                        ::testing::Values(1, 4)));
 
 TEST(Accumulator, StartPrimaryResetsState) {
@@ -233,53 +212,47 @@ TEST(Accumulator, ManyFlushesExactlyAccumulate) {
 TEST(FusedEpilogue, MatchesStandaloneReductionBitwise) {
   using galactos::testing::bits;
   using galactos::testing::unfused_power_sums;
-  for (c::KernelScheme scheme :
-       {c::KernelScheme::kRunningProduct, c::KernelScheme::kZBuffered})
-    for (int ilp : {1, 2, 4}) {
-      if (scheme == c::KernelScheme::kZBuffered && ilp != 4) continue;
-      for (int lmax : {0, 2, 5, 10})
-        for (int count : {1, 7, 8, 9, 31, 32, 33, 127, 128, 129, 256}) {
-          c::KernelConfig cfg;
-          cfg.lmax = lmax;
-          cfg.nbins = 3;
-          cfg.scheme = scheme;
-          cfg.ilp = ilp;
-          c::MultipoleAccumulator acc(cfg);
-          // Two primaries: the second must not see the first's lanes.
-          for (int primary = 0; primary < 2; ++primary) {
-            // Bin 1 gets `count` pairs, bin 0 about a third as many
-            // interleaved with them, bin 2 none.
-            const int n0 = count / 3 + 1;
-            const PairSet p1 = random_pairs(count, 31 * count + lmax + primary);
-            const PairSet p0 = random_pairs(n0, 7 * count + lmax + primary);
-            acc.start_primary();
-            int j = 0;
-            for (int i = 0; i < count; ++i) {
-              acc.push(1, p1.ux[i], p1.uy[i], p1.uz[i], p1.w[i]);
-              if (i % 3 == 0 && j < n0) {
-                acc.push(0, p0.ux[j], p0.uy[j], p0.uz[j], p0.w[j]);
-                ++j;
-              }
-            }
-            for (; j < n0; ++j)
+  for (int ilp : {1, 2, 4})
+    for (int lmax : {0, 2, 5, 10})
+      for (int count : {1, 7, 8, 9, 31, 32, 33, 127, 128, 129, 256}) {
+        c::KernelConfig cfg;
+        cfg.lmax = lmax;
+        cfg.nbins = 3;
+        cfg.ilp = ilp;
+        c::MultipoleAccumulator acc(cfg);
+        // Two primaries: the second must not see the first's lanes.
+        for (int primary = 0; primary < 2; ++primary) {
+          // Bin 1 gets `count` pairs, bin 0 about a third as many
+          // interleaved with them, bin 2 none.
+          const int n0 = count / 3 + 1;
+          const PairSet p1 = random_pairs(count, 31 * count + lmax + primary);
+          const PairSet p0 = random_pairs(n0, 7 * count + lmax + primary);
+          acc.start_primary();
+          int j = 0;
+          for (int i = 0; i < count; ++i) {
+            acc.push(1, p1.ux[i], p1.uy[i], p1.uz[i], p1.w[i]);
+            if (i % 3 == 0 && j < n0) {
               acc.push(0, p0.ux[j], p0.uy[j], p0.uz[j], p0.w[j]);
-            acc.finish_primary();
-            ASSERT_FALSE(acc.bin_touched(2));
-            const std::string what =
-                "scheme=" + std::to_string(static_cast<int>(scheme)) +
-                " ilp=" + std::to_string(ilp) + " lmax=" +
-                std::to_string(lmax) + " count=" + std::to_string(count);
-            for (const auto& [bin, p] : {std::pair{1, &p1}, {0, &p0}}) {
-              const std::vector<double> ref = unfused_power_sums(
-                  cfg, p->ux.data(), p->uy.data(), p->uz.data(), p->w.data(),
-                  static_cast<int>(p->w.size()));
-              for (int t = 0; t < acc.n_mono(); ++t)
-                ASSERT_EQ(bits(acc.power_sums(bin)[t]), bits(ref[t]))
-                    << what << " bin=" << bin << " t=" << t;
+              ++j;
             }
           }
+          for (; j < n0; ++j)
+            acc.push(0, p0.ux[j], p0.uy[j], p0.uz[j], p0.w[j]);
+          acc.finish_primary();
+          ASSERT_FALSE(acc.bin_touched(2));
+          const std::string what = "ilp=" + std::to_string(ilp) +
+                                   " lmax=" + std::to_string(lmax) +
+                                   " count=" + std::to_string(count);
+          for (const auto& [bin, p] : {std::pair{1, &p1}, {0, &p0}}) {
+            const std::vector<double> ref = unfused_power_sums(
+                cfg, p->ux.data(), p->uy.data(), p->uz.data(), p->w.data(),
+                static_cast<int>(p->w.size()));
+            for (int t = 0; t < acc.n_mono(); ++t)
+              ASSERT_EQ(bits(acc.power_sums(bin)[t]), bits(ref[t]))
+                  << what << " bin=" << bin << " t=" << t;
+          }
         }
-    }
+      }
 }
 
 // A final bucket of one block (at most 8 pairs, or one 4-chunk ILP block)
@@ -291,38 +264,27 @@ TEST(FusedEpilogue, OverwriteOnlyBlockNeverTouchesLaneBlock) {
   const int lmax = 5;
   const int nmono = m::monomial_count(lmax);
   const double sentinel = std::numeric_limits<double>::quiet_NaN();
-  for (c::KernelScheme scheme :
-       {c::KernelScheme::kRunningProduct, c::KernelScheme::kZBuffered})
-    for (int count : {8, 32}) {
-      c::KernelConfig cfg;
-      cfg.lmax = lmax;
-      cfg.scheme = scheme;
-      const PairSet p = random_pairs(count, 500 + count);
-      std::vector<double> acc(static_cast<std::size_t>(nmono) * c::kLanes,
-                              sentinel);
-      std::vector<double> zs(2 * count);
-      const std::size_t stride = 3;
-      std::vector<double> sums(nmono * stride, -1.0);
-      if (scheme == c::KernelScheme::kRunningProduct)
-        c::kernel_running_product(p.ux.data(), p.uy.data(), p.uz.data(),
-                                  p.w.data(), count, lmax, acc.data(),
-                                  count / c::kLanes, true, sums.data() + 1,
-                                  stride);
-      else
-        c::kernel_zbuffered(p.ux.data(), p.uy.data(), p.uz.data(),
-                            p.w.data(), count, lmax, acc.data(), zs.data(),
-                            true, sums.data() + 1, stride);
-      for (double a : acc) ASSERT_TRUE(std::isnan(a));
-      cfg.ilp = count / c::kLanes;
-      const std::vector<double> ref = unfused_power_sums(
-          cfg, p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(), count);
-      for (int t = 0; t < nmono; ++t) {
-        ASSERT_EQ(bits(sums[t * stride + 1]), bits(ref[t]))
-            << "count=" << count;
-        ASSERT_EQ(sums[t * stride], -1.0);  // neighbouring columns untouched
-        ASSERT_EQ(sums[t * stride + 2], -1.0);
-      }
+  for (int count : {8, 32}) {
+    c::KernelConfig cfg;
+    cfg.lmax = lmax;
+    cfg.ilp = count / c::kLanes;
+    const PairSet p = random_pairs(count, 500 + count);
+    std::vector<double> acc(static_cast<std::size_t>(nmono) * c::kLanes,
+                            sentinel);
+    const std::size_t stride = 3;
+    std::vector<double> sums(nmono * stride, -1.0);
+    c::kernel_running_product(p.ux.data(), p.uy.data(), p.uz.data(),
+                              p.w.data(), count, lmax, acc.data(), cfg.ilp,
+                              true, sums.data() + 1, stride);
+    for (double a : acc) ASSERT_TRUE(std::isnan(a));
+    const std::vector<double> ref = unfused_power_sums(
+        cfg, p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(), count);
+    for (int t = 0; t < nmono; ++t) {
+      ASSERT_EQ(bits(sums[t * stride + 1]), bits(ref[t])) << "count=" << count;
+      ASSERT_EQ(sums[t * stride], -1.0);  // neighbouring columns untouched
+      ASSERT_EQ(sums[t * stride + 2], -1.0);
     }
+  }
 }
 
 // Full buckets drain on the next push into their bin, so every touched bin

@@ -168,21 +168,15 @@ TEST(KernelIsaEquivalence, PowerSumsBitwiseAcrossLevelsLmaxSweep) {
     cfg.lmax = lmax;
     cfg.nbins = 3;
     cfg.bucket_capacity = 32;  // small buckets -> many flushes + ragged tail
-    for (c::KernelScheme scheme :
-         {c::KernelScheme::kRunningProduct, c::KernelScheme::kZBuffered}) {
-      cfg.scheme = scheme;
-      // 157 points: ragged across bins AND lanes; 25 zero-weight entries.
-      const PairSet p = random_pairs(157, 25, 7000 + lmax);
-      const std::vector<double> ref =
-          sums_at(c::KernelIsa::kScalar, cfg, p);
-      for (c::KernelIsa isa : levels) {
-        const std::vector<double> got = sums_at(isa, cfg, p);
-        ASSERT_EQ(got.size(), ref.size());
-        for (std::size_t i = 0; i < ref.size(); ++i)
-          ASSERT_EQ(got[i], ref[i])
-              << "lmax=" << lmax << " scheme=" << static_cast<int>(scheme)
-              << " isa=" << c::kernel_isa_name(isa) << " term=" << i;
-      }
+    // 157 points: ragged across bins AND lanes; 25 zero-weight entries.
+    const PairSet p = random_pairs(157, 25, 7000 + lmax);
+    const std::vector<double> ref = sums_at(c::KernelIsa::kScalar, cfg, p);
+    for (c::KernelIsa isa : levels) {
+      const std::vector<double> got = sums_at(isa, cfg, p);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(got[i], ref[i]) << "lmax=" << lmax << " isa="
+                                  << c::kernel_isa_name(isa) << " term=" << i;
     }
   }
 }
@@ -209,18 +203,6 @@ TEST(KernelIsaEquivalence, RawKernelsBitwiseAcrossLevels) {
         ASSERT_EQ(got[i], ref[i]) << "running_product ilp=" << ilp << " isa="
                                   << c::kernel_isa_name(isa) << " i=" << i;
     }
-    c::set_kernel_isa(c::KernelIsa::kScalar);
-    std::vector<double> zs(2 * count);
-    std::vector<double> ref(static_cast<std::size_t>(nmono) * c::kLanes, 0.0);
-    c::kernel_zbuffered(p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(),
-                        count, lmax, ref.data(), zs.data());
-    c::set_kernel_isa(isa);
-    std::vector<double> got(ref.size(), 0.0);
-    c::kernel_zbuffered(p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(),
-                        count, lmax, got.data(), zs.data());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      ASSERT_EQ(got[i], ref[i])
-          << "zbuffered isa=" << c::kernel_isa_name(isa) << " i=" << i;
   }
 }
 
@@ -229,32 +211,28 @@ TEST(KernelIsaEquivalence, RawKernelsBitwiseAcrossLevels) {
 // sums, the scalar expression) must land on the same bits.
 TEST(KernelIsaEquivalence, FusedEpilogueBitwiseAcrossLevels) {
   IsaGuard guard;
-  for (c::KernelScheme scheme :
-       {c::KernelScheme::kRunningProduct, c::KernelScheme::kZBuffered})
-    for (int lmax : {0, 2, 5, 10})
-      for (int count : {1, 7, 8, 9, 31, 32, 33, 127, 128, 129, 256}) {
-        c::KernelConfig cfg;
-        cfg.lmax = lmax;
-        cfg.nbins = 2;
-        cfg.scheme = scheme;
-        const PairSet p = random_pairs(count, count / 4, 80 * count + lmax);
-        c::set_kernel_isa(c::KernelIsa::kScalar);
-        const std::vector<double> ref = galactos::testing::unfused_power_sums(
-            cfg, p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(), count);
-        for (c::KernelIsa isa : supported_levels()) {
-          c::set_kernel_isa(isa);
-          c::MultipoleAccumulator acc(cfg);
-          acc.start_primary();
-          for (int i = 0; i < count; ++i)
-            acc.push(1, p.ux[i], p.uy[i], p.uz[i], p.w[i]);
-          acc.finish_primary();
-          for (int t = 0; t < acc.n_mono(); ++t)
-            ASSERT_EQ(bits(acc.power_sums(1)[t]), bits(ref[t]))
-                << "isa=" << c::kernel_isa_name(isa) << " scheme="
-                << static_cast<int>(scheme) << " lmax=" << lmax
-                << " count=" << count << " t=" << t;
-        }
+  for (int lmax : {0, 2, 5, 10})
+    for (int count : {1, 7, 8, 9, 31, 32, 33, 127, 128, 129, 256}) {
+      c::KernelConfig cfg;
+      cfg.lmax = lmax;
+      cfg.nbins = 2;
+      const PairSet p = random_pairs(count, count / 4, 80 * count + lmax);
+      c::set_kernel_isa(c::KernelIsa::kScalar);
+      const std::vector<double> ref = galactos::testing::unfused_power_sums(
+          cfg, p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(), count);
+      for (c::KernelIsa isa : supported_levels()) {
+        c::set_kernel_isa(isa);
+        c::MultipoleAccumulator acc(cfg);
+        acc.start_primary();
+        for (int i = 0; i < count; ++i)
+          acc.push(1, p.ux[i], p.uy[i], p.uz[i], p.w[i]);
+        acc.finish_primary();
+        for (int t = 0; t < acc.n_mono(); ++t)
+          ASSERT_EQ(bits(acc.power_sums(1)[t]), bits(ref[t]))
+              << "isa=" << c::kernel_isa_name(isa) << " lmax=" << lmax
+              << " count=" << count << " t=" << t;
       }
+    }
 }
 
 // Bins-as-lanes a_lm at every level vs per-bin alm_from_power_sums, over

@@ -313,7 +313,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(d::PartitionPolicy::kPrimaryBalanced,
                           d::PartitionPolicy::kPairWeighted),
         ::testing::Values(d::OverlapMode::kSequential,
-                          d::OverlapMode::kIndexBuild,
                           d::OverlapMode::kTwoPass)));
 
 TEST(LetPipelineEdge, SingleRankIsBitwiseFullShell) {

@@ -11,14 +11,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <tuple>
-#include <type_traits>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "math/rng.hpp"
 #include "sim/generators.hpp"
 #include "test_helpers.hpp"
-#include "tree/cellgrid.hpp"
 #include "tree/kdtree.hpp"
 #include "tree/morton.hpp"
 #include "util/aligned.hpp"
@@ -76,20 +74,17 @@ namespace {
 // Asserts the index stores exactly the catalog, i.e. the Morton layout is a
 // permutation: original_index is a bijection onto [0, n) and every stored
 // point carries its catalog coordinates and weight.
-template <typename Index>
-void expect_is_permutation(const Index& idx, const s::Catalog& cat) {
+template <typename Real>
+void expect_is_permutation(const t::KdTree<Real>& idx, const s::Catalog& cat) {
   ASSERT_EQ(idx.size(), cat.size());
   std::vector<std::int64_t> orig(cat.size());
   for (std::size_t i = 0; i < cat.size(); ++i) {
     orig[i] = idx.original_index(i);
     const auto o = static_cast<std::size_t>(orig[i]);
     ASSERT_LT(o, cat.size());
-    EXPECT_EQ(static_cast<double>(idx.x(i)), static_cast<double>(
-        static_cast<decltype(idx.x(i))>(cat.x[o])));
-    EXPECT_EQ(static_cast<double>(idx.y(i)), static_cast<double>(
-        static_cast<decltype(idx.y(i))>(cat.y[o])));
-    EXPECT_EQ(static_cast<double>(idx.z(i)), static_cast<double>(
-        static_cast<decltype(idx.z(i))>(cat.z[o])));
+    EXPECT_EQ(idx.x(i), static_cast<Real>(cat.x[o]));
+    EXPECT_EQ(idx.y(i), static_cast<Real>(cat.y[o]));
+    EXPECT_EQ(idx.z(i), static_cast<Real>(cat.z[o]));
     EXPECT_DOUBLE_EQ(idx.weight(i), cat.w[o]);
   }
   std::sort(orig.begin(), orig.end());
@@ -97,8 +92,8 @@ void expect_is_permutation(const Index& idx, const s::Catalog& cat) {
     ASSERT_EQ(orig[i], static_cast<std::int64_t>(i));
 }
 
-template <typename Real, typename Index>
-void expect_planes_aligned(const Index& idx) {
+template <typename Real>
+void expect_planes_aligned(const t::KdTree<Real>& idx) {
   constexpr std::size_t lanes = kSimdAlign / sizeof(Real);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(idx.x_plane()) % kSimdAlign, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(idx.y_plane()) % kSimdAlign, 0u);
@@ -134,30 +129,19 @@ TEST(Morton, KdTreeStorageIsAPermutation) {
             static_cast<std::ptrdiff_t>(cat.size()));
 }
 
-TEST(Morton, CellGridStorageIsAPermutation) {
-  const s::Catalog cat = s::uniform_box(777, s::Aabb::cube(50), 32);
-  const t::CellGrid<double> grid(cat, 6.0);
-  expect_is_permutation(grid, cat);
-}
-
 TEST(Morton, PlanesAlignedAndPadded) {
   const s::Catalog cat = s::uniform_box(333, s::Aabb::cube(40), 33);
-  expect_planes_aligned<double>(t::KdTree<double>(cat));
-  expect_planes_aligned<float>(t::KdTree<float>(cat));
-  expect_planes_aligned<double>(t::CellGrid<double>(cat, 5.0));
-  expect_planes_aligned<float>(t::CellGrid<float>(cat, 5.0));
+  expect_planes_aligned(t::KdTree<double>(cat));
+  expect_planes_aligned(t::KdTree<float>(cat));
 }
 
 TEST(Morton, EmptyAndTinyCatalogsBuild) {
   const s::Catalog empty;
   const t::KdTree<double> te(empty);
   EXPECT_EQ(te.size(), 0u);
-  const t::CellGrid<double> ge(empty, 5.0);
-  EXPECT_EQ(ge.size(), 0u);
   s::Catalog one;
   one.push_back(1, 2, 3, 4.0);
   expect_is_permutation(t::KdTree<double>(one), one);
-  expect_is_permutation(t::CellGrid<double>(one, 5.0), one);
 }
 
 // Morton on vs off: every per-point gather must return bitwise identical
@@ -188,41 +172,17 @@ TEST(Morton, KdTreeGatherBitwiseIndependentOfLayout) {
   }
 }
 
-TEST(Morton, CellGridGatherBitwiseIndependentOfLayout) {
-  const s::Catalog cat = galactos::testing::clumpy_catalog(1200, 70.0, 36);
-  const t::CellGrid<float> a(cat, 8.0,
-                             t::CellGrid<float>::BuildParams{-1.0, true, 0.0});
-  const t::CellGrid<float> b(cat, 8.0,
-                             t::CellGrid<float>::BuildParams{-1.0, false, 0.0});
-  galactos::math::Rng rng(37);
-  t::NeighborList<float> la, lb;
-  for (int q = 0; q < 25; ++q) {
-    const double qx = rng.uniform(0, 70), qy = rng.uniform(0, 70),
-                 qz = rng.uniform(0, 70);
-    const double r = rng.uniform(2.0, 15.0);
-    la.clear();
-    lb.clear();
-    a.gather_neighbors(qx, qy, qz, r, la);
-    b.gather_neighbors(qx, qy, qz, r, lb);
-    EXPECT_EQ(la.idx, lb.idx);
-    EXPECT_EQ(la.dx, lb.dx);
-    EXPECT_EQ(la.dy, lb.dy);
-    EXPECT_EQ(la.dz, lb.dz);
-    EXPECT_EQ(la.r2, lb.r2);
-    EXPECT_EQ(la.w, lb.w);
-  }
-}
-
 // Interaction lists replay exactly the node set a fresh walk visits, in the
 // same canonical order — the gathered blocks must match element for
 // element, and the recorded candidate count must bound the block size.
-template <typename Index>
-void expect_lists_replay_fresh_walk(const Index& with, const Index& without,
+template <typename Real>
+void expect_lists_replay_fresh_walk(const t::KdTree<Real>& with,
+                                    const t::KdTree<Real>& without,
                                     double rmax) {
   ASSERT_TRUE(with.has_interaction_lists(rmax));
   ASSERT_FALSE(without.has_interaction_lists(rmax));
   ASSERT_EQ(with.leaf_count(), without.leaf_count());
-  t::NeighborBlock<std::decay_t<decltype(with.x(0))>> ba, bb;
+  t::NeighborBlock<Real> ba, bb;
   for (std::size_t l = 0; l < with.leaf_count(); ++l) {
     ba.clear();
     bb.clear();
@@ -256,32 +216,20 @@ TEST(Morton, KdTreeInteractionListsReplayFreshWalk) {
                                  t::KdTree<float>(cat, without), rmax);
 }
 
-TEST(Morton, CellGridInteractionListsReplayFreshWalk) {
-  const s::Catalog cat = galactos::testing::clumpy_catalog(900, 60.0, 39);
-  const double rmax = 9.0;
-  expect_lists_replay_fresh_walk(
-      t::CellGrid<float>(cat, rmax,
-                         t::CellGrid<float>::BuildParams{-1.0, true, rmax}),
-      t::CellGrid<float>(cat, rmax,
-                         t::CellGrid<float>::BuildParams{-1.0, true, 0.0}),
-      rmax);
-}
-
 // Engine-level ablation sweep: flipping morton_order or interaction_lists
 // must not change any output — bitwise for a single thread (deterministic
 // accumulation order), and exact pair-count equality always.
 class MortonEngineAblation
     : public ::testing::TestWithParam<
-          std::tuple<c::NeighborIndex, c::TreePrecision, c::TraversalMode>> {};
+          std::tuple<c::TreePrecision, c::TraversalMode>> {};
 
 TEST_P(MortonEngineAblation, LayoutKnobsPreserveResults) {
-  const auto [index, precision, traversal] = GetParam();
+  const auto [precision, traversal] = GetParam();
   const s::Catalog cat = galactos::testing::clumpy_catalog(800, 55.0, 40);
   c::EngineConfig cfg;
   cfg.bins = c::RadialBins(2.0, 14.0, 4);
   cfg.lmax = 3;
   cfg.threads = 1;  // deterministic accumulation => bitwise comparison
-  cfg.tree.index = index;
   cfg.tree.precision = precision;
   cfg.tree.traversal = traversal;
 
@@ -317,8 +265,6 @@ TEST_P(MortonEngineAblation, LayoutKnobsPreserveResults) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MortonEngineAblation,
     ::testing::Combine(
-        ::testing::Values(c::NeighborIndex::kKdTree,
-                          c::NeighborIndex::kCellGrid),
         ::testing::Values(c::TreePrecision::kDouble,
                           c::TreePrecision::kMixed),
         ::testing::Values(c::TraversalMode::kPerPrimary,

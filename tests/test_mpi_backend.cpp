@@ -165,7 +165,6 @@ TEST(MpiBackend, PolicyAndOverlapSweepMatchesMinimpi) {
   for (auto policy : {d::PartitionPolicy::kPrimaryBalanced,
                       d::PartitionPolicy::kPairWeighted}) {
     for (auto overlap : {d::OverlapMode::kSequential,
-                         d::OverlapMode::kIndexBuild,
                          d::OverlapMode::kTwoPass}) {
       d::DistRunConfig cfg;
       cfg.engine = small_config();

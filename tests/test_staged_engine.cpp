@@ -26,14 +26,14 @@ using galactos::testing::expect_results_match;
 namespace {
 
 struct StagedCase {
-  c::NeighborIndex index;
   c::TreePrecision precision;
   c::TraversalMode traversal;
 };
 
 std::string case_name(const ::testing::TestParamInfo<StagedCase>& info) {
-  std::string n;
-  n += info.param.index == c::NeighborIndex::kKdTree ? "KdTree" : "CellGrid";
+  // The "KdTree" prefix keeps the case names stable from when the index
+  // was an axis of this sweep.
+  std::string n = "KdTree";
   n += info.param.precision == c::TreePrecision::kDouble ? "Double" : "Mixed";
   n += info.param.traversal == c::TraversalMode::kLeafBlocked ? "LeafBlocked"
                                                               : "PerPrimary";
@@ -64,7 +64,6 @@ c::EngineConfig make_config(const StagedCase& p) {
   cfg.bins = c::RadialBins(2.0, 16.0, 4);
   cfg.lmax = 4;
   cfg.threads = 1;
-  cfg.tree.index = p.index;
   cfg.tree.precision = p.precision;
   cfg.tree.traversal = p.traversal;
   return cfg;
@@ -287,18 +286,10 @@ TEST_P(StagedEngine, TwoPassWithPrimarySubset) {
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, StagedEngine,
     ::testing::Values(
-        StagedCase{c::NeighborIndex::kKdTree, c::TreePrecision::kDouble,
-                   c::TraversalMode::kLeafBlocked},
-        StagedCase{c::NeighborIndex::kKdTree, c::TreePrecision::kDouble,
-                   c::TraversalMode::kPerPrimary},
-        StagedCase{c::NeighborIndex::kKdTree, c::TreePrecision::kMixed,
-                   c::TraversalMode::kLeafBlocked},
-        StagedCase{c::NeighborIndex::kCellGrid, c::TreePrecision::kDouble,
-                   c::TraversalMode::kLeafBlocked},
-        StagedCase{c::NeighborIndex::kCellGrid, c::TreePrecision::kMixed,
-                   c::TraversalMode::kPerPrimary},
-        StagedCase{c::NeighborIndex::kCellGrid, c::TreePrecision::kMixed,
-                   c::TraversalMode::kLeafBlocked}),
+        StagedCase{c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked},
+        StagedCase{c::TreePrecision::kDouble, c::TraversalMode::kPerPrimary},
+        StagedCase{c::TreePrecision::kMixed, c::TraversalMode::kLeafBlocked},
+        StagedCase{c::TreePrecision::kMixed, c::TraversalMode::kPerPrimary}),
     case_name);
 
 TEST(StagedEngineApi, EmptyHaloIsNoop) {

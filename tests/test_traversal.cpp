@@ -5,8 +5,8 @@
 // primary's accepted pairs through MultipoleAccumulator::push; per-primary
 // pair sequences are bitwise identical to the per-primary gather, so the
 // two modes may differ only by cross-primary FP reassociation. The sweep
-// covers KdTree/CellGrid × double/mixed × plane-parallel/radial LOS ×
-// all/subset primaries (the distributed-runner path).
+// covers double/mixed × plane-parallel/radial LOS × all/subset primaries
+// (the distributed-runner path).
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -52,14 +52,12 @@ void expect_modes_agree(c::EngineConfig cfg, const s::Catalog& cat,
 
 class TraversalEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<c::NeighborIndex, c::TreePrecision, c::LineOfSight,
-                     bool>> {};
+          std::tuple<c::TreePrecision, c::LineOfSight, bool>> {};
 
 TEST_P(TraversalEquivalence, LeafBlockedMatchesPerPrimary) {
-  const auto [index, precision, los, subset] = GetParam();
+  const auto [precision, los, subset] = GetParam();
   const s::Catalog cat = galactos::testing::clumpy_catalog(900, 60.0, 21);
   c::EngineConfig cfg = traversal_config();
-  cfg.tree.index = index;
   cfg.tree.precision = precision;
   cfg.los = los;
   // Observer outside the box so every radial LOS is well defined.
@@ -79,8 +77,6 @@ TEST_P(TraversalEquivalence, LeafBlockedMatchesPerPrimary) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TraversalEquivalence,
     ::testing::Combine(
-        ::testing::Values(c::NeighborIndex::kKdTree,
-                          c::NeighborIndex::kCellGrid),
         ::testing::Values(c::TreePrecision::kDouble,
                           c::TreePrecision::kMixed),
         ::testing::Values(c::LineOfSight::kPlaneParallelZ,

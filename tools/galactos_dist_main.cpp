@@ -62,7 +62,7 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
   const int ranks_arg = args.get<int>(
       "ranks", session.backend() == dist::Backend::kMpi ? 0 : 4);
   const std::string policy = args.get_str("policy", "pair");
-  // Overlap depth: two-pass (default) | index | sequential. --sequential
+  // Overlap depth: two-pass (default) | sequential. --sequential
   // is kept as a back-compat alias for --overlap sequential.
   const std::string overlap_arg =
       args.get_str("overlap", args.flag("sequential") ? "sequential"
@@ -117,13 +117,11 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
                       : dist::PartitionPolicy::kPairWeighted;
   if (overlap_arg == "sequential") {
     cfg.overlap = dist::OverlapMode::kSequential;
-  } else if (overlap_arg == "index" || overlap_arg == "index-build") {
-    cfg.overlap = dist::OverlapMode::kIndexBuild;
   } else if (overlap_arg == "two-pass" || overlap_arg == "two_pass") {
     cfg.overlap = dist::OverlapMode::kTwoPass;
   } else {
-    throw std::runtime_error("--overlap must be sequential | index | "
-                             "two-pass (got '" + overlap_arg + "')");
+    throw std::runtime_error("--overlap must be sequential | two-pass (got '" +
+                             overlap_arg + "')");
   }
   if (halo_arg == "let") {
     cfg.halo.mode = dist::HaloMode::kLet;
