@@ -7,6 +7,7 @@
 #include "baseline/brute3pcf.hpp"
 #include "baseline/legendre_iso.hpp"
 #include "core/engine.hpp"
+#include "math/legendre.hpp"
 #include "sim/generators.hpp"
 #include "test_helpers.hpp"
 
@@ -62,6 +63,82 @@ TEST(LegendreIso, RotatedCatalogGivesSameMultipoles) {
       for (int l = 0; l <= 4; ++l)
         EXPECT_NEAR(a.zeta_l(l, b1, b2), r.zeta_l(l, b1, b2),
                     1e-9 * std::max(1.0, std::abs(a.zeta_l(l, b1, b2))));
+}
+
+TEST(LegendreIso, MatchesBruteForceTriplets) {
+  // Independent of the k-d tree: every primary scans the whole catalog, and
+  // N_l(b1, b2) = sum_p w_p sum_{j in b1, k in b2} w_j w_k P_l(u_j . u_k)
+  // over ordered secondary pairs (j == k included), the addition theorem
+  // applied to the a_lm contraction.
+  const s::Catalog cat = galactos::testing::clumpy_catalog(120, 30.0, 45);
+  b::LegendreIsoConfig cfg;
+  cfg.bins = c::RadialBins(1.5, 14.0, 3);
+  cfg.lmax = 5;
+  cfg.threads = 2;
+  const b::LegendreIsoResult iso = b::legendre_isotropic_3pcf(cat, cfg);
+
+  const int nb = cfg.bins.count();
+  const int nl = cfg.lmax + 1;
+  std::vector<double> ref(static_cast<std::size_t>(nb * nb * nl), 0.0);
+  std::vector<double> scale(static_cast<std::size_t>(nb * nb), 0.0);
+  std::uint64_t pairs = 0;
+  for (std::size_t p = 0; p < cat.size(); ++p) {
+    std::vector<double> ux, uy, uz, w;
+    std::vector<int> bin;
+    std::vector<double> wsum(nb, 0.0);
+    for (std::size_t j = 0; j < cat.size(); ++j) {
+      const double dx = cat.x[j] - cat.x[p], dy = cat.y[j] - cat.y[p],
+                   dz = cat.z[j] - cat.z[p];
+      const double r = std::sqrt(dx * dx + dy * dy + dz * dz);
+      const int bj = j == p || r <= 0.0 ? -1 : cfg.bins.bin_of(r);
+      if (bj < 0) continue;
+      ux.push_back(dx / r);
+      uy.push_back(dy / r);
+      uz.push_back(dz / r);
+      w.push_back(cat.w[j]);
+      bin.push_back(bj);
+      wsum[bj] += cat.w[j];
+      ++pairs;
+    }
+    for (std::size_t j = 0; j < w.size(); ++j)
+      for (std::size_t k = 0; k < w.size(); ++k) {
+        const double mu = ux[j] * ux[k] + uy[j] * uy[k] + uz[j] * uz[k];
+        for (int l = 0; l < nl; ++l)
+          ref[static_cast<std::size_t>((bin[j] * nb + bin[k]) * nl + l)] +=
+              cat.w[p] * w[j] * w[k] * galactos::math::legendre_p(l, mu);
+      }
+    for (int b1 = 0; b1 < nb; ++b1)
+      for (int b2 = 0; b2 < nb; ++b2)
+        scale[static_cast<std::size_t>(b1 * nb + b2)] +=
+            cat.w[p] * wsum[b1] * wsum[b2];
+  }
+
+  EXPECT_EQ(iso.n_primaries, cat.size());
+  EXPECT_EQ(iso.n_pairs, pairs);
+  for (int b1 = 0; b1 < nb; ++b1)
+    for (int b2 = b1; b2 < nb; ++b2) {
+      // |P_l| <= 1, so the sum of |terms| bounds every multipole.
+      const double tol =
+          1e-10 * std::max(1.0, scale[static_cast<std::size_t>(b1 * nb + b2)]);
+      for (int l = 0; l < nl; ++l)
+        EXPECT_NEAR(
+            iso.zeta_l(l, b1, b2),
+            ref[static_cast<std::size_t>((b1 * nb + b2) * nl + l)], tol)
+            << "l=" << l << " b1=" << b1 << " b2=" << b2;
+    }
+}
+
+TEST(LegendreIso, EmptyCatalogGivesZeros) {
+  b::LegendreIsoConfig cfg;
+  cfg.bins = c::RadialBins(1.0, 10.0, 3);
+  cfg.lmax = 3;
+  const b::LegendreIsoResult iso =
+      b::legendre_isotropic_3pcf(s::Catalog{}, cfg);
+  EXPECT_EQ(iso.n_primaries, 0u);
+  EXPECT_EQ(iso.n_pairs, 0u);
+  EXPECT_EQ(iso.sum_primary_weight, 0.0);
+  ASSERT_EQ(iso.multipoles.size(), 6u * 4u);
+  for (double v : iso.multipoles) EXPECT_EQ(v, 0.0);
 }
 
 TEST(Brute2Pcf, MatchesEngineXiByproduct) {

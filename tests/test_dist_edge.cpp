@@ -177,8 +177,9 @@ TEST(OctantClusteredRun, DistributedMatchesSingle) {
 // zero owned points (no staged engine at all — they contribute
 // empty_result and skip both passes); a huge R_max relative to rank
 // domains makes every leaf halo-adjacent. Both must stay exact under
-// every overlap mode.
-class OverlapModeEdges : public ::testing::TestWithParam<d::OverlapMode> {};
+// every pipeline (galactos::testing::kPipelineCases).
+class OverlapModeEdges
+    : public ::testing::TestWithParam<galactos::testing::PipelineCase> {};
 
 TEST_P(OverlapModeEdges, ZeroOwnedRanksStayExact) {
   const s::Catalog full = s::uniform_box(5, s::Aabb::cube(8), 95);
@@ -190,7 +191,7 @@ TEST_P(OverlapModeEdges, ZeroOwnedRanksStayExact) {
   d::DistRunConfig dcfg;
   dcfg.engine = ecfg;
   dcfg.ranks = 8;  // at least 3 ranks own nothing
-  dcfg.overlap = GetParam();
+  GetParam().apply(dcfg);
   std::vector<d::RankReport> reports;
   const c::ZetaResult dist = d::run_distributed(full, dcfg, &reports);
   expect_results_match(dist, single, 1e-10, 1e-10);
@@ -219,7 +220,7 @@ TEST_P(OverlapModeEdges, EmptyHaloRanksStayExact) {
   d::DistRunConfig dcfg;
   dcfg.engine = ecfg;
   dcfg.ranks = 2;
-  dcfg.overlap = GetParam();
+  GetParam().apply(dcfg);
   std::vector<d::RankReport> reports;
   const c::ZetaResult dist = d::run_distributed(full, dcfg, &reports);
   expect_results_match(dist, single, 1e-10, 1e-10);
@@ -227,5 +228,5 @@ TEST_P(OverlapModeEdges, EmptyHaloRanksStayExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, OverlapModeEdges,
-                         ::testing::Values(d::OverlapMode::kSequential,
-                                           d::OverlapMode::kTwoPass));
+                         ::testing::ValuesIn(
+                             galactos::testing::kPipelineCases));

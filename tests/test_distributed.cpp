@@ -57,15 +57,16 @@ INSTANTIATE_TEST_SUITE_P(RankSweep, DistributedVsSingle,
                          ::testing::Values(1, 2, 3, 5, 6));
 
 // Every overlap depth and both partition policies must leave the
-// decomposition exact: every (ranks, policy, overlap mode) combination
+// decomposition exact: every (ranks, policy, pipeline) combination
 // matches the single-node engine to 1e-10 — including the two-pass
-// pipeline, whose owned-vs-halo completion runs as a separate traversal.
+// pipeline, whose owned-vs-halo completion runs as a separate traversal,
+// with either owned-pass gather.
 class DistributedPipeline
-    : public ::testing::TestWithParam<
-          std::tuple<int, d::PartitionPolicy, d::OverlapMode>> {};
+    : public ::testing::TestWithParam<std::tuple<
+          int, d::PartitionPolicy, galactos::testing::PipelineCase>> {};
 
 TEST_P(DistributedPipeline, MatchesSingleNode) {
-  const auto [nranks, policy, overlap] = GetParam();
+  const auto [nranks, policy, pipeline] = GetParam();
   const s::Catalog full = galactos::testing::clumpy_catalog(1100, 65.0, 54);
 
   const c::ZetaResult single = c::Engine(base_config()).run(full);
@@ -74,7 +75,7 @@ TEST_P(DistributedPipeline, MatchesSingleNode) {
   dcfg.engine = base_config();
   dcfg.ranks = nranks;
   dcfg.partition = policy;
-  dcfg.overlap = overlap;
+  pipeline.apply(dcfg);
   std::vector<d::RankReport> reports;
   const c::ZetaResult dist = d::run_distributed(full, dcfg, &reports);
 
@@ -88,7 +89,7 @@ TEST_P(DistributedPipeline, MatchesSingleNode) {
     EXPECT_GE(r.halo_seconds, 0.0);
     EXPECT_GE(r.index_build_seconds, 0.0);
     if (r.owned > 0) EXPECT_GT(r.index_build_seconds, 0.0);
-    switch (overlap) {
+    switch (pipeline.overlap) {
       case d::OverlapMode::kSequential:
         EXPECT_EQ(r.halo_hidden_seconds, 0.0);
         EXPECT_EQ(r.owned_pass_seconds, 0.0);
@@ -122,8 +123,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(2, 3, 4, 8),
         ::testing::Values(d::PartitionPolicy::kPrimaryBalanced,
                           d::PartitionPolicy::kPairWeighted),
-        ::testing::Values(d::OverlapMode::kSequential,
-                          d::OverlapMode::kTwoPass)));
+        ::testing::ValuesIn(galactos::testing::kPipelineCases)));
 
 // The per-rank kernel-pair totals are identical whichever overlap depth
 // produced them (the two-pass split counts owned + halo pairs exactly

@@ -8,10 +8,12 @@
 #include <complex>
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <vector>
 
 #include "core/kernel.hpp"
 #include "core/zeta.hpp"
+#include "dist/runner.hpp"
 #include "math/rng.hpp"
 #include "math/sph_table.hpp"
 #include "sim/catalog.hpp"
@@ -96,6 +98,32 @@ inline sim::Catalog clumpy_catalog(std::size_t n, double side,
   }
   return c;
 }
+
+// The distributed pipelines the dist suites sweep: the sequential
+// reference, the two-pass default, and the two-pass pipeline whose owned
+// pass runs the per-primary gather (one query and one boundary snapshot
+// per primary instead of one leaf block).
+struct PipelineCase {
+  dist::OverlapMode overlap;
+  core::TraversalMode traversal;
+
+  void apply(dist::DistRunConfig& cfg) const {
+    cfg.overlap = overlap;
+    cfg.engine.tree.traversal = traversal;
+  }
+};
+
+inline void PrintTo(const PipelineCase& p, std::ostream* os) {
+  *os << dist::overlap_mode_name(p.overlap)
+      << (p.traversal == core::TraversalMode::kPerPrimary ? "_per_primary"
+                                                          : "");
+}
+
+inline constexpr PipelineCase kPipelineCases[] = {
+    {dist::OverlapMode::kSequential, core::TraversalMode::kLeafBlocked},
+    {dist::OverlapMode::kTwoPass, core::TraversalMode::kLeafBlocked},
+    {dist::OverlapMode::kTwoPass, core::TraversalMode::kPerPrimary},
+};
 
 // The IEEE bit pattern of a double, so equality checks see -0 vs +0.
 inline std::uint64_t bits(double x) {

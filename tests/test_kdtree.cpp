@@ -68,6 +68,42 @@ TEST_P(KdTreeProperty, DoubleTreeMatchesBruteForce) {
   }
 }
 
+// The leaf-blocked gather (the engine's default, replaying the per-leaf
+// interaction lists built at this radius): every leaf's block must hold each
+// of its points' brute-force neighbors, once, with catalog coordinates.
+TEST_P(KdTreeProperty, DoubleTreeLeafGatherCoversBruteForce) {
+  const auto [n, leaf, seed] = GetParam();
+  const s::Catalog c = s::uniform_box(n, s::Aabb::cube(100), seed);
+  const double r = 12.0;
+  t::KdTree<double>::BuildParams bp;
+  bp.leaf_size = leaf;
+  bp.interaction_rmax = r;
+  const t::KdTree<double> tree(c, bp);
+  ASSERT_TRUE(tree.has_interaction_lists(r));
+
+  t::NeighborBlock<double> block;
+  for (std::size_t l = 0; l < tree.leaf_count(); ++l) {
+    block.clear();
+    tree.gather_leaf_neighbors(l, r, block);
+    const std::set<std::int64_t> got(block.idx.begin(), block.idx.end());
+    ASSERT_EQ(got.size(), block.size()) << "leaf " << l;  // no duplicates
+    for (std::size_t k = 0; k < block.size(); ++k) {
+      const auto o = static_cast<std::size_t>(block.idx[k]);
+      ASSERT_LT(o, c.size());
+      EXPECT_EQ(block.x[k], c.x[o]);
+      EXPECT_EQ(block.y[k], c.y[o]);
+      EXPECT_EQ(block.z[k], c.z[o]);
+      EXPECT_EQ(block.w[k], c.w[o]);
+    }
+    for (std::int32_t i = tree.leaf_begin(l); i < tree.leaf_end(l); ++i) {
+      const auto o = static_cast<std::size_t>(tree.original_index(i));
+      for (std::int64_t j : brute_neighbors(c, c.x[o], c.y[o], c.z[o], r))
+        ASSERT_TRUE(got.count(j)) << "leaf " << l << " point " << o
+                                  << " misses neighbor " << j;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, KdTreeProperty,
     ::testing::Values(KdTreeCase{100, 1, 1}, KdTreeCase{100, 8, 2},
@@ -112,6 +148,18 @@ TEST(KdTree, EmptyAndSingleton) {
   EXPECT_EQ(nl.idx[0], 0);
   EXPECT_DOUBLE_EQ(nl.w[0], 5.0);
   EXPECT_DOUBLE_EQ(nl.r2[0], 0.0);
+}
+
+TEST(KdTree, QueryRadiusBeyondExtentReturnsAll) {
+  // A reach larger than the whole catalog (e.g. the isotropic baseline with
+  // R_max past the box diagonal) must return every point exactly once.
+  const s::Catalog c = s::uniform_box(600, s::Aabb::cube(30), 19);
+  const t::KdTree<double> tree(c);
+  t::NeighborList<double> nl;
+  tree.gather_neighbors(15, 15, 15, 1000.0, nl);
+  EXPECT_EQ(std::set<std::int64_t>(nl.idx.begin(), nl.idx.end()),
+            brute_neighbors(c, 15, 15, 15, 1000.0));
+  EXPECT_EQ(nl.size(), c.size());
 }
 
 TEST(KdTree, DuplicatePointsAllReturned) {

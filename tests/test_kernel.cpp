@@ -68,6 +68,35 @@ TEST_P(BucketKernelTest, RunningProductMatchesReference) {
   }
 }
 
+// The fused path: the bucket's last block reduces the lanes in registers
+// and writes strided power sums; those must match the oracle too, with an
+// arbitrary (NaN) lane block under `overwrite` and neighbouring sum columns
+// left alone.
+TEST_P(BucketKernelTest, FusedReductionMatchesReference) {
+  const auto [lmax, count] = GetParam();
+  const int nmono = m::monomial_count(lmax);
+  const PairSet p = random_pairs(count, 3000 + lmax + count);
+
+  std::vector<double> ref(nmono, 0.0);
+  c::kernel_reference(p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(),
+                      count, lmax, ref.data());
+
+  const std::size_t stride = 2;
+  for (int ilp : {1, 2, 4}) {
+    std::vector<double> acc(static_cast<std::size_t>(nmono) * c::kLanes,
+                            std::numeric_limits<double>::quiet_NaN());
+    std::vector<double> sums(nmono * stride, -1.0);
+    c::kernel_running_product(p.ux.data(), p.uy.data(), p.uz.data(),
+                              p.w.data(), count, lmax, acc.data(), ilp, true,
+                              sums.data(), stride);
+    for (int t = 0; t < nmono; ++t) {
+      EXPECT_NEAR(sums[t * stride], ref[t], 1e-11 * (1 + std::abs(ref[t])))
+          << "lmax=" << lmax << " ilp=" << ilp << " t=" << t;
+      EXPECT_EQ(sums[t * stride + 1], -1.0) << "ilp=" << ilp << " t=" << t;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BucketKernelTest,
     ::testing::Combine(::testing::Values(0, 1, 2, 3, 5, 10),
@@ -97,12 +126,11 @@ TEST(Kernel, ZeroWeightPairsContributeNothing) {
 }
 
 class AccumulatorTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-// bucket_capacity, ilp
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+// lmax, bucket_capacity, ilp
 
 TEST_P(AccumulatorTest, MatchesReferenceAcrossBinsAndPrimaries) {
-  const auto [capacity, ilp] = GetParam();
-  const int lmax = 4;
+  const auto [lmax, capacity, ilp] = GetParam();
   const int nbins = 5;
   const int nmono = m::monomial_count(lmax);
 
@@ -151,7 +179,8 @@ TEST_P(AccumulatorTest, MatchesReferenceAcrossBinsAndPrimaries) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AccumulatorTest,
-    ::testing::Combine(::testing::Values(8, 64, 128, 256),
+    ::testing::Combine(::testing::Values(4, 10),
+                       ::testing::Values(8, 64, 128, 256),
                        ::testing::Values(1, 4)));
 
 TEST(Accumulator, StartPrimaryResetsState) {

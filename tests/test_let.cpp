@@ -263,17 +263,18 @@ TEST(LetBuild, ReceiverCellFilterDropsOutOfReachCells) {
 
 class LetPipeline
     : public ::testing::TestWithParam<
-          std::tuple<int, d::PartitionPolicy, d::OverlapMode>> {};
+          std::tuple<int, d::PartitionPolicy,
+                     galactos::testing::PipelineCase>> {};
 
 TEST_P(LetPipeline, MatchesFullShell) {
-  const auto [ranks, policy, overlap] = GetParam();
+  const auto [ranks, policy, pipeline] = GetParam();
   const s::Catalog cat = galactos::testing::clumpy_catalog(1100, 65.0, 54);
 
   d::DistRunConfig full;
   full.engine = base_config();
   full.ranks = ranks;
   full.partition = policy;
-  full.overlap = overlap;
+  pipeline.apply(full);
   d::DistRunConfig let = full;
   let.halo.mode = d::HaloMode::kLet;
 
@@ -312,8 +313,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1, 2, 4, 8),
         ::testing::Values(d::PartitionPolicy::kPrimaryBalanced,
                           d::PartitionPolicy::kPairWeighted),
-        ::testing::Values(d::OverlapMode::kSequential,
-                          d::OverlapMode::kTwoPass)));
+        ::testing::ValuesIn(galactos::testing::kPipelineCases)));
 
 TEST(LetPipelineEdge, SingleRankIsBitwiseFullShell) {
   // One rank has no halo at all: the two modes must run the identical

@@ -146,15 +146,17 @@ TEST(Morton, EmptyAndTinyCatalogsBuild) {
 
 // Morton on vs off: every per-point gather must return bitwise identical
 // sequences — same candidate order, same separations — because the layout
-// permutes storage only, never the traversal topology.
-TEST(Morton, KdTreeGatherBitwiseIndependentOfLayout) {
-  const s::Catalog cat = galactos::testing::clumpy_catalog(1200, 70.0, 34);
-  t::KdTree<float>::BuildParams on, off;
+// permutes storage only, never the traversal topology. Both precisions:
+// float backs kMixed, double backs kDouble and the isotropic baseline.
+template <typename Real>
+void expect_gather_independent_of_layout(std::uint64_t seed) {
+  const s::Catalog cat = galactos::testing::clumpy_catalog(1200, 70.0, seed);
+  typename t::KdTree<Real>::BuildParams on, off;
   on.leaf_size = off.leaf_size = 16;
   off.morton = false;
-  const t::KdTree<float> a(cat, on), b(cat, off);
-  galactos::math::Rng rng(35);
-  t::NeighborList<float> la, lb;
+  const t::KdTree<Real> a(cat, on), b(cat, off);
+  galactos::math::Rng rng(seed + 1);
+  t::NeighborList<Real> la, lb;
   for (int q = 0; q < 25; ++q) {
     const double qx = rng.uniform(0, 70), qy = rng.uniform(0, 70),
                  qz = rng.uniform(0, 70);
@@ -170,6 +172,14 @@ TEST(Morton, KdTreeGatherBitwiseIndependentOfLayout) {
     EXPECT_EQ(la.r2, lb.r2);
     EXPECT_EQ(la.w, lb.w);
   }
+}
+
+TEST(Morton, KdTreeGatherBitwiseIndependentOfLayout) {
+  expect_gather_independent_of_layout<float>(34);
+}
+
+TEST(Morton, DoubleTreeGatherBitwiseIndependentOfLayout) {
+  expect_gather_independent_of_layout<double>(36);
 }
 
 // Interaction lists replay exactly the node set a fresh walk visits, in the
@@ -216,15 +226,27 @@ TEST(Morton, KdTreeInteractionListsReplayFreshWalk) {
                                  t::KdTree<float>(cat, without), rmax);
 }
 
+TEST(Morton, DoubleTreeInteractionListsReplayFreshWalk) {
+  const s::Catalog cat = galactos::testing::clumpy_catalog(900, 60.0, 39);
+  const double rmax = 9.0;
+  t::KdTree<double>::BuildParams with, without;
+  with.leaf_size = without.leaf_size = 8;
+  with.interaction_rmax = rmax;
+  expect_lists_replay_fresh_walk(t::KdTree<double>(cat, with),
+                                 t::KdTree<double>(cat, without), rmax);
+}
+
 // Engine-level ablation sweep: flipping morton_order or interaction_lists
 // must not change any output — bitwise for a single thread (deterministic
-// accumulation order), and exact pair-count equality always.
+// accumulation order), and exact pair-count equality always. The default
+// leaf size and a small odd one (many ragged leaves, long interaction
+// lists) are both swept.
 class MortonEngineAblation
     : public ::testing::TestWithParam<
-          std::tuple<c::TreePrecision, c::TraversalMode>> {};
+          std::tuple<c::TreePrecision, c::TraversalMode, int>> {};
 
 TEST_P(MortonEngineAblation, LayoutKnobsPreserveResults) {
-  const auto [precision, traversal] = GetParam();
+  const auto [precision, traversal, leaf_size] = GetParam();
   const s::Catalog cat = galactos::testing::clumpy_catalog(800, 55.0, 40);
   c::EngineConfig cfg;
   cfg.bins = c::RadialBins(2.0, 14.0, 4);
@@ -232,6 +254,7 @@ TEST_P(MortonEngineAblation, LayoutKnobsPreserveResults) {
   cfg.threads = 1;  // deterministic accumulation => bitwise comparison
   cfg.tree.precision = precision;
   cfg.tree.traversal = traversal;
+  cfg.tree.leaf_size = leaf_size;
 
   cfg.tree.morton_order = true;
   cfg.tree.interaction_lists = true;
@@ -268,7 +291,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(c::TreePrecision::kDouble,
                           c::TreePrecision::kMixed),
         ::testing::Values(c::TraversalMode::kPerPrimary,
-                          c::TraversalMode::kLeafBlocked)));
+                          c::TraversalMode::kLeafBlocked),
+        ::testing::Values(32, 5)));
 
 TEST(Morton, MultithreadedLayoutAblationMatchesToReassociation) {
   // Multiple threads reintroduce cross-primary accumulation-order freedom;

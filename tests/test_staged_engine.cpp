@@ -28,6 +28,9 @@ namespace {
 struct StagedCase {
   c::TreePrecision precision;
   c::TraversalMode traversal;
+  // Off: the leaf-blocked owned pass re-walks the tree for every leaf
+  // instead of replaying the per-leaf interaction lists.
+  bool interaction_lists = true;
 };
 
 std::string case_name(const ::testing::TestParamInfo<StagedCase>& info) {
@@ -37,6 +40,7 @@ std::string case_name(const ::testing::TestParamInfo<StagedCase>& info) {
   n += info.param.precision == c::TreePrecision::kDouble ? "Double" : "Mixed";
   n += info.param.traversal == c::TraversalMode::kLeafBlocked ? "LeafBlocked"
                                                               : "PerPrimary";
+  if (!info.param.interaction_lists) n += "FreshWalk";
   return n;
 }
 
@@ -66,6 +70,7 @@ c::EngineConfig make_config(const StagedCase& p) {
   cfg.threads = 1;
   cfg.tree.precision = p.precision;
   cfg.tree.traversal = p.traversal;
+  cfg.tree.interaction_lists = p.interaction_lists;
   return cfg;
 }
 
@@ -289,7 +294,11 @@ INSTANTIATE_TEST_SUITE_P(
         StagedCase{c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked},
         StagedCase{c::TreePrecision::kDouble, c::TraversalMode::kPerPrimary},
         StagedCase{c::TreePrecision::kMixed, c::TraversalMode::kLeafBlocked},
-        StagedCase{c::TreePrecision::kMixed, c::TraversalMode::kPerPrimary}),
+        StagedCase{c::TreePrecision::kMixed, c::TraversalMode::kPerPrimary},
+        StagedCase{c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
+                   false},
+        StagedCase{c::TreePrecision::kMixed, c::TraversalMode::kLeafBlocked,
+                   false}),
     case_name);
 
 TEST(StagedEngineApi, EmptyHaloIsNoop) {

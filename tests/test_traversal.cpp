@@ -6,7 +6,8 @@
 // pair sequences are bitwise identical to the per-primary gather, so the
 // two modes may differ only by cross-primary FP reassociation. The sweep
 // covers double/mixed × plane-parallel/radial LOS × all/subset primaries
-// (the distributed-runner path).
+// (the distributed-runner path) × interaction-list replay on/off for the
+// leaf-blocked gather.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -52,13 +53,14 @@ void expect_modes_agree(c::EngineConfig cfg, const s::Catalog& cat,
 
 class TraversalEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<c::TreePrecision, c::LineOfSight, bool>> {};
+          std::tuple<c::TreePrecision, c::LineOfSight, bool, bool>> {};
 
 TEST_P(TraversalEquivalence, LeafBlockedMatchesPerPrimary) {
-  const auto [precision, los, subset] = GetParam();
+  const auto [precision, los, subset, lists] = GetParam();
   const s::Catalog cat = galactos::testing::clumpy_catalog(900, 60.0, 21);
   c::EngineConfig cfg = traversal_config();
   cfg.tree.precision = precision;
+  cfg.tree.interaction_lists = lists;
   cfg.los = los;
   // Observer outside the box so every radial LOS is well defined.
   cfg.observer = {-40.0, -40.0, -40.0};
@@ -81,7 +83,7 @@ INSTANTIATE_TEST_SUITE_P(
                           c::TreePrecision::kMixed),
         ::testing::Values(c::LineOfSight::kPlaneParallelZ,
                           c::LineOfSight::kRadial),
-        ::testing::Bool()));
+        ::testing::Bool(), ::testing::Bool()));
 
 TEST(Traversal, LeafBlockedIsTheDefault) {
   EXPECT_EQ(c::EngineConfig{}.tree.traversal, c::TraversalMode::kLeafBlocked);
