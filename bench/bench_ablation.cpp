@@ -3,7 +3,6 @@
 //
 //   pre-binning bucket size k  (paper: 128, sized to the vector registers)
 //   ILP stream count           (paper: 4 independent vectors; more hurts)
-//   OpenMP schedule            (paper: dynamic >> static)
 //   tree precision             (mixed vs double; paper: 9% end-to-end)
 //   k-d leaf size
 #include <cstdio>
@@ -50,7 +49,7 @@ int main(int argc, char** argv) {
     t.add_row({knob, setting, fmt(time, "%.3f"),
                fmt(100.0 * (time / t_base - 1.0), "%+.1f%%")});
   };
-  row("(default)", "k=128,ilp=4,dyn,mixed", t_base);
+  row("(default)", "k=128,ilp=4,mixed", t_base);
 
   for (int k : {8, 32, 512, 1024}) {
     core::EngineConfig cfg = base;
@@ -61,11 +60,6 @@ int main(int argc, char** argv) {
     core::EngineConfig cfg = base;
     cfg.tree.ilp = ilp;
     row("ILP streams", "ilp=" + fmt(ilp, "%.0f"), run_best(cfg, cat));
-  }
-  {
-    core::EngineConfig cfg = base;
-    cfg.tree.schedule = core::OmpSchedule::kStatic;
-    row("omp schedule", "static (paper: dynamic wins)", run_best(cfg, cat));
   }
   {
     core::EngineConfig cfg = base;

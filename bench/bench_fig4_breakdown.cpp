@@ -6,10 +6,9 @@
 // rest; §5.4 cross-checks 58-61 % per-node kernel fractions at full scale.
 //
 // Here: same density, laptop-scaled N and R_max, full-thread single "node".
-// Both traversal drivers run on the same catalog so the leaf-blocked
-// amortization of the neighbor-query phase is measured head to head; the
-// breakdowns are printed like the figure's legend and emitted as
-// machine-readable JSON (--json, default BENCH_fig4.json) for CI artifacts.
+// The leaf-blocked traversal's breakdown is printed like the figure's
+// legend and emitted as machine-readable JSON (--json, default
+// BENCH_fig4.json) for CI artifacts.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -82,68 +81,35 @@ int main(int argc, char** argv) {
   core::EngineConfig cfg = paper_engine_config(rmax, 10, threads);
   cfg.lmax = lmax;
 
-  auto run_mode = [&](core::TraversalMode mode, const char* name,
-                      core::EngineStats& stats) {
-    cfg.tree.traversal = mode;
-    const core::ZetaResult res = core::Engine(cfg).run(cat, nullptr, &stats);
-    std::printf("\n[%s] phase breakdown (wall-equivalent shares):\n%s\n",
-                name, stats.phases.report().c_str());
-    const double kern = stats.phases.get("multipole kernel");
-    print_kv("multipole kernel share",
-             fmt(100.0 * kern / stats.phases.total(), "%.1f%%"));
-    print_kv("neighbor query share",
-             fmt(100.0 * stats.phases.get("neighbor query") /
-                     stats.phases.total(),
-                 "%.1f%%"));
-    print_kv("pairs processed", fmt(static_cast<double>(stats.pairs), "%.3e"));
-    print_kv("candidates / pairs",
-             fmt(stats.pairs > 0 ? static_cast<double>(stats.candidates) /
-                                       static_cast<double>(stats.pairs)
-                                 : 0.0,
-                 "%.3f"));
-    print_kv("kernel GFLOP/s (paper acct.)",
-             fmt(stats.kernel_flop_count / kern / 1e9, "%.2f"));
-    print_kv("(primary, bin) epilogues",
-             fmt(static_cast<double>(stats.bin_epilogues), "%.3e"));
-    print_kv("bucket flushes full / partial",
-             fmt(static_cast<double>(stats.full_flushes), "%.3e") + " / " +
-                 fmt(static_cast<double>(stats.partial_flushes), "%.3e"));
-    print_kv("wall time (s)", fmt(stats.wall_seconds, "%.3f"));
-    print_kv("primaries", fmt(static_cast<double>(res.n_primaries), "%.0f"));
-  };
-
-  // Phase split plus the per-primary epilogue counters: every touched
-  // (primary, bin) pays one fused lane reduction and one bin of a_lm,
-  // whatever its pair count.
-  auto driver_json = [](const core::EngineStats& stats) {
-    JsonObject o = phases_json(stats);
-    o.add("bin_epilogues", stats.bin_epilogues)
-        .add("pairs_per_epilogue",
-             stats.bin_epilogues > 0
-                 ? static_cast<double>(stats.pairs) /
-                       static_cast<double>(stats.bin_epilogues)
-                 : 0.0)
-        .add("full_flushes", stats.full_flushes)
-        .add("partial_flushes", stats.partial_flushes);
-    return o;
-  };
-
-  core::EngineStats per_primary, leaf_blocked;
-  run_mode(core::TraversalMode::kPerPrimary, "per-primary", per_primary);
-  run_mode(core::TraversalMode::kLeafBlocked, "leaf-blocked (default)",
-           leaf_blocked);
+  core::EngineStats stats;
+  const core::ZetaResult res = core::Engine(cfg).run(cat, nullptr, &stats);
+  std::printf("\nphase breakdown (wall-equivalent shares):\n%s\n",
+              stats.phases.report().c_str());
+  const double kern = stats.phases.get("multipole kernel");
+  print_kv("multipole kernel share",
+           fmt(100.0 * kern / stats.phases.total(), "%.1f%%"));
+  print_kv("neighbor query share",
+           fmt(100.0 * stats.phases.get("neighbor query") /
+                   stats.phases.total(),
+               "%.1f%%"));
+  print_kv("pairs processed", fmt(static_cast<double>(stats.pairs), "%.3e"));
+  print_kv("candidates / pairs",
+           fmt(stats.pairs > 0 ? static_cast<double>(stats.candidates) /
+                                     static_cast<double>(stats.pairs)
+                               : 0.0,
+               "%.3f"));
+  print_kv("kernel GFLOP/s (paper acct.)",
+           fmt(stats.kernel_flop_count / kern / 1e9, "%.2f"));
+  print_kv("(primary, bin) epilogues",
+           fmt(static_cast<double>(stats.bin_epilogues), "%.3e"));
+  print_kv("bucket flushes full / partial",
+           fmt(static_cast<double>(stats.full_flushes), "%.3e") + " / " +
+               fmt(static_cast<double>(stats.partial_flushes), "%.3e"));
+  print_kv("wall time (s)", fmt(stats.wall_seconds, "%.3f"));
+  print_kv("primaries", fmt(static_cast<double>(res.n_primaries), "%.0f"));
 
   std::printf("\npaper single-node kernel share: 55%% (Fig. 4); 58-61%% at "
               "full scale\n");
-  const double q_pp = per_primary.phases.get("neighbor query");
-  const double q_lb = leaf_blocked.phases.get("neighbor query");
-  print_kv("neighbor query speedup",
-           fmt(q_lb > 0 ? q_pp / q_lb : 0.0, "%.2fx"));
-  print_kv("end-to-end speedup",
-           fmt(leaf_blocked.wall_seconds > 0
-                   ? per_primary.wall_seconds / leaf_blocked.wall_seconds
-                   : 0.0,
-               "%.2fx"));
 
   // Per-ISA bucket-kernel A/B: every compiled level, measured in isolation
   // at the paper kernel configuration. Unsupported levels get a row with
@@ -177,17 +143,27 @@ int main(int argc, char** argv) {
         .add("nbins", cfg.bins.count())
         // The count the engine resolved (--threads 0 means all cores).
         .add("threads",
-             static_cast<std::uint64_t>(leaf_blocked.pairs_per_thread.size()))
+             static_cast<std::uint64_t>(stats.pairs_per_thread.size()))
         .add("precision", "mixed")
         .add("index", "kdtree")
         .add("kernel_isa", core::kernel_isa_name(core::kernel_isa()));
+    // Phase split plus the per-primary epilogue counters: every touched
+    // (primary, bin) pays one fused lane reduction and one bin of a_lm,
+    // whatever its pair count.
+    JsonObject leaf_blocked = phases_json(stats);
+    leaf_blocked.add("bin_epilogues", stats.bin_epilogues)
+        .add("pairs_per_epilogue",
+             stats.bin_epilogues > 0
+                 ? static_cast<double>(stats.pairs) /
+                       static_cast<double>(stats.bin_epilogues)
+                 : 0.0)
+        .add("full_flushes", stats.full_flushes)
+        .add("partial_flushes", stats.partial_flushes);
     JsonObject root;
     root.add("bench", "fig4_breakdown")
         .add_raw("config", config.str(2))
-        .add_raw("per_primary", driver_json(per_primary).str(2))
-        .add_raw("leaf_blocked", driver_json(leaf_blocked).str(2))
-        .add_raw("kernel_isa_ab", ab)
-        .add("neighbor_query_speedup", q_lb > 0 ? q_pp / q_lb : 0.0);
+        .add_raw("leaf_blocked", leaf_blocked.str(2))
+        .add_raw("kernel_isa_ab", ab);
     write_json_file(json_path, root.str());
   }
   return 0;

@@ -118,10 +118,9 @@ inline JsonObject phases_json(const core::EngineStats& stats) {
   o.add("wall_seconds", stats.wall_seconds);
   o.add("pairs", stats.pairs);
   o.add("candidates", stats.candidates);
-  // Gather over-fetch: block entries scanned per kernel pair. ~1.0 for the
-  // per-primary driver (the index range-filters during the gather); the
-  // leaf-blocked driver's shared blocks overfetch by geometry, and the
-  // regression gate ceilings this so pruning regressions fail CI.
+  // Gather over-fetch: block entries scanned per kernel pair. The shared
+  // leaf blocks overfetch by geometry, and the regression gate ceilings
+  // this so pruning regressions fail CI.
   o.add("candidate_ratio",
         stats.pairs > 0 ? static_cast<double>(stats.candidates) /
                               static_cast<double>(stats.pairs)

@@ -144,8 +144,9 @@ core::ZetaResult brute_force_triplets(const sim::Catalog& catalog,
   return res;
 }
 
-core::ZetaResult direct_summation(const sim::Catalog& catalog,
-                                  const OracleConfig& cfg) {
+core::ZetaResult direct_summation(
+    const sim::Catalog& catalog, const OracleConfig& cfg,
+    const std::vector<std::int64_t>* primaries) {
   const math::YlmRecurrence ylm_eval(cfg.lmax);
   const core::LlmIndex llm(cfg.lmax);
   const int nb = cfg.bins.count();
@@ -158,7 +159,10 @@ core::ZetaResult direct_summation(const sim::Catalog& catalog,
   std::vector<std::uint8_t> touched(nb);
   std::uint64_t pairs = 0;
 
-  for (std::size_t p = 0; p < catalog.size(); ++p) {
+  const std::size_t nprim = primaries ? primaries->size() : catalog.size();
+  for (std::size_t i = 0; i < nprim; ++i) {
+    const std::size_t p =
+        primaries ? static_cast<std::size_t>((*primaries)[i]) : i;
     const double wp = catalog.w[p];
     core::Rotation rot;
     bool rotate = false;

@@ -17,6 +17,9 @@
 // ZetaResult so every accessor can be compared directly.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "core/engine.hpp"
 #include "core/zeta.hpp"
 #include "sim/catalog.hpp"
@@ -36,8 +39,11 @@ struct OracleConfig {
 core::ZetaResult brute_force_triplets(const sim::Catalog& catalog,
                                       const OracleConfig& cfg);
 
-// O(N^2) direct summation (no spatial index: all pairs tested).
-core::ZetaResult direct_summation(const sim::Catalog& catalog,
-                                  const OracleConfig& cfg);
+// O(N^2) direct summation (no spatial index: all pairs tested). When
+// `primaries` is given, only those catalog indices act as primaries (the
+// engine's primaries contract); every point still acts as a secondary.
+core::ZetaResult direct_summation(
+    const sim::Catalog& catalog, const OracleConfig& cfg,
+    const std::vector<std::int64_t>* primaries = nullptr);
 
 }  // namespace galactos::baseline

@@ -49,43 +49,39 @@ struct TraversalPartials {
 
 namespace {
 
-// `for_secondary`: halo indexes answer only per-point and per-box queries
-// (never gather_leaf_neighbors), so they skip the interaction-list build;
-// the Morton layout is shared with the primary build.
+// Both indexes use the Morton layout. `for_secondary`: halo indexes answer
+// only per-box queries (never gather_leaf_neighbors), so they skip the
+// interaction-list build.
 template <typename Real>
 tree::KdTree<Real> make_index(const sim::Catalog& catalog,
                               const EngineConfig& cfg, bool for_secondary) {
   typename tree::KdTree<Real>::BuildParams bp;
   bp.leaf_size = cfg.tree.leaf_size;
-  bp.morton = cfg.tree.morton_order;
-  bp.interaction_rmax =
-      (!for_secondary && cfg.tree.interaction_lists) ? cfg.bins.rmax() : 0.0;
+  bp.interaction_rmax = for_secondary ? 0.0 : cfg.bins.rmax();
   return tree::KdTree<Real>(catalog, bp);
 }
 
-// Dense accepted-pair staging shared by every traversal driver. fill()
-// applies the candidate block's range filter / self exclusion / coincident
-// rejection and compacts the survivors — in candidate order — into SoA
-// arrays of separation, r, 1/r and weight. This reproduces the accept set
-// the per-primary index query computes during its gather, so (like
-// separation formation) the filter runs on neighbor-query time; the kernel
+// Dense accepted-pair staging, called once per primary on the separations
+// formed against a gathered block. fill() applies the range filter / self
+// exclusion / coincident rejection and compacts the survivors — in
+// candidate order — into SoA arrays of separation, r, 1/r and weight. Like
+// separation formation, the filter runs on neighbor-query time; the kernel
 // phase then walks only real pairs with no data-dependent branches.
 //
-// No bits change anywhere: the range compare stays in index precision
-// (Real), acceptance order is candidate order, sqrt and reciprocal are
-// IEEE-exact (the 8-wide hoist yields bitwise the values the accept loops
-// used to compute inline), and dx stays unnormalized so the consumer still
-// forms dx * (1/r) from identical operands. Compaction is branchless
-// (always-store, masked advance): rejected lanes write junk (1/0 = inf)
-// that the next candidate overwrites or `count` hides.
+// The range compare stays in index precision (Real), acceptance order is
+// candidate order, sqrt and reciprocal are IEEE-exact (the 8-wide hoist
+// yields bitwise the values an inline accept loop computes), and dx stays
+// unnormalized so the consumer forms dx * (1/r) from identical operands.
+// Compaction is branchless (always-store, masked advance): rejected lanes
+// write junk (1/0 = inf) that the next candidate overwrites or `count`
+// hides.
 class PairStage {
  public:
   std::size_t count = 0;
   std::vector<double> dx, dy, dz, r, inv, w;
 
-  // `r2max` in index precision (pass infinity when the block is already
-  // range-filtered); `self` is the primary's catalog index (-1 to keep
-  // every candidate, e.g. for disjoint halo blocks).
+  // `r2max` in index precision; `self` is the primary's catalog index (-1
+  // to keep every candidate, e.g. for disjoint halo blocks).
   template <typename Real>
   void fill(const Real* sdx, const Real* sdy, const Real* sdz,
             const Real* sr2, const double* sw, const std::int64_t* sidx,
@@ -156,9 +152,15 @@ inline void form_separations(const tree::NeighborBlock<Real>& block, Real px,
 // null: plane-parallel) and pushes them through the kernel accumulator and,
 // when self pairs are subtracted, its self-pair twin. Returns the number of
 // pairs that landed in a bin.
-inline std::uint64_t push_pairs(MultipoleAccumulator& acc,
-                                SelfPairAccumulator* sp, const PairStage& ps,
-                                const RadialBins& bins, const Rotation* rot) {
+//
+// Kept out of line: inlined into a per-leaf body, GCC keeps each pair's
+// values live across push()'s cold touch/flush calls by spilling them to
+// the stack on every pair. That measured 13% slower in the kernel phase
+// at lmax 2 (one thread, 4-core AVX-512 VM); the call is once per primary.
+[[gnu::noinline]]
+std::uint64_t push_pairs(MultipoleAccumulator& acc, SelfPairAccumulator* sp,
+                         const PairStage& ps, const RadialBins& bins,
+                         const Rotation* rot) {
   acc.start_primary();
   if (sp) sp->start_primary();
   std::uint64_t accepted = 0;
@@ -229,8 +231,7 @@ struct Lane {
   }
 
   // Stages one primary's pairs against a gathered block: SIMD separations,
-  // then the range filter, self exclusion and compaction of PairStage::fill
-  // (bitwise the accept set and order of a per-primary index query).
+  // then the range filter, self exclusion and compaction of PairStage::fill.
   // Neighbor-search work, so it counts toward the query phase.
   void stage(const tree::NeighborBlock<Real>& block, Real px, Real py,
              Real pz, Real r2max, std::int64_t self) {
@@ -290,8 +291,8 @@ struct Lane {
 constexpr int kPollLeafStride = 4;
 
 // The one traversal skeleton behind every tree-backend pass: Algorithm 1
-// amortized a leaf at a time (§3.3), one parallel loop over the primary
-// index's leaves under the configured schedule. The master thread — the
+// amortized a leaf at a time (§3.3), one dynamically scheduled parallel
+// loop over the primary index's leaves. The master thread — the
 // caller's own OS thread, so single-threaded MPI progress rules hold —
 // calls `poll`, when set, every kPollLeafStride leaves. Each thread builds
 // a Lane over its slot of `parts` (creating the zeta / 2PCF partials on
@@ -336,7 +337,10 @@ void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
     int since_poll = 0;
     std::vector<std::size_t> prims;
 
-    auto process_leaf = [&](std::int64_t l) {
+    const std::int64_t nleaves =
+        static_cast<std::int64_t>(index.leaf_count());
+#pragma omp for schedule(dynamic, 1)
+    for (std::int64_t l = 0; l < nleaves; ++l) {
       if (do_poll && ++since_poll >= kPollLeafStride) {
         since_poll = 0;
         poll();
@@ -350,16 +354,6 @@ void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
             is_primary[static_cast<std::size_t>(index.original_index(t))])
           prims.push_back(t);
       if (!prims.empty()) body(leaf, prims);
-    };
-
-    const std::int64_t nleaves =
-        static_cast<std::int64_t>(index.leaf_count());
-    if (cfg.tree.schedule == OmpSchedule::kDynamic) {
-#pragma omp for schedule(dynamic, 1)
-      for (std::int64_t l = 0; l < nleaves; ++l) process_leaf(l);
-    } else {
-#pragma omp for schedule(static)
-      for (std::int64_t l = 0; l < nleaves; ++l) process_leaf(l);
     }
 
     {
@@ -398,8 +392,6 @@ void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
   stats.phases.add("alm+zeta", sum.t_zeta / dn);
   const double busy = (sum.t_query + sum.t_kernel + sum.t_zeta) / dn;
   stats.phases.add("imbalance+merge", std::max(0.0, compute_wall - busy));
-  // Assigned, like every EngineStats field, so a reused stats object does
-  // not grow.
   stats.pairs = sum.pairs;
   stats.candidates = sum.candidates;
   stats.bin_epilogues = sum.kernel.epilogues;
@@ -440,13 +432,8 @@ void merge_partials(const EngineConfig& cfg,
 // primary index — plus, fused, the candidates of `secondary`, whose catalog
 // indices are offset by catalog.size() so they never collide with a
 // primary's — with the finished power sums folded into zeta and the 2PCF.
-//
-// kLeafBlocked gathers one candidate block per leaf (one pruned
-// node-vs-node walk, or its precomputed interaction list), which the
-// leaf's primaries drain while it is hot in cache; kPerPrimary queries the
-// index once per primary instead (the literal Algorithm 1, kept as the
-// reference the blocked gather is checked against). Per-primary pair
-// sequences are bitwise the same either way.
+// Each leaf gathers one candidate block (its precomputed interaction list
+// replayed), which the leaf's primaries drain while it is hot in cache.
 //
 // Under a `bound` (the owned pass) every primary within the padded R_max
 // shell of the bound box also has its power sums snapshotted for pass 2.
@@ -463,7 +450,6 @@ void run_primary_pass(const EngineConfig& cfg, const sim::Catalog& catalog,
   const double rmax = cfg.bins.rmax();
   const Real r2max = static_cast<Real>(rmax) * static_cast<Real>(rmax);
   const std::int64_t halo_offset = static_cast<std::int64_t>(catalog.size());
-  const bool per_primary = cfg.tree.traversal == TraversalMode::kPerPrimary;
 
   // "Might see a secondary": the Real-precision accept filter can admit
   // pairs a few ulps beyond R_max, so pad the shell by a relative 1e-5 plus
@@ -494,24 +480,21 @@ void run_primary_pass(const EngineConfig& cfg, const sim::Catalog& catalog,
         detail::SavedPrimaries* save_to =
             bound ? &parts.saved[static_cast<std::size_t>(lane.tid)]
                   : nullptr;
-        return [&, save_to, block = tree::NeighborBlock<Real>{},
-                nl = tree::NeighborList<Real>{}](
+        return [&, save_to, block = tree::NeighborBlock<Real>{}](
                    std::size_t leaf,
                    const std::vector<std::size_t>& prims) mutable {
-          if (!per_primary) {
-            Timer tq;
-            block.clear();
-            index.gather_leaf_neighbors(leaf, rmax, block);
-            if (secondary) {
-              Real blo[3], bhi[3];
-              index.leaf_box(leaf, blo, bhi);
-              const std::size_t before = block.size();
-              secondary->gather_box_neighbors(blo, bhi, rmax, block);
-              for (std::size_t j = before; j < block.size(); ++j)
-                block.idx[j] += halo_offset;
-            }
-            lane.tally.t_query += tq.seconds();
+          Timer tq;
+          block.clear();
+          index.gather_leaf_neighbors(leaf, rmax, block);
+          if (secondary) {
+            Real blo[3], bhi[3];
+            index.leaf_box(leaf, blo, bhi);
+            const std::size_t before = block.size();
+            secondary->gather_box_neighbors(blo, bhi, rmax, block);
+            for (std::size_t j = before; j < block.size(); ++j)
+              block.idx[j] += halo_offset;
           }
+          lane.tally.t_query += tq.seconds();
 
           for (const std::size_t t : prims) {
             const std::int64_t p = index.original_index(t);
@@ -521,29 +504,7 @@ void run_primary_pass(const EngineConfig& cfg, const sim::Catalog& catalog,
               ++lane.tally.skipped;
               continue;
             }
-            if (per_primary) {
-              // The index already range-filtered and computed r2 in Real;
-              // rotation preserves the norm, so binning uses that value.
-              Timer tq;
-              const sim::Vec3 pos =
-                  catalog.position(static_cast<std::size_t>(p));
-              nl.clear();
-              index.gather_neighbors(pos.x, pos.y, pos.z, rmax, nl);
-              if (secondary) {
-                const std::size_t before = nl.size();
-                secondary->gather_neighbors(pos.x, pos.y, pos.z, rmax, nl);
-                for (std::size_t j = before; j < nl.size(); ++j)
-                  nl.idx[j] += halo_offset;
-              }
-              lane.ps.fill(nl.dx.data(), nl.dy.data(), nl.dz.data(),
-                           nl.r2.data(), nl.w.data(), nl.idx.data(),
-                           nl.size(), std::numeric_limits<Real>::infinity(),
-                           p);
-              lane.tally.candidates += nl.size();
-              lane.tally.t_query += tq.seconds();
-            } else {
-              lane.stage(block, index.x(t), index.y(t), index.z(t), r2max, p);
-            }
+            lane.stage(block, index.x(t), index.y(t), index.z(t), r2max, p);
             lane.push(rotate, rot);
 
             Timer tz;
@@ -927,6 +888,7 @@ ZetaResult Engine::Staged::run_indexed(
   ZetaResult result;
   EngineStats local_stats;
   EngineStats& st = stats ? *stats : local_stats;
+  st = EngineStats{};
   st.phases.add("index build", impl_->build_seconds);
   impl_->run(primaries, result, st);
   return result;
@@ -945,6 +907,7 @@ void Engine::Staged::run_owned_pass(
 
   EngineStats local_stats;
   EngineStats& st = stats ? *stats : local_stats;
+  st = EngineStats{};
   st.phases.add("index build", impl_->build_seconds);
   impl_->build_reported = impl_->build_seconds;
   impl_->owned_pass(
@@ -960,6 +923,7 @@ ZetaResult Engine::Staged::run_secondary_pass(EngineStats* stats) {
 
   EngineStats local_stats;
   EngineStats& st = stats ? *stats : local_stats;
+  st = EngineStats{};
   // Only the build time accrued since the owned pass reported (i.e. the
   // secondary index, in the canonical post → pass 1 → extend → pass 2
   // order).
@@ -993,42 +957,6 @@ ZetaResult Engine::run(const sim::Catalog& catalog,
       build_index_impl(&catalog, sim::Catalog{}).run_indexed(primaries, stats);
   if (stats) stats->wall_seconds = wall.seconds();
   return result;
-}
-
-ZetaResult Estimator::empty_result() const {
-  return ZetaResult::zero_like(cfg_.bins, cfg_.lmax);
-}
-
-namespace {
-
-// The tree backend behind the Estimator interface: a thin shell over
-// Engine, whose run() IS the tree path when backend == kTree.
-class TreeEstimator final : public Estimator {
- public:
-  explicit TreeEstimator(EngineConfig cfg)
-      : Estimator(std::move(cfg)), engine_(cfg_) {}
-
-  ZetaResult run(const sim::Catalog& catalog,
-                 const std::vector<std::int64_t>* primaries,
-                 EngineStats* stats) const override {
-    return engine_.run(catalog, primaries, stats);
-  }
-
- private:
-  Engine engine_;
-};
-
-}  // namespace
-
-std::unique_ptr<Estimator> make_estimator(const EngineConfig& cfg) {
-  switch (cfg.backend) {
-    case EstimatorBackend::kTree:
-      return std::make_unique<TreeEstimator>(cfg);
-    case EstimatorBackend::kFFT:
-      return std::make_unique<FftEstimator>(cfg);
-  }
-  GLX_CHECK_MSG(false, "unknown estimator backend");
-  return nullptr;
 }
 
 }  // namespace galactos::core

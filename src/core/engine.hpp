@@ -9,35 +9,28 @@
 // One neighbor index — the k-d tree of §3.1/§3.3 — and one traversal
 // skeleton implement the outer loop (§3.3): primaries are processed a leaf
 // at a time, in parallel over the primary tree's leaves, and every pass
-// plugs its per-leaf body into it. Two gathers feed the fused and owned
-// passes:
-//
-// * kLeafBlocked (default) — one pruned node-vs-node traversal per source
-//   leaf emits a shared candidate block that the leaf's ~leaf_size
-//   primaries drain while it is hot in cache; per-primary separations are
-//   SIMD subtractions from the block, and accepted pairs reach the kernel
-//   through MultipoleAccumulator::push.
-// * kPerPrimary — one index query per primary (the literal Algorithm 1),
-//   kept as the reference the blocked gather is checked against.
-//
-// Per-primary pair sequences are bitwise identical between the two; only
-// the cross-primary accumulation order differs (FP reassociation).
+// plugs its per-leaf body into it. One pruned node-vs-node walk per leaf
+// (replayed from the leaf's precomputed interaction list) emits a shared
+// candidate block that the leaf's ~leaf_size primaries drain while it is
+// hot in cache; per-primary separations are SIMD subtractions from the
+// block, and accepted pairs reach the kernel through
+// MultipoleAccumulator::push.
 //
 // The outer API comes in two shapes: Engine::run builds the index and
 // traverses in one call; the staged pipeline (build_index →
 // extend_with_secondaries → run_indexed) splits those steps so the
 // distributed runner can build the owned-point index while the halo
 // exchange is still in flight, then index halo points into a SECONDARY
-// structure whose candidates union with the primary index's per leaf (or
-// per primary). With no secondaries the staged path is bitwise identical
-// to Engine::run. The two-pass variant (run_owned_pass →
-// run_secondary_pass) runs the owned traversal before the halo arrives and
-// adds the owned-vs-halo completion afterwards.
+// structure whose candidates union with the primary index's per leaf. With
+// no secondaries the staged path is bitwise identical to Engine::run. The
+// two-pass variant (run_owned_pass → run_secondary_pass) runs the owned
+// traversal before the halo arrives and adds the owned-vs-halo completion
+// afterwards.
 //
-// Work is distributed over OpenMP threads with dynamic scheduling over
+// Work is distributed over OpenMP threads with a dynamic schedule over
 // leaves (paper §3.3: "a significant performance boost over a static
-// schedule" — both are available here for the ablation bench). Each thread
-// owns private accumulators merged once at the end, in thread-id order.
+// schedule"). Each thread owns private accumulators merged once at the
+// end, in thread-id order.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +62,6 @@ enum class TreePrecision {
   kMixed,   // spatial index + distances in float (paper's fast mode)
 };
 
-enum class OmpSchedule { kDynamic, kStatic };
-enum class TraversalMode { kPerPrimary, kLeafBlocked };
-
 // Which estimator computes the multipole coefficients: the tree backend
 // pair-counts with a spatial index (exact, O(N * pairs-per-primary)); the
 // FFT backend grids the catalog and convolves with binned Y_lm kernels in
@@ -83,29 +73,15 @@ const char* backend_name(EstimatorBackend b);
 EstimatorBackend backend_from_name(const std::string& name);  // "tree"|"fft"
 
 // Tree-backend knobs (the pair-counting engine). The neighbor index is
-// always a k-d tree (`leaf_size` points per leaf) and the multipole kernel
-// always the running product (`ilp` streams, `bucket_capacity` pairs per
-// bucket; see core/kernel.hpp).
+// always a k-d tree (`leaf_size` points per leaf) in Morton layout with
+// per-leaf interaction lists, and the multipole kernel always the running
+// product (`ilp` streams, `bucket_capacity` pairs per bucket; see
+// core/kernel.hpp).
 struct TreeConfig {
   TreePrecision precision = TreePrecision::kDouble;
-  TraversalMode traversal = TraversalMode::kLeafBlocked;
   int leaf_size = 32;
-
-  // Cache-aware traversal knobs (both default on; exposed for ablation and
-  // the equivalence tests). morton_order lays the index storage out in
-  // Z-order of the leaf centers — a pure permutation, so per-primary
-  // results are bitwise independent of it. interaction_lists precomputes
-  // each primary-index leaf's pruned neighbor list once per build, so the
-  // leaf-blocked gather replays it instead of re-walking the tree
-  // (secondary/halo indexes never build lists: they are only queried per
-  // point or per box).
-  bool morton_order = true;
-  bool interaction_lists = true;
-
   int ilp = 4;
   int bucket_capacity = 128;
-
-  OmpSchedule schedule = OmpSchedule::kDynamic;
 };
 
 // FFT-backend knobs. The catalog must live in the periodic box
@@ -148,13 +124,16 @@ struct EngineConfig {
   bool subtract_self_pairs = false;
 };
 
+// Filled by every run entry point (Engine::run, Staged::run_indexed /
+// run_owned_pass / run_secondary_pass, fft_3pcf, dist::fft_slab_3pcf),
+// which first resets the object: a reused stats object reports its last
+// run only.
 struct EngineStats {
   PhaseTimer phases;  // tree build / neighbor query / multipole kernel /
                       // alm+zeta / merge — phase names in engine.cpp
   double wall_seconds = 0.0;
   std::uint64_t pairs = 0;      // kernel pairs (inside R_max and bins)
-  // Candidate pairs examined per primary: index-query results in
-  // kPerPrimary mode, shared-block entries scanned in kLeafBlocked mode
+  // Candidate pairs examined: the shared-block entries each primary scans
   // (the block is gathered once per leaf but scanned by every primary);
   // in the secondary pass, the halo-block entries scanned.
   std::uint64_t candidates = 0;
@@ -292,7 +271,7 @@ class Engine {
   // duplicates (the traversal tests membership per point);
   // duplicates are rejected like out-of-range indices.
   // Dispatches on cfg.backend: the tree path is unchanged by backend
-  // selection (bit-for-bit), the FFT path delegates to FftEstimator.
+  // selection (bit-for-bit), the FFT path delegates to fft_3pcf.
   ZetaResult run(const sim::Catalog& catalog,
                  const std::vector<std::int64_t>* primaries = nullptr,
                  EngineStats* stats = nullptr) const;
@@ -313,33 +292,5 @@ class Engine {
 
   EngineConfig cfg_;
 };
-
-// Backend-neutral estimator interface: one `run` contract (same primaries
-// semantics and ZetaResult shape as Engine::run) that every backend
-// implements. Engine::run is the convenience front door; code that wants to
-// hold a backend by value (the distributed runner, benches sweeping
-// backends) goes through make_estimator.
-class Estimator {
- public:
-  explicit Estimator(EngineConfig cfg) : cfg_(std::move(cfg)) {}
-  virtual ~Estimator() = default;
-
-  const EngineConfig& config() const { return cfg_; }
-
-  virtual ZetaResult run(const sim::Catalog& catalog,
-                         const std::vector<std::int64_t>* primaries = nullptr,
-                         EngineStats* stats = nullptr) const = 0;
-
-  // Zero-valued result with this configuration's shape (see
-  // Engine::empty_result).
-  ZetaResult empty_result() const;
-
- protected:
-  EngineConfig cfg_;
-};
-
-// Constructs the backend named by cfg.backend (validates the per-backend
-// config eagerly; the FFT backend's gates are listed in fft_estimator.hpp).
-std::unique_ptr<Estimator> make_estimator(const EngineConfig& cfg);
 
 }  // namespace galactos::core

@@ -252,6 +252,7 @@ ZetaResult fft_3pcf(const EngineConfig& cfg, const sim::Catalog& catalog,
   Timer wall;
   EngineStats local_stats;
   EngineStats& st = stats ? *stats : local_stats;
+  st = EngineStats{};
 
   const FftConfig& f = cfg.fft;
   const std::size_t n = f.grid_n;
@@ -423,16 +424,6 @@ ZetaResult fft_3pcf(const EngineConfig& cfg, const sim::Catalog& catalog,
   st.phases.add("merge", t.seconds());
   st.wall_seconds = wall.seconds();
   return result;
-}
-
-FftEstimator::FftEstimator(EngineConfig cfg) : Estimator(std::move(cfg)) {
-  validate_fft_config(cfg_);
-}
-
-ZetaResult FftEstimator::run(const sim::Catalog& catalog,
-                             const std::vector<std::int64_t>* primaries,
-                             EngineStats* stats) const {
-  return fft_3pcf(cfg_, catalog, primaries, stats);
 }
 
 }  // namespace galactos::core

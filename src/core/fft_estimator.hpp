@@ -42,19 +42,12 @@ namespace galactos::core {
 // Throws (GLX_CHECK) unless cfg is a valid FFT-backend configuration.
 void validate_fft_config(const EngineConfig& cfg);
 
-// One-call front door; Engine::run delegates here when backend == kFFT.
+// The serial FFT backend, with Engine::run's primaries and stats contract.
+// Engine::run is the front door and delegates here when backend == kFFT;
+// dist::fft_slab_3pcf calls it directly on one rank.
 ZetaResult fft_3pcf(const EngineConfig& cfg, const sim::Catalog& catalog,
                     const std::vector<std::int64_t>* primaries = nullptr,
                     EngineStats* stats = nullptr);
-
-class FftEstimator final : public Estimator {
- public:
-  explicit FftEstimator(EngineConfig cfg);  // validates eagerly
-
-  ZetaResult run(const sim::Catalog& catalog,
-                 const std::vector<std::int64_t>* primaries = nullptr,
-                 EngineStats* stats = nullptr) const override;
-};
 
 // ---- Shared building blocks (serial path here, slab path in dist/) ----
 

@@ -241,6 +241,7 @@ core::ZetaResult fft_slab_3pcf(Comm& comm, const sim::Catalog& mine,
   Timer wall;
   core::EngineStats local_stats;
   core::EngineStats& st = stats ? *stats : local_stats;
+  st = core::EngineStats{};
 
   const core::FftConfig& f = cfg.fft;
   const int P = comm.size();

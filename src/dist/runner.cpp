@@ -313,15 +313,6 @@ core::ZetaResult run_rank(Comm& comm, const sim::Catalog& mine,
   }
 }
 
-core::ZetaResult run_rank(Comm& comm, const sim::Catalog& mine,
-                          const core::EngineConfig& engine_cfg,
-                          RankReport* report) {
-  DistRunConfig cfg;
-  cfg.engine = engine_cfg;
-  cfg.ranks = comm.size();
-  return run_rank(comm, mine, cfg, report);
-}
-
 core::ZetaResult run_distributed(const sim::Catalog& catalog,
                                  const DistRunConfig& cfg,
                                  std::vector<RankReport>* reports) {

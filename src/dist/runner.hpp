@@ -125,11 +125,6 @@ core::ZetaResult run_rank(Comm& comm, const sim::Catalog& mine,
                           const DistRunConfig& cfg,
                           RankReport* report = nullptr);
 
-// Back-compat convenience: engine config only, default policy + overlap.
-core::ZetaResult run_rank(Comm& comm, const sim::Catalog& mine,
-                          const core::EngineConfig& engine_cfg,
-                          RankReport* report = nullptr);
-
 // End-to-end in-process driver: spawns cfg.ranks minimpi ranks, scatters
 // `catalog` round-robin, and runs the full pipeline. If `reports` is given
 // it is filled with one RankReport per rank, in rank order.

@@ -33,7 +33,7 @@ class KdTree {
     bool morton = true;
     // > 0: precompute per-leaf interaction lists for gather_leaf_neighbors
     // at this radius (the engine passes R_max for primary indexes and 0 for
-    // secondary ones, which are only ever queried per point or per box).
+    // secondary ones, which are only ever queried per box).
     double interaction_rmax = 0.0;
   };
 

@@ -22,16 +22,17 @@ c::EngineConfig small_config() {
 
 }  // namespace
 
-TEST(Engine, DeterministicAcrossRunsStaticSchedule) {
-  // With a static schedule the iteration->thread map is fixed, and the
-  // thread-ordered merge makes results bitwise reproducible.
+TEST(Engine, DeterministicAcrossRunsSingleThread) {
+  // One thread visits the leaves in index order, so the accumulation order
+  // is fixed and results are bitwise reproducible.
   const s::Catalog cat = s::uniform_box(800, s::Aabb::cube(60), 5);
   c::EngineConfig cfg = small_config();
-  cfg.tree.schedule = c::OmpSchedule::kStatic;
+  cfg.threads = 1;
   c::Engine engine(cfg);
   const c::ZetaResult a = engine.run(cat);
   const c::ZetaResult b = engine.run(cat);
-  expect_results_match(a, b, 0.0, 1e-300);  // bitwise-identical expected
+  expect_results_match(a, b, 0.0, 0.0);  // bitwise
+  EXPECT_EQ(a.n_pairs, b.n_pairs);
 }
 
 TEST(Engine, DeterministicAcrossRunsDynamicSchedule) {
@@ -53,16 +54,6 @@ TEST(Engine, ThreadCountDoesNotChangeResult) {
   const c::ZetaResult four = c::Engine(cfg).run(cat);
   // Merge order differs => only FP-reassociation differences allowed.
   expect_results_match(one, four, 1e-10, 1e-10);
-}
-
-TEST(Engine, ScheduleDoesNotChangeResult) {
-  const s::Catalog cat = s::uniform_box(500, s::Aabb::cube(40), 9);
-  c::EngineConfig cfg = small_config();
-  cfg.tree.schedule = c::OmpSchedule::kDynamic;
-  const c::ZetaResult dyn = c::Engine(cfg).run(cat);
-  cfg.tree.schedule = c::OmpSchedule::kStatic;
-  const c::ZetaResult sta = c::Engine(cfg).run(cat);
-  expect_results_match(dyn, sta, 1e-10, 1e-10);
 }
 
 TEST(Engine, IlpStreamsAgree) {
@@ -164,8 +155,7 @@ TEST(Engine, StatsArePopulated) {
 }
 
 // Every touched (primary, bin) is one epilogue: the count matches a brute
-// force over the catalog, both drivers agree, and the flush split bounds
-// the pair count (full buckets hold capacity pairs, final partial ones
+// force over the catalog, and the flush split bounds the pair count (full buckets hold capacity pairs, final partial ones
 // fewer).
 TEST(Engine, EpilogueCountersMatchBruteForce) {
   const s::Catalog cat = s::uniform_box(400, s::Aabb::cube(40), 21);
@@ -183,17 +173,32 @@ TEST(Engine, EpilogueCountersMatchBruteForce) {
     for (bool h : hit) expect += h;
   }
   const std::uint64_t cap = 16;
-  for (c::TraversalMode mode :
-       {c::TraversalMode::kPerPrimary, c::TraversalMode::kLeafBlocked}) {
-    cfg.tree.traversal = mode;
-    c::EngineStats st;
-    c::Engine(cfg).run(cat, nullptr, &st);
-    EXPECT_EQ(st.bin_epilogues, expect);
-    EXPECT_LE(st.partial_flushes, st.bin_epilogues);
-    EXPECT_LE(st.bin_epilogues, st.full_flushes + st.partial_flushes);
-    EXPECT_GE(st.pairs, st.full_flushes * cap + st.partial_flushes);
-    EXPECT_LE(st.pairs, st.full_flushes * cap + st.partial_flushes * (cap - 1));
-  }
+  c::EngineStats st;
+  c::Engine(cfg).run(cat, nullptr, &st);
+  EXPECT_EQ(st.bin_epilogues, expect);
+  EXPECT_LE(st.partial_flushes, st.bin_epilogues);
+  EXPECT_LE(st.bin_epilogues, st.full_flushes + st.partial_flushes);
+  EXPECT_GE(st.pairs, st.full_flushes * cap + st.partial_flushes);
+  EXPECT_LE(st.pairs, st.full_flushes * cap + st.partial_flushes * (cap - 1));
+}
+
+// A stats object reused for a tiny run after a big one reports the tiny
+// run alone: every entry point resets it, phase times included.
+TEST(Engine, ReusedStatsAreOverwritten) {
+  c::EngineConfig cfg = small_config();
+  cfg.bins = c::RadialBins(2.0, 10.0, 4);
+  const s::Catalog big = s::uniform_box(20000, s::Aabb::cube(100), 19);
+  const s::Catalog tiny = s::uniform_box(200, s::Aabb::cube(20), 20);
+  const c::Engine engine(cfg);
+
+  c::EngineStats st;
+  (void)engine.run(big, nullptr, &st);
+  const double big_total = st.phases.total();
+  const std::uint64_t big_pairs = st.pairs;
+  const c::ZetaResult res = engine.run(tiny, nullptr, &st);
+  EXPECT_LT(st.phases.total(), big_total);
+  EXPECT_EQ(st.pairs, res.n_pairs);
+  EXPECT_LT(st.pairs, big_pairs);
 }
 
 TEST(Engine, PairCountMatchesExpectation) {

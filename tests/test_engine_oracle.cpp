@@ -77,7 +77,7 @@ struct DirectCase {
   bool radial;
   bool self;
   c::TreePrecision precision;
-  c::TraversalMode traversal;
+  bool subset;  // stride-3 primary subset instead of every galaxy
   std::uint64_t seed;
 };
 
@@ -95,11 +95,17 @@ TEST_P(EngineVsDirect, MatchesDirectSummation) {
   }
   const s::Catalog cat = galactos::testing::clumpy_catalog(tc.n, 45.0, tc.seed);
 
+  std::vector<std::int64_t> prims;
+  const std::vector<std::int64_t>* pp = nullptr;
+  if (tc.subset) {
+    for (std::int64_t i = 0; i < tc.n; i += 3) prims.push_back(i);
+    pp = &prims;
+  }
+
   c::EngineConfig ecfg = engine_cfg(ocfg);
   ecfg.tree.precision = tc.precision;
-  ecfg.tree.traversal = tc.traversal;
-  const c::ZetaResult direct = b::direct_summation(cat, ocfg);
-  const c::ZetaResult engine = c::Engine(ecfg).run(cat);
+  const c::ZetaResult direct = b::direct_summation(cat, ocfg, pp);
+  const c::ZetaResult engine = c::Engine(ecfg).run(cat, pp);
   const double tol = tc.precision == c::TreePrecision::kMixed ? 2e-3 : 1e-9;
   if (tc.precision == c::TreePrecision::kMixed) {
     // Mixed mode can flip knife-edge bin assignments; compare only the
@@ -121,29 +127,21 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, EngineVsDirect,
     ::testing::Values(
         DirectCase{"plane_l10", 400, 10, 4, false, false,
-                   c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
-                   201},
+                   c::TreePrecision::kDouble, false, 201},
         DirectCase{"plane_l10_running", 400, 10, 4, false, false,
-                   c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
-                   202},
+                   c::TreePrecision::kDouble, false, 202},
         DirectCase{"radial_l5", 350, 5, 5, true, false,
-                   c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
-                   203},
-        DirectCase{"perprimary_l6", 300, 6, 3, false, false,
-                   c::TreePrecision::kDouble, c::TraversalMode::kPerPrimary,
-                   204},
+                   c::TreePrecision::kDouble, false, 203},
+        DirectCase{"subset_l6", 300, 6, 3, false, false,
+                   c::TreePrecision::kDouble, true, 204},
         DirectCase{"self_l4", 300, 4, 4, false, true,
-                   c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
-                   205},
+                   c::TreePrecision::kDouble, false, 205},
         DirectCase{"radial_self_l4", 250, 4, 3, true, true,
-                   c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
-                   206},
+                   c::TreePrecision::kDouble, false, 206},
         DirectCase{"mixed_l6", 500, 6, 4, false, false,
-                   c::TreePrecision::kMixed, c::TraversalMode::kLeafBlocked,
-                   207},
+                   c::TreePrecision::kMixed, false, 207},
         DirectCase{"plane_l0", 300, 0, 3, false, false,
-                   c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
-                   208}),
+                   c::TreePrecision::kDouble, false, 208}),
     [](const ::testing::TestParamInfo<DirectCase>& info) {
       return info.param.name;
     });
@@ -153,11 +151,13 @@ INSTANTIATE_TEST_SUITE_P(
 // run_secondary_pass once with each side owned and the other as halo (the
 // owned half-space as the SecondaryBound), and add the two results. Every
 // (primary, secondary) pair is then evaluated exactly once, so the sum
-// must match direct summation over the union.
+// must match direct summation over the union. Mixed-precision cases run
+// on the catalog snapped to the 1/64 grid, where their pair set is exact.
 struct TwoPassCase {
   const char* name;
   bool radial;
   bool self;
+  c::TreePrecision precision = c::TreePrecision::kDouble;
 };
 
 class TwoPassVsDirect : public ::testing::TestWithParam<TwoPassCase> {};
@@ -173,7 +173,9 @@ TEST_P(TwoPassVsDirect, PlaneSplitMatchesDirectSummation) {
     ocfg.observer = {-40.0, -35.0, -50.0};
   }
   const double side = 40.0, cut = side / 2;
-  const s::Catalog cat = galactos::testing::clumpy_catalog(150, side, 401);
+  s::Catalog cat = galactos::testing::clumpy_catalog(150, side, 401);
+  if (tc.precision == c::TreePrecision::kMixed)
+    cat = galactos::testing::snapped_to_grid(std::move(cat));
   s::Catalog left, right;
   for (std::size_t i = 0; i < cat.size(); ++i)
     (cat.position(i).x < cut ? left : right).push_back(cat.position(i),
@@ -186,7 +188,9 @@ TEST_P(TwoPassVsDirect, PlaneSplitMatchesDirectSummation) {
   const c::Engine::SecondaryBound right_slab{{cut, -far, -far},
                                              {far, far, far}};
 
-  const c::Engine engine(engine_cfg(ocfg));
+  c::EngineConfig ecfg = engine_cfg(ocfg);
+  ecfg.tree.precision = tc.precision;
+  const c::Engine engine(ecfg);
   auto two_pass = [&](const s::Catalog& owned, const s::Catalog& halo,
                       const c::Engine::SecondaryBound& bound) {
     c::Engine::Staged staged = engine.build_index(owned);
@@ -204,10 +208,14 @@ TEST_P(TwoPassVsDirect, PlaneSplitMatchesDirectSummation) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TwoPassVsDirect,
-    ::testing::Values(TwoPassCase{"plane", false, false},
-                      TwoPassCase{"plane_self", false, true},
-                      TwoPassCase{"radial", true, false},
-                      TwoPassCase{"radial_self", true, true}),
+    ::testing::Values(
+        TwoPassCase{"plane", false, false},
+        TwoPassCase{"plane_self", false, true},
+        TwoPassCase{"radial", true, false},
+        TwoPassCase{"radial_self", true, true},
+        TwoPassCase{"plane_mixed", false, false, c::TreePrecision::kMixed},
+        TwoPassCase{"radial_self_mixed", true, true,
+                    c::TreePrecision::kMixed}),
     [](const ::testing::TestParamInfo<TwoPassCase>& info) {
       return info.param.name;
     });

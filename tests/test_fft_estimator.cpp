@@ -1,6 +1,6 @@
 // FFT estimator backend: config gates, exact discrete equivalence with the
 // tree backend, grid-refinement convergence on a lognormal mock, the
-// interlacing aliasing test, and Engine/make_estimator dispatch.
+// interlacing aliasing test, and Engine::run's dispatch to fft_3pcf.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -130,11 +130,10 @@ TEST(FftEstimator, RejectsInvalidConfigs) {
     cfg.subtract_self_pairs = true;
     EXPECT_THROW(c::Engine(cfg).run(cat), std::logic_error);
   }
-  {  // make_estimator / FftEstimator validate eagerly, before any catalog
+  {  // validate_fft_config needs no catalog
     c::EngineConfig cfg = good;
     cfg.fft.box_side = -5.0;
-    EXPECT_THROW(c::make_estimator(cfg), std::logic_error);
-    EXPECT_THROW(c::FftEstimator{cfg}, std::logic_error);
+    EXPECT_THROW(c::validate_fft_config(cfg), std::logic_error);
   }
 }
 
@@ -245,28 +244,18 @@ TEST(FftEstimator, Deterministic) {
   expect_results_match(r1, r2, 0.0, 1e-300);
 }
 
-TEST(FftEstimator, EngineDispatchMatchesMakeEstimator) {
+TEST(FftEstimator, EngineDispatchMatchesFft3pcf) {
+  // Engine::run delegates kFFT to fft_3pcf, bit for bit.
   const s::Catalog cat = galactos::testing::clumpy_catalog(300, 20.0, 51);
-  {  // FFT backend: Engine::run delegates to the same code path
-    const c::EngineConfig cfg = small_fft_config();
-    const c::ZetaResult via_engine = c::Engine(cfg).run(cat);
-    const c::ZetaResult via_iface = c::make_estimator(cfg)->run(cat);
-    expect_results_match(via_engine, via_iface, 0.0, 1e-300);
-  }
-  {  // Tree backend through the interface is the engine, bit for bit
-    c::EngineConfig cfg;
-    cfg.bins = c::RadialBins(1.7, 6.3, 3);
-    cfg.lmax = 4;
-    cfg.threads = 1;
-    const c::ZetaResult via_engine = c::Engine(cfg).run(cat);
-    const c::ZetaResult via_iface = c::make_estimator(cfg)->run(cat);
-    expect_results_match(via_engine, via_iface, 0.0, 1e-300);
-  }
+  const c::EngineConfig cfg = small_fft_config();
+  const c::ZetaResult via_engine = c::Engine(cfg).run(cat);
+  const c::ZetaResult direct = c::fft_3pcf(cfg, cat);
+  expect_results_match(via_engine, direct, 0.0, 1e-300);
 }
 
 TEST(FftEstimator, EmptyResultMatchesShape) {
   const c::EngineConfig cfg = small_fft_config();
-  const c::ZetaResult z = c::make_estimator(cfg)->empty_result();
+  const c::ZetaResult z = c::Engine(cfg).empty_result();
   EXPECT_EQ(z.lmax, cfg.lmax);
   EXPECT_EQ(z.bins.count(), cfg.bins.count());
   EXPECT_EQ(z.n_primaries, 0u);

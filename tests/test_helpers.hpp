@@ -99,30 +99,31 @@ inline sim::Catalog clumpy_catalog(std::size_t n, double side,
   return c;
 }
 
+// Moves every coordinate onto the 1/64 grid. For separations up to 64 the
+// float differences, their squares and r² are then all exact, so a
+// mixed-precision index accepts and bins exactly the pairs a double one
+// does and mixed runs can be held to double-precision oracle tolerances.
+inline sim::Catalog snapped_to_grid(sim::Catalog cat) {
+  for (auto* v : {&cat.x, &cat.y, &cat.z})
+    for (double& x : *v) x = std::round(x * 64.0) / 64.0;
+  return cat;
+}
+
 // The distributed pipelines the dist suites sweep: the sequential
-// reference, the two-pass default, and the two-pass pipeline whose owned
-// pass runs the per-primary gather (one query and one boundary snapshot
-// per primary instead of one leaf block).
+// reference and the two-pass default.
 struct PipelineCase {
   dist::OverlapMode overlap;
-  core::TraversalMode traversal;
 
-  void apply(dist::DistRunConfig& cfg) const {
-    cfg.overlap = overlap;
-    cfg.engine.tree.traversal = traversal;
-  }
+  void apply(dist::DistRunConfig& cfg) const { cfg.overlap = overlap; }
 };
 
 inline void PrintTo(const PipelineCase& p, std::ostream* os) {
-  *os << dist::overlap_mode_name(p.overlap)
-      << (p.traversal == core::TraversalMode::kPerPrimary ? "_per_primary"
-                                                          : "");
+  *os << dist::overlap_mode_name(p.overlap);
 }
 
 inline constexpr PipelineCase kPipelineCases[] = {
-    {dist::OverlapMode::kSequential, core::TraversalMode::kLeafBlocked},
-    {dist::OverlapMode::kTwoPass, core::TraversalMode::kLeafBlocked},
-    {dist::OverlapMode::kTwoPass, core::TraversalMode::kPerPrimary},
+    {dist::OverlapMode::kSequential},
+    {dist::OverlapMode::kTwoPass},
 };
 
 // The IEEE bit pattern of a double, so equality checks see -0 vs +0.

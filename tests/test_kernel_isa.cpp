@@ -344,24 +344,20 @@ TEST(KernelIsaEquivalence, EngineResultsIdenticalAcrossLevels) {
   cfg.threads = 1;
   cfg.subtract_self_pairs = true;
 
-  for (c::TraversalMode traversal :
-       {c::TraversalMode::kPerPrimary, c::TraversalMode::kLeafBlocked}) {
-    cfg.tree.traversal = traversal;
-    c::set_kernel_isa(c::KernelIsa::kScalar);
-    const c::Engine engine(cfg);
-    const c::ZetaResult ref_fused = engine.run(cat);
-    c::Engine::Staged ref_staged = engine.build_index(cat);
-    const c::ZetaResult ref_piped = ref_staged.run_indexed(nullptr, nullptr);
+  c::set_kernel_isa(c::KernelIsa::kScalar);
+  const c::Engine engine(cfg);
+  const c::ZetaResult ref_fused = engine.run(cat);
+  c::Engine::Staged ref_staged = engine.build_index(cat);
+  const c::ZetaResult ref_piped = ref_staged.run_indexed(nullptr, nullptr);
 
-    for (c::KernelIsa isa : supported_levels()) {
-      c::set_kernel_isa(isa);
-      const c::ZetaResult fused = engine.run(cat);
-      expect_results_match(fused, ref_fused, 0.0, 0.0);  // bitwise
-      EXPECT_EQ(fused.n_pairs, ref_fused.n_pairs);
-      c::Engine::Staged staged = engine.build_index(cat);
-      const c::ZetaResult piped = staged.run_indexed(nullptr, nullptr);
-      expect_results_match(piped, ref_piped, 0.0, 0.0);  // bitwise
-      EXPECT_EQ(piped.n_pairs, ref_piped.n_pairs);
-    }
+  for (c::KernelIsa isa : supported_levels()) {
+    c::set_kernel_isa(isa);
+    const c::ZetaResult fused = engine.run(cat);
+    expect_results_match(fused, ref_fused, 0.0, 0.0);  // bitwise
+    EXPECT_EQ(fused.n_pairs, ref_fused.n_pairs);
+    c::Engine::Staged staged = engine.build_index(cat);
+    const c::ZetaResult piped = staged.run_indexed(nullptr, nullptr);
+    expect_results_match(piped, ref_piped, 0.0, 0.0);  // bitwise
+    EXPECT_EQ(piped.n_pairs, ref_piped.n_pairs);
   }
 }

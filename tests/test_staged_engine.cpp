@@ -1,8 +1,8 @@
 // Engine staged pipeline (build_index → extend_with_secondaries →
 // run_indexed):
 //   * with no secondaries the staged path must be BITWISE identical to
-//     Engine::run over the same catalog, for every index/precision/
-//     traversal combination (it is the same code over the same index);
+//     Engine::run over the same catalog, for every precision/leaf-size
+//     combination (it is the same code over the same index);
 //   * with halo points indexed as secondaries, the pair set must equal a
 //     fused run over the combined catalog restricted to owned primaries —
 //     only FP accumulation order may differ (candidate order changes), so
@@ -27,20 +27,17 @@ namespace {
 
 struct StagedCase {
   c::TreePrecision precision;
-  c::TraversalMode traversal;
-  // Off: the leaf-blocked owned pass re-walks the tree for every leaf
-  // instead of replaying the per-leaf interaction lists.
-  bool interaction_lists = true;
+  int leaf_size;  // 5: many ragged leaves and long interaction lists
 };
 
 std::string case_name(const ::testing::TestParamInfo<StagedCase>& info) {
-  // The "KdTree" prefix keeps the case names stable from when the index
-  // was an axis of this sweep.
+  // The "KdTree" prefix and "LeafBlocked" keep the default-leaf case names
+  // stable from when the index and the traversal were axes of this sweep.
   std::string n = "KdTree";
   n += info.param.precision == c::TreePrecision::kDouble ? "Double" : "Mixed";
-  n += info.param.traversal == c::TraversalMode::kLeafBlocked ? "LeafBlocked"
-                                                              : "PerPrimary";
-  if (!info.param.interaction_lists) n += "FreshWalk";
+  n += "LeafBlocked";
+  if (info.param.leaf_size != 32)
+    n += "Leaf" + std::to_string(info.param.leaf_size);
   return n;
 }
 
@@ -69,8 +66,7 @@ c::EngineConfig make_config(const StagedCase& p) {
   cfg.lmax = 4;
   cfg.threads = 1;
   cfg.tree.precision = p.precision;
-  cfg.tree.traversal = p.traversal;
-  cfg.tree.interaction_lists = p.interaction_lists;
+  cfg.tree.leaf_size = p.leaf_size;
   return cfg;
 }
 
@@ -290,15 +286,10 @@ TEST_P(StagedEngine, TwoPassWithPrimarySubset) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, StagedEngine,
-    ::testing::Values(
-        StagedCase{c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked},
-        StagedCase{c::TreePrecision::kDouble, c::TraversalMode::kPerPrimary},
-        StagedCase{c::TreePrecision::kMixed, c::TraversalMode::kLeafBlocked},
-        StagedCase{c::TreePrecision::kMixed, c::TraversalMode::kPerPrimary},
-        StagedCase{c::TreePrecision::kDouble, c::TraversalMode::kLeafBlocked,
-                   false},
-        StagedCase{c::TreePrecision::kMixed, c::TraversalMode::kLeafBlocked,
-                   false}),
+    ::testing::Values(StagedCase{c::TreePrecision::kDouble, 32},
+                      StagedCase{c::TreePrecision::kMixed, 32},
+                      StagedCase{c::TreePrecision::kDouble, 5},
+                      StagedCase{c::TreePrecision::kMixed, 5}),
     case_name);
 
 TEST(StagedEngineApi, EmptyHaloIsNoop) {

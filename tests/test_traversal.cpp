@@ -1,21 +1,24 @@
-// Leaf-blocked vs per-primary traversal equivalence (paper §3.3).
+// The leaf-blocked traversal (paper §3.3) against direct summation.
 //
-// The leaf-blocked gather prunes node-vs-node instead of point-vs-node and
-// feeds the kernel from one shared neighbor block per leaf, pushing each
-// primary's accepted pairs through MultipoleAccumulator::push; per-primary
-// pair sequences are bitwise identical to the per-primary gather, so the
-// two modes may differ only by cross-primary FP reassociation. The sweep
-// covers double/mixed × plane-parallel/radial LOS × all/subset primaries
-// (the distributed-runner path) × interaction-list replay on/off for the
-// leaf-blocked gather.
+// The traversal prunes node-vs-node, feeds the kernel from one shared
+// neighbor block per leaf and pushes each primary's accepted pairs through
+// MultipoleAccumulator::push. baseline::direct_summation shares none of
+// that: it tests every pair by brute force and evaluates Y_lm per
+// secondary. The sweep covers double/mixed × plane-parallel/radial LOS ×
+// all/subset primaries (the distributed-runner path) × the default and a
+// small leaf size (many ragged leaves, long interaction lists). The sweep
+// catalog is snapped to a 1/64 grid (snapped_to_grid), so mixed precision
+// accepts exactly the double pair set and the same tolerance applies.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "baseline/brute3pcf.hpp"
 #include "core/engine.hpp"
 #include "sim/generators.hpp"
 #include "test_helpers.hpp"
 
+namespace b = galactos::baseline;
 namespace c = galactos::core;
 namespace s = galactos::sim;
 using galactos::testing::expect_results_match;
@@ -30,37 +33,46 @@ c::EngineConfig traversal_config() {
   return cfg;
 }
 
-// Runs both traversal modes on identical inputs and checks the strong
-// equivalences: exact pair counts (identical accepted pair sets) and
-// reassociation-level agreement on every output coefficient.
-void expect_modes_agree(c::EngineConfig cfg, const s::Catalog& cat,
-                        const std::vector<std::int64_t>* primaries) {
-  cfg.tree.traversal = c::TraversalMode::kPerPrimary;
-  c::EngineStats spp;
-  const c::ZetaResult pp = c::Engine(cfg).run(cat, primaries, &spp);
-  cfg.tree.traversal = c::TraversalMode::kLeafBlocked;
-  c::EngineStats slb;
-  const c::ZetaResult lb = c::Engine(cfg).run(cat, primaries, &slb);
+// Runs the engine and direct summation on identical inputs: identical pair
+// sets (exact n_pairs) and agreement to 1e-9 on every coefficient. Returns
+// the engine's stats. `oracle_primaries` defaults to the engine's list; it
+// differs only where the engine skips a primary (radial LOS, primary at
+// the observer).
+c::EngineStats expect_matches_direct(
+    const c::EngineConfig& cfg, const s::Catalog& cat,
+    const std::vector<std::int64_t>* primaries,
+    const std::vector<std::int64_t>* oracle_primaries = nullptr) {
+  b::OracleConfig ocfg;
+  ocfg.bins = cfg.bins;
+  ocfg.lmax = cfg.lmax;
+  ocfg.los = cfg.los;
+  ocfg.observer = cfg.observer;
+  ocfg.include_degenerate = !cfg.subtract_self_pairs;
+  c::EngineStats st;
+  const c::ZetaResult got = c::Engine(cfg).run(cat, primaries, &st);
+  const c::ZetaResult ref = b::direct_summation(
+      cat, ocfg, oracle_primaries ? oracle_primaries : primaries);
 
-  EXPECT_EQ(pp.n_pairs, lb.n_pairs);
-  EXPECT_EQ(pp.n_primaries, lb.n_primaries);
-  EXPECT_EQ(spp.primaries_skipped, slb.primaries_skipped);
-  EXPECT_GE(slb.candidates, slb.pairs);
-  expect_results_match(pp, lb, 1e-10, 1e-10);
+  EXPECT_EQ(got.n_pairs, ref.n_pairs);
+  EXPECT_EQ(got.n_primaries, ref.n_primaries);
+  EXPECT_GE(st.candidates, st.pairs);
+  expect_results_match(got, ref, 1e-9, 1e-9);
+  return st;
 }
 
 }  // namespace
 
 class TraversalEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<c::TreePrecision, c::LineOfSight, bool, bool>> {};
+          std::tuple<c::TreePrecision, c::LineOfSight, bool, int>> {};
 
-TEST_P(TraversalEquivalence, LeafBlockedMatchesPerPrimary) {
-  const auto [precision, los, subset, lists] = GetParam();
-  const s::Catalog cat = galactos::testing::clumpy_catalog(900, 60.0, 21);
+TEST_P(TraversalEquivalence, MatchesDirectSummation) {
+  const auto [precision, los, subset, leaf_size] = GetParam();
+  const s::Catalog cat = galactos::testing::snapped_to_grid(
+      galactos::testing::clumpy_catalog(900, 60.0, 21));
   c::EngineConfig cfg = traversal_config();
   cfg.tree.precision = precision;
-  cfg.tree.interaction_lists = lists;
+  cfg.tree.leaf_size = leaf_size;
   cfg.los = los;
   // Observer outside the box so every radial LOS is well defined.
   cfg.observer = {-40.0, -40.0, -40.0};
@@ -73,7 +85,7 @@ TEST_P(TraversalEquivalence, LeafBlockedMatchesPerPrimary) {
       prims.push_back(i);
     pp = &prims;
   }
-  expect_modes_agree(cfg, cat, pp);
+  expect_matches_direct(cfg, cat, pp);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -83,21 +95,17 @@ INSTANTIATE_TEST_SUITE_P(
                           c::TreePrecision::kMixed),
         ::testing::Values(c::LineOfSight::kPlaneParallelZ,
                           c::LineOfSight::kRadial),
-        ::testing::Bool(), ::testing::Bool()));
-
-TEST(Traversal, LeafBlockedIsTheDefault) {
-  EXPECT_EQ(c::EngineConfig{}.tree.traversal, c::TraversalMode::kLeafBlocked);
-}
+        ::testing::Bool(), ::testing::Values(32, 5)));
 
 TEST(Traversal, OddLeafSizesMatch) {
   // Odd leaf sizes and an n that is not a power of two exercise ragged
-  // leaves; leaf_size = 1 makes every leaf a single primary (the blocked
-  // driver degenerates to per-primary with a box the size of a point).
+  // leaves; leaf_size = 1 makes every leaf a single primary (a candidate
+  // block gathered around a box the size of a point).
   const s::Catalog cat = s::uniform_box(257, s::Aabb::cube(40), 22);
   for (int leaf_size : {1, 7, 33}) {
     c::EngineConfig cfg = traversal_config();
     cfg.tree.leaf_size = leaf_size;
-    expect_modes_agree(cfg, cat, nullptr);
+    expect_matches_direct(cfg, cat, nullptr);
   }
 }
 
@@ -112,11 +120,7 @@ TEST(Traversal, CoincidentPointsMatch) {
   cfg.lmax = 2;
   cfg.tree.leaf_size = 4;
   cfg.threads = 1;
-  expect_modes_agree(cfg, cat, nullptr);
-
-  cfg.tree.traversal = c::TraversalMode::kLeafBlocked;
-  const c::ZetaResult res = c::Engine(cfg).run(cat);
-  EXPECT_EQ(res.n_pairs, 40u);
+  EXPECT_EQ(expect_matches_direct(cfg, cat, nullptr).pairs, 40u);
 }
 
 TEST(Traversal, RadialSubsetSkipsPrimaryAtObserver) {
@@ -126,36 +130,32 @@ TEST(Traversal, RadialSubsetSkipsPrimaryAtObserver) {
   cfg.threads = 1;
   cfg.los = c::LineOfSight::kRadial;
   cfg.observer = {0, 0, 0};
-  // Stride-2 subset; cat.size() is odd so it includes the observer point.
-  std::vector<std::int64_t> prims;
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(cat.size());
-       i += 2)
+  // Stride-2 subset; cat.size() is odd so it includes the observer point,
+  // which has no line of sight: the engine skips it, and the oracle is
+  // given the subset without it.
+  const std::int64_t at_observer = static_cast<std::int64_t>(cat.size()) - 1;
+  std::vector<std::int64_t> prims, oracle_prims;
+  for (std::int64_t i = 0; i <= at_observer; i += 2) {
     prims.push_back(i);
-  expect_modes_agree(cfg, cat, &prims);
+    if (i != at_observer) oracle_prims.push_back(i);
+  }
+  ASSERT_EQ(prims.back(), at_observer);
+  EXPECT_EQ(
+      expect_matches_direct(cfg, cat, &prims, &oracle_prims).primaries_skipped,
+      1u);
 }
 
 TEST(Traversal, FewerLeavesThanThreads) {
-  // Fewer leaves than threads: most threads get no leaf at all, and both
-  // gathers still agree.
+  // Fewer leaves than threads: most threads get no leaf at all.
   const s::Catalog cat = s::uniform_box(50, s::Aabb::cube(15), 26);
   c::EngineConfig cfg = traversal_config();
   cfg.threads = 8;
-  expect_modes_agree(cfg, cat, nullptr);
+  expect_matches_direct(cfg, cat, nullptr);
 }
 
 TEST(Traversal, SelfPairSubtractionAgrees) {
   const s::Catalog cat = galactos::testing::clumpy_catalog(300, 35.0, 24);
   c::EngineConfig cfg = traversal_config();
   cfg.subtract_self_pairs = true;
-  expect_modes_agree(cfg, cat, nullptr);
-}
-
-TEST(Traversal, LeafBlockedStaticScheduleBitwiseReproducible) {
-  const s::Catalog cat = s::uniform_box(800, s::Aabb::cube(60), 25);
-  c::EngineConfig cfg = traversal_config();
-  cfg.tree.schedule = c::OmpSchedule::kStatic;
-  c::Engine engine(cfg);
-  const c::ZetaResult a = engine.run(cat);
-  const c::ZetaResult b = engine.run(cat);
-  expect_results_match(a, b, 0.0, 1e-300);  // bitwise-identical expected
+  expect_matches_direct(cfg, cat, nullptr);
 }

@@ -29,12 +29,12 @@ rather than eyeballed:
 
 fig4_breakdown (BENCH_fig4.json) — the kernel-GFLOP/s floor:
 
-  * engine kernel throughput (--kernel-gflops-floor) — for each
-    traversal driver (per_primary, leaf_blocked), the fresh
-    kernel_gflops must stay at or above baseline * FLOOR. FLOOR is a
-    fraction (e.g. 0.6): generous enough that runner-to-runner hardware
-    variance passes, tight enough that a silent fall-back to the scalar
-    kernel (a ~4-8x drop on any SIMD host) fails loudly. Baselines
+  * engine kernel throughput (--kernel-gflops-floor) — for the
+    leaf-blocked traversal (leaf_blocked), the fresh kernel_gflops must stay
+    at or above baseline * FLOOR. FLOOR is a fraction (e.g. 0.6):
+    generous enough that runner-to-runner hardware variance passes,
+    tight enough that a silent fall-back to the scalar kernel (a ~4-8x
+    drop on any SIMD host) fails loudly. Baselines
     recorded before the SIMD kernel carry no kernel_gflops key and are
     skipped with a notice; a FRESH file missing the key is a violation
     (the bench stopped reporting the gated metric).
@@ -44,14 +44,14 @@ fig4_breakdown (BENCH_fig4.json) — the kernel-GFLOP/s floor:
     ISA — e.g. no AVX-512); a missing row is a violation (the A/B
     matrix silently shrank). Supported-on-both rows are also held to
     the same GFLOP/s floor.
-  * candidate ratio (--candidate-ratio-ceiling) — per driver, the fresh
+  * candidate ratio (--candidate-ratio-ceiling) — the traversal's fresh
     candidates/pairs ratio must stay at or below an ABSOLUTE ceiling.
     The ratio is a pure function of the pruning geometry (deterministic
     for a given catalog/config, machine-independent), so any growth is
     a real pruning regression, not runner noise. Baselines recorded
     before the metric existed are skipped with a notice; a FRESH file
     missing the metric while the baseline has it is a violation.
-  * neighbor-query share (--query-share-tol) — per driver, the fresh
+  * neighbor-query share (--query-share-tol) — the traversal's fresh
     neighbor-query seconds as a fraction of total_seconds must not
     exceed the baseline's share by more than TOL (absolute). Shares,
     not seconds, so a uniformly slower/faster runner cannot trip it;
@@ -297,17 +297,17 @@ def check_fig4(baseline, fresh, args):
         print(f"{label:<28} {base_gf:>10.2f} {fresh_gf:>10.2f}"
               f" {lim:>8.2f}  {'REGRESSED' if bad else 'ok'}")
 
-    for driver in ("per_primary", "leaf_blocked"):
-        gate(f"engine {driver}",
-             baseline.get(driver, {}).get("kernel_gflops"),
-             fresh.get(driver, {}).get("kernel_gflops"))
+    for traversal in ("leaf_blocked",):
+        gate(f"engine {traversal}",
+             baseline.get(traversal, {}).get("kernel_gflops"),
+             fresh.get(traversal, {}).get("kernel_gflops"))
 
     if args.candidate_ratio_ceiling is not None:
         ceiling = args.candidate_ratio_ceiling
-        for driver in ("per_primary", "leaf_blocked"):
-            label = f"{driver} candidate ratio"
-            base_cr = baseline.get(driver, {}).get("candidate_ratio")
-            fresh_cr = fresh.get(driver, {}).get("candidate_ratio")
+        for traversal in ("leaf_blocked",):
+            label = f"{traversal} candidate ratio"
+            base_cr = baseline.get(traversal, {}).get("candidate_ratio")
+            fresh_cr = fresh.get(traversal, {}).get("candidate_ratio")
             if fresh_cr is None:
                 if base_cr is None:
                     print(f"{label:<28} {'—':>10} {'—':>10} {'—':>8}  skipped "
@@ -329,10 +329,10 @@ def check_fig4(baseline, fresh, args):
 
     if args.query_share_tol is not None:
         tol = args.query_share_tol
-        for driver in ("per_primary", "leaf_blocked"):
-            label = f"{driver} query share"
-            base_sh = query_share(baseline.get(driver, {}))
-            fresh_sh = query_share(fresh.get(driver, {}))
+        for traversal in ("leaf_blocked",):
+            label = f"{traversal} query share"
+            base_sh = query_share(baseline.get(traversal, {}))
+            fresh_sh = query_share(fresh.get(traversal, {}))
             if base_sh is None:
                 print(f"{label:<28} {'—':>10} {'—':>10} {'—':>8}  skipped "
                       f"(baseline predates the phase breakdown)")
@@ -622,14 +622,12 @@ def self_test():
     fig4 = {
         "bench": "fig4_breakdown",
         "config": {k: 1 for k in FIG4_CONFIG_KEYS},
-        "per_primary": {"kernel_gflops": 10.0, "candidate_ratio": 1.0,
-                        "neighbor query": 2.0, "total_seconds": 10.0},
         "leaf_blocked": {"kernel_gflops": 12.0, "candidate_ratio": 1.7,
                          "neighbor query": 1.0, "total_seconds": 8.0},
         "kernel_isa_ab": [],
     }
     fig4_slow = json.loads(json.dumps(fig4))
-    fig4_slow["per_primary"]["kernel_gflops"] = 1.0
+    fig4_slow["leaf_blocked"]["kernel_gflops"] = 1.0
     fig4_fat = json.loads(json.dumps(fig4))
     fig4_fat["leaf_blocked"]["candidate_ratio"] = 2.6
     fig4_slowquery = json.loads(json.dumps(fig4))
@@ -637,7 +635,7 @@ def self_test():
     # A baseline recorded before the candidate-ratio / phase metrics
     # existed: both new gates must skip with a notice, not fail.
     fig4_prepr = json.loads(json.dumps(fig4))
-    for drv in ("per_primary", "leaf_blocked"):
+    for drv in ("leaf_blocked",):
         for key in ("candidate_ratio", "neighbor query", "total_seconds"):
             del fig4_prepr[drv][key]
 
@@ -815,12 +813,12 @@ def main():
                          "above baseline x FLOOR (a fraction, e.g. 0.6; "
                          "required for fig4_breakdown baselines)")
     ap.add_argument("--candidate-ratio-ceiling", type=float, default=None,
-                    help="fig4 files: per-driver candidates/pairs must stay "
+                    help="fig4 files: leaf_blocked candidates/pairs must stay "
                          "at or below this ABSOLUTE ceiling (the ratio is "
                          "deterministic for a config, so no baseline slack "
                          "is needed; omitted = ratio check off)")
     ap.add_argument("--query-share-tol", type=float, default=None,
-                    help="fig4 files: per-driver neighbor-query share of "
+                    help="fig4 files: leaf_blocked neighbor-query share of "
                          "total_seconds may exceed the baseline share by at "
                          "most this much, absolute (omitted = check off)")
     ap.add_argument("--fft-err-ceiling", type=float, default=None,
