@@ -60,7 +60,7 @@ INSTANTIATE_TEST_SUITE_P(RankSweep, DistributedVsSingle,
 // decomposition exact: every (ranks, policy, pipeline) combination
 // matches the single-node engine to 1e-10 — including the two-pass
 // pipeline, whose owned-vs-halo completion runs as a separate traversal,
-// with either owned-pass gather.
+// at the default and at a small leaf size.
 class DistributedPipeline
     : public ::testing::TestWithParam<std::tuple<
           int, d::PartitionPolicy, galactos::testing::PipelineCase>> {};

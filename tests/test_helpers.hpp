@@ -110,20 +110,28 @@ inline sim::Catalog snapped_to_grid(sim::Catalog cat) {
 }
 
 // The distributed pipelines the dist suites sweep: the sequential
-// reference and the two-pass default.
+// reference, the two-pass default, and the two-pass pipeline over 5-point
+// leaves (many more leaf boxes per rank, so far more owned leaves touch
+// the halo and go through the boundary snapshot and the secondary pass).
 struct PipelineCase {
   dist::OverlapMode overlap;
+  int leaf_size = 0;  // 0: keep the engine config's leaf size
 
-  void apply(dist::DistRunConfig& cfg) const { cfg.overlap = overlap; }
+  void apply(dist::DistRunConfig& cfg) const {
+    cfg.overlap = overlap;
+    if (leaf_size > 0) cfg.engine.tree.leaf_size = leaf_size;
+  }
 };
 
 inline void PrintTo(const PipelineCase& p, std::ostream* os) {
   *os << dist::overlap_mode_name(p.overlap);
+  if (p.leaf_size > 0) *os << "_leaf" << p.leaf_size;
 }
 
 inline constexpr PipelineCase kPipelineCases[] = {
     {dist::OverlapMode::kSequential},
     {dist::OverlapMode::kTwoPass},
+    {dist::OverlapMode::kTwoPass, 5},
 };
 
 // The IEEE bit pattern of a double, so equality checks see -0 vs +0.

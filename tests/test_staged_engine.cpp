@@ -1,8 +1,9 @@
 // Engine staged pipeline (build_index → extend_with_secondaries →
 // run_indexed):
 //   * with no secondaries the staged path must be BITWISE identical to
-//     Engine::run over the same catalog, for every precision/leaf-size
-//     combination (it is the same code over the same index);
+//     Engine::run over the same catalog, for every precision/leaf-size/
+//     bucket-capacity combination (it is the same code over the same
+//     index);
 //   * with halo points indexed as secondaries, the pair set must equal a
 //     fused run over the combined catalog restricted to owned primaries —
 //     only FP accumulation order may differ (candidate order changes), so
@@ -28,6 +29,9 @@ namespace {
 struct StagedCase {
   c::TreePrecision precision;
   int leaf_size;  // 5: many ragged leaves and long interaction lists
+  // 8: one lane group per bucket, so a primary's pairs flush many times
+  // and the boundary snapshot catches buckets mid-fill.
+  int bucket_capacity = 128;
 };
 
 std::string case_name(const ::testing::TestParamInfo<StagedCase>& info) {
@@ -38,6 +42,8 @@ std::string case_name(const ::testing::TestParamInfo<StagedCase>& info) {
   n += "LeafBlocked";
   if (info.param.leaf_size != 32)
     n += "Leaf" + std::to_string(info.param.leaf_size);
+  if (info.param.bucket_capacity != 128)
+    n += "Bucket" + std::to_string(info.param.bucket_capacity);
   return n;
 }
 
@@ -67,6 +73,7 @@ c::EngineConfig make_config(const StagedCase& p) {
   cfg.threads = 1;
   cfg.tree.precision = p.precision;
   cfg.tree.leaf_size = p.leaf_size;
+  cfg.tree.bucket_capacity = p.bucket_capacity;
   return cfg;
 }
 
@@ -289,7 +296,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(StagedCase{c::TreePrecision::kDouble, 32},
                       StagedCase{c::TreePrecision::kMixed, 32},
                       StagedCase{c::TreePrecision::kDouble, 5},
-                      StagedCase{c::TreePrecision::kMixed, 5}),
+                      StagedCase{c::TreePrecision::kMixed, 5},
+                      StagedCase{c::TreePrecision::kDouble, 32, 8},
+                      StagedCase{c::TreePrecision::kMixed, 32, 8}),
     case_name);
 
 TEST(StagedEngineApi, EmptyHaloIsNoop) {

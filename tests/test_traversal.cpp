@@ -6,7 +6,9 @@
 // that: it tests every pair by brute force and evaluates Y_lm per
 // secondary. The sweep covers double/mixed × plane-parallel/radial LOS ×
 // all/subset primaries (the distributed-runner path) × the default and a
-// small leaf size (many ragged leaves, long interaction lists). The sweep
+// small leaf size (many ragged leaves, long interaction lists) × the
+// default and a one-lane-group bucket capacity (every bin flushes many
+// times per primary, mostly full buckets). The sweep
 // catalog is snapped to a 1/64 grid (snapped_to_grid), so mixed precision
 // accepts exactly the double pair set and the same tolerance applies.
 #include <gtest/gtest.h>
@@ -64,15 +66,16 @@ c::EngineStats expect_matches_direct(
 
 class TraversalEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<c::TreePrecision, c::LineOfSight, bool, int>> {};
+          std::tuple<c::TreePrecision, c::LineOfSight, bool, int, int>> {};
 
 TEST_P(TraversalEquivalence, MatchesDirectSummation) {
-  const auto [precision, los, subset, leaf_size] = GetParam();
+  const auto [precision, los, subset, leaf_size, bucket] = GetParam();
   const s::Catalog cat = galactos::testing::snapped_to_grid(
       galactos::testing::clumpy_catalog(900, 60.0, 21));
   c::EngineConfig cfg = traversal_config();
   cfg.tree.precision = precision;
   cfg.tree.leaf_size = leaf_size;
+  cfg.tree.bucket_capacity = bucket;
   cfg.los = los;
   // Observer outside the box so every radial LOS is well defined.
   cfg.observer = {-40.0, -40.0, -40.0};
@@ -95,7 +98,8 @@ INSTANTIATE_TEST_SUITE_P(
                           c::TreePrecision::kMixed),
         ::testing::Values(c::LineOfSight::kPlaneParallelZ,
                           c::LineOfSight::kRadial),
-        ::testing::Bool(), ::testing::Values(32, 5)));
+        ::testing::Bool(), ::testing::Values(32, 5),
+        ::testing::Values(128, 8)));
 
 TEST(Traversal, OddLeafSizesMatch) {
   // Odd leaf sizes and an n that is not a power of two exercise ragged
