@@ -195,3 +195,44 @@ static void BM_AlmPerBinOracle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AlmPerBinOracle);
+
+// The pair stage's own ceiling: one primary against a 5k-candidate float
+// block drawn uniformly from the cube of half-side R_max around it, so
+// about half the candidates fall within R_max, as in the engine's leaf
+// blocks. 10 linear bins in [R_max/10, R_max), plane-parallel (rot 0) or
+// radial (rot 1) LOS. Reports candidates/s. isa as above.
+static void BM_PairStage(benchmark::State& state) {
+  IsaRun isa(state, static_cast<int>(state.range(0)));
+  if (!isa.ok) return;
+  const bool rotate = state.range(1) != 0;
+  const int n = 5000;
+  const double rmax = 24.0;
+  const c::RadialBins bins(rmax / 10, rmax, 10);
+  const float p[3] = {100.0f, 50.0f, 75.0f};
+  galactos::tree::NeighborBlock<float> block;
+  m::Rng rng(48);
+  for (int i = 0; i < n; ++i)
+    block.push(p[0] + static_cast<float>(rng.uniform(-rmax, rmax)),
+               p[1] + static_cast<float>(rng.uniform(-rmax, rmax)),
+               p[2] + static_cast<float>(rng.uniform(-rmax, rmax)),
+               rng.uniform(0.5, 1.5), i);
+  const c::Rotation rot = c::rotation_to_z({1.0, 2.0, 3.0});
+  const float r2max = static_cast<float>(rmax) * static_cast<float>(rmax);
+  c::StagedPairs staged;
+  for (auto _ : state) {
+    c::stage_pairs(block, p[0], p[1], p[2], r2max, std::int64_t{17}, bins,
+                   rotate ? &rot : nullptr, staged);
+    benchmark::DoNotOptimize(staged.ux.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["pairs/candidate"] =
+      static_cast<double>(staged.count) / n;
+  state.counters["candidates/s"] = benchmark::Counter(
+      n, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_PairStage)
+    ->ArgNames({"isa", "rot"})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({2, 0})
+    ->Args({2, 1});

@@ -107,4 +107,9 @@ void SelfPairAccumulator::add(int bin, double ux, double uy, double uz,
   }
 }
 
+void SelfPairAccumulator::add(const StagedPairs& s) {
+  for (std::size_t i = 0; i < s.count; ++i)
+    add(s.bin[i], s.ux[i], s.uy[i], s.uz[i], s.w[i]);
+}
+
 }  // namespace galactos::core

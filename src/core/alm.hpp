@@ -69,6 +69,8 @@ class SelfPairAccumulator {
   void start_primary();
   // Adds one secondary with unit direction (ux, uy, uz) and weight w.
   void add(int bin, double ux, double uy, double uz, double w);
+  // add() for each staged pair, in order.
+  void add(const StagedPairs& s);
   // Per-bin self planes in LlmIndex order; only touched bins are valid.
   // Feed these to ZetaAccumulator::subtract_self.
   const double* self_re(int bin) const {

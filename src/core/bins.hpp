@@ -22,10 +22,12 @@ class RadialBins {
   double rmin() const { return rmin_; }
   double rmax() const { return rmax_; }
   BinSpacing spacing() const { return spacing_; }
+  // 1 / bin width of linear bins: bin_of's scale factor.
+  double inv_width() const { return inv_width_; }
 
-  // Bin index for distance r, or -1 if outside [rmin, rmax).
+  // Bin index for distance r, or -1 if outside [rmin, rmax) or NaN.
   int bin_of(double r) const {
-    if (r < rmin_ || r >= rmax_) return -1;
+    if (!(r >= rmin_ && r < rmax_)) return -1;
     if (spacing_ == BinSpacing::kLinear) {
       int b = static_cast<int>((r - rmin_) * inv_width_);
       return b >= nbins_ ? nbins_ - 1 : b;  // guard FP edge at r ~ rmax

@@ -61,125 +61,6 @@ tree::KdTree<Real> make_index(const sim::Catalog& catalog,
   return tree::KdTree<Real>(catalog, bp);
 }
 
-// Dense accepted-pair staging, called once per primary on the separations
-// formed against a gathered block. fill() applies the range filter / self
-// exclusion / coincident rejection and compacts the survivors — in
-// candidate order — into SoA arrays of separation, r, 1/r and weight. Like
-// separation formation, the filter runs on neighbor-query time; the kernel
-// phase then walks only real pairs with no data-dependent branches.
-//
-// The range compare stays in index precision (Real), acceptance order is
-// candidate order, sqrt and reciprocal are IEEE-exact (the 8-wide hoist
-// yields bitwise the values an inline accept loop computes), and dx stays
-// unnormalized so the consumer forms dx * (1/r) from identical operands.
-// Compaction is branchless (always-store, masked advance): rejected lanes
-// write junk (1/0 = inf) that the next candidate overwrites or `count`
-// hides.
-class PairStage {
- public:
-  std::size_t count = 0;
-  std::vector<double> dx, dy, dz, r, inv, w;
-
-  // `r2max` in index precision; `self` is the primary's catalog index (-1
-  // to keep every candidate, e.g. for disjoint halo blocks).
-  template <typename Real>
-  void fill(const Real* sdx, const Real* sdy, const Real* sdz,
-            const Real* sr2, const double* sw, const std::int64_t* sidx,
-            std::size_t n, Real r2max, std::int64_t self) {
-    hr_.resize(n);
-    hinv_.resize(n);
-    double* __restrict rp = hr_.data();
-    double* __restrict ip = hinv_.data();
-#pragma omp simd
-    for (std::size_t j = 0; j < n; ++j) {
-      const double rj = std::sqrt(static_cast<double>(sr2[j]));
-      rp[j] = rj;
-      ip[j] = 1.0 / rj;
-    }
-    dx.resize(n);
-    dy.resize(n);
-    dz.resize(n);
-    r.resize(n);
-    inv.resize(n);
-    w.resize(n);
-    std::size_t cnt = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const unsigned ok = static_cast<unsigned>(sr2[j] <= r2max) &
-                          static_cast<unsigned>(sidx[j] != self) &
-                          static_cast<unsigned>(
-                              static_cast<double>(sr2[j]) > 0.0);
-      dx[cnt] = static_cast<double>(sdx[j]);
-      dy[cnt] = static_cast<double>(sdy[j]);
-      dz[cnt] = static_cast<double>(sdz[j]);
-      r[cnt] = rp[j];
-      inv[cnt] = ip[j];
-      w[cnt] = sw[j];
-      cnt += ok;
-    }
-    count = cnt;
-  }
-
- private:
-  std::vector<double> hr_, hinv_;  // full-length hoisted sqrt / 1/r
-};
-
-// Forms one primary's separations against a gathered block (SIMD
-// subtraction + squared norm). ONE definition shared by the fused
-// traversal and both two-pass call sites, so the pass-1 vs pass-2
-// bitwise-A guarantee cannot be broken by divergent arithmetic.
-template <typename Real>
-inline void form_separations(const tree::NeighborBlock<Real>& block, Real px,
-                             Real py, Real pz, Real* __restrict dxv,
-                             Real* __restrict dyv, Real* __restrict dzv,
-                             Real* __restrict r2v) {
-  const Real* __restrict bx = block.x.data();
-  const Real* __restrict by = block.y.data();
-  const Real* __restrict bz = block.z.data();
-  const std::size_t m = block.size();
-#pragma omp simd
-  for (std::size_t j = 0; j < m; ++j) {
-    const Real ddx = bx[j] - px;
-    const Real ddy = by[j] - py;
-    const Real ddz = bz[j] - pz;
-    dxv[j] = ddx;
-    dyv[j] = ddy;
-    dzv[j] = ddz;
-    r2v[j] = ddx * ddx + ddy * ddy + ddz * ddz;
-  }
-}
-
-// Bins one primary's staged pairs, rotates them into its LOS frame (`rot`
-// null: plane-parallel) and pushes them through the kernel accumulator and,
-// when self pairs are subtracted, its self-pair twin. Returns the number of
-// pairs that landed in a bin.
-//
-// Kept out of line: inlined into a per-leaf body, GCC keeps each pair's
-// values live across push()'s cold touch/flush calls by spilling them to
-// the stack on every pair. That measured 13% slower in the kernel phase
-// at lmax 2 (one thread, 4-core AVX-512 VM); the call is once per primary.
-[[gnu::noinline]]
-std::uint64_t push_pairs(MultipoleAccumulator& acc, SelfPairAccumulator* sp,
-                         const PairStage& ps, const RadialBins& bins,
-                         const Rotation* rot) {
-  acc.start_primary();
-  if (sp) sp->start_primary();
-  std::uint64_t accepted = 0;
-  for (std::size_t j = 0; j < ps.count; ++j) {
-    const int bin = bins.bin_of(ps.r[j]);
-    if (bin < 0) continue;
-    double dx = ps.dx[j];
-    double dy = ps.dy[j];
-    double dz = ps.dz[j];
-    if (rot) rot->apply(dx, dy, dz);
-    const double inv = ps.inv[j];
-    acc.push(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-    if (sp) sp->add(bin, dx * inv, dy * inv, dz * inv, ps.w[j]);
-    ++accepted;
-  }
-  acc.finish_primary();
-  return accepted;
-}
-
 KernelConfig kernel_config(const EngineConfig& cfg) {
   KernelConfig kc;
   kc.lmax = cfg.lmax;
@@ -230,32 +111,28 @@ struct Lane {
     return true;
   }
 
-  // Stages one primary's pairs against a gathered block: SIMD separations,
-  // then the range filter, self exclusion and compaction of PairStage::fill.
-  // Neighbor-search work, so it counts toward the query phase.
-  void stage(const tree::NeighborBlock<Real>& block, Real px, Real py,
-             Real pz, Real r2max, std::int64_t self) {
+  // One primary against a gathered block: stage_pairs (separations, range
+  // filter, self exclusion, binning, LOS rotation and normalization —
+  // neighbor-search work, timed as the query phase), then the append into
+  // this lane's accumulators (kernel phase). `rot` null: plane-parallel.
+  // Returns the number of pairs that landed in a bin.
+  std::uint64_t stage_and_push(const tree::NeighborBlock<Real>& block,
+                               Real px, Real py, Real pz, Real r2max,
+                               std::int64_t self, const Rotation* rot) {
     Timer tq;
-    const std::size_t m = block.size();
-    sdx.resize(m);
-    sdy.resize(m);
-    sdz.resize(m);
-    sr2.resize(m);
-    form_separations(block, px, py, pz, sdx.data(), sdy.data(), sdz.data(),
-                     sr2.data());
-    ps.fill(sdx.data(), sdy.data(), sdz.data(), sr2.data(), block.w.data(),
-            block.idx.data(), m, r2max, self);
-    tally.candidates += m;
+    stage_pairs(block, px, py, pz, r2max, self, cfg.bins, rot, staged);
+    tally.candidates += block.size();
     tally.t_query += tq.seconds();
-  }
-
-  // push_pairs on this lane's accumulators, timed as kernel work.
-  std::uint64_t push(bool rotate, const Rotation& rot) {
     Timer tk;
-    const std::uint64_t n = push_pairs(acc, sp ? &*sp : nullptr, ps,
-                                       cfg.bins, rotate ? &rot : nullptr);
+    acc.start_primary();
+    acc.push_staged(staged);
+    acc.finish_primary();
+    if (sp) {
+      sp->start_primary();
+      sp->add(staged);
+    }
     tally.t_kernel += tk.seconds();
-    return n;
+    return staged.count;
   }
 
   // The 2PCF moments of the pairs just pushed.
@@ -282,9 +159,8 @@ struct Lane {
   std::optional<SelfPairAccumulator> sp;
   ZetaAccumulator& zeta;
   TwoPcfAccumulator& xi;
-  PairStage ps;
+  StagedPairs staged;
   LaneTally tally;
-  std::vector<Real> sdx, sdy, sdz, sr2;  // stage() buffers
 };
 
 // Number of leaves the master thread processes between poll() calls.
@@ -504,8 +380,8 @@ void run_primary_pass(const EngineConfig& cfg, const sim::Catalog& catalog,
               ++lane.tally.skipped;
               continue;
             }
-            lane.stage(block, index.x(t), index.y(t), index.z(t), r2max, p);
-            lane.push(rotate, rot);
+            lane.stage_and_push(block, index.x(t), index.y(t), index.z(t),
+                                r2max, p, rotate ? &rot : nullptr);
 
             Timer tz;
             MultipoleAccumulator& acc = lane.acc;
@@ -631,10 +507,12 @@ void run_secondary_pass_impl(const EngineConfig& cfg,
               // pass 1.
               if (!lane.make_rotation(p, rot, rotate)) continue;
               // The halo block is disjoint from the owned set: no
-              // self-exclusion.
-              lane.stage(halo, index.x(t), index.y(t), index.z(t), r2max, -1);
-              // No halo pair in a bin: the pass-1 contribution is final.
-              if (lane.push(rotate, rot) == 0) continue;
+              // self-exclusion. No halo pair in a bin: the pass-1
+              // contribution is final.
+              if (lane.stage_and_push(halo, index.x(t), index.y(t),
+                                      index.z(t), r2max, -1,
+                                      rotate ? &rot : nullptr) == 0)
+                continue;
               const SavedRef& ref = snapshot[static_cast<std::size_t>(p)];
               if (ref.count < 0) {
                 if (unsaved[static_cast<std::size_t>(lane.tid)] < 0)

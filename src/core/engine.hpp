@@ -12,9 +12,10 @@
 // plugs its per-leaf body into it. One pruned node-vs-node walk per leaf
 // (replayed from the leaf's precomputed interaction list) emits a shared
 // candidate block that the leaf's ~leaf_size primaries drain while it is
-// hot in cache; per-primary separations are SIMD subtractions from the
-// block, and accepted pairs reach the kernel through
-// MultipoleAccumulator::push.
+// hot in cache. Per primary, one per-ISA SIMD pass over the block
+// (core::stage_pairs) forms the separations, filters them on R_max, bins
+// them, rotates them into the LOS frame and normalizes them; the accepted
+// pairs reach the kernel through MultipoleAccumulator::push_staged.
 //
 // The outer API comes in two shapes: Engine::run builds the index and
 // traverses in one call; the staged pipeline (build_index →
@@ -129,8 +130,11 @@ struct EngineConfig {
 // which first resets the object: a reused stats object reports its last
 // run only.
 struct EngineStats {
-  PhaseTimer phases;  // tree build / neighbor query / multipole kernel /
-                      // alm+zeta / merge — phase names in engine.cpp
+  // Phase names in engine.cpp: "index build", "neighbor query" (the leaf
+  // gathers and the whole pair stage — separations, filter, binning, LOS
+  // rotation and normalization), "multipole kernel" (the bucket appends
+  // and kernel flushes), "alm+zeta" and "imbalance+merge".
+  PhaseTimer phases;
   double wall_seconds = 0.0;
   std::uint64_t pairs = 0;      // kernel pairs (inside R_max and bins)
   // Candidate pairs examined: the shared-block entries each primary scans

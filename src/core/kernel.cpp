@@ -137,7 +137,49 @@ KernelIsa kernel_isa_from_env() {
   return parse_kernel_isa(e);
 }
 
-// --- Public bucket kernels: validate once, dispatch to the active level. ----
+// --- Public kernels: validate once, dispatch to the active level. ----------
+
+void StagedPairs::reserve(std::size_t n) {
+  const std::size_t need = n + kStageSlack;
+  if (w.size() >= need) return;
+  bin.resize(need);
+  ux.resize(need);
+  uy.resize(need);
+  uz.resize(need);
+  w.resize(need);
+}
+
+template <typename Real>
+void stage_pairs(const tree::NeighborBlock<Real>& block, Real px, Real py,
+                 Real pz, Real r2max, std::int64_t self,
+                 const RadialBins& bins, const Rotation* rot,
+                 StagedPairs& out) {
+  out.reserve(block.size());
+  switch (active_isa()) {
+#if defined(GALACTOS_KERNEL_HAVE_AVX512)
+    case KernelIsa::kAvx512:
+      isa_avx512::stage_pairs(block, px, py, pz, r2max, self, bins, rot, out);
+      return;
+#endif
+#if defined(GALACTOS_KERNEL_HAVE_AVX2)
+    case KernelIsa::kAvx2:
+      isa_avx2::stage_pairs(block, px, py, pz, r2max, self, bins, rot, out);
+      return;
+#endif
+    default:
+      isa_scalar::stage_pairs(block, px, py, pz, r2max, self, bins, rot, out);
+      return;
+  }
+}
+
+template void stage_pairs<float>(const tree::NeighborBlock<float>&, float,
+                                 float, float, float, std::int64_t,
+                                 const RadialBins&, const Rotation*,
+                                 StagedPairs&);
+template void stage_pairs<double>(const tree::NeighborBlock<double>&, double,
+                                  double, double, double, std::int64_t,
+                                  const RadialBins&, const Rotation*,
+                                  StagedPairs&);
 
 void kernel_running_product(const double* ux, const double* uy,
                             const double* uz, const double* w, int count,
@@ -266,6 +308,11 @@ void MultipoleAccumulator::start_primary() {
     first_flush_[bin] = 0;
   }
   touched_list_.clear();
+}
+
+void MultipoleAccumulator::push_staged(const StagedPairs& s) {
+  for (std::size_t i = 0; i < s.count; ++i)
+    push(s.bin[i], s.ux[i], s.uy[i], s.uz[i], s.w[i]);
 }
 
 void MultipoleAccumulator::touch(int bin) {

@@ -33,7 +33,10 @@
 #include <string>
 #include <vector>
 
+#include "core/bins.hpp"
+#include "core/los.hpp"
 #include "math/sph_table.hpp"
+#include "tree/neighbors.hpp"
 #include "util/aligned.hpp"
 #include "util/check.hpp"
 
@@ -43,12 +46,14 @@ inline constexpr int kLanes = 8;  // 512-bit worth of doubles, as on KNL
 
 // --- Runtime ISA dispatch -------------------------------------------------
 //
-// The bucket kernels, the a_lm assembly and the batched zeta update below
-// are compiled once per ISA level (scalar / AVX2+FMA / AVX-512) into
-// separate translation units with per-source target flags; every call
-// dispatches to the best level the CPU supports. Every level executes the
-// identical per-lane operation sequence, so power sums, a_lm and zeta are
-// BITWISE identical across levels (asserted in ctest).
+// The pair stage (stage_pairs), the bucket kernels
+// (kernel_running_product), the a_lm assembly (alm_bins_as_lanes) and the
+// batched zeta update (zeta_batch_update) below are compiled once per ISA
+// level (scalar / AVX2+FMA / AVX-512) into separate translation units with
+// per-source target flags; every call dispatches to the best level the CPU
+// supports. Every level executes the identical per-lane operation
+// sequence, so staged pairs, power sums, a_lm and zeta are BITWISE
+// identical across levels (asserted in ctest).
 //
 // The first kernel call resolves the GALACTOS_KERNEL_ISA environment
 // variable (scalar | avx2 | avx512 | auto; unset means auto). A malformed
@@ -160,14 +165,51 @@ void zeta_batch_update(const double* wp, int np, const double* vr,
                        const double* vi, std::size_t vstride, int rows,
                        int cols, double* zr, double* zi, std::size_t ld);
 
+// --- Pair stage: gathered block -> one primary's accepted pairs. ---
+//
+// One primary's accepted pairs in candidate order, SoA: radial bin, unit
+// separation in the primary's LOS frame, and weight. Entries [0, count)
+// are valid; the arrays hold kStageSlack entries past the block length,
+// which the SIMD levels' full-vector stores may overwrite.
+inline constexpr std::size_t kStageSlack = 16;
+struct StagedPairs {
+  std::size_t count = 0;
+  std::vector<int> bin;
+  std::vector<double> ux, uy, uz, w;
+
+  // Makes room for a block of n candidates (contents are not kept).
+  void reserve(std::size_t n);
+};
+
+// Stages one primary at (px, py, pz) against a gathered candidate block,
+// per vector of candidates and in one pass:
+//
+//   d  = block - p;  r2 = (dx*dx + dy*dy) + dz*dz          (in Real)
+//   keep r2 <= r2max (Real), idx != self, r2 > 0
+//   r  = sqrt(double(r2));  inv = 1 / r
+//   bin = bins.bin_of(r), rejecting -1 (linear bins in SIMD, with
+//         bin_of's arithmetic; log bins call bin_of per lane)
+//   d  = rot->apply(d) when `rot` is set;  u = d * inv      (in double)
+//
+// and compacts the survivors into `out`. `self` is the primary's catalog
+// index, -1 to keep every candidate (a disjoint halo block). Each step is
+// the IEEE sequence of the plain per-candidate loop above, so every ISA
+// level stages bitwise the same pairs. Linear bins are not tested on r^2
+// edges: those move edge pairs into neighboring bins.
+template <typename Real>
+void stage_pairs(const tree::NeighborBlock<Real>& block, Real px, Real py,
+                 Real pz, Real r2max, std::int64_t self,
+                 const RadialBins& bins, const Rotation* rot,
+                 StagedPairs& out);
+
 // --- Per-primary accumulator used by the engine. ---
 //
-// Lifecycle per primary: start_primary(); push(...) per secondary;
-// finish_primary(); then read the touched bins' power sums. A full bucket
-// is flushed on the next push into its bin, not on the push that fills it:
-// the bucket boundaries are the same, but every touched bin reaches
-// finish_primary with 1..capacity pending pairs, whose flush carries the
-// fused lane reduction.
+// Lifecycle per primary: start_primary(); push(...) per secondary, or
+// push_staged(...) once; finish_primary(); then read the touched bins'
+// power sums. A full bucket is flushed on the next push into its bin, not
+// on the push that fills it: the bucket boundaries are the same, but every
+// touched bin reaches finish_primary with 1..capacity pending pairs, whose
+// flush carries the fused lane reduction.
 class MultipoleAccumulator {
  public:
   explicit MultipoleAccumulator(const KernelConfig& cfg);
@@ -194,6 +236,8 @@ class MultipoleAccumulator {
     bu[3 * cfg_.bucket_capacity + f] = w;
     fill_[bin] = f + 1;
   }
+  // push() for each staged pair, in order.
+  void push_staged(const StagedPairs& s);
 
   void finish_primary();
 

@@ -1,5 +1,5 @@
-// The multipole bucket kernels, the bins-as-lanes a_lm assembly and the
-// batched zeta update, compiled once per ISA level.
+// The pair stage, the multipole bucket kernels, the bins-as-lanes a_lm
+// assembly and the batched zeta update, compiled once per ISA level.
 //
 // This header is included by exactly one translation unit per ISA
 // (kernel_scalar.cpp / kernel_avx2.cpp / kernel_avx512.cpp), each built with
@@ -15,12 +15,17 @@
 // adds and muls are never fused or reassociated — so the per-ISA kernels
 // are BITWISE identical, not merely close. Keep it that way: no dv_fmadd
 // in this file (and the build passes -ffp-contract=off, so the compiler
-// cannot fuse them either).
+// cannot fuse them either). The pair stage keeps the same contract per
+// candidate: its SIMD levels are written with intrinsics (AVX-512F only,
+// no VL: 8 candidates per vector; AVX2: 4) and the scalar level is the
+// plain per-candidate loop they reproduce.
 #ifndef GALACTOS_KERNEL_NS
 #error "kernel_body.hpp must be included with GALACTOS_KERNEL_NS defined"
 #endif
 
 #include <algorithm>
+#include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "core/kernel.hpp"
@@ -275,7 +280,335 @@ void zeta_rows(const double* wp, int np, const double* vr, const double* vi,
     }
 }
 
+// --- Pair stage (see stage_pairs in core/kernel.hpp) ----------------------
+
+// Scalar level: the per-candidate loop itself. Compaction is branchless
+// (always store, advance by the accept flag): a rejected candidate's junk
+// is overwritten by the next one or hidden by `count`.
+template <typename Real>
+std::size_t stage_block(const tree::NeighborBlock<Real>& block, Real px,
+                        Real py, Real pz, Real r2max, std::int64_t self,
+                        const RadialBins& bins, const Rotation* rot,
+                        StagedPairs& out) {
+  const std::size_t n = block.size();
+  const Real* __restrict bx = block.x.data();
+  const Real* __restrict by = block.y.data();
+  const Real* __restrict bz = block.z.data();
+  const double* __restrict bw = block.w.data();
+  const std::int64_t* __restrict bi = block.idx.data();
+  int* __restrict ob = out.bin.data();
+  double* __restrict ox = out.ux.data();
+  double* __restrict oy = out.uy.data();
+  double* __restrict oz = out.uz.data();
+  double* __restrict ow = out.w.data();
+  std::size_t cnt = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const Real ddx = bx[j] - px;
+    const Real ddy = by[j] - py;
+    const Real ddz = bz[j] - pz;
+    const Real r2 = ddx * ddx + ddy * ddy + ddz * ddz;
+    const double r = std::sqrt(static_cast<double>(r2));
+    const double inv = 1.0 / r;
+    const int b = bins.bin_of(r);
+    const unsigned ok = static_cast<unsigned>(r2 <= r2max) &
+                        static_cast<unsigned>(bi[j] != self) &
+                        static_cast<unsigned>(static_cast<double>(r2) > 0.0) &
+                        static_cast<unsigned>(b >= 0);
+    double dx = static_cast<double>(ddx);
+    double dy = static_cast<double>(ddy);
+    double dz = static_cast<double>(ddz);
+    if (rot) rot->apply(dx, dy, dz);
+    ob[cnt] = b;
+    ox[cnt] = dx * inv;
+    oy[cnt] = dy * inv;
+    oz[cnt] = dz * inv;
+    ow[cnt] = bw[j];
+    cnt += ok;
+  }
+  return cnt;
+}
+
+#if defined(__AVX512F__) || defined(__AVX2__)
+// Calls vec(x, y, z, w, idx, live) on each kW-candidate vector of the
+// block, `live` holding a bit per lane in use. The tail goes through a
+// zero-padded copy, so vec may load whole vectors.
+template <std::size_t kW, typename Real, typename Vec>
+void for_each_vector(const tree::NeighborBlock<Real>& block, Vec&& vec) {
+  const std::size_t n = block.size();
+  std::size_t j = 0;
+  for (; j + kW <= n; j += kW)
+    vec(block.x.data() + j, block.y.data() + j, block.z.data() + j,
+        block.w.data() + j, block.idx.data() + j, (1u << kW) - 1);
+  if (j == n) return;
+  Real tx[kW] = {}, ty[kW] = {}, tz[kW] = {};
+  double tw[kW] = {};
+  std::int64_t ti[kW] = {};
+  const std::size_t rem = n - j;
+  std::copy_n(block.x.data() + j, rem, tx);
+  std::copy_n(block.y.data() + j, rem, ty);
+  std::copy_n(block.z.data() + j, rem, tz);
+  std::copy_n(block.w.data() + j, rem, tw);
+  std::copy_n(block.idx.data() + j, rem, ti);
+  vec(tx, ty, tz, tw, ti, (1u << rem) - 1);
+}
+#endif
+
+#if defined(__AVX512F__)
+// All-ones masked forms of intrinsics whose plain GCC spelling passes an
+// undefined vector through and trips -Wmaybe-uninitialized; with an
+// all-ones mask they are the same instructions.
+inline __m512d widen8(__m256 a) {
+  return _mm512_mask_cvtps_pd(_mm512_setzero_pd(), 0xFF, a);
+}
+inline __m512d sqrt8(__m512d a) { return _mm512_mask_sqrt_pd(a, 0xFF, a); }
+inline __m256i trunc8(__m512d a) {
+  return _mm512_mask_cvttpd_epi32(_mm256_setzero_si256(), 0xFF, a);
+}
+inline __m512i zext8(__m256i a) {
+  const __m512i z = _mm512_setzero_si512();
+  return _mm512_mask_inserti64x4(z, 0xFF, z, a, 0);
+}
+
+// AVX-512 level: 8 candidates per vector, double lanes in __m512d (float
+// blocks compute d and r2 in __m256 first). Survivors are compressed in
+// registers (vcompresspd / vpcompressd) and stored as whole vectors: a
+// store may write up to 16 entries past `count`, inside StagedPairs'
+// slack.
+template <typename Real>
+std::size_t stage_block_avx512(const tree::NeighborBlock<Real>& block,
+                               Real px, Real py, Real pz, Real r2max,
+                               std::int64_t self, const RadialBins& bins,
+                               const Rotation* rot, StagedPairs& out) {
+  constexpr std::size_t kW = 8;
+  const bool linear = bins.spacing() == BinSpacing::kLinear;
+  const __m512d vrmin = _mm512_set1_pd(bins.rmin());
+  const __m512d vrmax = _mm512_set1_pd(bins.rmax());
+  const __m512d vinvw = _mm512_set1_pd(bins.inv_width());
+  const __m256i vtop = _mm256_set1_epi32(bins.count() - 1);
+  // r2 <= r2max in Real is r2 <= r2max in double: the widening is exact.
+  const __m512d vr2max = _mm512_set1_pd(static_cast<double>(r2max));
+  const __m512i vself = _mm512_set1_epi64(self);
+  const __m512d one = _mm512_set1_pd(1.0);
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d m[9];
+  for (int k = 0; k < 9; ++k) m[k] = _mm512_set1_pd(rot ? rot->m[k] : 0.0);
+  std::size_t cnt = 0;
+
+  // One vector of candidates at bx[0..8) etc.; lanes outside `live` are
+  // rejected.
+  auto vec = [&](const Real* bx, const Real* by, const Real* bz,
+                 const double* bw, const std::int64_t* bi, unsigned live) {
+    __m512d dx, dy, dz, r2;
+    if constexpr (std::is_same_v<Real, float>) {
+      const __m256 fx = _mm256_sub_ps(_mm256_loadu_ps(bx), _mm256_set1_ps(px));
+      const __m256 fy = _mm256_sub_ps(_mm256_loadu_ps(by), _mm256_set1_ps(py));
+      const __m256 fz = _mm256_sub_ps(_mm256_loadu_ps(bz), _mm256_set1_ps(pz));
+      const __m256 fr2 =
+          _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(fx, fx),
+                                      _mm256_mul_ps(fy, fy)),
+                        _mm256_mul_ps(fz, fz));
+      dx = widen8(fx);
+      dy = widen8(fy);
+      dz = widen8(fz);
+      r2 = widen8(fr2);
+    } else {
+      dx = _mm512_sub_pd(_mm512_loadu_pd(bx), _mm512_set1_pd(px));
+      dy = _mm512_sub_pd(_mm512_loadu_pd(by), _mm512_set1_pd(py));
+      dz = _mm512_sub_pd(_mm512_loadu_pd(bz), _mm512_set1_pd(pz));
+      r2 = _mm512_add_pd(
+          _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)),
+          _mm512_mul_pd(dz, dz));
+    }
+    __mmask8 ok =
+        _mm512_mask_cmp_pd_mask(__mmask8(live), r2, vr2max, _CMP_LE_OQ);
+    ok = _mm512_mask_cmp_pd_mask(ok, r2, zero, _CMP_GT_OQ);
+    ok = _mm512_mask_cmpneq_epi64_mask(ok, _mm512_loadu_si512(bi), vself);
+    if (!ok) return;
+    const __m512d r = sqrt8(r2);
+    const __m512d inv = _mm512_div_pd(one, r);
+    __m256i b;
+    if (linear) {
+      ok = _mm512_mask_cmp_pd_mask(ok, r, vrmin, _CMP_GE_OQ);
+      ok = _mm512_mask_cmp_pd_mask(ok, r, vrmax, _CMP_LT_OQ);
+      b = _mm256_min_epi32(
+          trunc8(_mm512_mul_pd(_mm512_sub_pd(r, vrmin), vinvw)), vtop);
+    } else {
+      alignas(64) double rl[kW];
+      alignas(32) int bl[kW] = {};
+      _mm512_store_pd(rl, r);
+      for (unsigned k = 0; k < kW; ++k)
+        if (ok >> k & 1u) {
+          bl[k] = bins.bin_of(rl[k]);
+          if (bl[k] < 0) ok = __mmask8(ok & ~(1u << k));
+        }
+      b = _mm256_load_si256(reinterpret_cast<const __m256i*>(bl));
+    }
+    if (rot) {
+      auto row = [&](int i) {
+        return _mm512_add_pd(_mm512_add_pd(_mm512_mul_pd(m[i], dx),
+                                           _mm512_mul_pd(m[i + 1], dy)),
+                             _mm512_mul_pd(m[i + 2], dz));
+      };
+      const __m512d x = row(0), y = row(3), z = row(6);
+      dx = x;
+      dy = y;
+      dz = z;
+    }
+    auto store = [&](double* o, __m512d v) {
+      _mm512_storeu_pd(o + cnt, _mm512_maskz_compress_pd(ok, v));
+    };
+    store(out.ux.data(), _mm512_mul_pd(dx, inv));
+    store(out.uy.data(), _mm512_mul_pd(dy, inv));
+    store(out.uz.data(), _mm512_mul_pd(dz, inv));
+    store(out.w.data(), _mm512_loadu_pd(bw));
+    _mm512_storeu_si512(out.bin.data() + cnt,
+                        _mm512_maskz_compress_epi32(ok, zext8(b)));
+    cnt += static_cast<std::size_t>(__builtin_popcount(ok));
+  };
+
+  for_each_vector<kW>(block, vec);
+  return cnt;
+}
+#endif
+
+#if !defined(__AVX512F__) && defined(__AVX2__)
+// AVX2 level: 4 candidates per vector, double lanes in __m256d (float
+// blocks compute d and r2 in __m128 first). Survivors leave through the
+// scalar level's always-store compaction.
+template <typename Real>
+std::size_t stage_block_avx2(const tree::NeighborBlock<Real>& block, Real px,
+                             Real py, Real pz, Real r2max, std::int64_t self,
+                             const RadialBins& bins, const Rotation* rot,
+                             StagedPairs& out) {
+  constexpr std::size_t kW = 4;
+  const bool linear = bins.spacing() == BinSpacing::kLinear;
+  const __m256d vrmin = _mm256_set1_pd(bins.rmin());
+  const __m256d vrmax = _mm256_set1_pd(bins.rmax());
+  const __m256d vinvw = _mm256_set1_pd(bins.inv_width());
+  const __m128i vtop = _mm_set1_epi32(bins.count() - 1);
+  // r2 <= r2max in Real is r2 <= r2max in double: the widening is exact.
+  const __m256d vr2max = _mm256_set1_pd(static_cast<double>(r2max));
+  const __m256i vself = _mm256_set1_epi64x(self);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d m[9];
+  for (int k = 0; k < 9; ++k) m[k] = _mm256_set1_pd(rot ? rot->m[k] : 0.0);
+  int* __restrict ob = out.bin.data();
+  double* __restrict ox = out.ux.data();
+  double* __restrict oy = out.uy.data();
+  double* __restrict oz = out.uz.data();
+  double* __restrict ow = out.w.data();
+  std::size_t cnt = 0;
+
+  // One vector of candidates at bx[0..4) etc.; lanes outside the `live`
+  // bits are rejected.
+  auto vec = [&](const Real* bx, const Real* by, const Real* bz,
+                 const double* bw, const std::int64_t* bi, unsigned live) {
+    __m256d dx, dy, dz, r2;
+    if constexpr (std::is_same_v<Real, float>) {
+      const __m128 fx = _mm_sub_ps(_mm_loadu_ps(bx), _mm_set1_ps(px));
+      const __m128 fy = _mm_sub_ps(_mm_loadu_ps(by), _mm_set1_ps(py));
+      const __m128 fz = _mm_sub_ps(_mm_loadu_ps(bz), _mm_set1_ps(pz));
+      const __m128 fr2 = _mm_add_ps(
+          _mm_add_ps(_mm_mul_ps(fx, fx), _mm_mul_ps(fy, fy)),
+          _mm_mul_ps(fz, fz));
+      dx = _mm256_cvtps_pd(fx);
+      dy = _mm256_cvtps_pd(fy);
+      dz = _mm256_cvtps_pd(fz);
+      r2 = _mm256_cvtps_pd(fr2);
+    } else {
+      dx = _mm256_sub_pd(_mm256_loadu_pd(bx), _mm256_set1_pd(px));
+      dy = _mm256_sub_pd(_mm256_loadu_pd(by), _mm256_set1_pd(py));
+      dz = _mm256_sub_pd(_mm256_loadu_pd(bz), _mm256_set1_pd(pz));
+      r2 = _mm256_add_pd(
+          _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+          _mm256_mul_pd(dz, dz));
+    }
+    const __m256i same = _mm256_cmpeq_epi64(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bi)), vself);
+    const __m256d okv = _mm256_andnot_pd(
+        _mm256_castsi256_pd(same),
+        _mm256_and_pd(_mm256_cmp_pd(r2, vr2max, _CMP_LE_OQ),
+                      _mm256_cmp_pd(r2, zero, _CMP_GT_OQ)));
+    unsigned ok = live & static_cast<unsigned>(_mm256_movemask_pd(okv));
+    if (!ok) return;
+    const __m256d r = _mm256_sqrt_pd(r2);
+    const __m256d inv = _mm256_div_pd(one, r);
+    alignas(16) int bl[kW] = {};
+    if (linear) {
+      ok &= static_cast<unsigned>(_mm256_movemask_pd(
+          _mm256_and_pd(_mm256_cmp_pd(r, vrmin, _CMP_GE_OQ),
+                        _mm256_cmp_pd(r, vrmax, _CMP_LT_OQ))));
+      _mm_store_si128(
+          reinterpret_cast<__m128i*>(bl),
+          _mm_min_epi32(_mm256_cvttpd_epi32(
+                            _mm256_mul_pd(_mm256_sub_pd(r, vrmin), vinvw)),
+                        vtop));
+    } else {
+      alignas(32) double rl[kW];
+      _mm256_store_pd(rl, r);
+      for (unsigned k = 0; k < kW; ++k)
+        if (ok >> k & 1u) {
+          bl[k] = bins.bin_of(rl[k]);
+          if (bl[k] < 0) ok &= ~(1u << k);
+        }
+    }
+    if (rot) {
+      auto row = [&](int i) {
+        return _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(m[i], dx),
+                                           _mm256_mul_pd(m[i + 1], dy)),
+                             _mm256_mul_pd(m[i + 2], dz));
+      };
+      const __m256d x = row(0), y = row(3), z = row(6);
+      dx = x;
+      dy = y;
+      dz = z;
+    }
+    alignas(32) double lx[kW], ly[kW], lz[kW];
+    _mm256_store_pd(lx, _mm256_mul_pd(dx, inv));
+    _mm256_store_pd(ly, _mm256_mul_pd(dy, inv));
+    _mm256_store_pd(lz, _mm256_mul_pd(dz, inv));
+    for (unsigned k = 0; k < kW; ++k) {
+      ob[cnt] = bl[k];
+      ox[cnt] = lx[k];
+      oy[cnt] = ly[k];
+      oz[cnt] = lz[k];
+      ow[cnt] = bw[k];
+      cnt += ok >> k & 1u;
+    }
+  };
+
+  for_each_vector<kW>(block, vec);
+  return cnt;
+}
+#endif
+
 }  // namespace
+
+template <typename Real>
+void stage_pairs(const tree::NeighborBlock<Real>& block, Real px, Real py,
+                 Real pz, Real r2max, std::int64_t self,
+                 const RadialBins& bins, const Rotation* rot,
+                 StagedPairs& out) {
+#if defined(__AVX512F__)
+  out.count = stage_block_avx512(block, px, py, pz, r2max, self, bins, rot,
+                                 out);
+#elif defined(__AVX2__)
+  out.count = stage_block_avx2(block, px, py, pz, r2max, self, bins, rot,
+                               out);
+#else
+  out.count = stage_block(block, px, py, pz, r2max, self, bins, rot, out);
+#endif
+}
+
+template void stage_pairs<float>(const tree::NeighborBlock<float>&, float,
+                                 float, float, float, std::int64_t,
+                                 const RadialBins&, const Rotation*,
+                                 StagedPairs&);
+template void stage_pairs<double>(const tree::NeighborBlock<double>&, double,
+                                  double, double, double, std::int64_t,
+                                  const RadialBins&, const Rotation*,
+                                  StagedPairs&);
 
 void kernel_running_product(const double* ux, const double* uy,
                             const double* uz, const double* w, int count,

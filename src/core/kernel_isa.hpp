@@ -1,4 +1,5 @@
-// Internal: the per-ISA multipole kernel, a_lm and zeta entry points.
+// Internal: the per-ISA pair stage, multipole kernel, a_lm and zeta entry
+// points.
 //
 // Each namespace is defined by one translation unit that includes
 // core/kernel_body.hpp under its own target flags (see CMakeLists.txt —
@@ -11,14 +12,18 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
-namespace galactos::math {
-class SphHarmTable;
-}
+#include "core/kernel.hpp"
 
 namespace galactos::core {
 
 #define GLX_KERNEL_ISA_DECL                                                  \
+  template <typename Real>                                                   \
+  void stage_pairs(const tree::NeighborBlock<Real>& block, Real px, Real py, \
+                   Real pz, Real r2max, std::int64_t self,                   \
+                   const RadialBins& bins, const Rotation* rot,              \
+                   StagedPairs& out);                                        \
   void kernel_running_product(const double* ux, const double* uy,            \
                               const double* uz, const double* w, int count,  \
                               int lmax, double* acc, int ilp,                \

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/bins.hpp"
 
@@ -45,6 +46,45 @@ TEST(RadialBins, LookupConsistentWithEdges) {
       EXPECT_EQ(b.bin_of(lo + 1e-9), i);
       EXPECT_EQ(b.bin_of(0.5 * (lo + hi)), i);
       EXPECT_EQ(b.bin_of(hi - 1e-9), i);
+    }
+  }
+}
+
+TEST(RadialBins, NonFiniteAndRangeEnds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (auto spacing : {BinSpacing::kLinear, BinSpacing::kLog}) {
+    RadialBins b(2.0, 50.0, 7, spacing);
+    EXPECT_EQ(b.bin_of(std::numeric_limits<double>::quiet_NaN()), -1);
+    EXPECT_EQ(b.bin_of(-std::numeric_limits<double>::quiet_NaN()), -1);
+    EXPECT_EQ(b.bin_of(inf), -1);
+    EXPECT_EQ(b.bin_of(-inf), -1);
+    EXPECT_EQ(b.bin_of(b.rmin()), 0);  // rmin inclusive
+    EXPECT_EQ(b.bin_of(std::nextafter(b.rmin(), 0.0)), -1);
+    EXPECT_EQ(b.bin_of(b.rmax()), -1);  // rmax exclusive
+    EXPECT_EQ(b.bin_of(std::nextafter(b.rmax(), 0.0)), b.count() - 1);
+  }
+}
+
+TEST(RadialBins, InteriorEdges) {
+  // Exactly representable edges and a power-of-two width: every edge
+  // opens its bin exactly.
+  RadialBins exact(0.0, 16.0, 8);
+  for (int i = 1; i < exact.count(); ++i) {
+    EXPECT_EQ(exact.bin_of(exact.edge(i)), i);
+    EXPECT_EQ(exact.bin_of(std::nextafter(exact.edge(i), 0.0)), i - 1);
+  }
+  // In general an edge may round into either neighbor, never further, and
+  // lookup stays monotone across it.
+  for (auto spacing : {BinSpacing::kLinear, BinSpacing::kLog}) {
+    RadialBins b(2.0, 200.0, 17, spacing);
+    for (int i = 1; i < b.count(); ++i) {
+      const double e = b.edge(i);
+      const int at = b.bin_of(e);
+      EXPECT_TRUE(at == i || at == i - 1) << b.describe() << " edge " << i;
+      EXPECT_LE(b.bin_of(std::nextafter(e, 0.0)), at);
+      EXPECT_GE(b.bin_of(std::nextafter(e, 1e300)), at);
+      EXPECT_EQ(b.bin_of(e * (1 + 1e-12)), i);
+      EXPECT_EQ(b.bin_of(e * (1 - 1e-12)), i - 1);
     }
   }
 }

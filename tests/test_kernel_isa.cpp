@@ -1,13 +1,15 @@
 // Runtime kernel-ISA dispatch: the GALACTOS_KERNEL_ISA env contract, the
 // set_kernel_isa override, and the cross-ISA equivalence matrix — every
 // compiled+supported level must produce BITWISE identical power sums (the
-// per-lane operation sequence is the same at every level), fused epilogues,
-// bins-as-lanes a_lm, zeta updates and engine results, over ragged bucket
-// tails and zero-weight pads.
+// per-lane operation sequence is the same at every level), staged pairs,
+// fused epilogues, bins-as-lanes a_lm, zeta updates and engine results,
+// over ragged bucket tails, vector tails and zero-weight pads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -80,6 +82,136 @@ std::vector<double> sums_at(c::KernelIsa isa, const c::KernelConfig& cfg,
   for (int b = 0; b < cfg.nbins; ++b)
     for (int t = 0; t < acc.n_mono(); ++t) out.push_back(acc.power_sums(b)[t]);
   return out;
+}
+
+// One primary's staged pairs, copied out of StagedPairs (or built by the
+// per-candidate loop below).
+struct StageOut {
+  std::vector<int> bin;
+  std::vector<double> ux, uy, uz, w;
+};
+
+template <typename Real>
+StageOut stage_at(c::KernelIsa isa,
+                  const galactos::tree::NeighborBlock<Real>& b,
+                  const Real (&p)[3], Real r2max, std::int64_t self,
+                  const c::RadialBins& bins, const c::Rotation* rot) {
+  c::set_kernel_isa(isa);
+  c::StagedPairs s;
+  c::stage_pairs(b, p[0], p[1], p[2], r2max, self, bins, rot, s);
+  StageOut o;
+  o.bin.assign(s.bin.data(), s.bin.data() + s.count);
+  o.ux.assign(s.ux.data(), s.ux.data() + s.count);
+  o.uy.assign(s.uy.data(), s.uy.data() + s.count);
+  o.uz.assign(s.uz.data(), s.uz.data() + s.count);
+  o.w.assign(s.w.data(), s.w.data() + s.count);
+  return o;
+}
+
+// What stage_pairs means, one candidate at a time: separations and r2 in
+// Real, the r2max / self / coincident filter, bin_of(sqrt(double(r2))),
+// Rotation::apply, then d * (1/r).
+template <typename Real>
+StageOut stage_loop(const galactos::tree::NeighborBlock<Real>& b,
+                    const Real (&p)[3], Real r2max, std::int64_t self,
+                    const c::RadialBins& bins, const c::Rotation* rot) {
+  StageOut o;
+  for (std::size_t j = 0; j < b.size(); ++j) {
+    const Real dx = b.x[j] - p[0], dy = b.y[j] - p[1], dz = b.z[j] - p[2];
+    const Real r2 = dx * dx + dy * dy + dz * dz;
+    if (!(r2 <= r2max) || b.idx[j] == self ||
+        !(static_cast<double>(r2) > 0.0))
+      continue;
+    const double r = std::sqrt(static_cast<double>(r2));
+    const int bin = bins.bin_of(r);
+    if (bin < 0) continue;
+    double x = dx, y = dy, z = dz;
+    if (rot) rot->apply(x, y, z);
+    const double inv = 1.0 / r;
+    o.bin.push_back(bin);
+    o.ux.push_back(x * inv);
+    o.uy.push_back(y * inv);
+    o.uz.push_back(z * inv);
+    o.w.push_back(b.w[j]);
+  }
+  return o;
+}
+
+void expect_same_stage(const StageOut& got, const StageOut& ref,
+                       const std::string& what) {
+  ASSERT_EQ(got.bin.size(), ref.bin.size()) << what;
+  for (std::size_t i = 0; i < ref.bin.size(); ++i) {
+    ASSERT_EQ(got.bin[i], ref.bin[i]) << what << " pair " << i;
+    ASSERT_EQ(bits(got.ux[i]), bits(ref.ux[i])) << what << " pair " << i;
+    ASSERT_EQ(bits(got.uy[i]), bits(ref.uy[i])) << what << " pair " << i;
+    ASSERT_EQ(bits(got.uz[i]), bits(ref.uz[i])) << what << " pair " << i;
+    ASSERT_EQ(bits(got.w[i]), bits(ref.w[i])) << what << " pair " << i;
+  }
+}
+
+// Candidates for a primary at p: the planted edge cases — r2 exactly at
+// r2max (which bin_of then rejects: r == rmax), a coincident point, the
+// primary's own index `self` on an in-range point, r on each bin edge, r
+// below rmin and a NaN coordinate — among uniform points of the cube of
+// half-side 1.2 R_max, shuffled by `seed` and cut to n.
+template <typename Real>
+galactos::tree::NeighborBlock<Real> stage_candidates(
+    const Real (&p)[3], double rmax, std::int64_t self,
+    const c::RadialBins& bins, std::size_t n, std::uint64_t seed) {
+  struct Cand {
+    Real x, y, z;
+    bool is_self = false;
+  };
+  std::vector<Cand> cs;
+  cs.push_back({p[0] + static_cast<Real>(rmax), p[1], p[2]});
+  cs.push_back({p[0], p[1], p[2]});
+  cs.push_back({p[0] + Real(1.5), p[1] + Real(2), p[2] - Real(3), true});
+  for (int i = 0; i <= bins.count(); ++i)
+    cs.push_back({p[0], p[1] + static_cast<Real>(bins.edge(i)), p[2]});
+  cs.push_back({p[0], p[1], p[2] - static_cast<Real>(0.5 * bins.rmin())});
+  cs.push_back({std::numeric_limits<Real>::quiet_NaN(), p[1], p[2]});
+  m::Rng rng(seed);
+  while (cs.size() < std::max<std::size_t>(n, 40)) {
+    auto u = [&](Real c0) {
+      return c0 + static_cast<Real>(rng.uniform(-1.2 * rmax, 1.2 * rmax));
+    };
+    cs.push_back({u(p[0]), u(p[1]), u(p[2])});
+  }
+  for (std::size_t i = cs.size() - 1; i > 0; --i)
+    std::swap(cs[i], cs[rng.uniform_u64(i + 1)]);
+  galactos::tree::NeighborBlock<Real> b;
+  for (std::size_t i = 0; i < n; ++i)
+    b.push(cs[i].x, cs[i].y, cs[i].z, rng.uniform(0.5, 2.0),
+           cs[i].is_self ? self : static_cast<std::int64_t>(i));
+  return b;
+}
+
+template <typename Real>
+void check_stage_levels(const std::string& real_name) {
+  const double rmax = 24.0;
+  const Real p[3] = {Real(8), Real(-4), Real(2.5)};
+  const Real r2max = static_cast<Real>(rmax) * static_cast<Real>(rmax);
+  const std::int64_t self = 1000;  // above every other candidate's index
+  const c::Rotation rot = c::rotation_to_z({0.3, -1.2, 2.5});
+  for (const c::RadialBins& bins :
+       {c::RadialBins(rmax / 10, rmax, 10),
+        c::RadialBins(1.0, rmax, 7, c::BinSpacing::kLog)})
+    for (const c::Rotation* r : {static_cast<const c::Rotation*>(nullptr),
+                                 &rot})
+      for (std::size_t n = 0; n <= 33; ++n) {
+        const galactos::tree::NeighborBlock<Real> b =
+            stage_candidates(p, rmax, self, bins, n, 900 + n);
+        const std::string what = real_name + " " + bins.describe() +
+                                 (r ? " rotated" : "") +
+                                 " n=" + std::to_string(n);
+        const StageOut ref =
+            stage_at(c::KernelIsa::kScalar, b, p, r2max, self, bins, r);
+        expect_same_stage(ref, stage_loop(b, p, r2max, self, bins, r),
+                          what + " scalar vs per-candidate loop");
+        for (c::KernelIsa isa : supported_levels())
+          expect_same_stage(stage_at(isa, b, p, r2max, self, bins, r), ref,
+                            what + " isa=" + c::kernel_isa_name(isa));
+      }
 }
 
 }  // namespace
@@ -331,6 +463,16 @@ TEST(KernelIsaEquivalence, ZetaBatchUpdateBitwiseAcrossLevels) {
             EXPECT_EQ(ri[r * ld + c0], z0i[r * ld + c0]);
           }
       }
+}
+
+// The pair stage over every block length 0..33 (every vector tail at both
+// widths), float and double blocks, with and without a LOS rotation,
+// linear and log bins: each level bitwise equal to the scalar level, and
+// the scalar level to the plain per-candidate loop.
+TEST(KernelIsaEquivalence, PairStageBitwiseAcrossLevels) {
+  IsaGuard guard;
+  check_stage_levels<float>("float");
+  check_stage_levels<double>("double");
 }
 
 // Full engine, fused AND staged drivers: identical ZetaResult at every
