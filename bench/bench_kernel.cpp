@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/kernel.hpp"
+#include "core/zeta.hpp"
 #include "math/rng.hpp"
 #include "math/sph_table.hpp"
 
@@ -195,6 +196,36 @@ static void BM_AlmPerBinOracle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AlmPerBinOracle);
+
+// ZetaAccumulator::add_primary_sums per primary — the a_lm assembly plus
+// its share of the batched zeta update (m = 0 through the real-only
+// update) — at `lmax` over 10 touched bins, weights of both signs.
+static void BM_ZetaAddPrimarySums(benchmark::State& state) {
+  const int nbins = 10;
+  IsaRun isa(state, static_cast<int>(state.range(0)));
+  if (!isa.ok) return;
+  const int lmax = static_cast<int>(state.range(1));
+  const m::SphHarmTable table(lmax);
+  const std::size_t stride = 16;
+  std::vector<double> sums(stride * m::monomial_count(lmax));
+  m::Rng rng(53);
+  for (double& x : sums) x = rng.uniform(-1, 1);
+  std::vector<int> bins(nbins);
+  for (int b = 0; b < nbins; ++b) bins[b] = b;
+  c::ZetaAccumulator zeta(lmax, nbins);
+  double wp = 1.25;
+  for (auto _ : state) {
+    zeta.add_primary_sums(wp, table, sums.data(), stride, bins.data(),
+                          nbins);
+    wp = -wp;
+  }
+  zeta.flush();
+  benchmark::DoNotOptimize(zeta.sum_weight());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZetaAddPrimarySums)
+    ->ArgNames({"isa", "lmax"})
+    ->ArgsProduct({{0, 1, 2}, {5, 10}});
 
 // The pair stage's own ceiling: one primary against a 5k-candidate float
 // block drawn uniformly from the cube of half-side R_max around it, so

@@ -49,15 +49,18 @@ struct TraversalPartials {
 
 namespace {
 
-// Both indexes use the Morton layout. `for_secondary`: halo indexes answer
-// only per-box queries (never gather_leaf_neighbors), so they skip the
-// interaction-list build.
+int thread_count(const EngineConfig& cfg) {
+  return cfg.threads > 0 ? cfg.threads : omp_get_max_threads();
+}
+
+// Primary and secondary indexes alike: Morton layout, built on the
+// engine's threads.
 template <typename Real>
 tree::KdTree<Real> make_index(const sim::Catalog& catalog,
-                              const EngineConfig& cfg, bool for_secondary) {
+                              const EngineConfig& cfg) {
   typename tree::KdTree<Real>::BuildParams bp;
   bp.leaf_size = cfg.tree.leaf_size;
-  bp.interaction_rmax = for_secondary ? 0.0 : cfg.bins.rmax();
+  bp.threads = thread_count(cfg);
   return tree::KdTree<Real>(catalog, bp);
 }
 
@@ -68,10 +71,6 @@ KernelConfig kernel_config(const EngineConfig& cfg) {
   kc.bucket_capacity = cfg.tree.bucket_capacity;
   kc.ilp = cfg.tree.ilp;
   return kc;
-}
-
-int thread_count(const EngineConfig& cfg) {
-  return cfg.threads > 0 ? cfg.threads : omp_get_max_threads();
 }
 
 // What one thread's share of a traversal adds up to: candidates scanned,
@@ -308,8 +307,8 @@ void merge_partials(const EngineConfig& cfg,
 // primary index — plus, fused, the candidates of `secondary`, whose catalog
 // indices are offset by catalog.size() so they never collide with a
 // primary's — with the finished power sums folded into zeta and the 2PCF.
-// Each leaf gathers one candidate block (its precomputed interaction list
-// replayed), which the leaf's primaries drain while it is hot in cache.
+// Each leaf gathers one candidate block (one pruned walk from the leaf's
+// box), which the leaf's primaries drain while it is hot in cache.
 //
 // Under a `bound` (the owned pass) every primary within the padded R_max
 // shell of the bound box also has its power sums snapshotted for pass 2.
@@ -610,11 +609,11 @@ struct StagedImplT final : detail::EngineStagedImpl {
       : storage(std::move(adopted)), owned(borrowed ? borrowed : &storage) {
     cfg = c;
     owned_size = owned->size();
-    primary = make_index<Real>(*owned, cfg, /*for_secondary=*/false);
+    primary = make_index<Real>(*owned, cfg);
   }
 
   void extend(const sim::Catalog& halo) override {
-    secondary.emplace(make_index<Real>(halo, cfg, /*for_secondary=*/true));
+    secondary.emplace(make_index<Real>(halo, cfg));
   }
 
   bool has_secondary() const override { return secondary.has_value(); }

@@ -9,13 +9,13 @@
 // One neighbor index — the k-d tree of §3.1/§3.3 — and one traversal
 // skeleton implement the outer loop (§3.3): primaries are processed a leaf
 // at a time, in parallel over the primary tree's leaves, and every pass
-// plugs its per-leaf body into it. One pruned node-vs-node walk per leaf
-// (replayed from the leaf's precomputed interaction list) emits a shared
-// candidate block that the leaf's ~leaf_size primaries drain while it is
-// hot in cache. Per primary, one per-ISA SIMD pass over the block
-// (core::stage_pairs) forms the separations, filters them on R_max, bins
-// them, rotates them into the LOS frame and normalizes them; the accepted
-// pairs reach the kernel through MultipoleAccumulator::push_staged.
+// plugs its per-leaf body into it. One pruned node-vs-node walk per leaf,
+// run by the thread that takes the leaf, emits a shared candidate block
+// that the leaf's ~leaf_size primaries drain while it is hot in cache. Per
+// primary, one per-ISA SIMD pass over the block (core::stage_pairs) forms
+// the separations, filters them on R_max, bins them, rotates them into the
+// LOS frame and normalizes them; the accepted pairs reach the kernel
+// through MultipoleAccumulator::push_staged.
 //
 // The outer API comes in two shapes: Engine::run builds the index and
 // traverses in one call; the staged pipeline (build_index →
@@ -74,8 +74,8 @@ const char* backend_name(EstimatorBackend b);
 EstimatorBackend backend_from_name(const std::string& name);  // "tree"|"fft"
 
 // Tree-backend knobs (the pair-counting engine). The neighbor index is
-// always a k-d tree (`leaf_size` points per leaf) in Morton layout with
-// per-leaf interaction lists, and the multipole kernel always the running
+// always a k-d tree (`leaf_size` points per leaf) in Morton layout, built
+// on EngineConfig::threads, and the multipole kernel always the running
 // product (`ilp` streams, `bucket_capacity` pairs per bucket; see
 // core/kernel.hpp).
 struct TreeConfig {

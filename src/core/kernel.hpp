@@ -159,6 +159,11 @@ void alm_bins_as_lanes(const math::SphHarmTable& table, const double* sums,
 // tail runs as one tile on a padded copy, so each operand vector must stay
 // readable for kZetaOperandPad entries past cols (their values are unused).
 // Requires 0 <= np <= kZetaMaxPrimaries.
+//
+// zi == nullptr selects the real-only update zr[r][c] += t.re * v_p[c].re
+// (vi is not read and may be null either). For finite operands whose
+// imaginary parts are all +-0 it gives the full update's bits: the skipped
+// terms are +-0 additions, and an accumulated entry is never -0.
 inline constexpr int kZetaMaxPrimaries = 8;
 inline constexpr int kZetaOperandPad = 8;
 void zeta_batch_update(const double* wp, int np, const double* vr,

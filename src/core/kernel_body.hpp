@@ -204,10 +204,12 @@ void alm_vectors(const math::SphHarmTable& table, const double* sums,
 // NR x (NV vectors) tile of zeta stays in registers while the batch's
 // primaries stream past in order; every entry sees the scalar reference
 // sequence z + (tr*br + ti*bi), so the tile shape never changes a bit.
+// kImag false: the real-only update z + tr*br, the imaginary planes neither
+// loaded nor stored.
 inline constexpr int kZetaTileRows = 4;
 
 // tr/ti: the weighted row operands t = wp * v_p[row], [primary][tile row].
-template <int NR, int NV>
+template <int NR, int NV, bool kImag>
 void zeta_tile(const double (&tr)[kZetaMaxPrimaries][NR],
                const double (&ti)[kZetaMaxPrimaries][NR], int np,
                const double* __restrict vr, const double* __restrict vi,
@@ -217,32 +219,37 @@ void zeta_tile(const double (&tr)[kZetaMaxPrimaries][NR],
   for (int i = 0; i < NR; ++i)
     for (int v = 0; v < NV; ++v) {
       accr[i][v] = dv_load(zr + i * ld + v * DVec::kWidth);
-      acci[i][v] = dv_load(zi + i * ld + v * DVec::kWidth);
+      if constexpr (kImag) acci[i][v] = dv_load(zi + i * ld + v * DVec::kWidth);
     }
   for (int p = 0; p < np; ++p) {
     DVec br[NV], bi[NV];
     for (int v = 0; v < NV; ++v) {
       br[v] = dv_load(vr + p * vstride + c0 + v * DVec::kWidth);
-      bi[v] = dv_load(vi + p * vstride + c0 + v * DVec::kWidth);
+      if constexpr (kImag)
+        bi[v] = dv_load(vi + p * vstride + c0 + v * DVec::kWidth);
     }
     for (int i = 0; i < NR; ++i) {
       const DVec r = math::simd::dv_broadcast(tr[p][i]);
-      const DVec m = math::simd::dv_broadcast(ti[p][i]);
-      for (int v = 0; v < NV; ++v) {
-        accr[i][v] = accr[i][v] + (r * br[v] + m * bi[v]);
-        acci[i][v] = acci[i][v] + (m * br[v] - r * bi[v]);
+      if constexpr (kImag) {
+        const DVec m = math::simd::dv_broadcast(ti[p][i]);
+        for (int v = 0; v < NV; ++v) {
+          accr[i][v] = accr[i][v] + (r * br[v] + m * bi[v]);
+          acci[i][v] = acci[i][v] + (m * br[v] - r * bi[v]);
+        }
+      } else {
+        for (int v = 0; v < NV; ++v) accr[i][v] = accr[i][v] + r * br[v];
       }
     }
   }
   for (int i = 0; i < NR; ++i)
     for (int v = 0; v < NV; ++v) {
       dv_store(zr + i * ld + v * DVec::kWidth, accr[i][v]);
-      dv_store(zi + i * ld + v * DVec::kWidth, acci[i][v]);
+      if constexpr (kImag) dv_store(zi + i * ld + v * DVec::kWidth, acci[i][v]);
     }
 }
 
 // Rows [r0, r0 + NR) of the block; zr/zi point at row r0.
-template <int NR>
+template <int NR, bool kImag>
 void zeta_rows(const double* wp, int np, const double* vr, const double* vi,
                std::size_t vstride, int r0, int cols, double* zr, double* zi,
                std::size_t ld) {
@@ -251,11 +258,12 @@ void zeta_rows(const double* wp, int np, const double* vr, const double* vi,
   for (int p = 0; p < np; ++p)
     for (int i = 0; i < NR; ++i) {
       tr[p][i] = wp[p] * vr[p * vstride + r0 + i];
-      ti[p][i] = wp[p] * vi[p * vstride + r0 + i];
+      ti[p][i] = kImag ? wp[p] * vi[p * vstride + r0 + i] : 0.0;
     }
   int c0 = 0;
   for (; c0 + 2 * kW <= cols; c0 += 2 * kW)
-    zeta_tile<NR, 2>(tr, ti, np, vr, vi, vstride, c0, zr + c0, zi + c0, ld);
+    zeta_tile<NR, 2, kImag>(tr, ti, np, vr, vi, vstride, c0, zr + c0,
+                            kImag ? zi + c0 : nullptr, ld);
   const int rem = cols - c0;
   if (rem == 0) return;
   // Ragged tail: one tile on a zero-padded copy of the last columns. Its
@@ -265,18 +273,18 @@ void zeta_rows(const double* wp, int np, const double* vr, const double* vi,
   for (int i = 0; i < NR; ++i)
     for (int c = 0; c < rem; ++c) {
       tail_r[i][c] = zr[i * ld + c0 + c];
-      tail_i[i][c] = zi[i * ld + c0 + c];
+      if constexpr (kImag) tail_i[i][c] = zi[i * ld + c0 + c];
     }
   if (rem > kW)
-    zeta_tile<NR, 2>(tr, ti, np, vr, vi, vstride, c0, tail_r[0], tail_i[0],
-                     2 * kW);
+    zeta_tile<NR, 2, kImag>(tr, ti, np, vr, vi, vstride, c0, tail_r[0],
+                            tail_i[0], 2 * kW);
   else
-    zeta_tile<NR, 1>(tr, ti, np, vr, vi, vstride, c0, tail_r[0], tail_i[0],
-                     2 * kW);
+    zeta_tile<NR, 1, kImag>(tr, ti, np, vr, vi, vstride, c0, tail_r[0],
+                            tail_i[0], 2 * kW);
   for (int i = 0; i < NR; ++i)
     for (int c = 0; c < rem; ++c) {
       zr[i * ld + c0 + c] = tail_r[i][c];
-      zi[i * ld + c0 + c] = tail_i[i][c];
+      if constexpr (kImag) zi[i * ld + c0 + c] = tail_i[i][c];
     }
 }
 
@@ -678,28 +686,42 @@ void alm_bins_as_lanes(const math::SphHarmTable& table, const double* sums,
   }
 }
 
-void zeta_batch_update(const double* wp, int np, const double* vr,
-                       const double* vi, std::size_t vstride, int rows,
-                       int cols, double* zr, double* zi, std::size_t ld) {
+template <bool kImag>
+void zeta_block(const double* wp, int np, const double* vr, const double* vi,
+                std::size_t vstride, int rows, int cols, double* zr,
+                double* zi, std::size_t ld) {
+  // Row r's imaginary plane is zi + r * ld, never formed when null.
+  const auto row_i = [&](int r) { return kImag ? zi + r * ld : nullptr; };
   int r0 = 0;
   for (; r0 + kZetaTileRows <= rows; r0 += kZetaTileRows)
-    zeta_rows<kZetaTileRows>(wp, np, vr, vi, vstride, r0, cols, zr + r0 * ld,
-                             zi + r0 * ld, ld);
+    zeta_rows<kZetaTileRows, kImag>(wp, np, vr, vi, vstride, r0, cols,
+                                    zr + r0 * ld, row_i(r0), ld);
   double* zrt = zr + r0 * ld;
-  double* zit = zi + r0 * ld;
   switch (rows - r0) {
     case 3:
-      zeta_rows<3>(wp, np, vr, vi, vstride, r0, cols, zrt, zit, ld);
+      zeta_rows<3, kImag>(wp, np, vr, vi, vstride, r0, cols, zrt, row_i(r0),
+                          ld);
       break;
     case 2:
-      zeta_rows<2>(wp, np, vr, vi, vstride, r0, cols, zrt, zit, ld);
+      zeta_rows<2, kImag>(wp, np, vr, vi, vstride, r0, cols, zrt, row_i(r0),
+                          ld);
       break;
     case 1:
-      zeta_rows<1>(wp, np, vr, vi, vstride, r0, cols, zrt, zit, ld);
+      zeta_rows<1, kImag>(wp, np, vr, vi, vstride, r0, cols, zrt, row_i(r0),
+                          ld);
       break;
     default:
       break;
   }
+}
+
+void zeta_batch_update(const double* wp, int np, const double* vr,
+                       const double* vi, std::size_t vstride, int rows,
+                       int cols, double* zr, double* zi, std::size_t ld) {
+  if (zi)
+    zeta_block<true>(wp, np, vr, vi, vstride, rows, cols, zr, zi, ld);
+  else
+    zeta_block<false>(wp, np, vr, vi, vstride, rows, cols, zr, zi, ld);
 }
 
 }  // namespace GALACTOS_KERNEL_NS

@@ -73,6 +73,8 @@ void ZetaAccumulator::add_primary(double wp, const std::complex<double>* alm,
       sr[k] = a[lm].real();
       si[k] = a[lm].imag();
     }
+    for (int l = 0; l <= llm_.lmax(); ++l)
+      if (a[math::lm_index(l, 0)].imag() != 0.0) batch_.m0_imag = true;
     batch_.open[b] = 1;
   }
   commit_primary(wp);
@@ -124,6 +126,8 @@ void ZetaAccumulator::flush() const {
   const int lmax = llm_.lmax();
   for (int m = 0; m <= lmax; ++m) {
     const int len = lmax + 1 - m;
+    // m = 0 with no imaginary operand: the real-only update (class note).
+    const bool imag = m > 0 || batch_.m0_imag;
     const double* vr = batch_.re.data() + plane_offset(m);
     const double* vi = batch_.im.data() + plane_offset(m);
     for (int b1 = 0; b1 < nbins_; ++b1) {
@@ -133,10 +137,12 @@ void ZetaAccumulator::flush() const {
       const std::size_t off = static_cast<std::size_t>(b1) * len;
       zeta_batch_update(batch_.wp, batch_.count, vr + off, vi + off,
                         slot_size(), len, cols, re_.data() + row,
-                        im_.data() + row, static_cast<std::size_t>(cols));
+                        imag ? im_.data() + row : nullptr,
+                        static_cast<std::size_t>(cols));
     }
   }
   batch_.count = 0;
+  batch_.m0_imag = false;
   std::fill(batch_.any.begin(), batch_.any.end(), 0);
 }
 

@@ -80,6 +80,9 @@ class LlmIndex {
 // order. Bins a primary did not touch enter as zero planes; adding a
 // +-0 product leaves any finite entry unchanged, and an entry can never
 // be -0 (it starts at +0 and x + y rounds to -0 only when both are -0).
+// For the same reason the m = 0 planes flush through the real-only update
+// whenever every staged m = 0 imaginary entry is 0, as it always is for
+// add_primary_sums (the m = 0 harmonics have no imaginary part).
 //
 // The const readers (raw, snapshot, merge's argument) flush too, so they
 // must not run concurrently on one instance while primaries are staged.
@@ -181,6 +184,7 @@ class ZetaAccumulator {
     int count = 0;                     // staged primaries
     std::vector<std::uint8_t> open;    // bins staged into slot `count`
     std::vector<std::uint8_t> any;     // bins touched by a staged primary
+    bool m0_imag = false;  // a staged m = 0 imaginary entry is nonzero
   };
   mutable Batch batch_;
   mutable std::vector<double> re_, im_;  // per-m upper bin-block planes

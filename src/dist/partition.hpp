@@ -27,8 +27,7 @@
 // overlaps exactly this way). kd_partition() is the fused convenience call.
 // Halo copies enter the engine as a SECONDARY index built through the same
 // Morton-ordered, SIMD-padded layout as the owned index (core/engine.cpp
-// make_index); secondary indexes skip the per-leaf interaction lists —
-// they are only ever queried per box, never per leaf.
+// make_index); they are only ever queried per box, never per leaf.
 //
 // Failure semantics: both phases run under the comm's deadline when one is
 // set (Comm::set_timeout) — a lost or late message surfaces as

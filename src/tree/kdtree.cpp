@@ -10,28 +10,55 @@
 
 namespace galactos::tree {
 
+namespace {
+
+// fn(i) for i in [0, n), statically split over `threads`; one thread runs
+// the plain loop (even an inactive parallel region raised peak RSS).
+template <typename Fn>
+void parallel_for(int threads, std::int32_t n, const Fn& fn) {
+  if (threads > 1) {
+#pragma omp parallel for schedule(static) num_threads(threads)
+    for (std::int32_t i = 0; i < n; ++i) fn(i);
+  } else {
+    for (std::int32_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
+}  // namespace
+
 template <typename Real>
 KdTree<Real>::KdTree(const sim::Catalog& catalog, BuildParams params) {
-  GLX_CHECK(params.leaf_size >= 1);
+  GLX_CHECK(params.leaf_size >= 1 && params.threads >= 1);
   const std::size_t n = catalog.size();
   if (n == 0) return;
   GLX_CHECK_MSG(n < static_cast<std::size_t>(
                         std::numeric_limits<std::int32_t>::max()),
                 "catalog too large for 32-bit tree indices");
+  const std::int32_t n32 = static_cast<std::int32_t>(n);
+  // One thread unless the catalog has work for more than one task.
+  const int threads = n32 > kBuildGrain ? params.threads : 1;
 
   std::vector<std::int32_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = static_cast<std::int32_t>(i);
+  std::iota(perm.begin(), perm.end(), 0);
 
-  nodes_.reserve(2 * n / params.leaf_size + 8);
-  root_ = build(0, static_cast<std::int32_t>(n), perm, catalog,
-                params.leaf_size);
+  Part tree;
+  tree.nodes.reserve(2 * n / params.leaf_size + 8);
+  if (threads > 1) {
+#pragma omp parallel num_threads(threads)
+#pragma omp single
+    build(0, n32, perm, catalog, params.leaf_size, true, tree);
+  } else {
+    build(0, n32, perm, catalog, params.leaf_size, false, tree);
+  }
+  nodes_ = std::move(tree.nodes);
+  leaves_ = std::move(tree.leaves);
 
   // Storage layout: Morton order of the leaf centers (cache-adjacent
   // leaves are space-adjacent) composed with the build permutation; plain
   // tree order when disabled. `slot[i]` is the build-order position stored
   // at final position i.
   std::vector<std::int32_t> slot;
-  if (params.morton && leaves_.size() > 1) slot = morton_order_leaves();
+  if (params.morton && leaves_.size() > 1) slot = morton_order_leaves(threads);
 
   // Reorder coordinates into contiguous leaf ranges, SoA planes padded to
   // the SIMD lane width (zeroed tail — never gathered, loops stop at end).
@@ -43,26 +70,24 @@ KdTree<Real>::KdTree(const sim::Catalog& catalog, BuildParams params) {
   zs_.reset(padded);
   ws_.resize(n);
   orig_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  parallel_for(threads, n32, [&](std::int32_t i) {
     const std::int32_t p = perm[slot.empty() ? i : slot[i]];
     xs_[i] = static_cast<Real>(catalog.x[p]);
     ys_[i] = static_cast<Real>(catalog.y[p]);
     zs_[i] = static_cast<Real>(catalog.z[p]);
     ws_[i] = catalog.w[p];
     orig_[i] = p;
-  }
+  });
   for (std::size_t i = n; i < padded; ++i) xs_[i] = ys_[i] = zs_[i] = 0;
-
-  if (params.interaction_rmax > 0.0)
-    build_interaction_lists(params.interaction_rmax);
 }
 
 template <typename Real>
 std::int32_t KdTree<Real>::build(std::int32_t begin, std::int32_t end,
                                  std::vector<std::int32_t>& perm,
-                                 const sim::Catalog& catalog, int leaf_size) {
-  const std::int32_t id = static_cast<std::int32_t>(nodes_.size());
-  nodes_.emplace_back();
+                                 const sim::Catalog& catalog, int leaf_size,
+                                 bool tasks, Part& out) {
+  const std::int32_t id = static_cast<std::int32_t>(out.nodes.size());
+  out.nodes.emplace_back();
 
   // Bounding box over [begin, end).
   double lo[3] = {std::numeric_limits<double>::max(),
@@ -80,7 +105,7 @@ std::int32_t KdTree<Real>::build(std::int32_t begin, std::int32_t end,
     }
   }
   {
-    Node& nd = nodes_[id];
+    Node& nd = out.nodes[id];
     for (int d = 0; d < 3; ++d) {
       // Round the box conservatively outward when Real is float.
       nd.lo[d] = static_cast<Real>(lo[d]);
@@ -95,7 +120,7 @@ std::int32_t KdTree<Real>::build(std::int32_t begin, std::int32_t end,
   }
 
   if (end - begin <= leaf_size) {
-    leaves_.push_back(id);
+    out.leaves.push_back(id);
     return id;
   }
 
@@ -108,7 +133,7 @@ std::int32_t KdTree<Real>::build(std::int32_t begin, std::int32_t end,
       dim = d;
     }
   if (best == 0.0) {  // all points coincide; keep as (large) leaf
-    leaves_.push_back(id);
+    out.leaves.push_back(id);
     return id;
   }
 
@@ -120,16 +145,43 @@ std::int32_t KdTree<Real>::build(std::int32_t begin, std::int32_t end,
                    perm.begin() + end,
                    [&](std::int32_t a, std::int32_t b) { return key(a) < key(b); });
 
-  const std::int32_t l = build(begin, mid, perm, catalog, leaf_size);
-  const std::int32_t r = build(mid, end, perm, catalog, leaf_size);
-  nodes_[id].left = l;
-  nodes_[id].right = r;
+  if (!tasks || end - begin <= kBuildGrain) {
+    const std::int32_t l =
+        build(begin, mid, perm, catalog, leaf_size, false, out);
+    const std::int32_t r =
+        build(mid, end, perm, catalog, leaf_size, false, out);
+    out.nodes[id].left = l;
+    out.nodes[id].right = r;
+    return id;
+  }
+  // The halves partition disjoint ranges of perm, and nth_element is a
+  // deterministic function of its range, so the tasks reproduce the serial
+  // permutation. Splicing left then right after this node gives the ids
+  // the serial recursion assigns (depth-first preorder).
+  Part halves[2];
+#pragma omp task default(shared)
+  build(begin, mid, perm, catalog, leaf_size, true, halves[0]);
+  build(mid, end, perm, catalog, leaf_size, true, halves[1]);
+#pragma omp taskwait
+  for (int h = 0; h < 2; ++h) {
+    const auto base = static_cast<std::int32_t>(out.nodes.size());
+    (h == 0 ? out.nodes[id].left : out.nodes[id].right) = base;
+    for (Node node : halves[h].nodes) {
+      if (node.left >= 0) {
+        node.left += base;
+        node.right += base;
+      }
+      out.nodes.push_back(node);
+    }
+    for (std::int32_t leaf : halves[h].leaves)
+      out.leaves.push_back(leaf + base);
+  }
   return id;
 }
 
 template <typename Real>
-std::vector<std::int32_t> KdTree<Real>::morton_order_leaves() {
-  const Node& root = nodes_[static_cast<std::size_t>(root_)];
+std::vector<std::int32_t> KdTree<Real>::morton_order_leaves(int threads) {
+  const Node& root = nodes_.front();
   double rlo[3], rhi[3];
   for (int d = 0; d < 3; ++d) {
     rlo[d] = static_cast<double>(root.lo[d]);
@@ -137,14 +189,15 @@ std::vector<std::int32_t> KdTree<Real>::morton_order_leaves() {
   }
 
   std::vector<std::uint64_t> key(leaves_.size());
-  for (std::size_t l = 0; l < leaves_.size(); ++l) {
+  parallel_for(threads, static_cast<std::int32_t>(leaves_.size()),
+               [&](std::int32_t l) {
     const Node& nd = nodes_[leaves_[l]];
     key[l] = morton_key(
         0.5 * (static_cast<double>(nd.lo[0]) + static_cast<double>(nd.hi[0])),
         0.5 * (static_cast<double>(nd.lo[1]) + static_cast<double>(nd.hi[1])),
         0.5 * (static_cast<double>(nd.lo[2]) + static_cast<double>(nd.hi[2])),
         rlo, rhi);
-  }
+  });
   std::vector<std::size_t> order(leaves_.size());
   std::iota(order.begin(), order.end(), 0);
   // Stable on the key so equal-key leaves keep tree order: the layout is a
@@ -191,10 +244,10 @@ Real box_dist2(const Real q[3], const Real lo[3], const Real hi[3]) {
 template <typename Real>
 template <typename Prune, typename LeafFn>
 void KdTree<Real>::traverse(Prune&& prune, LeafFn&& leaf_fn) const {
-  if (root_ < 0) return;
+  if (nodes_.empty()) return;
   std::int32_t stack[128];
   int sp = 0;
-  stack[sp++] = root_;
+  stack[sp++] = 0;  // the root
   while (sp > 0) {
     const std::int32_t id = stack[--sp];
     const Node& nd = nodes_[id];
@@ -260,47 +313,10 @@ void KdTree<Real>::append_refined(std::int32_t begin, std::int32_t end,
 }
 
 template <typename Real>
-void KdTree<Real>::build_interaction_lists(double rmax) {
-  ilist_rmax_ = rmax;
-  const Real r2max = static_cast<Real>(rmax) * static_cast<Real>(rmax);
-  ilist_offsets_.assign(leaves_.size() + 1, 0);
-  ilist_points_.assign(leaves_.size(), 0);
-  ilist_nodes_.clear();
-  for (std::size_t l = 0; l < leaves_.size(); ++l) {
-    const Node& src = nodes_[leaves_[l]];
-    std::int64_t pts = 0;
-    traverse(
-        [&](const Node& nd) {
-          return box_box_dist2<Real>(src.lo, src.hi, nd.lo, nd.hi) > r2max;
-        },
-        [&](std::int32_t id, const Node& nd) {
-          ilist_nodes_.push_back(id);
-          pts += nd.end - nd.begin;
-        });
-    ilist_offsets_[l + 1] = static_cast<std::int64_t>(ilist_nodes_.size());
-    ilist_points_[l] = pts;
-  }
-}
-
-template <typename Real>
 void KdTree<Real>::gather_leaf_neighbors(std::size_t leaf, double rmax,
                                          NeighborBlock<Real>& out) const {
   GLX_DCHECK(leaf < leaves_.size());
   const Node& src = nodes_[leaves_[leaf]];
-  if (has_interaction_lists(rmax)) {
-    // Replay the precomputed list: the same node set in the same canonical
-    // traverse order (the prune is a pure function of the static boxes and
-    // rmax), with the tree walk already paid at build time.
-    const Real r2max = static_cast<Real>(rmax) * static_cast<Real>(rmax);
-    out.reserve(out.size() +
-                static_cast<std::size_t>(ilist_points_[leaf]));
-    for (std::int64_t k = ilist_offsets_[leaf]; k < ilist_offsets_[leaf + 1];
-         ++k) {
-      const Node& nd = nodes_[ilist_nodes_[static_cast<std::size_t>(k)]];
-      append_refined(nd.begin, nd.end, src.lo, src.hi, r2max, out);
-    }
-    return;
-  }
   gather_box_neighbors(src.lo, src.hi, rmax, out);
 }
 
@@ -331,9 +347,9 @@ void KdTree<Real>::gather_box_neighbors(const Real lo[3], const Real hi[3],
 template <typename Real>
 bool KdTree<Real>::box_beyond_reach(const Real lo[3], const Real hi[3],
                                     double rmax) const {
-  if (root_ < 0) return true;
+  if (nodes_.empty()) return true;
   const Real r2max = static_cast<Real>(rmax) * static_cast<Real>(rmax);
-  const Node& root = nodes_[static_cast<std::size_t>(root_)];
+  const Node& root = nodes_.front();
   return box_box_dist2<Real>(lo, hi, root.lo, root.hi) > r2max;
 }
 
@@ -342,7 +358,7 @@ std::vector<std::size_t> KdTree<Real>::leaves_in_reach(const Real lo[3],
                                                        const Real hi[3],
                                                        double rmax) const {
   std::vector<std::size_t> out;
-  if (root_ < 0) return out;
+  if (nodes_.empty()) return out;
   const Real r2max = static_cast<Real>(rmax) * static_cast<Real>(rmax);
   // One pruned walk collects the surviving leaf *node ids*; the traversal
   // visits leaves in canonical (tree) order, which after the Morton

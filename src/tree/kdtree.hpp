@@ -4,14 +4,15 @@
 // tree search in single precision ("mixed" mode) because galaxy positions
 // are insensitive to float rounding, while all multipole math stays double.
 //
-// Cache-aware layout (PR 8): leaf storage is laid out in Morton (Z-order) of
-// the leaf centers, the coordinate planes live in SIMD-aligned buffers
-// padded to the lane width, and each leaf's pruned neighbor-node list can be
-// precomputed once per build into a CSR arena (`interaction_rmax`) so the
-// leaf-blocked traversal replays it instead of re-walking the tree per leaf.
-// All of it is storage-side only: tree topology and every query's candidate
-// order are unchanged, so per-primary results stay bitwise identical to an
-// unsorted build.
+// Cache-aware layout: leaf storage is laid out in Morton (Z-order) of the
+// leaf centers and the coordinate planes live in SIMD-aligned buffers padded
+// to the lane width. It is storage-side only: tree topology and every
+// query's candidate order are unchanged, so per-primary results stay
+// bitwise identical to an unsorted build.
+//
+// The build can use several threads (BuildParams::threads) and yields the
+// serial build's tree — node ids, leaf order, storage permutation — at any
+// thread count.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +32,12 @@ class KdTree {
     int leaf_size = 32;
     // Morton-order the leaf storage (pure permutation; see header comment).
     bool morton = true;
-    // > 0: precompute per-leaf interaction lists for gather_leaf_neighbors
-    // at this radius (the engine passes R_max for primary indexes and 0 for
-    // secondary ones, which are only ever queried per box).
-    double interaction_rmax = 0.0;
+    // Build threads. Catalogs up to kBuildGrain points build serially, so
+    // small indexes never open a parallel region.
+    int threads = 1;
   };
+  // Subtrees of at most this many points build serially (no tasks).
+  static constexpr std::int32_t kBuildGrain = 8192;
 
   KdTree() = default;
   explicit KdTree(const sim::Catalog& catalog, BuildParams params = {});
@@ -130,17 +132,6 @@ class KdTree {
   const Real* z_plane() const { return zs_.data(); }
   std::size_t plane_size() const { return xs_.size(); }  // padded length
 
-  // True when gather_leaf_neighbors at `rmax` replays the precomputed CSR
-  // lists instead of walking the tree.
-  bool has_interaction_lists(double rmax) const {
-    return ilist_rmax_ > 0.0 && ilist_rmax_ == rmax &&
-           !ilist_offsets_.empty();
-  }
-  // Candidate point count (pre-refinement upper bound) of one leaf's list.
-  std::int64_t interaction_points(std::size_t leaf) const {
-    return ilist_points_[leaf];
-  }
-
  private:
   struct Node {
     // Bounding box of the points in [begin, end).
@@ -149,21 +140,28 @@ class KdTree {
     std::int32_t left = -1, right = -1;  // children; -1 => leaf
   };
 
-  std::int32_t build(std::int32_t begin, std::int32_t end,
-                     std::vector<std::int32_t>& perm,
-                     const sim::Catalog& catalog, int leaf_size);
+  // A subtree in depth-first preorder: node ids local to the part (its
+  // root is node 0), leaves as local node ids in preorder.
+  struct Part {
+    std::vector<Node> nodes;
+    std::vector<std::int32_t> leaves;
+  };
+
+  // Builds perm[begin, end) as a subtree appended to `out` and returns its
+  // root's id there. With `tasks`, ranges above kBuildGrain build their
+  // halves as OpenMP tasks into parts spliced back in preorder (call from
+  // one thread of a parallel region).
+  static std::int32_t build(std::int32_t begin, std::int32_t end,
+                            std::vector<std::int32_t>& perm,
+                            const sim::Catalog& catalog, int leaf_size,
+                            bool tasks, Part& out);
 
   // Reorders `leaves_` by the Morton key of each leaf-box center and
   // rewrites the leaf nodes' [begin, end) to the new storage layout,
   // returning the point permutation new-slot -> build-slot. Internal nodes'
   // ranges are left stale — no query reads them (traversal descends by
   // child ids and only leaf_fn touches begin/end).
-  std::vector<std::int32_t> morton_order_leaves();
-
-  // Precomputes, for every leaf, the node ids its gather at `rmax` visits
-  // (canonical traverse order) plus the candidate point-count prefix sums
-  // used to reserve NeighborBlock capacity.
-  void build_interaction_lists(double rmax);
+  std::vector<std::int32_t> morton_order_leaves(int threads);
 
   // Copies the points of [begin, end) that survive the point-box
   // refinement against [lo, hi] into `out`.
@@ -179,20 +177,13 @@ class KdTree {
   template <typename Prune, typename LeafFn>
   void traverse(Prune&& prune, LeafFn&& leaf_fn) const;
 
-  std::vector<Node> nodes_;
+  std::vector<Node> nodes_;  // depth-first preorder: the root is node 0
   std::vector<std::int32_t> leaves_;  // leaf node ids, storage order
   std::size_t n_ = 0;
   AlignedBuffer<Real> xs_, ys_, zs_;  // padded to the SIMD lane width
   std::vector<double> ws_;
   std::vector<std::int64_t> orig_;
-  std::int32_t root_ = -1;
 
-  // Interaction lists (CSR over leaves_): leaf l replays node ids
-  // ilist_nodes_[ilist_offsets_[l] .. ilist_offsets_[l+1]).
-  std::vector<std::int64_t> ilist_offsets_;
-  std::vector<std::int32_t> ilist_nodes_;
-  std::vector<std::int64_t> ilist_points_;  // candidate points per leaf
-  double ilist_rmax_ = 0.0;
 };
 
 extern template class KdTree<float>;

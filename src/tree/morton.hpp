@@ -2,9 +2,9 @@
 //
 // The k-d tree lays its leaf storage out in Morton order of the leaf
 // centers: leaves that are close in space become close in memory, so a
-// leaf-blocked gather — whose interaction list is exactly the spatial
-// neighborhood of the source leaf — streams a handful of contiguous cache
-// ranges instead of hopping across the depth-first tree layout, and
+// leaf-blocked gather — which visits exactly the spatial neighborhood of
+// the source leaf — streams a handful of contiguous cache ranges instead
+// of hopping across the depth-first tree layout, and
 // consecutive leaves processed by one thread share most of their gathered
 // working set. The layout is pure storage permutation: tree topology, per
 // leaf point order and every query's candidate order are unchanged, so

@@ -31,16 +31,6 @@ struct NeighborBlock {
     w.clear();
     idx.clear();
   }
-  // Trees with interaction lists know each leaf's candidate count up
-  // front (prefix sums recorded at build), so one reserve per gather keeps
-  // block staging from reallocating mid-traversal.
-  void reserve(std::size_t n) {
-    x.reserve(n);
-    y.reserve(n);
-    z.reserve(n);
-    w.reserve(n);
-    idx.reserve(n);
-  }
   std::size_t size() const { return x.size(); }
   void push(Real px, Real py, Real pz, double weight, std::int64_t index) {
     x.push_back(px);

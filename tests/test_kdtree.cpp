@@ -5,9 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "math/rng.hpp"
 #include "sim/generators.hpp"
+#include "test_helpers.hpp"
 #include "tree/kdtree.hpp"
 
 namespace s = galactos::sim;
@@ -68,18 +72,16 @@ TEST_P(KdTreeProperty, DoubleTreeMatchesBruteForce) {
   }
 }
 
-// The leaf-blocked gather (the engine's default, replaying the per-leaf
-// interaction lists built at this radius): every leaf's block must hold each
-// of its points' brute-force neighbors, once, with catalog coordinates.
+// The leaf-blocked gather (the engine's only gather): every leaf's block
+// must hold each of its points' brute-force neighbors, once, with catalog
+// coordinates.
 TEST_P(KdTreeProperty, DoubleTreeLeafGatherCoversBruteForce) {
   const auto [n, leaf, seed] = GetParam();
   const s::Catalog c = s::uniform_box(n, s::Aabb::cube(100), seed);
   const double r = 12.0;
   t::KdTree<double>::BuildParams bp;
   bp.leaf_size = leaf;
-  bp.interaction_rmax = r;
   const t::KdTree<double> tree(c, bp);
-  ASSERT_TRUE(tree.has_interaction_lists(r));
 
   t::NeighborBlock<double> block;
   for (std::size_t l = 0; l < tree.leaf_count(); ++l) {
@@ -110,6 +112,120 @@ INSTANTIATE_TEST_SUITE_P(
                       KdTreeCase{1000, 16, 3}, KdTreeCase{1000, 32, 4},
                       KdTreeCase{5000, 32, 5}, KdTreeCase{5000, 64, 6},
                       KdTreeCase{317, 7, 7}, KdTreeCase{4096, 32, 8}));
+
+// Everything a build produces that the engine reads: per leaf its storage
+// range, box, stored points and gathered block.
+template <typename Real>
+struct BuiltTree {
+  std::size_t nodes = 0;
+  std::vector<std::int32_t> begin, end;
+  std::vector<Real> box;  // lo[3], hi[3] per leaf
+  std::vector<std::int64_t> orig;
+  std::vector<Real> xs, ys, zs;
+  std::vector<std::vector<std::int64_t>> block_idx;
+  std::vector<std::vector<Real>> block_x;
+};
+
+template <typename Real>
+BuiltTree<Real> describe(const s::Catalog& c, int leaf, int threads,
+                         double r) {
+  typename t::KdTree<Real>::BuildParams bp;
+  bp.leaf_size = leaf;
+  bp.threads = threads;
+  const t::KdTree<Real> tree(c, bp);
+  BuiltTree<Real> out;
+  out.nodes = tree.node_count();
+  for (std::size_t i = 0; i < tree.size(); ++i) {
+    out.orig.push_back(tree.original_index(i));
+    out.xs.push_back(tree.x(i));
+    out.ys.push_back(tree.y(i));
+    out.zs.push_back(tree.z(i));
+  }
+  t::NeighborBlock<Real> block;
+  for (std::size_t l = 0; l < tree.leaf_count(); ++l) {
+    out.begin.push_back(tree.leaf_begin(l));
+    out.end.push_back(tree.leaf_end(l));
+    Real lo[3], hi[3];
+    tree.leaf_box(l, lo, hi);
+    out.box.insert(out.box.end(), lo, lo + 3);
+    out.box.insert(out.box.end(), hi, hi + 3);
+    block.clear();
+    tree.gather_leaf_neighbors(l, r, block);
+    out.block_idx.push_back(block.idx);
+    out.block_x.push_back(block.x);
+  }
+  return out;
+}
+
+// The task-parallel build splices its subtrees back in the serial build's
+// preorder, so the tree is the same at any thread count: leaf ranges and
+// boxes, the storage permutation and every gathered block. The catalogs
+// are large enough for three levels of tasks; `pile` stacks most of its
+// points on one spot, so a range above the task grain ends as a leaf.
+template <typename Real>
+void expect_build_independent_of_threads(const s::Catalog& c, int leaf,
+                                         double r) {
+  const BuiltTree<Real> ref = describe<Real>(c, leaf, 1, r);
+  ASSERT_EQ(ref.orig.size(), c.size());
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    const BuiltTree<Real> got = describe<Real>(c, leaf, threads, r);
+    EXPECT_EQ(got.nodes, ref.nodes);
+    EXPECT_EQ(got.begin, ref.begin);
+    EXPECT_EQ(got.end, ref.end);
+    EXPECT_EQ(got.box, ref.box);
+    EXPECT_EQ(got.orig, ref.orig);
+    EXPECT_EQ(got.xs, ref.xs);
+    EXPECT_EQ(got.ys, ref.ys);
+    EXPECT_EQ(got.zs, ref.zs);
+    EXPECT_EQ(got.block_idx, ref.block_idx);
+    EXPECT_EQ(got.block_x, ref.block_x);
+  }
+}
+
+s::Catalog build_catalog(const std::string& kind) {
+  constexpr std::size_t kN = 36000;  // > 4 x the serial-build grain
+  if (kind == "uniform") return s::uniform_box(kN, s::Aabb::cube(120), 41);
+  if (kind == "clumpy")
+    return galactos::testing::clumpy_catalog(kN, 120.0, 42);
+  // A corner pile larger than half the catalog: the root's upper half is
+  // all pile.
+  s::Catalog c = s::uniform_box(kN * 4 / 9, s::Aabb::cube(120), 43);
+  while (c.size() < kN) c.push_back(120, 120, 120, 1.0);
+  return c;
+}
+
+using BuildCase = std::tuple<std::string, int>;  // catalog, leaf size
+
+class KdTreeBuildThreads : public ::testing::TestWithParam<BuildCase> {};
+
+TEST_P(KdTreeBuildThreads, FloatTreeIdentical) {
+  const auto& [kind, leaf] = GetParam();
+  expect_build_independent_of_threads<float>(build_catalog(kind), leaf, 5.0);
+}
+
+TEST_P(KdTreeBuildThreads, DoubleTreeIdentical) {
+  const auto& [kind, leaf] = GetParam();
+  expect_build_independent_of_threads<double>(build_catalog(kind), leaf, 5.0);
+}
+
+TEST(KdTree, PileHasLeavesAboveTheTaskGrain) {
+  const BuiltTree<double> built =
+      describe<double>(build_catalog("pile"), 5, 2, 5.0);
+  std::int32_t largest = 0;
+  for (std::size_t l = 0; l < built.begin.size(); ++l)
+    largest = std::max(largest, built.end[l] - built.begin[l]);
+  EXPECT_GT(largest, t::KdTree<double>::kBuildGrain);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, KdTreeBuildThreads,
+    ::testing::Combine(::testing::Values("uniform", "clumpy", "pile"),
+                       ::testing::Values(5, 32)),
+    [](const ::testing::TestParamInfo<BuildCase>& info) {
+      return std::get<0>(info.param) + "_leaf" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(KdTree, FloatTreeMatchesBruteForceAwayFromBoundary) {
   // Float rounding can flip membership of points within ~1e-5 relative of

@@ -1,11 +1,10 @@
-// Cache-aware traversal layout (PR 8): Morton keys, the Z-order storage
-// permutation, SIMD plane alignment, and the interaction-list replay.
+// Cache-aware traversal layout: Morton keys, the Z-order storage
+// permutation and SIMD plane alignment.
 //
 // The layout invariants under test are the ones the engine's equivalence
 // story rests on: Morton ordering is a pure storage permutation (per-query
-// candidate sequences bitwise unchanged), the precomputed interaction lists
-// replay exactly the node set a fresh walk visits, and the coordinate
-// planes are aligned and padded to the SIMD lane width with a zeroed tail.
+// candidate sequences bitwise unchanged), and the coordinate planes are
+// aligned and padded to the SIMD lane width with a zeroed tail.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -176,58 +175,4 @@ TEST(Morton, KdTreeGatherBitwiseIndependentOfLayout) {
 
 TEST(Morton, DoubleTreeGatherBitwiseIndependentOfLayout) {
   expect_gather_independent_of_layout<double>(36);
-}
-
-// Interaction lists replay exactly the node set a fresh walk visits, in the
-// same canonical order — the gathered blocks must match element for
-// element, and the recorded candidate count must bound the block size.
-template <typename Real>
-void expect_lists_replay_fresh_walk(const t::KdTree<Real>& with,
-                                    const t::KdTree<Real>& without,
-                                    double rmax) {
-  ASSERT_TRUE(with.has_interaction_lists(rmax));
-  ASSERT_FALSE(without.has_interaction_lists(rmax));
-  ASSERT_EQ(with.leaf_count(), without.leaf_count());
-  t::NeighborBlock<Real> ba, bb;
-  for (std::size_t l = 0; l < with.leaf_count(); ++l) {
-    ba.clear();
-    bb.clear();
-    with.gather_leaf_neighbors(l, rmax, ba);
-    without.gather_leaf_neighbors(l, rmax, bb);
-    EXPECT_EQ(ba.idx, bb.idx) << "leaf " << l;
-    EXPECT_EQ(ba.x, bb.x) << "leaf " << l;
-    EXPECT_EQ(ba.y, bb.y) << "leaf " << l;
-    EXPECT_EQ(ba.z, bb.z) << "leaf " << l;
-    EXPECT_EQ(ba.w, bb.w) << "leaf " << l;
-    EXPECT_GE(with.interaction_points(l),
-              static_cast<std::int64_t>(ba.size()));
-  }
-  // A different radius must fall back to the fresh walk, not replay a list
-  // built for another reach.
-  EXPECT_FALSE(with.has_interaction_lists(rmax * 0.5));
-  ba.clear();
-  bb.clear();
-  with.gather_leaf_neighbors(0, rmax * 0.5, ba);
-  without.gather_leaf_neighbors(0, rmax * 0.5, bb);
-  EXPECT_EQ(ba.idx, bb.idx);
-}
-
-TEST(Morton, KdTreeInteractionListsReplayFreshWalk) {
-  const s::Catalog cat = galactos::testing::clumpy_catalog(900, 60.0, 38);
-  const double rmax = 12.0;
-  t::KdTree<float>::BuildParams with, without;
-  with.leaf_size = without.leaf_size = 16;
-  with.interaction_rmax = rmax;
-  expect_lists_replay_fresh_walk(t::KdTree<float>(cat, with),
-                                 t::KdTree<float>(cat, without), rmax);
-}
-
-TEST(Morton, DoubleTreeInteractionListsReplayFreshWalk) {
-  const s::Catalog cat = galactos::testing::clumpy_catalog(900, 60.0, 39);
-  const double rmax = 9.0;
-  t::KdTree<double>::BuildParams with, without;
-  with.leaf_size = without.leaf_size = 8;
-  with.interaction_rmax = rmax;
-  expect_lists_replay_fresh_walk(t::KdTree<double>(cat, with),
-                                 t::KdTree<double>(cat, without), rmax);
 }

@@ -28,7 +28,7 @@ namespace {
 
 struct StagedCase {
   c::TreePrecision precision;
-  int leaf_size;  // 5: many ragged leaves and long interaction lists
+  int leaf_size;  // 5: many ragged leaves and long leaf gathers
   // 8: one lane group per bucket, so a primary's pairs flush many times
   // and the boundary snapshot catches buckets mid-fill.
   int bucket_capacity = 128;

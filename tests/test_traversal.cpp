@@ -6,7 +6,7 @@
 // that: it tests every pair by brute force and evaluates Y_lm per
 // secondary. The sweep covers double/mixed × plane-parallel/radial LOS ×
 // all/subset primaries (the distributed-runner path) × the default and a
-// small leaf size (many ragged leaves, long interaction lists) × the
+// small leaf size (many ragged leaves, long leaf gathers) × the
 // default and a one-lane-group bucket capacity (every bin flushes many
 // times per primary, mostly full buckets). The sweep
 // catalog is snapped to a 1/64 grid (snapped_to_grid), so mixed precision

@@ -425,6 +425,53 @@ TEST(ZetaBatch, MatchesPerPrimaryOracleBitwise) {
       }
 }
 
+// The m = 0 planes flush through the real-only update while no staged
+// m = 0 imaginary entry is nonzero: primaries staged from power sums (as
+// the engine stages them; their Im a_l0 is 0 by construction), or through
+// add_primary with Im a_l0 set to +0 or -0. `mixed` adds one primary with
+// nonzero Im a_l0 per batch, which must switch that batch's flush back to
+// the full update. Every other primary weighs negative; bitwise against
+// the per-primary oracle, and the m = 0 imaginary plane stays exactly +0
+// while no primary feeds it.
+TEST(ZetaBatch, RealOnlyM0PlaneMatchesPerPrimaryOracleBitwise) {
+  enum Mode { kSums, kZeroImag, kMixed };
+  for (int lmax : kLmaxGrid)
+    for (int nbins : kNbinsGrid)
+      for (Mode mode : {kSums, kZeroImag, kMixed}) {
+        const std::string what = "lmax=" + std::to_string(lmax) +
+                                 " nbins=" + std::to_string(nbins) +
+                                 " mode=" + std::to_string(mode);
+        m::Rng rng(4000 + 97 * lmax + 13 * nbins + mode);
+        const m::SphHarmTable table(lmax);
+        c::ZetaAccumulator z(lmax, nbins);
+        PerPrimaryZeta ref(lmax, nbins);
+        for (int p = 0; p < 19; ++p) {
+          RandomPrimary pr = random_primary(table, nbins, rng, mode == kSums);
+          if (p % 2 == 1) pr.wp = -0.25 - rng.uniform();
+          const bool feeds_imag =
+              mode == kMixed && p % c::ZetaAccumulator::kBatch == 5;
+          if (mode != kSums && !feeds_imag)
+            for (int b = 0; b < nbins; ++b)
+              for (int l = 0; l <= lmax; ++l) {
+                cd& a = pr.alm[static_cast<std::size_t>(b) * m::nlm(lmax) +
+                               m::lm_index(l, 0)];
+                a.imag(rng.uniform() < 0.5 ? 0.0 : -0.0);
+              }
+          add_both(z, ref, table, pr);
+        }
+        expect_bitwise(z, ref, what);
+        if (mode == kMixed) continue;
+        for (int b1 = 0; b1 < nbins; ++b1)
+          for (int b2 = b1; b2 < nbins; ++b2)
+            for (int l = 0; l <= lmax; ++l)
+              for (int lp = 0; lp <= lmax; ++lp) {
+                const double im = z.raw(b1, b2, l, lp, 0).imag();
+                ASSERT_EQ(im, 0.0) << what;
+                ASSERT_FALSE(std::signbit(im)) << what;
+              }
+      }
+}
+
 // A bin no primary touches stays exactly zero.
 TEST(ZetaBatch, UntouchedBinsStayZero) {
   const int lmax = 5, nbins = 3;
