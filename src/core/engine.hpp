@@ -48,10 +48,6 @@
 #include "sim/catalog.hpp"
 #include "util/timer.hpp"
 
-namespace galactos::tree {
-struct LetMessage;  // tree/let.hpp — pruned-LET halo payload
-}  // namespace galactos::tree
-
 namespace galactos::core {
 
 namespace detail {
@@ -126,7 +122,7 @@ struct EngineConfig {
 };
 
 // Filled by every run entry point (Engine::run, Staged::run_indexed /
-// run_owned_pass / run_secondary_pass, fft_3pcf, dist::fft_slab_3pcf),
+// run_owned_pass / run_secondary_pass, fft_3pcf),
 // which first resets the object: a reused stats object reports its last
 // run only.
 struct EngineStats {
@@ -191,15 +187,6 @@ class Engine {
     // once; an empty halo is a no-op.
     void extend_with_secondaries(const sim::Catalog& halo);
 
-    // LET variant (dist HaloMode::kLet): unpacks received per-peer LET
-    // messages straight into the secondary index, skipping whole cells
-    // whose AABB lies beyond R_max of `bound` (this rank's domain) — the
-    // receiver-side pruning tier. Same at-most-once contract as
-    // extend_with_secondaries; messages with no in-reach cells are a
-    // no-op.
-    void extend_with_let(const std::vector<tree::LetMessage>& msgs,
-                         const SecondaryBound& bound);
-
     // Runs the traversal over the prebuilt indexes. `primaries` indexes
     // into the owned catalog passed to build_index (same contract as
     // Engine::run: no duplicates, all owned points act as primaries when
@@ -258,9 +245,8 @@ class Engine {
   // exchange is still in flight, then extend_with_secondaries(halo) and
   // run_indexed (paper §3.2–3.3 overlap). The handle keeps its own copy of
   // `owned`, so the caller's buffer is free to move afterwards.
-  // Tree backend only (the FFT backend has no spatial index; its
-  // distributed path decomposes the mesh into slabs instead — see
-  // dist/fft_slab.hpp). Throws for backend == kFFT.
+  // Tree backend only (the FFT backend has no spatial index). Throws for
+  // backend == kFFT.
   Staged build_index(const sim::Catalog& owned) const;
 
   // Move overload: adopts `owned` as the handle's storage instead of

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "math/sph_table.hpp"
 #include "util/timer.hpp"
 
 namespace galactos::core {
@@ -36,10 +37,35 @@ void validate_fft_config(const EngineConfig& cfg) {
                     << cfg.bins.rmax() << " box_side = " << f.box_side);
 }
 
+namespace {
+
+// Cells of the separation mesh that fall inside the radial bins. Cell
+// (ix, iy, iz) of the n^3 separation mesh, idx = (ix*n + iy)*n + iz,
+// represents the minimum-image offset s = (sgn(ix), sgn(iy), sgn(iz)) * h
+// with sgn(i) = i <= n/2 ? i : i - n; only |s| in [rmin, rmax) matters — a
+// small fraction of the mesh — so kernel sampling walks this compact list
+// and zero-fills the rest.
+struct FftBinCells {
+  struct Cell {
+    std::size_t idx;
+    int bin;
+    double weight;      // bin membership: 1, or a volume fraction (see below)
+    double ux, uy, uz;  // direction of -s (the REVERSED kernel direction)
+  };
+  std::vector<Cell> cells;
+
+  // With `edge_antialias`, a cell whose cube [s - h/2, s + h/2]^3 straddles
+  // a radial bin edge is split across the straddled bins by supersampled
+  // volume fractions (one Cell entry per overlapped bin, weights summing to
+  // the in-range fraction) instead of sharply assigned by its center
+  // radius; cells fully inside one bin keep weight 1. The zero-lag cell is
+  // always excluded (its direction is undefined).
+  static FftBinCells build(const RadialBins& bins, std::size_t n, double h,
+                           bool edge_antialias);
+};
+
 FftBinCells FftBinCells::build(const RadialBins& bins, std::size_t n,
-                               double h, std::size_t x_begin,
-                               std::size_t x_end, bool edge_antialias) {
-  GLX_CHECK(x_begin <= x_end && x_end <= n);
+                               double h, bool edge_antialias) {
   FftBinCells out;
   const double rmax = bins.rmax();
   // Per-axis pruning margin: a cell can reach `rmax` if any point of its
@@ -57,7 +83,7 @@ FftBinCells FftBinCells::build(const RadialBins& bins, std::size_t n,
                                          static_cast<long long>(n));
   };
   constexpr int kSub = 4;  // supersampling per axis for straddling cells
-  for (std::size_t ix = x_begin; ix < x_end; ++ix) {
+  for (std::size_t ix = 0; ix < n; ++ix) {
     const double sx = sgn(ix) * h;
     if (axis_min(sx) * axis_min(sx) >= rmax2) continue;
     for (std::size_t iy = 0; iy < n; ++iy) {
@@ -65,7 +91,7 @@ FftBinCells FftBinCells::build(const RadialBins& bins, std::size_t n,
       const double sxy2 =
           axis_min(sx) * axis_min(sx) + axis_min(sy) * axis_min(sy);
       if (sxy2 >= rmax2) continue;
-      const std::size_t base = ((ix - x_begin) * n + iy) * n;
+      const std::size_t base = (ix * n + iy) * n;
       for (std::size_t iz = 0; iz < n; ++iz) {
         const double sz = sgn(iz) * h;
         const double r2 = sx * sx + sy * sy + sz * sz;
@@ -122,6 +148,8 @@ FftBinCells FftBinCells::build(const RadialBins& bins, std::size_t n,
   return out;
 }
 
+// Fills per_bin[b] (each resized and zeroed to the mesh size) with the
+// reversed kernel K_rev = conj(Y_lm(-s_hat)) [ |s| in b ].
 void sample_ylm_bin_kernels(const math::SphHarmTable& ylm, int l, int m,
                             const FftBinCells& cells, std::size_t mesh_size,
                             int nbins,
@@ -132,6 +160,8 @@ void sample_ylm_bin_kernels(const math::SphHarmTable& ylm, int l, int m,
     per_bin[static_cast<std::size_t>(c.bin)][c.idx] =
         c.weight * std::conj(ylm.eval(l, m, c.ux, c.uy, c.uz));
 }
+
+}  // namespace
 
 double assignment_window_1d(std::size_t j, std::size_t n, int order) {
   const long long js = j <= n / 2 ? static_cast<long long>(j)
@@ -154,6 +184,35 @@ cplx interlace_phase(std::size_t jx, std::size_t jy, std::size_t jz,
                      static_cast<double>(n);
   return cplx(std::cos(ang), std::sin(ang));
 }
+
+namespace {
+
+// Accumulates zeta / 2PCF raw sums from per-primary field samples, one m
+// at a time. One instance per thread, merged in thread order, finalized
+// into a ZetaResult (n_pairs = 0).
+class FftZetaAccumulator {
+ public:
+  FftZetaAccumulator(int lmax, int nbins);
+
+  // Count the primary (once, not per m).
+  void count_primary(double wp);
+
+  // v[(l - m) * nbins + b] = a_lm(b; x_p) for fixed m, l in [m, lmax].
+  // m == 0 also feeds pair counts and the 2PCF moments.
+  void add_primary(int m, double wp, const cplx* v);
+
+  void merge(const FftZetaAccumulator& other);
+  ZetaResult finalize(const RadialBins& bins) const;
+
+ private:
+  int lmax_, nbins_;
+  LlmIndex llm_;
+  std::vector<cplx> zeta_;      // [bin_pair][llm]
+  std::vector<double> xi_raw_;  // [lmax+1][nbins]
+  std::vector<double> counts_;  // [nbins]
+  double sum_wp_ = 0.0;
+  std::uint64_t n_primaries_ = 0;
+};
 
 FftZetaAccumulator::FftZetaAccumulator(int lmax, int nbins)
     : lmax_(lmax),
@@ -224,8 +283,6 @@ ZetaResult FftZetaAccumulator::finalize(const RadialBins& bins) const {
   r.xi_raw = xi_raw_;
   return r;
 }
-
-namespace {
 
 void validate_primaries(std::size_t catalog_size,
                         const std::vector<std::int64_t>* primaries) {
@@ -325,7 +382,7 @@ ZetaResult fft_3pcf(const EngineConfig& cfg, const sim::Catalog& catalog,
   const bool m0_real = !f.interlace;
 
   const FftBinCells cells =
-      FftBinCells::build(cfg.bins, n, h, 0, n, f.edge_antialias);
+      FftBinCells::build(cfg.bins, n, h, f.edge_antialias);
   const math::SphHarmTable ylm(lmax);
 
   std::vector<FftZetaAccumulator> acc(

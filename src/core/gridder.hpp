@@ -30,7 +30,7 @@ int assignment_order(MassAssignment a);
 
 // Per-point, per-axis assignment stencil: weights `w[k]` applied to cells
 // `cell[k]` (already wrapped into [0, n)); `lo` is the leftmost cell
-// UNWRAPPED, which slab-decomposed meshes use to find spill planes.
+// before wrapping.
 struct AxisStencil {
   int cell[3];
   int lo = 0;

@@ -23,7 +23,6 @@ constexpr int kTagRightToLeft = tags::kRightToLeft;
 constexpr int kTagDomains = tags::kDomains;
 constexpr int kTagCost = tags::kCost;
 constexpr int kTagHalo = tags::kHalo;  // + sender rank (open-ended range)
-constexpr int kTagLet = tags::kLet;    // + sender rank (LET halo payloads)
 
 double& aabb_coord(sim::Vec3& v, int dim) {
   return dim == 0 ? v.x : (dim == 1 ? v.y : v.z);
@@ -116,14 +115,12 @@ std::vector<double> pair_cost_weights(Comm& c, const sim::Catalog& pts,
   return cost;
 }
 
-// Drain-time TimeoutError enrichment shared by both halo wire formats:
-// re-throw with the full exchange picture — how many peers (and which)
-// never delivered, not just the one we happened to block on.
-template <typename Req>
-[[noreturn]] void rethrow_with_outstanding(const TimeoutError& e,
-                                           std::vector<Req>& recvs,
-                                           const std::vector<int>& peers,
-                                           std::size_t i) {
+// Drain-time TimeoutError enrichment: re-throw with the full exchange
+// picture — how many peers (and which) never delivered, not just the one
+// we happened to block on.
+[[noreturn]] void rethrow_with_outstanding(
+    const TimeoutError& e, std::vector<RecvRequest<std::uint8_t>>& recvs,
+    const std::vector<int>& peers, std::size_t i) {
   std::size_t outstanding = 1;
   std::ostringstream ranks;
   ranks << peers[i];
@@ -279,74 +276,43 @@ PendingPartition post_halo_exchange(Comm& comm, const sim::Catalog& mine,
   pend.result.domain = domain;
   pend.result.levels = levels;
   pend.result.local = std::move(pts);
-  pend.result.owned.assign(pend.result.local.size(), 1);
 
   // Halo exchange over the full communicator: every rank publishes its leaf
-  // domain, ships each owned galaxy to every rank whose domain it lies
-  // within rmax of (distance to the box, the tight criterion — the shipped
-  // set is exactly the potential secondaries of that rank's primaries), and
-  // posts the matching receives. Sends are buffered and receives are only
-  // posted here, so the exchange is in flight when this returns — the
-  // caller overlaps it with the owned-point index build.
+  // domain and ships each peer the LET of its owned tree against that
+  // peer's box — one admissibility walk per peer, then the exact
+  // per-point reach criterion (distance to the box <= rmax, on the tree's
+  // double coordinate planes) inside surviving leaves, so the shipped set
+  // is exactly the potential secondaries of that rank's primaries. An
+  // empty rank ships an empty (but well-formed) message so every peer
+  // still gets one. Sends are buffered and receives are only posted here,
+  // so the exchange is in flight when this returns — the caller overlaps
+  // it with the owned-point index build.
   comm.set_phase(Phase::kHaloPost);
-  pend.mode = halo.mode;
   if (comm.size() > 1) {
-    const sim::Catalog& own = pend.result.local;
-    std::vector<double> mybox{pend.result.domain.lo.x, pend.result.domain.lo.y,
-                              pend.result.domain.lo.z, pend.result.domain.hi.x,
-                              pend.result.domain.hi.y,
-                              pend.result.domain.hi.z};
+    const sim::Aabb& dom = pend.result.domain;
+    const std::vector<double> mybox{dom.lo.x, dom.lo.y, dom.lo.z,
+                                    dom.hi.x, dom.hi.y, dom.hi.z};
     const auto boxes = comm.allgather(mybox, kTagDomains);
-    const double r2 = rmax * rmax;
-    const std::size_t nown = own.size();
-    auto peer_box = [&](int r) {
+    const tree::KdTree<double> owned_tree(pend.result.local);
+    for (int r = 0; r < comm.size(); ++r) {
+      if (r == comm.rank()) continue;
       sim::Aabb box;
       box.lo = {boxes[r][0], boxes[r][1], boxes[r][2]};
       box.hi = {boxes[r][3], boxes[r][4], boxes[r][5]};
-      return box;
-    };
-    if (halo.mode == HaloMode::kLet) {
-      // Pruned LET: one admissibility walk of the owned tree per peer.
-      // The per-point refinement inside surviving leaves uses the exact
-      // full-shell criterion on the tree's double coordinate planes, so
-      // the shipped SET matches kFullShell — only layout (leaf cells,
-      // Morton storage order) and byte count differ. An empty rank ships
-      // an empty (but well-formed) message so every peer still gets one.
-      const tree::KdTree<double> owned_tree(own);
-      for (int r = 0; r < comm.size(); ++r) {
-        if (r == comm.rank()) continue;
-        tree::LetStats st;
-        const tree::LetMessage msg = tree::build_let_message(
-            owned_tree, peer_box(r), rmax, halo.let_f32, &st);
-        std::vector<std::uint8_t> buf = tree::serialize_let(msg);
-        pend.traffic.bytes_sent += buf.size();
-        pend.traffic.points_shipped += st.points_shipped;
-        pend.traffic.cells_sent += st.cells_sent;
-        pend.traffic.cells_pruned += st.cells_pruned;
-        comm.send(r, kTagLet + comm.rank(), buf);
-      }
-      for (int r = 0; r < comm.size(); ++r) {
-        if (r == comm.rank()) continue;
-        pend.peers.push_back(r);
-        pend.let_recvs.push_back(comm.irecv<std::uint8_t>(r, kTagLet + r));
-      }
-    } else {
-      for (int r = 0; r < comm.size(); ++r) {
-        if (r == comm.rank()) continue;
-        const sim::Aabb box = peer_box(r);
-        std::vector<std::uint32_t> ship;
-        for (std::uint32_t i = 0; i < nown; ++i)
-          if (box.dist2(own.position(i)) <= r2) ship.push_back(i);
-        const std::vector<double> buf = pack(own, ship);
-        pend.traffic.bytes_sent += buf.size() * sizeof(double);
-        pend.traffic.points_shipped += ship.size();
-        comm.send(r, kTagHalo + comm.rank(), buf);
-      }
-      for (int r = 0; r < comm.size(); ++r) {
-        if (r == comm.rank()) continue;
-        pend.peers.push_back(r);
-        pend.halo_recvs.push_back(comm.irecv<double>(r, kTagHalo + r));
-      }
+      tree::LetStats st;
+      const tree::LetMessage msg =
+          tree::build_let_message(owned_tree, box, rmax, halo.let_f32, &st);
+      std::vector<std::uint8_t> buf = tree::serialize_let(msg);
+      pend.traffic.bytes_sent += buf.size();
+      pend.traffic.points_shipped += st.points_shipped;
+      pend.traffic.cells_sent += st.cells_sent;
+      pend.traffic.cells_pruned += st.cells_pruned;
+      comm.send(r, kTagHalo + comm.rank(), buf);
+    }
+    for (int r = 0; r < comm.size(); ++r) {
+      if (r == comm.rank()) continue;
+      pend.peers.push_back(r);
+      pend.let_recvs.push_back(comm.irecv<std::uint8_t>(r, kTagHalo + r));
     }
   }
   return pend;
@@ -359,15 +325,6 @@ bool PendingPartition::poll() {
   // Report "not complete" instead; the blocking complete_halo_exchange()
   // hits the same condition and rethrows it from a safe context.
   bool all = true;
-  for (auto& req : halo_recvs) {
-    bool done = false;
-    try {
-      done = req.test();
-    } catch (...) {
-      return false;
-    }
-    all = done && all;
-  }
   for (auto& req : let_recvs) {
     bool done = false;
     try {
@@ -381,42 +338,27 @@ bool PendingPartition::poll() {
 }
 
 PartitionResult complete_halo_exchange(PendingPartition& pending) {
-  if (pending.mode == HaloMode::kLet) {
-    pending.result.let.reserve(pending.peers.size());
-    for (std::size_t i = 0; i < pending.peers.size(); ++i) {
-      std::vector<std::uint8_t> buf;
-      try {
-        buf = pending.let_recvs[i].get();
-      } catch (const TimeoutError& e) {
-        rethrow_with_outstanding(e, pending.let_recvs, pending.peers, i);
-      }
-      pending.traffic.bytes_recv += buf.size();
-      try {
-        pending.result.let.push_back(tree::deserialize_let(buf));
-      } catch (const std::exception& e) {
-        // The frame layer already checksummed the bytes, so a parse
-        // failure means a mode/version mismatch with the sender.
-        throw ProtocolError(
-            Channel{pending.peers[i], -1, tags::kLet + pending.peers[i]},
-            e.what());
-      }
+  pending.result.let.reserve(pending.peers.size());
+  for (std::size_t i = 0; i < pending.peers.size(); ++i) {
+    std::vector<std::uint8_t> buf;
+    try {
+      buf = pending.let_recvs[i].get();
+    } catch (const TimeoutError& e) {
+      rethrow_with_outstanding(e, pending.let_recvs, pending.peers, i);
     }
-  } else {
-    for (std::size_t i = 0; i < pending.peers.size(); ++i) {
-      std::vector<double> buf;
-      try {
-        buf = pending.halo_recvs[i].get();
-      } catch (const TimeoutError& e) {
-        rethrow_with_outstanding(e, pending.halo_recvs, pending.peers, i);
-      }
-      pending.traffic.bytes_recv += buf.size() * sizeof(double);
-      append_packed(pending.result.local, buf);
+    pending.traffic.bytes_recv += buf.size();
+    try {
+      pending.result.let.push_back(tree::deserialize_let(buf));
+    } catch (const std::exception& e) {
+      // The frame layer already checksummed the bytes, so a parse
+      // failure means a version mismatch with the sender.
+      throw ProtocolError(
+          Channel{pending.peers[i], -1, kTagHalo + pending.peers[i]},
+          e.what());
     }
   }
-  pending.halo_recvs.clear();
   pending.let_recvs.clear();
   pending.peers.clear();
-  pending.result.owned.resize(pending.result.local.size(), 0);
   pending.result.traffic = pending.traffic;
   return std::move(pending.result);
 }

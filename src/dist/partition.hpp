@@ -16,18 +16,24 @@
 //     i.e. density x R_max ball volume up to a constant — the Fig. 7 fix
 //     for pair imbalance as domains shrink);
 //   * halo completeness: a final neighbor exchange ships every owned galaxy
-//     to each rank whose domain it is within R_max of, so every rank sees
+//     within R_max of another rank's domain to that rank, so every rank sees
 //     ALL secondaries of its owned primaries (§3.3: halo copies are
 //     secondaries only; they are never primaries anywhere but home).
+//
+// The halo travels as a pruned locally-essential tree (Warren–Salmon LET,
+// tree/let.hpp): each rank walks its owned KdTree against every peer's
+// domain box and ships only the surviving leaf cells (AABB + packed
+// points), so comm volume scales with the domain boundary. The per-point
+// refinement inside surviving leaves uses the exact reach criterion
+// (peer_box.dist2(p) <= R_max²), so the shipped point set is precisely the
+// full R_max shell of the peer's domain.
 //
 // The halo exchange is split-phase: post_halo_exchange() returns with every
 // send buffered and every receive posted, so the caller can build its
 // owned-point spatial index while halo traffic is in flight and only then
-// complete_halo_exchange() to append the halo copies (dist/runner.cpp
-// overlaps exactly this way). kd_partition() is the fused convenience call.
-// Halo copies enter the engine as a SECONDARY index built through the same
-// Morton-ordered, SIMD-padded layout as the owned index (core/engine.cpp
-// make_index); they are only ever queried per box, never per leaf.
+// complete_halo_exchange() to collect the decoded LETs (dist/runner.cpp
+// overlaps exactly this way and unpacks them into the engine's SECONDARY
+// index). kd_partition() is the fused convenience call.
 //
 // Failure semantics: both phases run under the comm's deadline when one is
 // set (Comm::set_timeout) — a lost or late message surfaces as
@@ -55,86 +61,49 @@ enum class PartitionPolicy {
   kPairWeighted,     // estimated pair counts (local density weighting)
 };
 
-// How halo completeness is achieved after the cuts.
-enum class HaloMode {
-  // Flat point shower: every owned galaxy within R_max of a peer's domain
-  // is shipped as a raw (x, y, z, w) double quadruple — the paper's §3.3
-  // exchange, bitwise-stable reference path.
-  kFullShell,
-  // Pruned locally-essential tree (Warren–Salmon LET): walk the owned
-  // KdTree against each peer's domain box and ship only surviving leaf
-  // cells (AABB + packed points), delta-encoded; comm volume scales with
-  // the domain *boundary* instead of the halo shell's raw point count.
-  // The shipped point set is identical to kFullShell (same reach
-  // criterion, double coordinates), so results match to round-off of the
-  // receiver's secondary build; lossless (f64) unless `let_f32` is set.
-  kLet,
-};
-
-inline const char* halo_mode_name(HaloMode m) {
-  return m == HaloMode::kLet ? "let" : "full-shell";
-}
+// The halo wire format. kLet is the only one; the enum and
+// HaloOptions::mode stay so configurations that name it keep compiling.
+enum class HaloMode { kLet };
 
 struct HaloOptions {
-  HaloMode mode = HaloMode::kFullShell;
-  // kLet only: quantize coordinates + AABBs to float32 on the wire (3x
-  // smaller payloads). OFF by default so the default exchange is bitwise
-  // lossless; safe whenever the engine's tree precision is kMixed (the
-  // stored planes are float anyway, so the float-valued coordinates
-  // survive the cast exactly).
+  HaloMode mode = HaloMode::kLet;
+  // Quantize LET coordinates + AABBs to float32 on the wire (3x smaller
+  // payloads). OFF by default so the default exchange is bitwise lossless;
+  // safe whenever the engine's tree precision is kMixed (the stored planes
+  // are float anyway, so the float-valued coordinates survive the cast
+  // exactly).
   bool let_f32 = false;
 };
 
 // Comm-volume counters for one rank's halo exchange (RankReport / bench).
 // Bytes are payload bytes as handed to / taken from the comm layer
-// (pre-framing), so full-shell and LET are directly comparable.
+// (pre-framing).
 struct HaloTraffic {
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_recv = 0;
   std::uint64_t points_shipped = 0;  // points this rank sent, all peers
-  std::uint64_t cells_sent = 0;      // kLet: LET cells shipped
-  std::uint64_t cells_pruned = 0;    // kLet: leaves kept off the wire
+  std::uint64_t cells_sent = 0;      // LET cells shipped
+  std::uint64_t cells_pruned = 0;    // owned-tree leaves kept off the wire
 };
 
 struct PartitionResult {
-  // Owned galaxies first, then halo copies (HaloMode::kFullShell only —
-  // under kLet `local` stays owned-only and the halo arrives in `let`).
-  sim::Catalog local;
-  std::vector<std::uint8_t> owned;  // parallel to `local`
-  sim::Aabb domain;                 // this rank's leaf domain
-  int levels = 0;                   // k-d recursion depth experienced
-  // HaloMode::kLet: one decoded LET per peer, ascending peer rank. The
-  // runner hands these to Engine::Staged::extend_with_let, which unpacks
-  // only the cells within R_max of this rank's domain.
+  sim::Catalog local;  // the galaxies this rank owns (its primaries)
+  sim::Aabb domain;    // this rank's leaf domain
+  int levels = 0;      // k-d recursion depth experienced
+  // One decoded LET per peer, ascending peer rank. The runner unpacks the
+  // cells within R_max of `domain` (tree::append_let_to_catalog) into the
+  // engine's secondary index.
   std::vector<tree::LetMessage> let;
   HaloTraffic traffic;
-
-  std::size_t owned_count() const {
-    std::size_t n = 0;
-    for (std::uint8_t o : owned) n += o ? 1u : 0u;
-    return n;
-  }
-  std::size_t halo_count() const { return owned.size() - owned_count(); }
-
-  // Indices into `local` usable as the engine's primary list.
-  std::vector<std::int64_t> owned_indices() const {
-    std::vector<std::int64_t> idx;
-    idx.reserve(owned.size());
-    for (std::size_t i = 0; i < owned.size(); ++i)
-      if (owned[i]) idx.push_back(static_cast<std::int64_t>(i));
-    return idx;
-  }
 };
 
 // A partition whose halo exchange is still in flight: `result.local` holds
-// exactly the owned galaxies (all sends are buffered, all receives posted);
-// complete_halo_exchange() appends the halo copies.
+// the owned galaxies (all sends are buffered, all receives posted);
+// complete_halo_exchange() collects the peers' LETs.
 struct PendingPartition {
   PartitionResult result;
-  HaloMode mode = HaloMode::kFullShell;
-  std::vector<int> peers;                        // comm ranks, ascending
-  std::vector<RecvRequest<double>> halo_recvs;   // kFullShell, || to peers
-  std::vector<RecvRequest<std::uint8_t>> let_recvs;  // kLet, || to peers
+  std::vector<int> peers;                            // comm ranks, ascending
+  std::vector<RecvRequest<std::uint8_t>> let_recvs;  // || to peers
   HaloTraffic traffic;
 
   // Non-blocking progress on the outstanding halo receives: test()s every
@@ -147,16 +116,17 @@ struct PendingPartition {
 };
 
 // Collective over `comm`: redistributes the union of every rank's `mine`
-// into k-d domains, ships halo galaxies to every neighbor rank (buffered)
-// and posts the matching receives, returning before any halo data is
-// waited on. `rmax` must be identical on all ranks, as must `policy`.
+// into k-d domains, ships a LET to every other rank (buffered) and posts
+// the matching receives, returning before any halo data is waited on.
+// `rmax` must be identical on all ranks, as must `policy`.
 PendingPartition post_halo_exchange(
     Comm& comm, const sim::Catalog& mine, double rmax,
     PartitionPolicy policy = PartitionPolicy::kPrimaryBalanced,
     const HaloOptions& halo = {});
 
 // Drains the posted halo receives in peer-rank order (deterministic halo
-// layout) and returns the completed partition. Call exactly once.
+// layout), decodes them into `let` and returns the completed partition.
+// Call exactly once.
 PartitionResult complete_halo_exchange(PendingPartition& pending);
 
 // Fused post + complete, for callers with nothing to overlap.

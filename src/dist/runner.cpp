@@ -3,8 +3,8 @@
 #include <cstdio>
 #include <string>
 
-#include "dist/fft_slab.hpp"
 #include "dist/tags.hpp"
+#include "tree/let.hpp"
 #include "util/timer.hpp"
 
 namespace galactos::dist {
@@ -47,6 +47,14 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+// The mesh estimator has no particles to partition or halo to exchange, so
+// the distributed pipeline is tree-backend only.
+void check_tree_backend(const DistRunConfig& cfg) {
+  GLX_CHECK_MSG(cfg.engine.backend == core::EstimatorBackend::kTree,
+                "the distributed pipeline runs the tree backend only; run "
+                "the FFT backend on a single node with core::Engine::run");
 }
 
 }  // namespace
@@ -105,24 +113,6 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
                                    RankReport& rep) {
   const core::EngineConfig& engine_cfg = cfg.engine;
 
-  // The FFT backend replaces the whole k-d / halo / traversal pipeline
-  // with the slab-decomposed mesh path; only the reduce tail is shared.
-  // The mesh has no discrete pair count, so the imbalance collective runs
-  // on owned-primary counts instead.
-  if (engine_cfg.backend == core::EstimatorBackend::kFFT) {
-    comm.set_phase(Phase::kOwnedPass);
-    Timer teng;
-    core::EngineStats stats;
-    const core::ZetaResult local = fft_slab_3pcf(comm, mine, engine_cfg,
-                                                 &stats);
-    rep.engine_seconds = teng.seconds();
-    rep.owned = local.n_primaries;
-    rep.held = local.n_primaries;
-    rep.pairs = 0;
-    return reduce_across_ranks(comm, engine_cfg, local, local.n_primaries,
-                               rep);
-  }
-
   Timer tpart;
   PendingPartition pending = post_halo_exchange(
       comm, mine, engine_cfg.bins.rmax(), cfg.partition, cfg.halo);
@@ -149,6 +139,8 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
   core::Engine::Staged staged;
   core::EngineStats stats;
 
+  // post_halo_exchange has already built and shipped the owned LETs, so
+  // the owned catalog is free to move into the index handle.
   PartitionResult part;
   if (cfg.overlap == OverlapMode::kSequential) {
     comm.set_phase(Phase::kHaloComplete);
@@ -157,23 +149,14 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
     halo_seconds = th.seconds();
     rep.halo_seconds = halo_seconds;
     if (n_owned > 0) {
-      // The owned galaxies stay the first n_owned entries of the completed
-      // partition; snapshot that prefix once and MOVE it into the handle
-      // (build_index's copying overload would add a second O(N) copy).
-      sim::Catalog owned_only;
-      owned_only.reserve(n_owned);
-      for (std::size_t i = 0; i < n_owned; ++i)
-        owned_only.push_back(part.local.position(i), part.local.w[i]);
       Timer ti;
-      staged = engine.build_index(std::move(owned_only));
+      staged = engine.build_index(std::move(part.local));
       index_seconds += ti.seconds();
     }
   } else {
     if (n_owned > 0) {
       Timer ti;
-      // Copying overload: complete_halo_exchange will append to (and may
-      // reallocate) this buffer, so the handle needs its own.
-      staged = engine.build_index(pending.result.local);
+      staged = engine.build_index(std::move(pending.result.local));
       index_seconds += ti.seconds();
       halo_hidden_seconds += index_seconds;
 
@@ -197,7 +180,8 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
     halo_seconds = th.seconds();
     rep.halo_seconds = halo_seconds;
   }
-  rep.held = part.local.size();
+  rep.held = n_owned;
+  for (const tree::LetMessage& m : part.let) rep.held += m.point_count();
   rep.index_build_seconds = index_seconds;
   rep.halo_hidden_seconds = halo_hidden_seconds;
   rep.halo_bytes_sent = part.traffic.bytes_sent;
@@ -206,27 +190,15 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
   rep.let_cells_sent = part.traffic.cells_sent;
   rep.let_cells_pruned = part.traffic.cells_pruned;
 
-  // Halo copies act as secondaries only. Under kLet they arrive as pruned
-  // LET cells and the engine unpacks them directly (dropping cells beyond
-  // R_max of this rank's domain); under kFullShell they were appended to
-  // `local` after the owned block.
-  if (cfg.halo.mode == HaloMode::kLet) {
-    std::size_t let_points = 0;
-    for (const tree::LetMessage& m : part.let) let_points += m.point_count();
-    rep.held = n_owned + let_points;
-    if (staged.valid() && let_points > 0) {
-      const core::Engine::SecondaryBound bound{part.domain.lo,
-                                               part.domain.hi};
-      Timer ti;
-      staged.extend_with_let(part.let, bound);
-      index_seconds += ti.seconds();
-    }
-  } else if (staged.valid() && part.local.size() > n_owned) {
-    sim::Catalog halo;
-    halo.reserve(part.local.size() - n_owned);
-    for (std::size_t i = n_owned; i < part.local.size(); ++i)
-      halo.push_back(part.local.position(i), part.local.w[i]);
+  // Halo copies act as secondaries only. Unpack the peers' LET cells within
+  // R_max of this rank's domain — the receiver-side pruning tier: whole
+  // cells beyond reach never reach the secondary build — and index them.
+  if (staged.valid()) {
     Timer ti;
+    sim::Catalog halo;
+    for (const tree::LetMessage& m : part.let)
+      tree::append_let_to_catalog(m, part.domain, engine_cfg.bins.rmax(),
+                                  halo);
     staged.extend_with_secondaries(halo);
     index_seconds += ti.seconds();
   }
@@ -273,6 +245,7 @@ void fill_phase_bytes(const Comm& comm, RankReport& rep) {
 
 core::ZetaResult run_rank(Comm& comm, const sim::Catalog& mine,
                           const DistRunConfig& cfg, RankReport* report) {
+  check_tree_backend(cfg);
   comm.set_timeout(timeout_from_env(cfg.timeout_s));
   Timer total;
   RankReport rep;
@@ -316,6 +289,7 @@ core::ZetaResult run_rank(Comm& comm, const sim::Catalog& mine,
 core::ZetaResult run_distributed(const sim::Catalog& catalog,
                                  const DistRunConfig& cfg,
                                  std::vector<RankReport>* reports) {
+  check_tree_backend(cfg);
   GLX_CHECK_MSG(cfg.ranks >= 1, "run_distributed: ranks must be >= 1");
   GLX_CHECK_MSG(!catalog.empty(), "run_distributed: empty catalog");
 
@@ -339,6 +313,7 @@ core::ZetaResult run_distributed(const Session& session,
                                  const DistRunConfig& cfg,
                                  std::vector<RankReport>* reports) {
   GLX_CHECK_MSG(session.valid(), "run_distributed: empty session");
+  check_tree_backend(cfg);
   if (session.backend() == Backend::kThreads) {
     // ranks == 0 means "all" on MPI; the thread world has no ambient rank
     // count, so mirror Session::run(0) and mean one rank.

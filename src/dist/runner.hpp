@@ -1,8 +1,8 @@
 // Distributed 3PCF driver (paper §3.2–3.3), pipelined two ways deep:
 //
-//   scatter → k-d partition → [halo in flight ∥ owned-index build
-//                                            ∥ PASS 1: owned × owned]
-//           → complete halo → secondary (halo) index
+//   scatter → k-d partition → [LET halo in flight ∥ owned-index build
+//                                                ∥ PASS 1: owned × owned]
+//           → complete halo → unpack LETs → secondary (halo) index
 //           → PASS 2: owned × halo (boundary leaves only)
 //           → O(log P) tree allreduce of the additive ZetaResult payload
 //
@@ -15,13 +15,20 @@
 // The rank's k-d domain box is that pass's SecondaryBound: halo copies come
 // from other ranks' disjoint domains, so it holds by construction, and the
 // owned power sums of primaries within R_max of the domain boundary are
-// snapshotted. The halo copies are then indexed into a secondary structure
-// and run_secondary_pass adds the owned-vs-halo completion exactly,
+// snapshotted. The runner then unpacks the received LET cells within R_max
+// of its domain (tree::append_let_to_catalog), indexes them into a
+// secondary structure (Engine::Staged::extend_with_secondaries — the engine
+// never sees the wire format), and run_secondary_pass adds the
+// owned-vs-halo completion exactly,
 // rebuilding those primaries' owned a_lm from the snapshots. The
 // decomposition is exact — every (primary, secondary) pair is evaluated on
 // exactly one rank — so the reduced result matches the single-node engine
 // up to floating-point summation order (bitwise for one rank, ~1e-13
 // relative for many), under either PartitionPolicy and any OverlapMode.
+//
+// Tree backend only: run_rank and run_distributed reject
+// EstimatorBackend::kFFT up front — the mesh estimator runs on a single
+// node through core::Engine::run.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +61,7 @@ struct DistRunConfig {
   PartitionPolicy partition = PartitionPolicy::kPrimaryBalanced;
   // What hides the halo exchange (A/B measurement axis).
   OverlapMode overlap = OverlapMode::kTwoPass;
-  // How the halo crosses the wire: flat point shower (kFullShell, the
-  // reference) or pruned LET cells (kLet — comm volume scales with the
-  // domain boundary; see dist/partition.hpp HaloMode).
+  // LET wire options (float32 quantization; see dist/partition.hpp).
   HaloOptions halo;
   // Comm-wide receive deadline in seconds; <= 0 (the default) keeps the
   // pre-deadline behavior (waits block forever). GALACTOS_DIST_TIMEOUT_S
@@ -96,11 +101,11 @@ struct RankReport {
   // Fig. 7 imbalance story is readable from any single report.
   double pair_imbalance = 0.0;
   // --- comm volume ---------------------------------------------------------
-  // Halo-exchange payload bytes (pre-framing, both wire formats) and the
-  // points this rank shipped to all peers; the LET counters are zero under
-  // kFullShell. let_cells_pruned counts owned-tree leaves the admissibility
-  // walk (or the per-point refinement) kept off the wire, summed over
-  // peers.
+  // Halo-exchange payload bytes (pre-framing) and the points this rank
+  // shipped to all peers — the full R_max shell of every peer's domain, so
+  // a flat (x, y, z, w) f64 shower would have moved 32 B per point.
+  // let_cells_pruned counts owned-tree leaves the admissibility walk (or
+  // the per-point refinement) kept off the wire, summed over peers.
   std::uint64_t halo_bytes_sent = 0;
   std::uint64_t halo_bytes_recv = 0;
   std::uint64_t halo_points_shipped = 0;

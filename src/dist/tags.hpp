@@ -8,11 +8,9 @@
 // channel a timeout or corruption happened on in human terms.
 //
 //   [1<<22, 1<<22+7)          partition collectives (one tag per phase)
-//   [1<<22+7, 1<<22+7+65536)  halo payloads, tag = kHalo + sender world rank
-//   [kHaloLimit, +65536)      LET halo payloads, tag = kLet + sender rank
+//   [1<<22+7, 1<<22+7+65536)  LET halo payloads, tag = kHalo + sender rank
 //   [1<<23, 1<<23+3)          runner reduce collectives
 //   [1<<23+3, 1<<23+6)        session-driver world traffic
-//   [1<<23+8, 1<<23+14)       FFT slab estimator (points/spill/transpose/ghost)
 //   1<<24                     Session::run closing world barrier
 //   1<<25                     reserved abort/control channel (Comm-internal)
 //
@@ -31,15 +29,12 @@ constexpr int kLeftToRight = kPartitionBase + 3;
 constexpr int kRightToLeft = kPartitionBase + 4;
 constexpr int kDomains = kPartitionBase + 5;
 constexpr int kCost = kPartitionBase + 6;
-// Open-ended range: halo payload from world rank r travels on kHalo + r.
+// Open-ended range: the serialized tree::LetMessage from world rank r
+// travels on kHalo + r — the "halo" channel family fault plans and timeout
+// messages name.
 constexpr int kHalo = kPartitionBase + 7;
 constexpr int kHaloLimit = kHalo + (1 << 16);  // supported rank-count ceiling
-// Pruned-LET halo payloads (HaloMode::kLet): serialized tree::LetMessage
-// from world rank r travels on kLet + r. Same "halo" channel family, so
-// fault plans / timeout messages targeting the halo cover both modes.
-constexpr int kLet = kHaloLimit;
-constexpr int kLetLimit = kLet + (1 << 16);
-static_assert(kLetLimit < (1 << 23), "LET tag range collides with runner");
+static_assert(kHaloLimit < (1 << 23), "halo tag range collides with runner");
 
 // --- distributed runner (dist/runner.cpp) -----------------------------------
 constexpr int kRunnerBase = 1 << 23;
@@ -49,21 +44,6 @@ constexpr int kReducePairs = kRunnerBase + 2;
 constexpr int kWorldPayload = kRunnerBase + 3;
 constexpr int kWorldCounts = kRunnerBase + 4;
 constexpr int kWorldReports = kRunnerBase + 5;
-
-// --- FFT slab estimator (dist/fft_slab.cpp) ---------------------------------
-// Slab-decomposed FFT backend: point redistribution by owning x-plane,
-// assignment spill-plane folds and interpolation ghost planes between
-// x-adjacent ranks, and the x<->y transposes of the distributed 3-D FFT.
-// Lo/Hi name the role at the RECEIVER (its low / high boundary), so the two
-// messages a rank exchanges with one wrapped neighbor (P == 2) stay on
-// distinct channels.
-constexpr int kFftSlabBase = kRunnerBase + 8;
-constexpr int kFftPoints = kFftSlabBase + 0;
-constexpr int kFftSpillLo = kFftSlabBase + 1;
-constexpr int kFftSpillHi = kFftSlabBase + 2;
-constexpr int kFftTranspose = kFftSlabBase + 3;
-constexpr int kFftGhostLo = kFftSlabBase + 4;
-constexpr int kFftGhostHi = kFftSlabBase + 5;
 
 // --- comm-internal control channels (dist/comm.cpp) -------------------------
 constexpr int kSessionBarrier = 1 << 24;
@@ -78,9 +58,8 @@ constexpr int kAbort = 1 << 25;
 inline const char* family(int tag) {
   if (tag == kAbort) return "abort";
   if (tag == kSessionBarrier) return "session-barrier";
-  if (tag >= kHalo && tag < kLetLimit) return "halo";
+  if (tag >= kHalo && tag < kHaloLimit) return "halo";
   if (tag >= kPartitionBase && tag < kHalo) return "partition";
-  if (tag >= kFftPoints && tag <= kFftGhostHi) return "fft-slab";
   if (tag >= kReducePayload && tag < kWorldPayload) return "reduce";
   if (tag >= kWorldPayload && tag <= kWorldReports) return "world";
   return "user";

@@ -126,8 +126,8 @@ LetMessage build_let_message(const KdTree<Real>& tree,
       cell.hi[d] = static_cast<double>(lhi[d]);
     }
     cell.begin = msg.x.size();
-    // Per-point refinement: the exact full-shell shipping criterion, on
-    // the tree's stored coordinate planes.
+    // Per-point refinement: the exact R_max reach criterion, on the
+    // tree's stored coordinate planes.
     const std::int32_t b = tree.leaf_begin(leaf), e = tree.leaf_end(leaf);
     for (std::int32_t i = b; i < e; ++i) {
       const sim::Vec3 p{static_cast<double>(tree.x(i)),

@@ -62,10 +62,10 @@ struct LetStats {
 
 // Builds the LET for one peer: prunes the owned tree against the peer's
 // domain box at subtree level (leaves_in_reach), then refines surviving
-// leaves per point with the same criterion the full-shell exchange uses
-// (peer_box.dist2(p) <= rmax^2 on the tree's stored coordinates), so the
-// shipped point set equals the full-shell set for a double-precision
-// tree. Cells emptied by the refinement are dropped (and counted pruned).
+// leaves per point with the exact reach criterion (peer_box.dist2(p) <=
+// rmax^2 on the tree's stored coordinates), so for a double-precision tree
+// the shipped point set is exactly the R_max shell of the peer's box.
+// Cells emptied by the refinement are dropped (and counted pruned).
 template <typename Real>
 LetMessage build_let_message(const KdTree<Real>& tree,
                              const sim::Aabb& peer_box, double rmax,

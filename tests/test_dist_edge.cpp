@@ -18,6 +18,7 @@
 #include "dist/runner.hpp"
 #include "sim/generators.hpp"
 #include "test_helpers.hpp"
+#include "tree/let.hpp"
 
 namespace c = galactos::core;
 namespace d = galactos::dist;
@@ -100,18 +101,23 @@ TEST_P(OctantClustered, HaloCompletenessDoesNotDegrade) {
   std::map<std::tuple<double, double, double>, int> owner_count;
   for (const auto& r : results)
     for (std::size_t i = 0; i < r.local.size(); ++i)
-      if (r.owned[i])
-        owner_count[key(r.local.x[i], r.local.y[i], r.local.z[i])] += 1;
+      owner_count[key(r.local.x[i], r.local.y[i], r.local.z[i])] += 1;
   ASSERT_EQ(owner_count.size(), full.size());
   for (const auto& [k, count] : owner_count) EXPECT_EQ(count, 1);
 
-  // Halo completeness: every neighbor of every owned galaxy is present.
+  // Halo completeness against a brute-force shell: every neighbor of every
+  // owned galaxy is owned or in the rank's LETs, unpacked the way the
+  // runner does (receiver-side cell pruning included).
   for (const auto& r : results) {
     std::set<std::tuple<double, double, double>> present;
     for (std::size_t i = 0; i < r.local.size(); ++i)
       present.insert(key(r.local.x[i], r.local.y[i], r.local.z[i]));
+    s::Catalog halo;
+    for (const auto& msg : r.let)
+      galactos::tree::append_let_to_catalog(msg, r.domain, rmax, halo);
+    for (std::size_t i = 0; i < halo.size(); ++i)
+      present.insert(key(halo.x[i], halo.y[i], halo.z[i]));
     for (std::size_t i = 0; i < r.local.size(); ++i) {
-      if (!r.owned[i]) continue;
       const s::Vec3 p = r.local.position(i);
       for (std::size_t j = 0; j < full.size(); ++j) {
         if ((full.position(j) - p).norm2() > rmax * rmax) continue;
@@ -156,8 +162,9 @@ TEST(DegenerateCatalogs, CoincidentGalaxiesStayExactlyOnce) {
   const auto results = partition_all(full, 4, 5.0);
   std::size_t owned = 0, held = 0;
   for (const auto& r : results) {
-    owned += r.owned_count();
+    owned += r.local.size();
     held += r.local.size();
+    for (const auto& msg : r.let) held += msg.point_count();
   }
   EXPECT_EQ(owned, full.size());
   EXPECT_GE(held, full.size());

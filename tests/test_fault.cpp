@@ -212,8 +212,10 @@ TEST_F(FaultChaos, DroppedHaloMessageTimesOutNamingTheChannel) {
     EXPECT_NE(what.find("dist::TimeoutError"), std::string::npos) << what;
     EXPECT_NE(what.find("halo"), std::string::npos) << what;
     EXPECT_EQ(e.phase(), d::Phase::kHaloComplete);
+    // The LET payloads travel on the one halo tag range.
     EXPECT_GE(e.channel().tag, d::tags::kHalo);
     EXPECT_LT(e.channel().tag, d::tags::kHaloLimit);
+    EXPECT_STREQ(d::tags::family(e.channel().tag), "halo");
   }
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)

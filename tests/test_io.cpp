@@ -1,9 +1,11 @@
 // I/O round trips and file-format sanity.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "core/engine.hpp"
 #include "io/catalog_io.hpp"
@@ -40,7 +42,7 @@ class TempDir {
 TEST(CatalogIo, TextRoundTrip) {
   TempDir dir;
   s::Catalog cat = s::uniform_box(200, s::Aabb::cube(50), 3);
-  cat.w[5] = -2.5;
+  cat.w[5] = 2.5;
   io::write_catalog_text(cat, dir.file("cat.txt"));
   const s::Catalog back = io::read_catalog_text(dir.file("cat.txt"));
   ASSERT_EQ(back.size(), cat.size());
@@ -90,6 +92,90 @@ TEST(CatalogIo, BinaryRejectsGarbage) {
                std::logic_error);
   EXPECT_THROW(io::read_catalog_text(dir.file("missing.txt")),
                std::logic_error);
+}
+
+TEST(CatalogIo, BinaryRejectsHugeHeaderCountBeforeAllocating) {
+  // A header claiming 2^40 galaxies in a 48-byte file: the reader must
+  // compare the count with the file size first — allocating the claimed
+  // 32 TiB (or zero-filling any of it) before noticing is the bug.
+  TempDir dir;
+  {
+    std::ofstream f(dir.file("huge.bin"), std::ios::binary);
+    f.write("GLXCAT01", 8);
+    const std::uint64_t n = std::uint64_t{1} << 40;
+    f.write(reinterpret_cast<const char*>(&n), sizeof n);
+    const double payload[4] = {1.0, 2.0, 3.0, 1.0};
+    f.write(reinterpret_cast<const char*>(payload), sizeof payload);
+  }
+  ASSERT_EQ(std::filesystem::file_size(dir.file("huge.bin")), 48u);
+  try {
+    io::read_catalog_binary(dir.file("huge.bin"));
+    FAIL() << "a header count beyond the file size was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CatalogIo, BinaryRejectsTrailingBytes) {
+  TempDir dir;
+  const s::Catalog cat = s::uniform_box(3, s::Aabb::cube(10), 5);
+  io::write_catalog_binary(cat, dir.file("cat.bin"));
+  {
+    std::ofstream f(dir.file("cat.bin"), std::ios::binary | std::ios::app);
+    f << "junk";
+  }
+  EXPECT_THROW(io::read_catalog_binary(dir.file("cat.bin")),
+               std::logic_error);
+}
+
+namespace {
+
+// Writes `body` as a text catalog and expects read_catalog_text to throw
+// an error naming "<path>:<line>" and containing `what`.
+void expect_text_rejected(const std::string& body, int line,
+                          const std::string& what) {
+  TempDir dir;
+  const std::string path = dir.file("bad.txt");
+  {
+    std::ofstream f(path);
+    f << body;
+  }
+  try {
+    io::read_catalog_text(path);
+    FAIL() << "accepted: " << body;
+  } catch (const std::logic_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path + ":" + std::to_string(line) + ":"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+}
+
+}  // namespace
+
+TEST(CatalogIo, TextRejectsUnparseableRow) {
+  expect_text_rejected("# x y z\n1 2 3\n4 five 6\n", 3, "cannot parse");
+}
+
+TEST(CatalogIo, TextRejectsShortRow) {
+  expect_text_rejected("1 2 3\n4 5\n", 2, "expected x y z [w]");
+}
+
+TEST(CatalogIo, TextRejectsExtraTokens) {
+  expect_text_rejected("1 2 3 1\n4 5 6 1 7\n", 2, "extra token");
+}
+
+TEST(CatalogIo, TextRejectsNonFiniteValues) {
+  expect_text_rejected("1 2 3\nnan 5 6\n", 2, "non-finite");
+  expect_text_rejected("1 inf 3\n", 1, "non-finite");
+  expect_text_rejected("1 2 1e400\n", 1, "non-finite");
+  expect_text_rejected("1, 2, 3, nan\n", 1, "non-finite");
+}
+
+TEST(CatalogIo, TextRejectsNegativeWeight) {
+  expect_text_rejected("1 2 3 0.5\n\n4 5 6 -0.25\n", 3, "negative weight");
 }
 
 TEST(ZetaIo, BinaryRoundTripPreservesEverything) {

@@ -1,8 +1,8 @@
-// Locally-essential-tree halo exchange (tree/let.hpp + HaloMode::kLet):
-// wire-format round trips, the superset-of-needed invariant against the
-// flat full-shell shipping criterion, kLet vs kFullShell equivalence over
-// the distributed sweep, and the degenerate boxes (empty peer, everything
-// in reach, more ranks than galaxies).
+// Locally-essential-tree halo exchange (tree/let.hpp, dist/partition.hpp):
+// wire-format round trips, the shipped set against a brute-force R_max
+// shell, the distributed pipeline against the single-node engine over the
+// rank x policy x pipeline sweep, and the degenerate boxes (empty peer,
+// everything in reach, more ranks than galaxies).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -259,51 +259,41 @@ TEST(LetBuild, ReceiverCellFilterDropsOutOfReachCells) {
   for (const auto& p : needed) EXPECT_TRUE(have.count(p) > 0);
 }
 
-// --- kLet vs kFullShell over the distributed sweep --------------------------
+// --- The LET pipeline vs the single-node engine ----------------------------
 
 class LetPipeline
     : public ::testing::TestWithParam<
           std::tuple<int, d::PartitionPolicy,
                      galactos::testing::PipelineCase>> {};
 
-TEST_P(LetPipeline, MatchesFullShell) {
+TEST_P(LetPipeline, MatchesSingleNode) {
   const auto [ranks, policy, pipeline] = GetParam();
   const s::Catalog cat = galactos::testing::clumpy_catalog(1100, 65.0, 54);
 
-  d::DistRunConfig full;
-  full.engine = base_config();
-  full.ranks = ranks;
-  full.partition = policy;
-  pipeline.apply(full);
-  d::DistRunConfig let = full;
-  let.halo.mode = d::HaloMode::kLet;
+  d::DistRunConfig cfg;
+  cfg.engine = base_config();
+  cfg.ranks = ranks;
+  cfg.partition = policy;
+  pipeline.apply(cfg);
 
-  std::vector<d::RankReport> full_reports, let_reports;
-  const core::ZetaResult a = d::run_distributed(cat, full, &full_reports);
-  const core::ZetaResult b = d::run_distributed(cat, let, &let_reports);
-  galactos::testing::expect_results_match(a, b, 1e-10, 1e-10);
+  std::vector<d::RankReport> reports;
+  const core::ZetaResult dist = d::run_distributed(cat, cfg, &reports);
+  const core::ZetaResult single = core::Engine(cfg.engine).run(cat);
+  galactos::testing::expect_results_match(dist, single, 1e-10, 1e-10);
 
-  std::uint64_t full_pts = 0, let_pts = 0, let_bytes = 0, full_bytes = 0;
-  for (const auto& r : full_reports) {
-    full_pts += r.halo_points_shipped;
-    full_bytes += r.halo_bytes_sent;
-    EXPECT_EQ(r.let_cells_sent, 0u);
+  std::uint64_t pts = 0, bytes = 0, recv = 0;
+  for (const auto& r : reports) {
+    pts += r.halo_points_shipped;
+    bytes += r.halo_bytes_sent;
+    recv += r.halo_bytes_recv;
   }
-  for (const auto& r : let_reports) {
-    let_pts += r.halo_points_shipped;
-    let_bytes += r.halo_bytes_sent;
-  }
-  // Same shipping criterion => identical point totals; and at f64 the LET
-  // never ships MORE halo bytes than the flat shower on a clustered box
-  // (weight elision alone guarantees it for unit weights; here weights are
-  // nontrivial, so just require the point sets to agree and bytes > 0).
-  EXPECT_EQ(let_pts, full_pts);
+  EXPECT_EQ(recv, bytes);  // every LET sent is drained
   if (ranks > 1) {
-    EXPECT_GT(let_bytes, 0u);
-    EXPECT_GT(full_bytes, 0u);
+    EXPECT_GT(pts, 0u);
+    EXPECT_GT(bytes, 0u);
   } else {
-    EXPECT_EQ(let_bytes, 0u);
-    EXPECT_EQ(full_bytes, 0u);
+    EXPECT_EQ(pts, 0u);
+    EXPECT_EQ(bytes, 0u);
   }
 }
 
@@ -315,68 +305,50 @@ INSTANTIATE_TEST_SUITE_P(
                           d::PartitionPolicy::kPairWeighted),
         ::testing::ValuesIn(galactos::testing::kPipelineCases)));
 
-TEST(LetPipelineEdge, SingleRankIsBitwiseFullShell) {
-  // One rank has no halo at all: the two modes must run the identical
-  // code path and produce bit-identical payloads (quantization off).
-  const s::Catalog cat = galactos::testing::clumpy_catalog(700, 50.0, 78);
-  d::DistRunConfig full;
-  full.engine = base_config();
-  full.ranks = 1;
-  d::DistRunConfig let = full;
-  let.halo.mode = d::HaloMode::kLet;
-
-  const std::vector<double> pa =
-      d::run_distributed(cat, full).reduce_payload();
-  const std::vector<double> pb = d::run_distributed(cat, let).reduce_payload();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]);
-}
-
 TEST(LetPipelineEdge, F32QuantizationStaysInGateAtMixedPrecision) {
   // On a catalog with float32-representable coordinates (the precision
   // survey catalogs are published at — and what the committed bench
-  // generates), the f32 wire format is bit-lossless: both halo modes see
-  // identical doubles and results agree to the 1e-10 distributed gate
-  // regardless of how the engine mixes float/double comparisons. Without
-  // the snap, borderline pairs can flip under quantization — that
-  // approximate regime is deliberately not gated.
+  // generates), the f32 wire format is bit-lossless: the halo carries the
+  // same doubles the single node sees, and results agree to the 1e-10
+  // distributed gate regardless of how the engine mixes float/double
+  // comparisons. Without the snap, borderline pairs can flip under
+  // quantization — that approximate regime is deliberately not gated.
   s::Catalog cat = galactos::testing::clumpy_catalog(1100, 65.0, 54);
   for (std::vector<double>* plane : {&cat.x, &cat.y, &cat.z})
     for (double& v : *plane)
       v = static_cast<double>(static_cast<float>(v));
-  d::DistRunConfig full;
-  full.engine = base_config();
-  full.engine.tree.precision = core::TreePrecision::kMixed;
-  full.ranks = 4;
-  d::DistRunConfig let = full;
-  let.halo.mode = d::HaloMode::kLet;
-  let.halo.let_f32 = true;
+  d::DistRunConfig cfg;
+  cfg.engine = base_config();
+  cfg.engine.tree.precision = core::TreePrecision::kMixed;
+  cfg.ranks = 4;
+  cfg.halo.let_f32 = true;
 
-  std::vector<d::RankReport> full_reports, let_reports;
-  const core::ZetaResult a = d::run_distributed(cat, full, &full_reports);
-  const core::ZetaResult b = d::run_distributed(cat, let, &let_reports);
-  galactos::testing::expect_results_match(a, b, 1e-10, 1e-10);
+  std::vector<d::RankReport> reports;
+  const core::ZetaResult dist = d::run_distributed(cat, cfg, &reports);
+  const core::ZetaResult single = core::Engine(cfg.engine).run(cat);
+  galactos::testing::expect_results_match(dist, single, 1e-10, 1e-10);
 
-  // f32 coords are the whole point: strictly fewer halo bytes than the
-  // 32-byte/point flat shower.
-  std::uint64_t full_bytes = 0, let_bytes = 0;
-  for (const auto& r : full_reports) full_bytes += r.halo_bytes_sent;
-  for (const auto& r : let_reports) let_bytes += r.halo_bytes_sent;
-  EXPECT_LT(let_bytes, full_bytes);
+  // f32 coords are the whole point: strictly fewer halo bytes than a flat
+  // (x, y, z, w) f64 shower of the same shell, 32 bytes per point.
+  std::uint64_t pts = 0, bytes = 0;
+  for (const auto& r : reports) {
+    pts += r.halo_points_shipped;
+    bytes += r.halo_bytes_sent;
+  }
+  EXPECT_GT(pts, 0u);
+  EXPECT_LT(bytes, 32 * pts);
 }
 
 TEST(LetPipelineEdge, MoreRanksThanGalaxiesStillCorrect) {
   // 20 galaxies over 6 ranks: some ranks end up empty and ship well-formed
   // empty LET messages.
   const s::Catalog cat = s::uniform_box(20, s::Aabb::cube(25), 79);
-  d::DistRunConfig full;
-  full.engine = base_config();
-  full.ranks = 6;
-  d::DistRunConfig let = full;
-  let.halo.mode = d::HaloMode::kLet;
-  const core::ZetaResult a = d::run_distributed(cat, full);
-  const core::ZetaResult b = d::run_distributed(cat, let);
-  galactos::testing::expect_results_match(a, b, 1e-10, 1e-10);
+  d::DistRunConfig cfg;
+  cfg.engine = base_config();
+  cfg.ranks = 6;
+  const core::ZetaResult dist = d::run_distributed(cat, cfg);
+  const core::ZetaResult single = core::Engine(cfg.engine).run(cat);
+  galactos::testing::expect_results_match(dist, single, 1e-10, 1e-10);
 }
 
 TEST(LetPipelineEdge, CommByteCountersObserveTraffic) {
@@ -384,7 +356,6 @@ TEST(LetPipelineEdge, CommByteCountersObserveTraffic) {
   d::DistRunConfig cfg;
   cfg.engine = base_config();
   cfg.ranks = 4;
-  cfg.halo.mode = d::HaloMode::kLet;
   std::vector<d::RankReport> reports;
   d::run_distributed(cat, cfg, &reports);
   ASSERT_EQ(reports.size(), 4u);

@@ -1,7 +1,8 @@
 // k-d partitioning invariants (paper §3.2): exactly-once ownership, load
 // balance proportional to sub-communicator sizes, domain disjointness, and
-// — the crucial one — halo completeness: every rank holds EVERY galaxy
-// within R_max of its owned galaxies.
+// — the crucial one — halo completeness: the LETs a rank receives, unpacked
+// the way the runner does, hold EVERY galaxy within R_max of its owned
+// galaxies (checked against a brute-force shell over the full catalog).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 
 #include "dist/partition.hpp"
 #include "tree/kdtree.hpp"
+#include "tree/let.hpp"
 #include "sim/generators.hpp"
 #include "test_helpers.hpp"
 
@@ -48,6 +50,36 @@ PartitionOutputs run_partition(
   return out;
 }
 
+// The halo a rank ends up with: its received LETs unpacked against its
+// domain, receiver-side cell pruning included — what the runner indexes.
+s::Catalog unpacked_halo(const d::PartitionResult& r, double rmax) {
+  s::Catalog halo;
+  for (const auto& msg : r.let)
+    galactos::tree::append_let_to_catalog(msg, r.domain, rmax, halo);
+  return halo;
+}
+
+// Halo completeness against a brute-force shell: every galaxy of `full`
+// within rmax of an owned galaxy is owned or in the unpacked halo.
+void check_halo_complete(const s::Catalog& full, const d::PartitionResult& r,
+                         double rmax) {
+  std::set<std::tuple<double, double, double>> present;
+  for (std::size_t i = 0; i < r.local.size(); ++i)
+    present.insert({r.local.x[i], r.local.y[i], r.local.z[i]});
+  const s::Catalog halo = unpacked_halo(r, rmax);
+  for (std::size_t i = 0; i < halo.size(); ++i)
+    present.insert({halo.x[i], halo.y[i], halo.z[i]});
+  for (std::size_t i = 0; i < r.local.size(); ++i) {
+    const s::Vec3 p = r.local.position(i);
+    for (std::size_t j = 0; j < full.size(); ++j) {
+      const double d2 = (full.position(j) - p).norm2();
+      if (d2 > rmax * rmax) continue;
+      EXPECT_TRUE(present.count({full.x[j], full.y[j], full.z[j]}))
+          << "rank missing neighbor at distance " << std::sqrt(d2);
+    }
+  }
+}
+
 // Ownership exactly-once + halo completeness — the invariants every policy
 // and every exchange schedule must preserve.
 void check_core_invariants(const s::Catalog& full,
@@ -56,24 +88,11 @@ void check_core_invariants(const s::Catalog& full,
   std::map<std::tuple<double, double, double>, int> owner_count;
   for (const auto& r : results)
     for (std::size_t i = 0; i < r.local.size(); ++i)
-      if (r.owned[i])
-        owner_count[{r.local.x[i], r.local.y[i], r.local.z[i]}] += 1;
+      owner_count[{r.local.x[i], r.local.y[i], r.local.z[i]}] += 1;
   ASSERT_EQ(owner_count.size(), full.size());
   for (const auto& [k, c] : owner_count) EXPECT_EQ(c, 1);
 
-  for (const auto& r : results) {
-    std::set<std::tuple<double, double, double>> present;
-    for (std::size_t i = 0; i < r.local.size(); ++i)
-      present.insert({r.local.x[i], r.local.y[i], r.local.z[i]});
-    for (std::size_t i = 0; i < r.local.size(); ++i) {
-      if (!r.owned[i]) continue;
-      const s::Vec3 p = r.local.position(i);
-      for (std::size_t j = 0; j < full.size(); ++j)
-        if ((full.position(j) - p).norm2() <= rmax * rmax)
-          EXPECT_TRUE(present.count({full.x[j], full.y[j], full.z[j]}))
-              << "missing neighbor";
-    }
-  }
+  for (const auto& r : results) check_halo_complete(full, r, rmax);
 }
 
 // Key for exact-match identification of galaxies.
@@ -94,8 +113,7 @@ TEST_P(PartitionInvariants, OwnershipExactlyOnceAndComplete) {
   std::map<std::tuple<double, double, double>, int> owner_count;
   for (const auto& r : out.results)
     for (std::size_t i = 0; i < r.local.size(); ++i)
-      if (r.owned[i])
-        owner_count[key(r.local.x[i], r.local.y[i], r.local.z[i])] += 1;
+      owner_count[key(r.local.x[i], r.local.y[i], r.local.z[i])] += 1;
 
   EXPECT_EQ(owner_count.size(), full.size());
   for (const auto& [k, c] : owner_count) EXPECT_EQ(c, 1);
@@ -107,8 +125,7 @@ TEST_P(PartitionInvariants, OwnedGalaxiesInsideDomain) {
   const auto out = run_partition(full, nranks, 10.0);
   for (const auto& r : out.results)
     for (std::size_t i = 0; i < r.local.size(); ++i)
-      if (r.owned[i])
-        EXPECT_TRUE(r.domain.contains_closed(r.local.position(i)));
+      EXPECT_TRUE(r.domain.contains_closed(r.local.position(i)));
 }
 
 TEST_P(PartitionInvariants, LoadBalanceProportional) {
@@ -119,46 +136,35 @@ TEST_P(PartitionInvariants, LoadBalanceProportional) {
   // per level of the exact proportional share; allow 1%.
   const double share = static_cast<double>(full.size()) / nranks;
   for (const auto& r : out.results)
-    EXPECT_NEAR(static_cast<double>(r.owned_count()) / share, 1.0, 0.01)
-        << "rank owns " << r.owned_count();
+    EXPECT_NEAR(static_cast<double>(r.local.size()) / share, 1.0, 0.01)
+        << "rank owns " << r.local.size();
 }
 
 TEST_P(PartitionInvariants, HaloCompleteness) {
   // For every owned galaxy, every other galaxy of the full catalog within
-  // rmax must be present locally (owned or halo).
+  // rmax must be present locally (owned or in the unpacked halo).
   const int nranks = GetParam();
   const s::Catalog full = s::uniform_box(1500, s::Aabb::cube(60), 80);
   const double rmax = 12.0;
   const auto out = run_partition(full, nranks, rmax);
-
-  for (const auto& r : out.results) {
-    std::set<std::tuple<double, double, double>> present;
-    for (std::size_t i = 0; i < r.local.size(); ++i)
-      present.insert(key(r.local.x[i], r.local.y[i], r.local.z[i]));
-
-    for (std::size_t i = 0; i < r.local.size(); ++i) {
-      if (!r.owned[i]) continue;
-      const s::Vec3 p = r.local.position(i);
-      for (std::size_t j = 0; j < full.size(); ++j) {
-        const double d2 = (full.position(j) - p).norm2();
-        if (d2 <= rmax * rmax)
-          EXPECT_TRUE(present.count(key(full.x[j], full.y[j], full.z[j])))
-              << "rank missing neighbor at distance " << std::sqrt(d2);
-      }
-    }
-  }
+  for (const auto& r : out.results) check_halo_complete(full, r, rmax);
 }
 
 TEST_P(PartitionInvariants, HaloGalaxiesAreNearDomain) {
-  // No rank should hold galaxies far outside its expanded domain.
+  // No rank should receive halo galaxies far outside its expanded domain.
   const int nranks = GetParam();
   const s::Catalog full = s::uniform_box(2000, s::Aabb::cube(70), 81);
   const double rmax = 9.0;
   const auto out = run_partition(full, nranks, rmax);
   for (const auto& r : out.results) {
     const s::Aabb expanded = r.domain.expanded(rmax * 1.0000001);
-    for (std::size_t i = 0; i < r.local.size(); ++i)
-      EXPECT_TRUE(expanded.contains_closed(r.local.position(i)));
+    const s::Catalog halo = unpacked_halo(r, rmax);
+    for (std::size_t i = 0; i < halo.size(); ++i)
+      EXPECT_TRUE(expanded.contains_closed(halo.position(i)));
+    for (const auto& msg : r.let)
+      for (std::size_t i = 0; i < msg.point_count(); ++i)
+        EXPECT_TRUE(
+            expanded.contains_closed({msg.x[i], msg.y[i], msg.z[i]}));
   }
 }
 
@@ -173,25 +179,24 @@ TEST(Partition, WeightsSurviveExchange) {
   const auto out = run_partition(full, nranks, 6.0);
   // Total owned weight preserved.
   double total = 0;
-  for (const auto& r : out.results)
-    for (std::size_t i = 0; i < r.local.size(); ++i)
-      if (r.owned[i]) total += r.local.w[i];
+  for (const auto& r : out.results) total += r.local.total_weight();
   EXPECT_NEAR(total, full.total_weight(), 1e-9);
 }
 
 TEST(Partition, SingleRankKeepsEverything) {
   const s::Catalog full = s::uniform_box(300, s::Aabb::cube(30), 83);
   const auto out = run_partition(full, 1, 5.0);
-  EXPECT_EQ(out.results[0].owned_count(), full.size());
-  EXPECT_EQ(out.results[0].halo_count(), 0u);
+  EXPECT_EQ(out.results[0].local.size(), full.size());
+  EXPECT_TRUE(out.results[0].let.empty());
   EXPECT_EQ(out.results[0].levels, 0);
 }
 
 // --- split-phase halo exchange + partition policies ----------------------
 
 TEST(SplitPhaseHalo, PostThenCompleteMatchesInvariants) {
-  // post_halo_exchange must return with only owned points and all-owned
-  // flags; completing later (after unrelated work) must restore every
+  // post_halo_exchange must return with only owned points and one posted
+  // receive per peer; completing later (after unrelated work) must keep
+  // the owned set and deliver one LET per peer that restores every
   // partition invariant.
   const int nranks = 5;
   const double rmax = 10.0;
@@ -202,9 +207,8 @@ TEST(SplitPhaseHalo, PostThenCompleteMatchesInvariants) {
     const s::Catalog mine = scatter_slice(full, comm.rank(), comm.size());
     d::PendingPartition pend = d::post_halo_exchange(comm, mine, rmax);
     const std::size_t n_owned = pend.result.local.size();
-    EXPECT_EQ(pend.result.owned.size(), n_owned);
-    for (std::uint8_t o : pend.result.owned) EXPECT_EQ(o, 1);
     EXPECT_EQ(pend.peers.size(), static_cast<std::size_t>(nranks - 1));
+    EXPECT_EQ(pend.let_recvs.size(), pend.peers.size());
 
     // Simulate overlapped work between post and complete.
     double busy = 0;
@@ -212,7 +216,8 @@ TEST(SplitPhaseHalo, PostThenCompleteMatchesInvariants) {
     (void)busy;
 
     d::PartitionResult res = d::complete_halo_exchange(pend);
-    EXPECT_EQ(res.owned_count(), n_owned);  // halo appended after owned
+    EXPECT_EQ(res.local.size(), n_owned);
+    EXPECT_EQ(res.let.size(), static_cast<std::size_t>(nranks - 1));
     std::lock_guard<std::mutex> lock(mu);
     results[comm.rank()] = std::move(res);
   });
@@ -253,9 +258,8 @@ TEST(PairWeighted, ImprovesPairBalanceOnClusteredCatalog) {
     for (const auto& r : out.results) {
       double p = 0;
       for (std::size_t i = 0; i < r.local.size(); ++i)
-        if (r.owned[i])
-          p += static_cast<double>(index.count_within(
-              r.local.x[i], r.local.y[i], r.local.z[i], rmax));
+        p += static_cast<double>(index.count_within(
+            r.local.x[i], r.local.y[i], r.local.z[i], rmax));
       pairs.push_back(p);
     }
     double mx = 0, sum = 0;

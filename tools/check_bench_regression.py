@@ -112,11 +112,12 @@ import tempfile
 # exceed any relative tolerance without meaning anything.
 IMBALANCE_ABS_FLOOR = 0.02
 
-# The distributed correctness contract: kLet results must match kFullShell
-# to this tolerance. The bench records zeta_max_rel_diff as the worst
-# payload deviation normalized by the payload's max magnitude —
-# summation-reorder round-off lands at ~1e-15, a single flipped pair at
-# ~1e-7, so this gate separates the regimes by three decades either way.
+# The distributed correctness contract: the LET pipeline's results must
+# match the single-node engine to this tolerance. The bench records
+# zeta_max_rel_diff as the worst payload deviation normalized by the
+# payload's max magnitude — summation-order and mixed-precision round-off
+# lands at ~1e-13, a single flipped pair at ~1e-7, so this gate separates
+# the regimes by three decades either way.
 HALO_ZETA_REL_GATE = 1e-10
 
 CONFIG_KEYS = ("n", "rmax", "side", "lmax", "max_ranks", "catalog")
@@ -208,10 +209,12 @@ def check_hidden(baseline, fresh, tol, floor, violations):
 
 def check_halo_compression(fresh, ceiling, violations):
     """LET halo bytes must stay at or below CEILING x the full-shell bytes
-    for every policy in the fresh file's halo_compression section, and the
-    paired runs must agree on zeta to the distributed 1e-10 gate. Both are
-    absolute contracts (the catalog is seeded and the partition
-    deterministic), so no baseline section is needed."""
+    (what a flat f64 shower of the same R_max shell would send: 32 B per
+    shipped point) for every policy in the fresh file's halo_compression
+    section, and the LET run must agree with the single-node engine on
+    zeta to the distributed 1e-10 gate. Both are absolute contracts (the
+    catalog is seeded and the partition deterministic), so no baseline
+    section is needed."""
     hc = fresh.get("halo_compression")
     if hc is None:
         violations.append(
@@ -237,7 +240,8 @@ def check_halo_compression(fresh, ceiling, violations):
             verdicts.append(
                 f"halo_compression ({policy}): zeta_max_rel_diff {zdiff:.3e} "
                 f"exceeds the {HALO_ZETA_REL_GATE:g} distributed gate "
-                f"(kLet no longer matches kFullShell)")
+                f"(the LET pipeline no longer matches the single-node "
+                f"engine)")
         print(f"{policy:<17} {full:>12} {let:>12} {ratio:>7.3f}"
               f" {ceiling:>8.3f} {zdiff:>10.2e}  "
               f"{'REGRESSED' if verdicts else 'ok'}")
@@ -604,6 +608,7 @@ def self_test():
         "policies": [
             {"policy": "pair_weighted", "full_shell_bytes": 100000,
              "let_bytes": 42000, "ratio": 0.42,
+             "let_points_shipped": 3125,
              "zeta_max_rel_diff": 3e-13},
         ],
     }
@@ -696,7 +701,8 @@ def self_test():
              ["--baseline", good, "--fresh",
               fixture("halo_fat.json", halo_fat),
               "--halo-bytes-ratio-ceiling", "0.5"]),
-            ("halo zeta drift fails", 1, "no longer matches",
+            ("halo zeta drift from single node fails", 1,
+             "no longer matches",
              ["--baseline", good, "--fresh",
               fixture("halo_drift.json", halo_drift),
               "--halo-bytes-ratio-ceiling", "0.5"]),
@@ -804,8 +810,9 @@ def main():
     ap.add_argument("--halo-bytes-ratio-ceiling", type=float, default=None,
                     help="dist files: per policy in the fresh file's "
                          "halo_compression section, LET halo bytes must stay "
-                         "at or below this fraction of the full-shell bytes, "
-                         "and zeta_max_rel_diff must stay within the 1e-10 "
+                         "at or below this fraction of the full-shell bytes "
+                         "(32 B per shipped point), and zeta_max_rel_diff vs "
+                         "the single-node engine must stay within the 1e-10 "
                          "distributed gate (absolute contracts — no baseline "
                          "slack; omitted = halo check off)")
     ap.add_argument("--kernel-gflops-floor", type=float, default=None,

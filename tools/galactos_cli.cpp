@@ -11,9 +11,9 @@
 //   * plain        — open box, plane-parallel LOS (default)
 //   * periodic     — --periodic-box <side>: exact periodic-box estimate
 //   * survey       — --randoms <file>: D - (N_D/N_R) R contrast estimate
-// With --ranks > 1 the full distributed pipeline (k-d partition + halo
+// With --ranks > 1 the full distributed pipeline (k-d partition + LET halo
 // exchange + reduction) runs in-process — the same code path the scaling
-// benches exercise.
+// benches exercise. The FFT backend (--backend fft) is single-node only.
 #include <cstdio>
 #include <string>
 
@@ -67,9 +67,6 @@ int run(int argc, char** argv) {
   const double oy = args.get<double>("observer-y", 0.0);
   const double oz = args.get<double>("observer-z", 0.0);
   const int ranks = args.get<int>("ranks", 1);
-  // Distributed halo wire format: full (flat point shower) | let (pruned
-  // locally-essential tree). Tree backend with --ranks > 1 only.
-  const std::string halo_arg = args.get_str("halo-mode", "full");
   const int threads = args.get<int>("threads", 0);
   const bool dbl = args.flag("double-precision");
   const bool self = args.flag("subtract-self");
@@ -85,7 +82,7 @@ int run(int argc, char** argv) {
                  "usage: galactos --input <catalog> [--randoms <catalog>]\n"
                  "  [--rmin 1] --rmax <R> [--nbins 10] [--lmax 10]\n"
                  "  [--log-bins] [--periodic-box <side>] [--radial-los]\n"
-                 "  [--observer-{x,y,z} 0] [--ranks 1] [--halo-mode full|let]\n"
+                 "  [--observer-{x,y,z} 0] [--ranks 1]\n"
                  "  [--threads 0]\n"
                  "  [--double-precision] [--subtract-self]\n"
                  "  [--backend tree|fft] [--grid-n 128]\n"
@@ -111,15 +108,6 @@ int run(int argc, char** argv) {
     cfg.observer = {ox, oy, oz};
   }
 
-  dist::HaloOptions halo;
-  if (halo_arg == "let") {
-    halo.mode = dist::HaloMode::kLet;
-  } else {
-    GLX_CHECK_MSG(halo_arg == "full" || halo_arg == "full-shell",
-                  "--halo-mode must be full | let (got '" << halo_arg
-                                                          << "')");
-  }
-
   cfg.backend = core::backend_from_name(backend);
   if (cfg.backend == core::EstimatorBackend::kFFT) {
     GLX_CHECK_MSG(randoms_path.empty(),
@@ -127,6 +115,8 @@ int run(int argc, char** argv) {
                   "the mesh estimator needs a periodic box");
     GLX_CHECK_MSG(periodic > 0.0,
                   "--backend fft requires --periodic-box <side>");
+    GLX_CHECK_MSG(ranks <= 1,
+                  "--backend fft runs on a single node; drop --ranks");
     cfg.fft.box_side = periodic;
     cfg.fft.grid_n = static_cast<std::size_t>(grid_n);
     cfg.fft.assignment = core::assignment_from_name(assignment);
@@ -138,20 +128,7 @@ int run(int argc, char** argv) {
   if (cfg.backend == core::EstimatorBackend::kFFT) {
     std::printf("fft backend: grid %d^3, %s%s\n", grid_n, assignment.c_str(),
                 interlace ? ", interlaced" : "");
-    if (ranks > 1) {
-      std::printf("distributed mode: %d ranks (slab decomposition)\n", ranks);
-      dist::DistRunConfig dcfg;
-      dcfg.engine = cfg;
-      dcfg.ranks = ranks;
-      std::vector<dist::RankReport> reports;
-      result = dist::run_distributed(data, dcfg, &reports);
-      for (const auto& r : reports)
-        std::printf("  rank %d: primaries %llu (%.2fs)\n", r.rank,
-                    static_cast<unsigned long long>(r.owned),
-                    r.total_seconds);
-    } else {
-      result = core::Engine(cfg).run(data, nullptr, &stats);
-    }
+    result = core::Engine(cfg).run(data, nullptr, &stats);
   } else if (!randoms_path.empty()) {
     const sim::Catalog randoms = load(randoms_path);
     std::printf("survey mode: %zu randoms (%s)\n", randoms.size(),
@@ -162,12 +139,10 @@ int run(int argc, char** argv) {
     result = core::periodic_box_3pcf(data, sim::Aabb::cube(periodic), cfg,
                                      &stats);
   } else if (ranks > 1) {
-    std::printf("distributed mode: %d ranks, halo %s\n", ranks,
-                dist::halo_mode_name(halo.mode));
+    std::printf("distributed mode: %d ranks\n", ranks);
     dist::DistRunConfig dcfg;
     dcfg.engine = cfg;
     dcfg.ranks = ranks;
-    dcfg.halo = halo;
     std::vector<dist::RankReport> reports;
     result = dist::run_distributed(data, dcfg, &reports);
     for (const auto& r : reports)

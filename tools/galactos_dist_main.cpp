@@ -1,7 +1,8 @@
 // galactos_dist_main — the mpirun-able distributed 3PCF entrypoint.
 //
-// One binary, two launch styles, identical pipeline (k-d partition + halo
-// exchange + leaf-blocked traversal + tree reduction):
+// One binary, two launch styles, identical pipeline (k-d partition + LET
+// halo exchange + leaf-blocked traversal + tree reduction; tree backend
+// only — the FFT backend runs single-node through `galactos`):
 //
 //   # real MPI ranks (GALACTOS_WITH_MPI build; backend auto-detected)
 //   mpirun -np 4 ./build/galactos_dist_main --n 200000 --rmax 16
@@ -62,28 +63,14 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
   const int ranks_arg = args.get<int>(
       "ranks", session.backend() == dist::Backend::kMpi ? 0 : 4);
   const std::string policy = args.get_str("policy", "pair");
-  // Overlap depth: two-pass (default) | sequential. --sequential
-  // is kept as a back-compat alias for --overlap sequential.
-  const std::string overlap_arg =
-      args.get_str("overlap", args.flag("sequential") ? "sequential"
-                                                      : "two-pass");
-  // Halo wire format: full (flat point shower, the reference) | let
-  // (pruned locally-essential tree — comm volume scales with the domain
-  // boundary). --let-f32 additionally quantizes LET coordinates to float32
-  // on the wire (safe at the default kMixed tree precision, where the
-  // stored planes are float anyway).
-  const std::string halo_arg = args.get_str("halo-mode", "full");
+  // Overlap depth: two-pass (default) | sequential.
+  const std::string overlap_arg = args.get_str("overlap", "two-pass");
+  // The halo travels as a pruned locally-essential tree; --let-f32
+  // quantizes its coordinates to float32 on the wire (safe at the default
+  // kMixed tree precision, where the stored planes are float anyway).
   const bool let_f32 = args.flag("let-f32");
   const std::string output = args.get_str("output", "");
   const std::string json_path = args.get_str("json", "");
-  // Estimator backend: tree (k-d partition + halo pipeline, the default)
-  // or fft (slab-decomposed mesh estimator; periodic box required — --box
-  // for file input, the synthetic box side is known).
-  const std::string backend = args.get_str("backend", "tree");
-  const int grid_n = args.get<int>("grid-n", 128);
-  const std::string assignment = args.get_str("assignment", "tsc");
-  const int interlace = args.get<int>("interlace", 1);
-  const double box = args.get<double>("box", 0.0);
   args.finish();
 
   const bool root = session.is_root();
@@ -123,29 +110,7 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
     throw std::runtime_error("--overlap must be sequential | two-pass (got '" +
                              overlap_arg + "')");
   }
-  if (halo_arg == "let") {
-    cfg.halo.mode = dist::HaloMode::kLet;
-  } else if (halo_arg != "full" && halo_arg != "full-shell") {
-    throw std::runtime_error("--halo-mode must be full | let (got '" +
-                             halo_arg + "')");
-  }
   cfg.halo.let_f32 = let_f32;
-  cfg.engine.backend = core::backend_from_name(backend);
-  if (cfg.engine.backend == core::EstimatorBackend::kFFT) {
-    double side = box;
-    if (side <= 0.0 && input.empty()) side = sim::outer_rim_box_side(n);
-    if (side <= 0.0)
-      throw std::runtime_error(
-          "--backend fft with --input needs --box <side> (periodic box)");
-    cfg.engine.fft.box_side = side;
-    cfg.engine.fft.grid_n = static_cast<std::size_t>(grid_n);
-    cfg.engine.fft.assignment = core::assignment_from_name(assignment);
-    cfg.engine.fft.interlace = interlace != 0;
-    if (root)
-      std::printf("fft backend: grid %d^3, %s%s, box %.1f\n", grid_n,
-                  assignment.c_str(), interlace ? ", interlaced" : "",
-                  side);
-  }
 
   std::vector<dist::RankReport> reports;
   Timer timer;
@@ -187,9 +152,8 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
                 static_cast<unsigned long long>(result.n_pairs), imbalance,
                 elapsed);
     std::printf(
-        "halo mode %s  halo bytes %llu  points shipped %llu  "
+        "halo bytes %llu  points shipped %llu  "
         "let cells pruned %llu  total comm bytes %llu\n",
-        dist::halo_mode_name(cfg.halo.mode),
         static_cast<unsigned long long>(halo_sent),
         static_cast<unsigned long long>(halo_pts),
         static_cast<unsigned long long>(cells_pruned),
@@ -199,8 +163,6 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
     if (!json_path.empty()) {
       JsonObject o;
       o.add("backend", std::string(dist::backend_name(session.backend())))
-          .add("estimator_backend",
-               std::string(core::backend_name(cfg.engine.backend)))
           .add("world_size", session.size())
           .add("ranks", static_cast<std::uint64_t>(reports.size()))
           .add("galaxies", static_cast<std::uint64_t>(cat.size()))
@@ -210,7 +172,6 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
                                              : "pair_weighted")
           .add("overlap_mode",
                std::string(dist::overlap_mode_name(cfg.overlap)))
-          .add("halo_mode", std::string(dist::halo_mode_name(cfg.halo.mode)))
           .add("let_f32", cfg.halo.let_f32 ? 1 : 0)
           .add("halo_bytes_sent", halo_sent)
           .add("halo_points_shipped", halo_pts)
@@ -220,12 +181,6 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
           .add("n_primaries", result.n_primaries)
           .add("pair_imbalance", imbalance)
           .add("wall_seconds", elapsed);
-      if (cfg.engine.backend == core::EstimatorBackend::kFFT)
-        o.add("grid_n", static_cast<std::uint64_t>(cfg.engine.fft.grid_n))
-            .add("assignment",
-                 std::string(
-                     core::assignment_name(cfg.engine.fft.assignment)))
-            .add("interlace", cfg.engine.fft.interlace ? 1 : 0);
       double halo_blocked_max = 0, halo_hidden_max = 0;
       for (const auto& r : reports) {
         halo_blocked_max = std::max(halo_blocked_max, r.halo_seconds);
