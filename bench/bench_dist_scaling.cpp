@@ -11,8 +11,8 @@
 // build + traversal, 2 ranks with a skewed initial scatter (realistic
 // ingest skew, so one rank genuinely lags), run under both OverlapModes:
 // sequential (drain halo, then build + traverse) and two_pass (halo hides
-// behind index build AND the whole owned-vs-owned traversal, with the
-// owned-vs-halo completion in a second pass). Reports, per mode, the
+// behind index build AND the traversal of the interior leaves, with the
+// boundary leaves in a second pass). Reports, per mode, the
 // median rank critical path (halo wait + index build + traversal) plus
 // the blocked-vs-hidden halo seconds over many repeats; deeper overlap
 // must not lengthen it.

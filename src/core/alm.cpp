@@ -4,32 +4,6 @@
 
 namespace galactos::core {
 
-AlmLayout::AlmLayout(int lmax) : lmax_(lmax) {
-  const std::size_t nlm = math::nlm(lmax);
-  off_.resize(nlm);
-  step_.assign(nlm, 2 * nlm);
-  for (std::size_t lm = 0; lm < nlm; ++lm) off_[lm] = 2 * lm;
-}
-
-void compute_alm(const math::SphHarmTable& table, const AlmLayout& layout,
-                 const double* sums, std::size_t stride, const int* bins,
-                 int nb, std::complex<double>* alm) {
-  GLX_DCHECK(layout.lmax() == table.lmax());
-  double* out = reinterpret_cast<double*>(alm);
-  alm_bins_as_lanes(table, sums, stride, bins, nb, out, out + 1,
-                    layout.off(), layout.step());
-}
-
-void compute_alm(const math::SphHarmTable& table, const AlmLayout& layout,
-                 const MultipoleAccumulator& acc, std::complex<double>* alm,
-                 std::uint8_t* touched) {
-  const int nbins = acc.config().nbins;
-  for (int b = 0; b < nbins; ++b) touched[b] = acc.bin_touched(b) ? 1 : 0;
-  const std::vector<int>& bins = acc.touched_bins();
-  compute_alm(table, layout, acc.sums(), acc.sums_stride(), bins.data(),
-              static_cast<int>(bins.size()), alm);
-}
-
 SelfPairAccumulator::SelfPairAccumulator(const math::SphHarmTable& table,
                                          const LlmIndex& llm, int nbins)
     : table_(&table), llm_(&llm), nbins_(nbins) {

@@ -5,10 +5,9 @@
 // production path assembles it with alm_bins_as_lanes (core/kernel.hpp):
 // all touched bins of a primary at once, bins as SIMD lanes, from the
 // bin-interleaved sums the kernel's fused reduction writes — bitwise the
-// per-bin SphHarmTable::alm_from_power_sums, which stays as the oracle.
-// ZetaAccumulator::add_primary_sums writes straight into the zeta batch;
-// compute_alm below fills the complex [bin][lm] arrays of pass 2. For
-// diagonal bin pairs (r1 and r2 in the same shell) the product
+// per-bin SphHarmTable::alm_from_power_sums, which stays as the oracle;
+// ZetaAccumulator::add_primary_sums writes it straight into the zeta
+// batch. For diagonal bin pairs (r1 and r2 in the same shell) the product
 // a_lm(b) a*_l'm(b) includes the degenerate j == k terms — "triangles"
 // whose two secondaries are the same galaxy. SelfPairAccumulator tracks
 // sum_j w_j^2 conj(Y_lm(u_j)) Y_l'm(u_j) per bin so the engine can subtract
@@ -30,36 +29,6 @@
 #include "util/aligned.hpp"
 
 namespace galactos::core {
-
-// compute_alm's complex [bin][lm] output as the per-lm (offset, step) pairs
-// alm_bins_as_lanes scatters through: real parts at even doubles, imaginary
-// at odd ones. Fixed per lmax; build it once beside the table and reuse it.
-class AlmLayout {
- public:
-  explicit AlmLayout(int lmax);
-
-  int lmax() const { return lmax_; }
-  const std::size_t* off() const { return off_.data(); }
-  const std::size_t* step() const { return step_.data(); }
-
- private:
-  int lmax_;
-  std::vector<std::size_t> off_, step_;
-};
-
-// Computes alm[bin][lm] for the nb bins listed in `bins` from
-// bin-interleaved power sums S[mono * stride + bin]; other bins are left
-// unmodified. alm must hold (largest listed bin + 1) * nlm(lmax) complex
-// entries.
-void compute_alm(const math::SphHarmTable& table, const AlmLayout& layout,
-                 const double* sums, std::size_t stride, const int* bins,
-                 int nb, std::complex<double>* alm);
-
-// The same for every touched bin of `acc`, flagged in touched[nbins];
-// untouched bins are left unmodified (callers consult `touched`).
-void compute_alm(const math::SphHarmTable& table, const AlmLayout& layout,
-                 const MultipoleAccumulator& acc, std::complex<double>* alm,
-                 std::uint8_t* touched);
 
 class SelfPairAccumulator {
  public:

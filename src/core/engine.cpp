@@ -17,31 +17,21 @@ namespace galactos::core {
 
 namespace detail {
 
-// Owned-only power sums snapshotted during pass 1 for primaries that might
-// see halo secondaries (within R_max of the SecondaryBound box). One
-// instance per thread; concatenated SoA records, looked up by primary id
-// in pass 2, where compute_alm rebuilds the owned a_lm from them.
-struct SavedPrimaries {
-  std::vector<std::int64_t> prim;  // primary id per record
-  std::vector<int> nbins;          // touched-bin count per record
-  std::vector<int> bins;           // concatenated touched-bin ids
-  std::vector<double> sums;        // concatenated [n_mono] blocks
-};
-
 // Per-thread partial accumulators, merged in thread-id order. The fused
 // run_indexed path merges them as soon as its traversal ends; the two-pass
 // pipeline parks them in the Staged handle between the passes, so pass 2
 // keeps adding into the exact per-thread slots pass 1 filled and the final
-// merge runs in the same thread-id order either way.
+// merge runs in the same thread-id order either way. `boundary` flags the
+// leaves the owned pass deferred to the secondary pass.
 struct TraversalPartials {
   explicit TraversalPartials(int n)
-      : nthreads(n), zeta(n), xi(n), pairs(n, 0), saved(n) {}
+      : nthreads(n), zeta(n), xi(n), pairs(n, 0) {}
 
   int nthreads;
   std::vector<std::unique_ptr<ZetaAccumulator>> zeta;
   std::vector<std::unique_ptr<TwoPcfAccumulator>> xi;
-  std::vector<std::uint64_t> pairs;   // per thread; pass 2 adds halo pairs
-  std::vector<SavedPrimaries> saved;  // per thread; filled by the owned pass
+  std::vector<std::uint64_t> pairs;    // per thread, both passes
+  std::vector<std::uint8_t> boundary;  // per leaf; empty outside two-pass
 };
 
 }  // namespace detail
@@ -72,11 +62,12 @@ KernelConfig kernel_config(const EngineConfig& cfg) {
   return kc;
 }
 
-// What one thread's share of a traversal adds up to: candidates scanned,
-// primaries skipped and per-phase seconds (kept by the per-leaf bodies),
-// plus the kernel's pair count and epilogue counters (read off the
-// accumulator at the end).
+// What one thread's share of a traversal adds up to: leaves and primaries
+// run (kept by the skeleton), candidates scanned, primaries skipped and
+// per-phase seconds (kept by the per-leaf bodies), plus the kernel's pair
+// count and epilogue counters (read off the accumulator at the end).
 struct LaneTally {
+  std::uint64_t leaves = 0, primaries = 0;
   std::uint64_t pairs = 0, candidates = 0, skipped = 0;
   double t_query = 0, t_kernel = 0, t_zeta = 0;
   MultipoleAccumulator::Counters kernel;
@@ -174,12 +165,14 @@ constexpr int kPollLeafStride = 4;
 // as body(leaf, prims) with the leaf's primaries: index positions in leaf
 // order, restricted to `primaries` when given. Afterwards each lane's
 // kernel pairs are added to parts.pairs and the tallies are rolled up into
-// `stats`.
+// `stats`. `leaf_mask`, when given, restricts the loop to the leaves l
+// with (*leaf_mask)[l] == run_if (the two-pass split).
 template <typename Real, typename MakeBody>
 void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
                      const tree::KdTree<Real>& index,
                      const std::vector<std::int64_t>* primaries,
-                     const std::function<void()>& poll,
+                     const std::vector<std::uint8_t>* leaf_mask,
+                     std::uint8_t run_if, const std::function<void()>& poll,
                      detail::TraversalPartials& parts, EngineStats& stats,
                      MakeBody&& make_body) {
   const int nthreads = parts.nthreads;
@@ -220,6 +213,7 @@ void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
         poll();
       }
       const std::size_t leaf = static_cast<std::size_t>(l);
+      if (leaf_mask && (*leaf_mask)[leaf] != run_if) continue;
       prims.clear();
       const std::size_t end = static_cast<std::size_t>(index.leaf_end(leaf));
       for (auto t = static_cast<std::size_t>(index.leaf_begin(leaf)); t < end;
@@ -227,7 +221,10 @@ void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
         if (is_primary.empty() ||
             is_primary[static_cast<std::size_t>(index.original_index(t))])
           prims.push_back(t);
-      if (!prims.empty()) body(leaf, prims);
+      if (prims.empty()) continue;
+      ++lane.tally.leaves;
+      lane.tally.primaries += prims.size();
+      body(leaf, prims);
     }
 
     {
@@ -245,6 +242,8 @@ void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
   LaneTally sum;
   std::vector<std::uint64_t> per_thread;
   for (const LaneTally& t : tallies) {
+    sum.leaves += t.leaves;
+    sum.primaries += t.primaries;
     sum.pairs += t.pairs;
     sum.candidates += t.candidates;
     sum.skipped += t.skipped;
@@ -266,6 +265,8 @@ void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
   stats.phases.add("alm+zeta", sum.t_zeta / dn);
   const double busy = (sum.t_query + sum.t_kernel + sum.t_zeta) / dn;
   stats.phases.add("imbalance+merge", std::max(0.0, compute_wall - busy));
+  stats.leaves = sum.leaves;
+  stats.primaries = sum.primaries;
   stats.pairs = sum.pairs;
   stats.candidates = sum.candidates;
   stats.bin_epilogues = sum.kernel.epilogues;
@@ -278,8 +279,8 @@ void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
 }
 
 // Merges the per-thread partials into `result` in thread-id order — the
-// same order after one pass or two, so an empty secondary pass reproduces
-// run_indexed bitwise.
+// same order after one pass or two, so a two-pass run that puts every leaf
+// in one of its passes reproduces run_indexed bitwise.
 void merge_partials(const EngineConfig& cfg,
                     const detail::TraversalPartials& parts,
                     ZetaResult& result) {
@@ -302,59 +303,30 @@ void merge_partials(const EngineConfig& cfg,
   result.xi_raw = xi_total.xi_raw();
 }
 
-// The fused pass and the two-pass owned pass: every primary against the
-// primary index — plus, fused, the candidates of `secondary`, whose catalog
-// indices are offset by catalog.size() so they never collide with a
-// primary's — with the finished power sums folded into zeta and the 2PCF.
-// Each leaf gathers one candidate block (one pruned walk from the leaf's
-// box), which the leaf's primaries drain while it is hot in cache.
-//
-// Under a `bound` (the owned pass) every primary within the padded R_max
-// shell of the bound box also has its power sums snapshotted for pass 2.
+// Every tree-backend pass: the leaf's primaries against the primary index
+// — plus the candidates of `secondary`, when given, whose catalog indices
+// are offset by catalog.size() so they never collide with a primary's —
+// with the finished power sums folded into zeta and the 2PCF. Each leaf
+// gathers one candidate block (one pruned walk from the leaf's box), which
+// the leaf's primaries drain while it is hot in cache. `leaf_mask` and
+// `run_if` select the leaves as in traverse_leaves.
 template <typename Real>
 void run_primary_pass(const EngineConfig& cfg, const sim::Catalog& catalog,
                       const tree::KdTree<Real>& index,
                       const tree::KdTree<Real>* secondary,
                       const std::vector<std::int64_t>* primaries,
-                      const Engine::SecondaryBound* bound,
-                      const std::function<void()>& poll,
+                      const std::vector<std::uint8_t>* leaf_mask,
+                      std::uint8_t run_if, const std::function<void()>& poll,
                       detail::TraversalPartials& parts, EngineStats& stats) {
   Timer wall;
-  const int nbins = cfg.bins.count();
   const double rmax = cfg.bins.rmax();
   const Real r2max = static_cast<Real>(rmax) * static_cast<Real>(rmax);
   const std::int64_t halo_offset = static_cast<std::int64_t>(catalog.size());
 
-  // "Might see a secondary": the Real-precision accept filter can admit
-  // pairs a few ulps beyond R_max, so pad the shell by a relative 1e-5 plus
-  // a few Real ulps of the coordinate magnitude. An empty box (lo > hi)
-  // leaves every primary a negative margin, so all of them are
-  // snapshotted.
-  double bound_pad = 0.0;
-  if (bound) {
-    const double max_abs = std::max(
-        {std::abs(bound->lo.x), std::abs(bound->lo.y), std::abs(bound->lo.z),
-         std::abs(bound->hi.x), std::abs(bound->hi.y),
-         std::abs(bound->hi.z)});
-    const double eps =
-        static_cast<double>(std::numeric_limits<Real>::epsilon());
-    bound_pad = rmax * (1.0 + 1e-5) + 8.0 * eps * (max_abs + rmax);
-  }
-  auto near_bound = [&](std::int64_t p) {
-    const sim::Vec3 pos = catalog.position(static_cast<std::size_t>(p));
-    const double margin = std::min(
-        {pos.x - bound->lo.x, bound->hi.x - pos.x, pos.y - bound->lo.y,
-         bound->hi.y - pos.y, pos.z - bound->lo.z, bound->hi.z - pos.z});
-    return margin <= bound_pad;
-  };
-
   traverse_leaves<Real>(
-      cfg, catalog, index, primaries, poll, parts, stats,
+      cfg, catalog, index, primaries, leaf_mask, run_if, poll, parts, stats,
       [&](Lane<Real>& lane) {
-        detail::SavedPrimaries* save_to =
-            bound ? &parts.saved[static_cast<std::size_t>(lane.tid)]
-                  : nullptr;
-        return [&, save_to, block = tree::NeighborBlock<Real>{}](
+        return [&, block = tree::NeighborBlock<Real>{}](
                    std::size_t leaf,
                    const std::vector<std::size_t>& prims) mutable {
           Timer tq;
@@ -382,25 +354,7 @@ void run_primary_pass(const EngineConfig& cfg, const sim::Catalog& catalog,
                                 r2max, p, rotate ? &rot : nullptr);
 
             Timer tz;
-            MultipoleAccumulator& acc = lane.acc;
-            if (save_to && near_bound(p)) {
-              save_to->prim.push_back(p);
-              int nb = 0;
-              for (int b = 0; b < nbins; ++b)
-                if (acc.bin_touched(b)) {
-                  save_to->bins.push_back(b);
-                  // Grow a whole block at a time, as a range insert does:
-                  // per-value push_back rounds this megabyte-scale
-                  // buffer's capacity up further.
-                  const std::size_t at = save_to->sums.size();
-                  save_to->sums.resize(at + acc.n_mono());
-                  const MultipoleAccumulator::PowerSums s = acc.power_sums(b);
-                  for (int m = 0; m < acc.n_mono(); ++m)
-                    save_to->sums[at + m] = s[m];
-                  ++nb;
-                }
-              save_to->nbins.push_back(nb);
-            }
+            const MultipoleAccumulator& acc = lane.acc;
             const double wp = catalog.w[static_cast<std::size_t>(p)];
             lane.add_xi(wp);
             const std::vector<int>& bins = acc.touched_bins();
@@ -415,146 +369,60 @@ void run_primary_pass(const EngineConfig& cfg, const sim::Catalog& catalog,
   stats.wall_seconds = wall.seconds();
 }
 
-// Pass 2 of the two-pass pipeline: adds every owned-vs-halo contribution
-// into the parked pass-1 partials, then merges them into `result`.
-//
-// Per affected primary the completion is exact (see Staged::run_owned_pass
-// in the header): the owned-only a_lm A is rebuilt from the pass-1
-// snapshot, the halo-only a_lm B is formed from the secondary index alone,
-// and zeta gains wp·(A·B* + B·A* + B·B*) while the 2PCF moments, pair
-// counts and self-pair terms (all additive over secondaries) gain their
-// halo-only share. Primaries with no accepted halo pair — and entire leaves
-// whose box is beyond R_max of the secondary index — are skipped: their
-// pass-1 contribution is already final. An affected primary without a
-// snapshot means a secondary broke the SecondaryBound promise; that is
-// reported after the parallel region, which an exception must not escape.
-//
-// stats.pairs counts the NEW physical (owned, halo) kernel pairs — the
-// runner adds it to the owned-pass count to recover the single-node total.
+// The two-pass split: 1 for every leaf of `index` the owned pass defers to
+// the secondary pass, 0 for the interior leaves it runs. A leaf is interior
+// when its box lies more than the padded R_max inside `bound` on every
+// face, so no secondary outside the bound can reach its primaries. The
+// Real-precision accept filter can admit pairs a few ulps beyond R_max, so
+// the pad adds a relative 1e-5 plus a few Real ulps of the finite faces'
+// magnitude (an infinite face is never reached). An empty box (lo > hi)
+// has no interior leaf.
 template <typename Real>
-void run_secondary_pass_impl(const EngineConfig& cfg,
-                             const sim::Catalog& catalog,
-                             const tree::KdTree<Real>& index,
-                             const tree::KdTree<Real>* secondary,
-                             const std::vector<std::int64_t>* primaries,
-                             detail::TraversalPartials& parts,
-                             ZetaResult& result, EngineStats& stats) {
-  Timer wall;
-  const int nthreads = thread_count(cfg);
-  GLX_CHECK_MSG(nthreads == parts.nthreads,
-                "run_secondary_pass: thread count changed since the owned "
-                "pass (" << parts.nthreads << " -> " << nthreads << ")");
+std::vector<std::uint8_t> boundary_leaves(const tree::KdTree<Real>& index,
+                                          const Engine::SecondaryBound& bound,
+                                          double rmax) {
+  const double lo[3] = {bound.lo.x, bound.lo.y, bound.lo.z};
+  const double hi[3] = {bound.hi.x, bound.hi.y, bound.hi.z};
+  double max_abs = 0.0;
+  for (int d = 0; d < 3; ++d)
+    for (const double f : {lo[d], hi[d]})
+      if (std::isfinite(f)) max_abs = std::max(max_abs, std::abs(f));
+  const double eps = static_cast<double>(std::numeric_limits<Real>::epsilon());
+  const double pad = rmax * (1.0 + 1e-5) + 8.0 * eps * (max_abs + rmax);
 
-  if (secondary) {
-    const int nbins = cfg.bins.count();
-    const int nlm = math::nlm(cfg.lmax);
-    const int n_mono = math::monomial_count(cfg.lmax);
-    const double rmax = cfg.bins.rmax();
-    const Real r2max = static_cast<Real>(rmax) * static_cast<Real>(rmax);
-    const AlmLayout alm_layout(cfg.lmax);
-
-    // Pass-1 snapshot lookup: primary id → its saved owned power sums.
-    struct SavedRef {
-      const int* bins = nullptr;
-      const double* sums = nullptr;
-      int count = -1;  // -1 = no snapshot
-    };
-    std::vector<SavedRef> snapshot(catalog.size());
-    for (const detail::SavedPrimaries& sv : parts.saved) {
-      std::size_t bin_off = 0;
-      for (std::size_t i = 0; i < sv.prim.size(); ++i) {
-        SavedRef& ref = snapshot[static_cast<std::size_t>(sv.prim[i])];
-        ref.bins = sv.bins.data() + bin_off;
-        ref.sums = sv.sums.data() + bin_off * n_mono;
-        ref.count = sv.nbins[i];
-        bin_off += static_cast<std::size_t>(sv.nbins[i]);
-      }
-    }
-    // Per thread, the first affected primary found without a snapshot.
-    std::vector<std::int64_t> unsaved(static_cast<std::size_t>(nthreads), -1);
-
-    traverse_leaves<Real>(
-        cfg, catalog, index, primaries, {}, parts, stats,
-        [&](Lane<Real>& lane) {
-          const std::size_t stride = lane.acc.sums_stride();
-          const std::size_t nalm = static_cast<std::size_t>(nbins) * nlm;
-          return [&, stride, halo = tree::NeighborBlock<Real>{},
-                  alm_a = std::vector<std::complex<double>>(nalm),
-                  alm_b = std::vector<std::complex<double>>(nalm),
-                  touched_a = std::vector<std::uint8_t>(nbins, 0),
-                  touched_b = std::vector<std::uint8_t>(nbins, 0),
-                  saved_sums = std::vector<double>(stride * n_mono, 0.0)](
-                     std::size_t leaf,
-                     const std::vector<std::size_t>& prims) mutable {
-            // O(1) whole-secondary prune: interior leaves exit before any
-            // gather or block formation.
-            Real blo[3], bhi[3];
-            index.leaf_box(leaf, blo, bhi);
-            if (secondary->box_beyond_reach(blo, bhi, rmax)) return;
-            Timer tq;
-            halo.clear();
-            secondary->gather_box_neighbors(blo, bhi, rmax, halo);
-            lane.tally.t_query += tq.seconds();
-            if (halo.size() == 0) return;
-
-            for (const std::size_t t : prims) {
-              const std::int64_t p = index.original_index(t);
-              Rotation rot;
-              bool rotate = false;
-              // A primary at the observer was skipped (and counted) in
-              // pass 1.
-              if (!lane.make_rotation(p, rot, rotate)) continue;
-              // The halo block is disjoint from the owned set: no
-              // self-exclusion. No halo pair in a bin: the pass-1
-              // contribution is final.
-              if (lane.stage_and_push(halo, index.x(t), index.y(t),
-                                      index.z(t), r2max, -1,
-                                      rotate ? &rot : nullptr) == 0)
-                continue;
-              const SavedRef& ref = snapshot[static_cast<std::size_t>(p)];
-              if (ref.count < 0) {
-                if (unsaved[static_cast<std::size_t>(lane.tid)] < 0)
-                  unsaved[static_cast<std::size_t>(lane.tid)] = p;
-                continue;
-              }
-
-              Timer tz;
-              // A from the snapshot, re-interleaved for compute_alm.
-              std::fill(touched_a.begin(), touched_a.end(), 0);
-              for (int i = 0; i < ref.count; ++i) {
-                const int b = ref.bins[i];
-                touched_a[b] = 1;
-                const double* s =
-                    ref.sums + static_cast<std::size_t>(i) * n_mono;
-                for (int m = 0; m < n_mono; ++m)
-                  saved_sums[static_cast<std::size_t>(m) * stride + b] = s[m];
-              }
-              compute_alm(lane.table, alm_layout, saved_sums.data(), stride,
-                          ref.bins, ref.count, alm_a.data());
-              compute_alm(lane.table, alm_layout, lane.acc, alm_b.data(),
-                          touched_b.data());
-              const double wp = catalog.w[static_cast<std::size_t>(p)];
-              lane.add_xi(wp);
-              lane.zeta.add_primary_cross(wp, alm_a.data(), touched_a.data(),
-                                          alm_b.data(), touched_b.data());
-              lane.subtract_self(wp);
-              lane.tally.t_zeta += tz.seconds();
-            }
-          };
-        });
-    stats.primaries_skipped = 0;  // skips were counted by the owned pass
-
-    for (const std::int64_t p : unsaved)
-      GLX_CHECK_MSG(p < 0,
-                    "run_secondary_pass: primary "
-                        << p
-                        << " has halo secondaries within R_max but no "
-                           "pass-1 snapshot: a secondary lies inside the "
-                           "SecondaryBound given to run_owned_pass");
+  std::vector<std::uint8_t> boundary(index.leaf_count());
+  for (std::size_t l = 0; l < boundary.size(); ++l) {
+    Real blo[3], bhi[3];
+    index.leaf_box(l, blo, bhi);
+    bool interior = true;
+    for (int d = 0; d < 3; ++d)
+      interior = interior && blo[d] - lo[d] > pad && hi[d] - bhi[d] > pad;
+    boundary[l] = interior ? 0 : 1;
   }
+  return boundary;
+}
 
-  merge_partials(cfg, parts, result);
-  stats.wall_seconds = wall.seconds();
+// The SecondaryBound promise as the secondary pass checks it: the catalog
+// index of the first secondary strictly inside `bound`, or -1. The test
+// runs on the index's Real coordinates — the ones every gather sees —
+// against the bound rounded to Real; rounding is monotonic, so a secondary
+// on or beyond a face stays there.
+template <typename Real>
+std::int64_t secondary_inside(const tree::KdTree<Real>& secondary,
+                              const Engine::SecondaryBound& bound) {
+  const Real lo[3] = {static_cast<Real>(bound.lo.x),
+                      static_cast<Real>(bound.lo.y),
+                      static_cast<Real>(bound.lo.z)};
+  const Real hi[3] = {static_cast<Real>(bound.hi.x),
+                      static_cast<Real>(bound.hi.y),
+                      static_cast<Real>(bound.hi.z)};
+  for (std::size_t i = 0; i < secondary.size(); ++i) {
+    const Real x = secondary.x(i), y = secondary.y(i), z = secondary.z(i);
+    if (lo[0] < x && x < hi[0] && lo[1] < y && y < hi[1] && lo[2] < z &&
+        z < hi[2])
+      return secondary.original_index(i);
+  }
+  return -1;
 }
 
 }  // namespace
@@ -570,8 +438,7 @@ struct EngineStagedImpl {
   virtual bool has_secondary() const = 0;
   virtual void run(const std::vector<std::int64_t>* primaries,
                    ZetaResult& result, EngineStats& stats) const = 0;
-  virtual void owned_pass(const Engine::SecondaryBound& bound,
-                          const std::vector<std::int64_t>* primaries,
+  virtual void owned_pass(const std::vector<std::int64_t>* primaries,
                           EngineStats& stats,
                           const std::function<void()>& poll) = 0;
   virtual void secondary_pass(const std::vector<std::int64_t>* primaries,
@@ -582,11 +449,13 @@ struct EngineStagedImpl {
   std::size_t owned_size = 0;
   double build_seconds = 0.0;  // primary + secondary index build time
 
-  // Two-pass state: partials parked by run_owned_pass (consumed by
-  // run_secondary_pass), the owned-pass primary restriction (pass 2 must
-  // see the same set), and how much of build_seconds has already been
-  // reported as an "index build" phase.
+  // Two-pass state: the bound of run_owned_pass (which splits the leaves
+  // and which pass 2 checks the secondaries against), the partials it
+  // parks (consumed by run_secondary_pass), its primary restriction (pass
+  // 2 must see the same set), and how much of build_seconds has already
+  // been reported as an "index build" phase.
   std::unique_ptr<TraversalPartials> partials;
+  Engine::SecondaryBound bound{};
   std::vector<std::int64_t> primaries_storage;
   bool restrict_primaries = false;
   double build_reported = 0.0;
@@ -625,25 +494,41 @@ struct StagedImplT final : detail::EngineStagedImpl {
            EngineStats& stats) const override {
     detail::TraversalPartials parts(thread_count(cfg));
     run_primary_pass<Real>(cfg, *owned, primary, secondary_index(),
-                           primaries, /*bound=*/nullptr, /*poll=*/{}, parts,
-                           stats);
+                           primaries, /*leaf_mask=*/nullptr, 0, /*poll=*/{},
+                           parts, stats);
     merge_partials(cfg, parts, result);
   }
 
-  void owned_pass(const Engine::SecondaryBound& bound,
-                  const std::vector<std::int64_t>* primaries,
+  void owned_pass(const std::vector<std::int64_t>* primaries,
                   EngineStats& stats,
                   const std::function<void()>& poll) override {
     partials = std::make_unique<detail::TraversalPartials>(thread_count(cfg));
+    partials->boundary = boundary_leaves(primary, bound, cfg.bins.rmax());
     run_primary_pass<Real>(cfg, *owned, primary, /*secondary=*/nullptr,
-                           primaries, &bound, poll, *partials, stats);
+                           primaries, &partials->boundary, /*run_if=*/0, poll,
+                           *partials, stats);
   }
 
+  // The deferred boundary leaves, each once with the fused body (owned and
+  // secondary candidates in one block), into the parked partials; then the
+  // merge. A secondary inside the bound could have reached an interior
+  // leaf that pass 1 ran without it, so it is an error, raised before any
+  // work.
   void secondary_pass(const std::vector<std::int64_t>* primaries,
                       detail::TraversalPartials& parts, ZetaResult& result,
                       EngineStats& stats) const override {
-    run_secondary_pass_impl<Real>(cfg, *owned, primary, secondary_index(),
-                                  primaries, parts, result, stats);
+    if (secondary) {
+      const std::int64_t inside = secondary_inside(*secondary, bound);
+      GLX_CHECK_MSG(inside < 0,
+                    "run_secondary_pass: secondary "
+                        << inside
+                        << " lies inside the SecondaryBound given to "
+                           "run_owned_pass");
+    }
+    run_primary_pass<Real>(cfg, *owned, primary, secondary_index(),
+                           primaries, &parts.boundary, /*run_if=*/1,
+                           /*poll=*/{}, parts, stats);
+    merge_partials(cfg, parts, result);
   }
 
   sim::Catalog storage;                 // empty when borrowed
@@ -767,9 +652,10 @@ void Engine::Staged::run_owned_pass(
   st = EngineStats{};
   st.phases.add("index build", impl_->build_seconds);
   impl_->build_reported = impl_->build_seconds;
+  impl_->bound = bound;
   impl_->owned_pass(
-      bound, impl_->restrict_primaries ? &impl_->primaries_storage : nullptr,
-      st, poll);
+      impl_->restrict_primaries ? &impl_->primaries_storage : nullptr, st,
+      poll);
 }
 
 ZetaResult Engine::Staged::run_secondary_pass(EngineStats* stats) {

@@ -24,9 +24,10 @@
 // exchange is still in flight, then index halo points into a SECONDARY
 // structure whose candidates union with the primary index's per leaf. With
 // no secondaries the staged path is bitwise identical to Engine::run. The
-// two-pass variant (run_owned_pass → run_secondary_pass) runs the owned
-// traversal before the halo arrives and adds the owned-vs-halo completion
-// afterwards.
+// two-pass variant (run_owned_pass → run_secondary_pass) splits the same
+// traversal by leaf: the interior leaves, which no halo point can reach,
+// run before the halo arrives, and the boundary leaves run once afterwards
+// against owned and halo points together.
 //
 // Work is distributed over OpenMP threads with a dynamic schedule over
 // leaves (paper §3.3: "a significant performance boost over a static
@@ -134,19 +135,24 @@ struct EngineStats {
   double wall_seconds = 0.0;
   std::uint64_t pairs = 0;      // kernel pairs (inside R_max and bins)
   // Candidate pairs examined: the shared-block entries each primary scans
-  // (the block is gathered once per leaf but scanned by every primary);
-  // in the secondary pass, the halo-block entries scanned.
+  // (the block is gathered once per leaf but scanned by every primary;
+  // owned and secondary candidates alike). The two passes of the two-pass
+  // pipeline run disjoint leaf sets, so their counts add up to the fused
+  // run's.
   std::uint64_t candidates = 0;
+  // Leaves the pass ran (those holding at least one of its primaries) and
+  // the primaries in them, skipped ones included.
+  std::uint64_t leaves = 0;
+  std::uint64_t primaries = 0;
   std::uint64_t primaries_skipped = 0;  // e.g. primary at the observer
   std::vector<std::uint64_t> pairs_per_thread;
   // Kernel FLOPs using the paper's accounting (2 FLOPs per monomial per
   // pair; 572 FLOP/pair at lmax = 10).
   double kernel_flop_count = 0.0;
   // Per-primary epilogue work (MultipoleAccumulator::Counters, summed over
-  // threads and, in the secondary pass, over both accumulators): touched
-  // (primary, bin) epilogues — each one fused lane reduction and one bin
-  // of a_lm, whatever its pair count — and bucket flushes with a full
-  // bucket vs a final partial one.
+  // threads): touched (primary, bin) epilogues — each one fused lane
+  // reduction and one bin of a_lm, whatever its pair count — and bucket
+  // flushes with a full bucket vs a final partial one.
   std::uint64_t bin_epilogues = 0;
   std::uint64_t full_flushes = 0;
   std::uint64_t partial_flushes = 0;
@@ -158,15 +164,15 @@ class Engine {
 
   const EngineConfig& config() const { return cfg_; }
 
-  // The contract of the two-pass pipeline: every secondary later indexed
-  // via extend_with_secondaries lies OUTSIDE this axis-aligned box (the
-  // distributed runner passes its k-d leaf domain: halo copies come from
-  // other ranks' domains, which tile space disjointly). run_owned_pass
-  // snapshots the owned power sums of primaries within R_max of the box
-  // boundary, and the secondary pass rebuilds their owned a_lm from the
-  // snapshot. An empty box (lo > hi) is the weakest valid promise: every
-  // primary is snapshotted. A secondary that breaks the promise leaves an
-  // affected primary without a snapshot, and run_secondary_pass throws.
+  // The contract of the two-pass pipeline: no secondary later indexed via
+  // extend_with_secondaries lies strictly inside this axis-aligned box
+  // (faces may be infinite). The distributed runner passes its k-d leaf
+  // domain with the faces on the global bounding box opened to ±infinity:
+  // halo copies come from other ranks' domains, which tile space
+  // disjointly. A primary-index leaf whose box lies more than R_max (plus
+  // a rounding pad) inside the box is INTERIOR — no secondary can reach its
+  // primaries — and every other leaf is a BOUNDARY leaf. An empty box
+  // (lo > hi) is the weakest valid promise: every leaf is a boundary leaf.
   struct SecondaryBound {
     sim::Vec3 lo, hi;
   };
@@ -199,33 +205,31 @@ class Engine {
 
     // --- Two-pass pipeline (the distributed runner's halo-hiding mode) ---
     //
-    // run_owned_pass traverses the PRIMARY index only — identical
-    // arithmetic to run_indexed with no secondaries — but parks the
+    // run_owned_pass runs the INTERIOR leaves of `bound` (the
+    // SecondaryBound promise above) against the primary index alone — the
+    // same per-leaf body as run_indexed, and the whole pair set of those
+    // primaries, since no secondary can reach them — and parks the
     // per-thread accumulators in this handle instead of merging them, so
     // the caller can run it while its halo exchange is still in flight.
-    // `bound` is the SecondaryBound promise above; the primaries it puts
-    // within R_max of a secondary have their power sums snapshotted.
     // `poll`, when given, is invoked from the master thread between leaf
     // batches so the caller can progress outstanding communication
     // requests.
     //
-    // run_secondary_pass completes the result: for every primary-index
-    // leaf whose box is within R_max of the secondary index it gathers the
-    // halo candidates, forms the halo-only a_lm B, rebuilds the owned-only
-    // a_lm A from the pass-1 snapshot (bitwise the pass-1 value), and adds
-    // the exact completion term wp·(A·B* + B·A* + B·B*) plus the additive
-    // 2PCF/pair-count/self-pair halo contributions into the parked
-    // accumulators; then merges and returns. Leaves beyond reach of every
-    // secondary — all of them when no secondaries were indexed — are
-    // untouched, so with an empty halo the result is BITWISE identical to
-    // run_indexed. A primary that accepts a halo pair but has no snapshot
-    // (the bound was broken) is a std::logic_error naming the primary. The
-    // parked state is consumed either way; the pair may be run again.
+    // run_secondary_pass runs every BOUNDARY leaf once, with run_indexed's
+    // fused body (one candidate block of owned plus secondary points per
+    // leaf), into the parked accumulators; then merges and returns. Every
+    // primary is therefore computed exactly once, so the result equals
+    // run_indexed up to summation order: interior primaries are added
+    // before boundary ones. A bound with no interior leaf (the empty box)
+    // runs every leaf in pass 2 and one with no boundary leaf every leaf in
+    // pass 1, both in run_indexed's order: then the result is BITWISE
+    // identical at one thread. A secondary strictly inside the bound
+    // breaks the promise and is a std::logic_error naming it, raised
+    // before the pass runs. The parked state is consumed either way; the
+    // pair may be run again.
     //
-    // The split is algebraically exact because a_lm is additive over
-    // disjoint secondary sets (Slepian & Eisenstein 1709.10150): with
-    // a = A + B, the zeta product a(b1)·a*(b2) is A·A* (pass 1) plus the
-    // completion term (pass 2).
+    // The pass stats add up to run_indexed's: pairs, candidates, leaves
+    // and primaries of the two passes sum to the fused run's.
     void run_owned_pass(const SecondaryBound& bound,
                         const std::vector<std::int64_t>* primaries = nullptr,
                         EngineStats* stats = nullptr,

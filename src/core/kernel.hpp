@@ -117,7 +117,7 @@ void kernel_running_product(const double* ux, const double* uy,
 void kernel_reference(const double* ux, const double* uy, const double* uz,
                       const double* w, int count, int lmax, double* sums);
 
-// --- Bins-as-lanes a_lm assembly (ZetaAccumulator / compute_alm). ---
+// --- Bins-as-lanes a_lm assembly (ZetaAccumulator::add_primary_sums). ---
 //
 // For every (l, m >= 0) and every bin b of the nb listed in `bins`, replays
 // SphHarmTable::alm_from_power_sums' chain

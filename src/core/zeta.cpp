@@ -146,83 +146,6 @@ void ZetaAccumulator::flush() const {
   std::fill(batch_.any.begin(), batch_.any.end(), 0);
 }
 
-void ZetaAccumulator::add_primary_cross(double wp,
-                                        const std::complex<double>* alm_a,
-                                        const std::uint8_t* touched_a,
-                                        const std::complex<double>* alm_b,
-                                        const std::uint8_t* touched_b) {
-  static_assert(kBatch >= 2, "the cross term borrows two batch slots");
-  flush();
-  ensure_batch();
-  const int lmax = llm_.lmax();
-
-  // Transpose every active bin's A and B a_lm into batch slots 0 and 1
-  // (free after the flush); a side untouched in an active bin gets an
-  // explicit zero plane, since the slots hold stale data.
-  double* ar_all = batch_.re.data();
-  double* ai_all = batch_.im.data();
-  double* br_all = batch_.re.data() + slot_size();
-  double* bi_all = batch_.im.data() + slot_size();
-  for (int b = 0; b < nbins_; ++b) {
-    if (!touched_a[b] && !touched_b[b]) continue;
-    const std::complex<double>* a =
-        alm_a + static_cast<std::size_t>(b) * math::nlm(lmax);
-    const std::complex<double>* bb =
-        alm_b + static_cast<std::size_t>(b) * math::nlm(lmax);
-    for (int m = 0; m <= lmax; ++m) {
-      const std::size_t base = plane_offset(m) +
-                               static_cast<std::size_t>(b) * (lmax + 1 - m);
-      for (int l = m; l <= lmax; ++l) {
-        const std::size_t k = base + (l - m);
-        const std::complex<double> va =
-            touched_a[b] ? a[math::lm_index(l, m)] : std::complex<double>{};
-        const std::complex<double> vb =
-            touched_b[b] ? bb[math::lm_index(l, m)] : std::complex<double>{};
-        ar_all[k] = va.real();
-        ai_all[k] = va.imag();
-        br_all[k] = vb.real();
-        bi_all[k] = vb.imag();
-      }
-    }
-  }
-
-  for (int m = 0; m <= lmax; ++m) {
-    const int cnt = lmax + 1 - m;
-    const std::size_t pm = plane_offset(m);
-    for (int b1 = 0; b1 < nbins_; ++b1) {
-      if (!touched_a[b1] && !touched_b[b1]) continue;
-      for (int l = m; l <= lmax; ++l) {
-        // out += wp * [A1 conj(B2) + B1 conj(A2 + B2)] over contiguous l'.
-        const std::size_t k1 = pm + static_cast<std::size_t>(b1) * cnt + (l - m);
-        const double ar = wp * ar_all[k1], ai = wp * ai_all[k1];
-        const double br = wp * br_all[k1], bi = wp * bi_all[k1];
-        const std::size_t row = row_offset(m, b1, l);
-        for (int b2 = b1; b2 < nbins_; ++b2) {
-          if (!touched_a[b2] && !touched_b[b2]) continue;
-          // A(b1) A*(b2) was pass 1's job; a pair with no B on either side
-          // adds nothing here.
-          if (!touched_b[b1] && !touched_b[b2]) continue;
-          const std::size_t off = pm + static_cast<std::size_t>(b2) * cnt;
-          const double* __restrict xar = ar_all + off;
-          const double* __restrict xai = ai_all + off;
-          const double* __restrict xbr = br_all + off;
-          const double* __restrict xbi = bi_all + off;
-          const std::size_t out = row + static_cast<std::size_t>(b2 - b1) * cnt;
-          double* __restrict r = re_.data() + out;
-          double* __restrict i = im_.data() + out;
-#pragma omp simd
-          for (int k = 0; k < cnt; ++k) {
-            const double sr = xar[k] + xbr[k];
-            const double si = xai[k] + xbi[k];
-            r[k] += ar * xbr[k] + ai * xbi[k] + br * sr + bi * si;
-            i[k] += ai * xbr[k] - ar * xbi[k] + bi * sr - br * si;
-          }
-        }
-      }
-    }
-  }
-}
-
 void ZetaAccumulator::subtract_self(double wp, int bin, const double* self_re,
                                     const double* self_im) {
   flush();

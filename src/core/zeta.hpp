@@ -120,19 +120,6 @@ class ZetaAccumulator {
   // engine calls it once per thread so the cost lands in its own timer.
   void flush() const;
 
-  // Two-pass completion term. With one primary's a_lm split over two
-  // disjoint secondary sets, a = A + B (A = owned-only, already folded in
-  // by add_primary; B = halo-only), the full product expands as
-  //   a(b1) a*(b2) = A(b1) A*(b2) + [A(b1) B*(b2) + B(b1) A*(b2)
-  //                                  + B(b1) B*(b2)],
-  // and this adds exactly the bracket — a pure sum of products, no
-  // cancellation — WITHOUT counting a new primary (add_primary already
-  // did). Bins untouched in A resp. B contribute zero planes.
-  void add_primary_cross(double wp, const std::complex<double>* alm_a,
-                         const std::uint8_t* touched_a,
-                         const std::complex<double>* alm_b,
-                         const std::uint8_t* touched_b);
-
   // Subtracts the degenerate j == k "triplet" contribution for diagonal bin
   // pairs: self[llm] = sum_j w_j^2 conj(Y_lm(u_j)) Y_l'm(u_j), supplied as
   // the SelfPairAccumulator's SoA real/imaginary planes in LlmIndex order.

@@ -28,9 +28,9 @@ enum class Phase {
   kScatter,        // catalog slicing / pipeline entry
   kPartition,      // k-d cuts + ownership exchange
   kHaloPost,       // halo sends buffered + receives posted
-  kOwnedPass,      // owned-vs-owned traversal (halo in flight)
+  kOwnedPass,      // interior-leaf traversal (halo in flight)
   kHaloComplete,   // blocked draining the halo exchange
-  kSecondaryPass,  // owned-vs-halo completion
+  kSecondaryPass,  // boundary-leaf traversal (owned + halo)
   kReduce,         // result allreduces + imbalance collectives
   kTeardown,       // after the result, during unwind/barriers
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -204,6 +205,10 @@ PendingPartition post_halo_exchange(Comm& comm, const sim::Catalog& mine,
   comm.set_phase(Phase::kPartition);
   sim::Catalog pts = mine;
   sim::Aabb domain = global_bbox(comm, mine);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  sim::Aabb open_domain;
+  open_domain.lo = {-kInf, -kInf, -kInf};
+  open_domain.hi = {kInf, kInf, kInf};
   Comm c = comm;
   int levels = 0;
 
@@ -264,9 +269,11 @@ PendingPartition post_halo_exchange(Comm& comm, const sim::Catalog& mine,
 
     if (left) {
       aabb_coord(domain.hi, dim) = cut;
+      aabb_coord(open_domain.hi, dim) = cut;
       c = c.sub_range(0, PL);
     } else {
       aabb_coord(domain.lo, dim) = cut;
+      aabb_coord(open_domain.lo, dim) = cut;
       c = c.sub_range(PL, P);
     }
     ++levels;
@@ -274,6 +281,7 @@ PendingPartition post_halo_exchange(Comm& comm, const sim::Catalog& mine,
 
   PendingPartition pend;
   pend.result.domain = domain;
+  pend.result.open_domain = open_domain;
   pend.result.levels = levels;
   pend.result.local = std::move(pts);
 

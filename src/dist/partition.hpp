@@ -88,7 +88,12 @@ struct HaloTraffic {
 
 struct PartitionResult {
   sim::Catalog local;  // the galaxies this rank owns (its primaries)
-  sim::Aabb domain;    // this rank's leaf domain
+  sim::Aabb domain;    // this rank's leaf domain (the LET pruning box)
+  // `domain` with every face that no cut moved — a face on the global
+  // bounding box — opened to ±infinity. No other rank's galaxy lies
+  // strictly inside it, so it is the engine's two-pass SecondaryBound:
+  // with one rank it is all of space.
+  sim::Aabb open_domain;
   int levels = 0;      // k-d recursion depth experienced
   // One decoded LET per peer, ascending peer rank. The runner unpacks the
   // cells within R_max of `domain` (tree::append_let_to_catalog) into the

@@ -162,17 +162,18 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
 
       comm.set_phase(Phase::kOwnedPass);
       // Halo copies come from other ranks' domains, which tile space
-      // disjointly from ours — so the k-d leaf domain is a valid
-      // SecondaryBound, and pass 1 snapshots only the boundary shell's
-      // power sums, from which pass 2 rebuilds their owned a_lm.
-      const core::Engine::SecondaryBound bound{pending.result.domain.lo,
-                                               pending.result.domain.hi};
+      // disjointly from ours — so the k-d leaf domain, opened to infinity
+      // on the global bounding box, is a valid SecondaryBound: pass 1 runs
+      // the leaves more than R_max inside it and defers the rest to pass 2.
+      const core::Engine::SecondaryBound bound{
+          pending.result.open_domain.lo, pending.result.open_domain.hi};
       Timer tp;
       staged.run_owned_pass(bound, nullptr, &stats,
                             [&pending] { pending.poll(); });
       owned_pass_seconds = tp.seconds();
       halo_hidden_seconds += owned_pass_seconds;
       rep.owned_pass_seconds = owned_pass_seconds;
+      rep.owned_pass_leaves = stats.leaves;
     }
     comm.set_phase(Phase::kHaloComplete);
     Timer th;
@@ -211,11 +212,13 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
     core::EngineStats sec_stats;
     local = staged.run_secondary_pass(&sec_stats);
     secondary_pass_seconds = tsec.seconds();
-    stats.pairs += sec_stats.pairs;  // owned + halo = the single-node total
+    stats.pairs += sec_stats.pairs;  // the two passes' leaves are disjoint
     stats.bin_epilogues += sec_stats.bin_epilogues;
     stats.full_flushes += sec_stats.full_flushes;
     stats.partial_flushes += sec_stats.partial_flushes;
     engine_seconds = owned_pass_seconds + secondary_pass_seconds;
+    rep.secondary_pass_leaves = sec_stats.leaves;
+    rep.boundary_primaries = sec_stats.primaries;
   } else {
     comm.set_phase(Phase::kOwnedPass);  // the fused owned+halo traversal
     Timer teng;

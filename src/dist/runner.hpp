@@ -1,30 +1,31 @@
 // Distributed 3PCF driver (paper §3.2–3.3), pipelined two ways deep:
 //
 //   scatter → k-d partition → [LET halo in flight ∥ owned-index build
-//                                                ∥ PASS 1: owned × owned]
+//                               ∥ PASS 1: interior leaves × owned]
 //           → complete halo → unpack LETs → secondary (halo) index
-//           → PASS 2: owned × halo (boundary leaves only)
+//           → PASS 2: boundary leaves × (owned + halo)
 //           → O(log P) tree allreduce of the additive ZetaResult payload
 //
 // post_halo_exchange() returns with halo sends buffered and receives
 // posted; in the default OverlapMode::kTwoPass each rank then builds the
-// spatial index over its OWNED galaxies AND runs the whole owned-vs-owned
-// traversal (Engine::Staged::run_owned_pass, polling the outstanding
-// receives between leaf batches) before blocking on the exchange — the
-// entire O(N·n_nbr) kernel phase hides the halo, not just the index build.
-// The rank's k-d domain box is that pass's SecondaryBound: halo copies come
-// from other ranks' disjoint domains, so it holds by construction, and the
-// owned power sums of primaries within R_max of the domain boundary are
-// snapshotted. The runner then unpacks the received LET cells within R_max
-// of its domain (tree::append_let_to_catalog), indexes them into a
-// secondary structure (Engine::Staged::extend_with_secondaries — the engine
-// never sees the wire format), and run_secondary_pass adds the
-// owned-vs-halo completion exactly,
-// rebuilding those primaries' owned a_lm from the snapshots. The
-// decomposition is exact — every (primary, secondary) pair is evaluated on
-// exactly one rank — so the reduced result matches the single-node engine
-// up to floating-point summation order (bitwise for one rank, ~1e-13
-// relative for many), under either PartitionPolicy and any OverlapMode.
+// spatial index over its OWNED galaxies and runs the owned-vs-owned
+// traversal of its interior leaves (Engine::Staged::run_owned_pass,
+// polling the outstanding receives between leaf batches) before blocking
+// on the exchange — most of the O(N·n_nbr) kernel phase hides the halo,
+// not just the index build. The pass's SecondaryBound is the rank's k-d
+// domain with the faces on the global bounding box opened to ±infinity
+// (PartitionResult::open_domain): halo copies come from other ranks'
+// disjoint domains, so no halo point lies inside it, and a leaf more than
+// R_max inside it needs no halo. The runner then unpacks the received LET
+// cells within R_max of its domain (tree::append_let_to_catalog), indexes
+// them into a secondary structure (Engine::Staged::extend_with_secondaries
+// — the engine never sees the wire format), and run_secondary_pass runs
+// every remaining (boundary) leaf once against owned and halo points
+// together. The decomposition is exact — every primary is computed on
+// exactly one rank, in exactly one pass — so the reduced result matches
+// the single-node engine up to floating-point summation order (bitwise
+// for one rank, where every leaf is interior, ~1e-13 relative for many),
+// under either PartitionPolicy and any OverlapMode.
 //
 // Tree backend only: run_rank and run_distributed reject
 // EstimatorBackend::kFFT up front — the mesh estimator runs on a single
@@ -46,8 +47,8 @@ namespace galactos::dist {
 // mode; kTwoPass is what production runs.
 enum class OverlapMode {
   kSequential,  // drain the exchange, then build + traverse (the baseline)
-  kTwoPass,     // index build + the full owned-vs-owned pass hide the halo,
-                // then a second pass adds owned-vs-halo (the default)
+  kTwoPass,     // index build + the interior leaves' pass hide the halo,
+                // then a second pass runs the boundary leaves (the default)
 };
 
 // Stable names for reports/JSON: "sequential" / "two_pass".
@@ -88,6 +89,12 @@ struct RankReport {
                                      // two-pass: owned + secondary passes
   double owned_pass_seconds = 0.0;      // pass 1 (kTwoPass only)
   double secondary_pass_seconds = 0.0;  // pass 2 (kTwoPass only)
+  // The two-pass split (kTwoPass only): primary-index leaves run by the
+  // owned pass (interior) and by the secondary pass (boundary), and the
+  // owned primaries in the boundary leaves.
+  std::uint64_t owned_pass_leaves = 0;
+  std::uint64_t secondary_pass_leaves = 0;
+  std::uint64_t boundary_primaries = 0;
   // Wall time spent computing between post_halo_exchange returning and
   // complete_halo_exchange being entered — the in-flight window filled
   // with useful work instead of blocking. kSequential: 0. kTwoPass: index

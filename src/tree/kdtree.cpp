@@ -345,15 +345,6 @@ void KdTree<Real>::gather_box_neighbors(const Real lo[3], const Real hi[3],
 }
 
 template <typename Real>
-bool KdTree<Real>::box_beyond_reach(const Real lo[3], const Real hi[3],
-                                    double rmax) const {
-  if (nodes_.empty()) return true;
-  const Real r2max = static_cast<Real>(rmax) * static_cast<Real>(rmax);
-  const Node& root = nodes_.front();
-  return box_box_dist2<Real>(lo, hi, root.lo, root.hi) > r2max;
-}
-
-template <typename Real>
 std::vector<std::size_t> KdTree<Real>::leaves_in_reach(const Real lo[3],
                                                        const Real hi[3],
                                                        double rmax) const {

@@ -78,7 +78,8 @@ class KdTree {
 
   // Bounding box of the leaf's stored points (conservative in Real). The
   // engine hands it to a SECONDARY index's gather_box_neighbors so halo
-  // points union into the leaf's candidate block (staged distributed runs).
+  // points union into the leaf's candidate block (staged distributed runs),
+  // and tests it against the two-pass SecondaryBound.
   void leaf_box(std::size_t leaf, Real lo[3], Real hi[3]) const;
 
   // Appends every point a Real-precision query from inside [lo, hi] could
@@ -87,17 +88,6 @@ class KdTree {
   // superset of any per-point gather from inside the box.
   void gather_box_neighbors(const Real lo[3], const Real hi[3], double rmax,
                             NeighborBlock<Real>& out) const;
-
-  // O(1) whole-index prune: true when NO stored point can lie within rmax
-  // of the box [lo, hi], i.e. a gather_box_neighbors call is guaranteed to
-  // return an empty block. Uses the root bounding box with the same
-  // conservative box-box Real arithmetic as the traversal pruning, so a
-  // true result is safe and a false result just means "must gather". The
-  // two-pass engine tests every primary leaf against the SECONDARY (halo)
-  // index this way, so interior leaves skip the secondary pass without a
-  // tree descent.
-  bool box_beyond_reach(const Real lo[3], const Real hi[3],
-                        double rmax) const;
 
   // Visits fn(leaf_id, begin, end) for every leaf, in storage order.
   template <typename Fn>

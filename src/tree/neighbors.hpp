@@ -44,8 +44,8 @@ struct NeighborBlock {
 // Minimum squared distance between two boxes [alo, ahi] and [blo, bhi].
 // Monotone float arithmetic guarantees the value never exceeds the
 // point-box distance of any point contained in the first box — the
-// conservative-superset property every pruned gather relies on. Shared by
-// the k-d tree's node pruning and its box_beyond_reach.
+// conservative-superset property every pruned gather relies on (the k-d
+// tree's node pruning).
 template <typename Real>
 inline Real box_box_dist2(const Real alo[3], const Real ahi[3],
                           const Real blo[3], const Real bhi[3]) {

@@ -1,7 +1,8 @@
 // Distributed edge cases beyond the main sweeps:
 //   * nranks = 1 must reproduce the single-node engine BITWISE — the
 //     degenerate pipeline (identity scatter, zero k-d levels, no halo,
-//     identity reduction) may not perturb a single double;
+//     identity reduction, a two-pass bound of all space so the owned pass
+//     runs every leaf) may not perturb a single double;
 //   * pathologically clustered catalogs (everything in one octant of the
 //     nominal volume, plus a dominant clump) must keep every partition
 //     invariant — in particular halo completeness must not degrade when
@@ -86,6 +87,28 @@ TEST(DistributedVsSingleEdge, OneRankIsBitwiseIdentical) {
   EXPECT_EQ(reports[0].owned, full.size());
   EXPECT_EQ(reports[0].held, full.size());
   EXPECT_EQ(reports[0].levels, 0);
+}
+
+// The same on a catalog large enough against R_max that a closed domain
+// box would have interior leaves as well as boundary ones (the case above
+// has only rim leaves): the one-rank bound has no finite face, so nothing
+// is deferred to the secondary pass and the leaf order is the single-node
+// one.
+TEST(DistributedVsSingleEdge, OneRankWithInteriorLeavesIsBitwiseIdentical) {
+  const s::Catalog full = s::uniform_box(4000, s::Aabb::cube(120), 93);
+  const c::ZetaResult single = c::Engine(small_config()).run(full);
+
+  d::DistRunConfig dcfg;
+  dcfg.engine = small_config();
+  dcfg.ranks = 1;
+  std::vector<d::RankReport> reports;
+  const c::ZetaResult dist = d::run_distributed(full, dcfg, &reports);
+
+  expect_results_match(dist, single, 0.0, 0.0);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_GT(reports[0].owned_pass_leaves, 0u);
+  EXPECT_EQ(reports[0].secondary_pass_leaves, 0u);
+  EXPECT_EQ(reports[0].boundary_primaries, 0u);
 }
 
 class OctantClustered : public ::testing::TestWithParam<int> {};

@@ -59,8 +59,8 @@ INSTANTIATE_TEST_SUITE_P(RankSweep, DistributedVsSingle,
 // Every overlap depth and both partition policies must leave the
 // decomposition exact: every (ranks, policy, pipeline) combination
 // matches the single-node engine to 1e-10 — including the two-pass
-// pipeline, whose owned-vs-halo completion runs as a separate traversal,
-// at the default and at a small leaf size.
+// pipeline, whose boundary leaves run as a separate traversal after the
+// halo arrives, at the default and at a small leaf size.
 class DistributedPipeline
     : public ::testing::TestWithParam<std::tuple<
           int, d::PartitionPolicy, galactos::testing::PipelineCase>> {};
@@ -94,6 +94,8 @@ TEST_P(DistributedPipeline, MatchesSingleNode) {
         EXPECT_EQ(r.halo_hidden_seconds, 0.0);
         EXPECT_EQ(r.owned_pass_seconds, 0.0);
         EXPECT_EQ(r.secondary_pass_seconds, 0.0);
+        EXPECT_EQ(r.owned_pass_leaves + r.secondary_pass_leaves, 0u);
+        EXPECT_EQ(r.boundary_primaries, 0u);
         break;
       case d::OverlapMode::kTwoPass:
         if (r.owned > 0) {
@@ -102,7 +104,10 @@ TEST_P(DistributedPipeline, MatchesSingleNode) {
           EXPECT_GT(r.halo_hidden_seconds, 0.0);
           EXPECT_NEAR(r.engine_seconds,
                       r.owned_pass_seconds + r.secondary_pass_seconds, 1e-12);
+          EXPECT_GT(r.owned_pass_leaves + r.secondary_pass_leaves, 0u);
         }
+        EXPECT_LE(r.boundary_primaries, r.owned);
+        EXPECT_EQ(r.boundary_primaries > 0, r.secondary_pass_leaves > 0);
         break;
     }
     max_pairs = std::max(max_pairs, r.pairs);
@@ -126,8 +131,8 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::ValuesIn(galactos::testing::kPipelineCases)));
 
 // The per-rank kernel-pair totals are identical whichever overlap depth
-// produced them (the two-pass split counts owned + halo pairs exactly
-// once), so Fig.-7 imbalance numbers stay comparable across modes.
+// produced them (the two-pass split runs every leaf exactly once), so
+// Fig.-7 imbalance numbers stay comparable across modes.
 TEST(DistributedPipelineModes, PairCountsAgreeAcrossModes) {
   const s::Catalog full = galactos::testing::clumpy_catalog(900, 60.0, 77);
   std::vector<std::vector<std::uint64_t>> per_mode;

@@ -111,8 +111,8 @@ inline sim::Catalog snapped_to_grid(sim::Catalog cat) {
 
 // The distributed pipelines the dist suites sweep: the sequential
 // reference, the two-pass default, and the two-pass pipeline over 5-point
-// leaves (many more leaf boxes per rank, so far more owned leaves touch
-// the halo and go through the boundary snapshot and the secondary pass).
+// leaves (many more leaf boxes per rank, so both passes run many leaves
+// and the interior/boundary split is exercised on fine leaf boxes).
 struct PipelineCase {
   dist::OverlapMode overlap;
   int leaf_size = 0;  // 0: keep the engine config's leaf size

@@ -7,10 +7,16 @@
 //   * with halo points indexed as secondaries, the pair set must equal a
 //     fused run over the combined catalog restricted to owned primaries —
 //     only FP accumulation order may differ (candidate order changes), so
-//     results match to tight tolerance and pair counts match exactly.
+//     results match to tight tolerance and pair counts match exactly;
+//   * the two-pass pipeline (run_owned_pass → run_secondary_pass) splits
+//     the same traversal by leaf, so it is bitwise identical to run_indexed
+//     whenever the split keeps run_indexed's leaf order (every leaf in one
+//     pass) and otherwise matches it to summation order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <type_traits>
 #include <utility>
@@ -30,7 +36,7 @@ struct StagedCase {
   c::TreePrecision precision;
   int leaf_size;  // 5: many ragged leaves and long leaf gathers
   // 8: one lane group per bucket, so a primary's pairs flush many times
-  // and the boundary snapshot catches buckets mid-fill.
+  // in either pass.
   int bucket_capacity = 128;
 };
 
@@ -52,9 +58,15 @@ c::Engine::SecondaryBound bound_of(const s::Aabb& slab) {
   return {slab.lo, slab.hi};
 }
 
-// The weakest valid promise: an empty box (lo > hi) makes the owned pass
-// snapshot every primary.
+// The weakest valid promise: an empty box (lo > hi) has no interior leaf,
+// so the owned pass runs nothing and the secondary pass runs every leaf.
 const c::Engine::SecondaryBound kEmptyBound{{1, 1, 1}, {0, 0, 0}};
+
+// The strongest: all of space, so every leaf is interior and the owned pass
+// runs them all. Only valid with no secondaries.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const c::Engine::SecondaryBound kWholeSpace{{-kInf, -kInf, -kInf},
+                                            {kInf, kInf, kInf}};
 
 // run_owned_pass has no overload without a bound.
 template <typename S, typename = void>
@@ -137,35 +149,74 @@ TEST_P(StagedEngine, SecondariesNeverActAsPrimaries) {
   EXPECT_EQ(r.n_primaries, owned.size());
 }
 
-// Two-pass pipeline, no secondaries ever indexed: run_owned_pass +
-// run_secondary_pass must reproduce run_indexed (and hence Engine::run)
-// BITWISE — pass 2 touches nothing, and the merge runs in the same
-// thread-id order.
+// Two-pass pipeline, no secondaries ever indexed, under an all-interior
+// bound: the owned pass runs every leaf in run_indexed's order and the
+// secondary pass none, so together they must reproduce run_indexed (and
+// hence Engine::run) BITWISE — the merge runs in the same thread-id order.
 TEST_P(StagedEngine, TwoPassNoSecondariesBitwiseMatchesRun) {
   const c::EngineConfig cfg = make_config(GetParam());
   const s::Catalog cat = s::uniform_box(900, s::Aabb::cube(50), 61);
 
   const c::Engine engine(cfg);
-  const c::ZetaResult fused = engine.run(cat);
+  c::EngineStats fused_stats;
+  const c::ZetaResult fused = engine.run(cat, nullptr, &fused_stats);
 
   c::Engine::Staged staged = engine.build_index(cat);
   EXPECT_FALSE(staged.owned_pass_pending());
   c::EngineStats pass1, pass2;
-  staged.run_owned_pass(bound_of(s::Aabb::cube(50)), nullptr, &pass1);
+  staged.run_owned_pass(kWholeSpace, nullptr, &pass1);
   EXPECT_TRUE(staged.owned_pass_pending());
   const c::ZetaResult piped = staged.run_secondary_pass(&pass2);
   EXPECT_FALSE(staged.owned_pass_pending());
 
   expect_results_match(piped, fused, 0.0, 0.0);  // bitwise
   EXPECT_EQ(piped.n_pairs, fused.n_pairs);
-  EXPECT_GT(pass1.pairs, 0u);
-  EXPECT_EQ(pass2.pairs, 0u);  // no secondaries → no new pairs
+  EXPECT_EQ(pass1.pairs, fused_stats.pairs);
+  EXPECT_EQ(pass1.leaves, fused_stats.leaves);
+  EXPECT_EQ(pass2.pairs, 0u);  // no boundary leaf → nothing left to run
+  EXPECT_EQ(pass2.leaves, 0u);
 }
 
-// Two-pass with a genuine halo: the owned pass sees only owned points, the
-// secondary pass adds the owned-vs-halo completion. Must agree with the
-// fused staged run (union candidates per leaf) to tight tolerance, with
-// exactly the same physical pair count split across the passes.
+// The same without secondaries under a bound with interior AND boundary
+// leaves: every primary is computed once, in one of the passes, so pair
+// and primary counts are exact and the stats of the passes add up to the
+// fused run's; only the order in which primaries reach zeta changes
+// (interior leaves first).
+TEST_P(StagedEngine, TwoPassMixedBoundNoSecondariesMatchesRun) {
+  const c::EngineConfig cfg = make_config(GetParam());
+  const s::Aabb box = s::Aabb::cube(90);
+  const s::Catalog cat = s::uniform_box(2400, box, 61);
+
+  const c::Engine engine(cfg);
+  c::EngineStats fused_stats;
+  const c::ZetaResult fused = engine.run(cat, nullptr, &fused_stats);
+
+  c::Engine::Staged staged = engine.build_index(cat);
+  c::EngineStats pass1, pass2;
+  staged.run_owned_pass(bound_of(box), nullptr, &pass1);
+  const c::ZetaResult piped = staged.run_secondary_pass(&pass2);
+
+  EXPECT_GT(pass1.leaves, 0u);  // interior leaves ran in the owned pass
+  EXPECT_GT(pass2.leaves, 0u);  // boundary leaves in the secondary pass
+  EXPECT_EQ(pass1.leaves + pass2.leaves, fused_stats.leaves);
+  EXPECT_EQ(pass1.primaries + pass2.primaries, cat.size());
+  EXPECT_EQ(pass1.pairs + pass2.pairs, fused_stats.pairs);
+  EXPECT_EQ(pass1.candidates + pass2.candidates, fused_stats.candidates);
+  EXPECT_EQ(piped.n_pairs, fused.n_pairs);
+  EXPECT_EQ(piped.n_primaries, fused.n_primaries);
+  // Coefficients that cancel to near zero (odd-l 2PCF moments, odd cross
+  // terms) carry rounding noise of the result's scale, not their own: the
+  // absolute floor is 1e-13 of the largest pair count.
+  const double scale =
+      *std::max_element(fused.pair_counts.begin(), fused.pair_counts.end());
+  expect_results_match(piped, fused, 1e-13, 1e-13 * scale);
+}
+
+// Two-pass with a genuine halo: the owned pass runs the leaves the halo
+// cannot reach, the secondary pass the rest against owned and halo points
+// together. Must agree with the fused staged run (union candidates per
+// leaf) to tight tolerance, with exactly the same pair and candidate
+// counts split across the passes.
 TEST_P(StagedEngine, TwoPassWithSecondariesMatchesRunIndexed) {
   const c::EngineConfig cfg = make_config(GetParam());
   const s::Catalog owned =
@@ -186,16 +237,17 @@ TEST_P(StagedEngine, TwoPassWithSecondariesMatchesRunIndexed) {
   const c::ZetaResult piped = staged.run_secondary_pass(&pass2);
 
   EXPECT_EQ(pass1.pairs + pass2.pairs, fused_stats.pairs);
+  EXPECT_EQ(pass1.candidates + pass2.candidates, fused_stats.candidates);
+  EXPECT_EQ(pass1.leaves + pass2.leaves, fused_stats.leaves);
   EXPECT_GT(pass2.pairs, 0u);  // the halo really contributes
   EXPECT_EQ(piped.n_pairs, fused.n_pairs);
   EXPECT_EQ(piped.n_primaries, fused.n_primaries);
   expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
-// Halo points scattered INSIDE the owned volume (no clean boundary): the
-// completion term must stay exact even when almost every leaf is affected.
-// Only an empty bound is a valid promise here, so every primary is
-// snapshotted.
+// Halo points scattered INSIDE the owned volume (no clean boundary): only
+// an empty bound is a valid promise here, so every leaf is a boundary leaf
+// and runs in the secondary pass.
 TEST_P(StagedEngine, TwoPassInterleavedHaloMatchesRunIndexed) {
   const c::EngineConfig cfg = make_config(GetParam());
   const s::Catalog owned = s::uniform_box(400, s::Aabb::cube(40), 68);
@@ -214,11 +266,11 @@ TEST_P(StagedEngine, TwoPassInterleavedHaloMatchesRunIndexed) {
   expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
-// A tight slab bound snapshots only the boundary primaries; the empty
-// bound carries no information and snapshots every primary. Pass 2 reads
-// the same snapshot bits for every affected primary either way, so the
-// hinted result must be IDENTICAL to the hint-less one.
-TEST_P(StagedEngine, TwoPassSecondaryBoundHintMatchesNoHint) {
+// The empty bound carries no information: the owned pass runs nothing and
+// the secondary pass runs every leaf, in run_indexed's order, with the
+// fused body — so the result must be IDENTICAL to the fused run over the
+// same halo.
+TEST_P(StagedEngine, TwoPassEmptyBoundBitwiseMatchesFused) {
   const c::EngineConfig cfg = make_config(GetParam());
   const s::Catalog owned =
       s::uniform_box(500, s::Aabb{{0, 0, 0}, {25, 50, 50}}, 62);
@@ -226,18 +278,54 @@ TEST_P(StagedEngine, TwoPassSecondaryBoundHintMatchesNoHint) {
       s::uniform_box(500, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 63);
   const c::Engine engine(cfg);
 
-  c::Engine::Staged plain = engine.build_index(owned);
-  plain.run_owned_pass(kEmptyBound);
-  plain.extend_with_secondaries(halo);
-  const c::ZetaResult no_hint = plain.run_secondary_pass();
+  c::Engine::Staged fused_staged = engine.build_index(owned);
+  fused_staged.extend_with_secondaries(halo);
+  c::EngineStats fused_stats;
+  const c::ZetaResult fused = fused_staged.run_indexed(nullptr, &fused_stats);
 
-  c::Engine::Staged hinted = engine.build_index(owned);
-  hinted.run_owned_pass(bound_of({{0, 0, 0}, {25, 50, 50}}));
-  hinted.extend_with_secondaries(halo);
-  const c::ZetaResult with_hint = hinted.run_secondary_pass();
+  c::Engine::Staged staged = engine.build_index(owned);
+  c::EngineStats pass1, pass2;
+  staged.run_owned_pass(kEmptyBound, nullptr, &pass1);
+  staged.extend_with_secondaries(halo);
+  const c::ZetaResult piped = staged.run_secondary_pass(&pass2);
 
-  expect_results_match(with_hint, no_hint, 0.0, 0.0);  // bitwise
-  EXPECT_EQ(with_hint.n_pairs, no_hint.n_pairs);
+  expect_results_match(piped, fused, 0.0, 0.0);  // bitwise
+  EXPECT_EQ(piped.n_pairs, fused.n_pairs);
+  EXPECT_EQ(pass1.leaves, 0u);
+  EXPECT_EQ(pass2.leaves, fused_stats.leaves);
+  EXPECT_EQ(pass2.candidates, fused_stats.candidates);
+}
+
+// Halo points ON the bound's face keep the promise (only a secondary
+// strictly inside breaks it), also where the face is not representable in
+// float and a mixed-precision index rounds those points below it: the
+// check compares against the bound rounded the same way, so a valid run is
+// never rejected.
+TEST_P(StagedEngine, TwoPassHaloOnBoundFaceIsValid) {
+  const c::EngineConfig cfg = make_config(GetParam());
+  // A face just above a float: float(face) < face, so float(x) < face for
+  // a halo point at x == face.
+  const double face = static_cast<double>(25.0f) + 1e-9;
+  ASSERT_LT(static_cast<double>(static_cast<float>(face)), face);
+  const s::Catalog owned =
+      s::uniform_box(400, s::Aabb{{0, 0, 0}, {face, 50, 50}}, 77);
+  s::Catalog halo =
+      s::uniform_box(300, s::Aabb{{face, 0, 0}, {50, 50, 50}}, 78);
+  for (int i = 0; i < 40; ++i) halo.push_back(face, 1.25 * i, 50 - 1.2 * i);
+
+  const c::Engine engine(cfg);
+  c::Engine::Staged fused_staged = engine.build_index(owned);
+  fused_staged.extend_with_secondaries(halo);
+  const c::ZetaResult fused = fused_staged.run_indexed();
+
+  const double inf = std::numeric_limits<double>::infinity();
+  c::Engine::Staged staged = engine.build_index(owned);
+  staged.run_owned_pass({{-inf, -inf, -inf}, {face, inf, inf}});
+  staged.extend_with_secondaries(halo);
+  c::ZetaResult piped;
+  ASSERT_NO_THROW(piped = staged.run_secondary_pass());
+  EXPECT_EQ(piped.n_pairs, fused.n_pairs);
+  expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
 // A BROKEN promise (secondaries inside the bound box) is an error, raised
@@ -253,8 +341,9 @@ TEST_P(StagedEngine, TwoPassViolatedBoundThrows) {
   fused_staged.extend_with_secondaries(halo);
   const c::ZetaResult fused = fused_staged.run_indexed();
 
-  // Promise a huge box (every primary is deep interior → nothing is
-  // snapshotted) that every secondary then violates by lying inside it.
+  // Promise a huge box (every leaf is interior → the owned pass runs them
+  // all without the halo) that every secondary then violates by lying
+  // inside it.
   const c::Engine::SecondaryBound bound{{-200, -200, -200}, {200, 200, 200}};
   c::Engine::Staged staged = engine.build_index(owned);
   staged.run_owned_pass(bound);
@@ -378,12 +467,13 @@ TEST(StagedEngineApi, OwnedPassInvokesPollHook) {
 
   c::Engine::Staged staged = engine.build_index(cat);
   int polls = 0;
-  staged.run_owned_pass(bound_of(s::Aabb::cube(60)), nullptr, nullptr,
+  staged.run_owned_pass(kWholeSpace, nullptr, nullptr,
                         [&polls] { ++polls; });
   EXPECT_GT(polls, 0);
 
+  // Every leaf ran in the owned pass: still bitwise.
   const c::ZetaResult piped = staged.run_secondary_pass();
-  expect_results_match(piped, engine.run(cat), 0.0, 0.0);  // still bitwise
+  expect_results_match(piped, engine.run(cat), 0.0, 0.0);
 }
 
 // The self-pair correction splits additively across the passes: owned
@@ -412,8 +502,9 @@ TEST(StagedEngineApi, TwoPassSubtractSelfPairsMatchesFused) {
   expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
-// extend_with_secondaries(empty) between the passes is a no-op and the
-// two-pass result stays bitwise equal to the fused no-secondary run.
+// extend_with_secondaries(empty) between the passes is a no-op: with the
+// empty bound every leaf runs in the secondary pass, and the result stays
+// bitwise equal to the fused no-secondary run.
 TEST(StagedEngineApi, TwoPassEmptyHaloIsBitwiseNoop) {
   c::EngineConfig cfg;
   cfg.bins = c::RadialBins(1.0, 8.0, 2);
@@ -423,7 +514,7 @@ TEST(StagedEngineApi, TwoPassEmptyHaloIsBitwiseNoop) {
   const c::Engine engine(cfg);
 
   c::Engine::Staged staged = engine.build_index(cat);
-  staged.run_owned_pass(bound_of(s::Aabb::cube(20)));
+  staged.run_owned_pass(kEmptyBound);
   staged.extend_with_secondaries(s::Catalog{});
   expect_results_match(staged.run_secondary_pass(), engine.run(cat), 0.0,
                        0.0);

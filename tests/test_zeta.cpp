@@ -112,71 +112,6 @@ TEST(ZetaAccumulator, AddPrimaryMatchesExplicitProducts) {
           }
 }
 
-// add_primary(A) + add_primary_cross(A, B) must equal add_primary(A + B):
-// the two-pass completion identity a·a* = A·A* + (A·B* + B·A* + B·B*),
-// with disjoint, overlapping and empty touched-bin patterns — and it must
-// not count an extra primary.
-TEST(ZetaAccumulator, AddPrimaryCrossCompletesTheSplit) {
-  const int lmax = 3, nbins = 4;
-  const int nlm = m::nlm(lmax);
-  const double wp = 1.3;
-  const Synthetic a = make_synthetic(lmax, nbins, 11);
-  Synthetic b = make_synthetic(lmax, nbins, 12);
-  // Make the touched patterns genuinely different: clear one bin A has.
-  b.touched[0] = 0;
-  for (int k = 0; k < nlm; ++k) b.alm[k] = cd{0, 0};
-
-  // Reference: one shot over the union alm.
-  Synthetic u = a;
-  for (int bb = 0; bb < nbins; ++bb) {
-    if (!b.touched[bb]) continue;
-    u.touched[bb] = 1;
-    for (int k = 0; k < nlm; ++k)
-      u.alm[static_cast<std::size_t>(bb) * nlm + k] +=
-          b.alm[static_cast<std::size_t>(bb) * nlm + k];
-  }
-  c::ZetaAccumulator fused(lmax, nbins);
-  fused.add_primary(wp, u.alm.data(), u.touched.data());
-
-  c::ZetaAccumulator split(lmax, nbins);
-  split.add_primary(wp, a.alm.data(), a.touched.data());
-  split.add_primary_cross(wp, a.alm.data(), a.touched.data(), b.alm.data(),
-                          b.touched.data());
-
-  EXPECT_EQ(split.primaries(), 1u);  // the cross term is not a primary
-  EXPECT_DOUBLE_EQ(split.sum_weight(), wp);
-  const auto sf = fused.snapshot(), ss = split.snapshot();
-  for (std::size_t i = 0; i < sf.size(); ++i)
-    EXPECT_NEAR(std::abs(sf[i] - ss[i]), 0.0, 1e-12) << i;
-}
-
-// Degenerate cross patterns: B empty everywhere adds exactly nothing; A
-// empty everywhere reduces the completion to the pure B·B* product.
-TEST(ZetaAccumulator, AddPrimaryCrossDegenerateSides) {
-  const int lmax = 2, nbins = 3;
-  const int nlm = m::nlm(lmax);
-  const Synthetic a = make_synthetic(lmax, nbins, 21);
-  std::vector<cd> zero_alm(static_cast<std::size_t>(nbins) * nlm, cd{0, 0});
-  std::vector<std::uint8_t> zero_touched(nbins, 0);
-
-  c::ZetaAccumulator only_a(lmax, nbins), with_empty_b(lmax, nbins);
-  only_a.add_primary(1.0, a.alm.data(), a.touched.data());
-  with_empty_b.add_primary(1.0, a.alm.data(), a.touched.data());
-  with_empty_b.add_primary_cross(1.0, a.alm.data(), a.touched.data(),
-                                 zero_alm.data(), zero_touched.data());
-  const auto s1 = only_a.snapshot(), s2 = with_empty_b.snapshot();
-  for (std::size_t i = 0; i < s1.size(); ++i)
-    EXPECT_EQ(s1[i], s2[i]);  // bitwise: the empty side must add nothing
-
-  c::ZetaAccumulator pure_b(lmax, nbins), cross_only_b(lmax, nbins);
-  pure_b.add_primary(2.0, a.alm.data(), a.touched.data());
-  cross_only_b.add_primary_cross(2.0, zero_alm.data(), zero_touched.data(),
-                                 a.alm.data(), a.touched.data());
-  const auto s3 = pure_b.snapshot(), s4 = cross_only_b.snapshot();
-  for (std::size_t i = 0; i < s3.size(); ++i)
-    EXPECT_NEAR(std::abs(s3[i] - s4[i]), 0.0, 1e-13);
-}
-
 TEST(ZetaAccumulator, SymmetryUnderBinSwap) {
   const int lmax = 4, nbins = 4;
   c::ZetaAccumulator z(lmax, nbins);
@@ -263,34 +198,6 @@ struct PerPrimaryZeta {
               const double bi = at(alm, b2, lp, mm).imag();
               re[i] += tr * br + ti * bi;
               im[i] += ti * br - tr * bi;
-            }
-          }
-      }
-    }
-  }
-
-  void add_primary_cross(double wp, const cd* a, const std::uint8_t* ta,
-                         const cd* b, const std::uint8_t* tb) {
-    auto val = [&](const cd* alm, const std::uint8_t* t, int bin, int l,
-                   int mm) { return t[bin] ? at(alm, bin, l, mm) : cd{}; };
-    for (int b1 = 0; b1 < nbins; ++b1) {
-      if (!ta[b1] && !tb[b1]) continue;
-      for (int b2 = b1; b2 < nbins; ++b2) {
-        if (!ta[b2] && !tb[b2]) continue;
-        if (!tb[b1] && !tb[b2]) continue;
-        std::size_t i = base(b1, b2);
-        for (int mm = 0; mm <= lmax; ++mm)
-          for (int l = mm; l <= lmax; ++l) {
-            const double ar = wp * val(a, ta, b1, l, mm).real();
-            const double ai = wp * val(a, ta, b1, l, mm).imag();
-            const double br = wp * val(b, tb, b1, l, mm).real();
-            const double bi = wp * val(b, tb, b1, l, mm).imag();
-            for (int lp = mm; lp <= lmax; ++lp, ++i) {
-              const cd xa = val(a, ta, b2, lp, mm), xb = val(b, tb, b2, lp, mm);
-              const double sr = xa.real() + xb.real();
-              const double si = xa.imag() + xb.imag();
-              re[i] += ar * xb.real() + ai * xb.imag() + br * sr + bi * si;
-              im[i] += ai * xb.real() - ar * xb.imag() + bi * sr - br * si;
             }
           }
       }
@@ -493,7 +400,7 @@ TEST(ZetaBatch, UntouchedBinsStayZero) {
         }
 }
 
-// subtract_self, add_primary_cross, raw and merge each land mid-batch (and
+// subtract_self, raw and merge each land mid-batch (and
 // merge's argument holds a partial batch of its own): every one must see
 // the staged primaries applied first, in order.
 TEST(ZetaBatch, MembersInterleavedMidBatchMatchOracleBitwise) {
@@ -534,13 +441,6 @@ TEST(ZetaBatch, MembersInterleavedMidBatchMatchOracleBitwise) {
               }
 
       add(2);
-      const RandomPrimary a = random_primary(table, nbins, rng);
-      const RandomPrimary b = random_primary(table, nbins, rng);
-      z.add_primary_cross(1.3, a.alm.data(), a.touched.data(), b.alm.data(),
-                          b.touched.data());
-      ref.add_primary_cross(1.3, a.alm.data(), a.touched.data(),
-                            b.alm.data(), b.touched.data());
-
       add(5);
       for (int p = 0; p < 3; ++p)
         add_both(other, ref_other, table, random_primary(table, nbins, rng));

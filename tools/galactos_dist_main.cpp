@@ -140,10 +140,14 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
         reports.empty() ? 1.0 : reports.front().pair_imbalance;
     std::uint64_t halo_sent = 0, halo_pts = 0, cells_pruned = 0;
     std::uint64_t comm_sent = 0;
+    std::uint64_t pass1_leaves = 0, pass2_leaves = 0, boundary_prims = 0;
     for (const auto& r : reports) {
       halo_sent += r.halo_bytes_sent;
       halo_pts += r.halo_points_shipped;
       cells_pruned += r.let_cells_pruned;
+      pass1_leaves += r.owned_pass_leaves;
+      pass2_leaves += r.secondary_pass_leaves;
+      boundary_prims += r.boundary_primaries;
       for (int p = 0; p < dist::kPhaseCount; ++p)
         comm_sent += r.phase_bytes_sent[p];
     }
@@ -158,6 +162,13 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
         static_cast<unsigned long long>(halo_pts),
         static_cast<unsigned long long>(cells_pruned),
         static_cast<unsigned long long>(comm_sent));
+    if (cfg.overlap == dist::OverlapMode::kTwoPass)
+      std::printf(
+          "two-pass leaves %llu interior / %llu boundary  boundary "
+          "primaries %llu\n",
+          static_cast<unsigned long long>(pass1_leaves),
+          static_cast<unsigned long long>(pass2_leaves),
+          static_cast<unsigned long long>(boundary_prims));
 
     if (!output.empty()) io::write_zeta_csv(result, output + "_zeta.csv");
     if (!json_path.empty()) {
@@ -177,6 +188,9 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
           .add("halo_points_shipped", halo_pts)
           .add("let_cells_pruned", cells_pruned)
           .add("comm_bytes_sent", comm_sent)
+          .add("owned_pass_leaves", pass1_leaves)
+          .add("secondary_pass_leaves", pass2_leaves)
+          .add("boundary_primaries", boundary_prims)
           .add("n_pairs", result.n_pairs)
           .add("n_primaries", result.n_primaries)
           .add("pair_imbalance", imbalance)
