@@ -22,7 +22,11 @@
 // runners that upload this JSON — additionally hide the halo wait itself.
 //
 // Emits BENCH_dist.json (--json) for the CI artifact trail, like
-// BENCH_fig4.json.
+// BENCH_fig4.json. Every ratio a gate reads is emitted here, not derived
+// by the gate: elapsed_vs_1rank per run, ratio per halo policy and
+// hidden_fraction per overlap mode. tools/check_bench_regression.py
+// compares such a file with bench/baselines/BENCH_dist.{ci,soak}.json
+// under the gates those baselines declare.
 //
 // Backend-agnostic: launched directly the ranks are minimpi threads;
 // launched under `mpirun -np P` (GALACTOS_WITH_MPI build) the same
@@ -67,6 +71,9 @@ struct RunSummary {
   std::string policy;
   std::string overlap_mode;
   double elapsed_seconds = 0;
+  // elapsed / elapsed of the 1-rank run under the same policy: the scaling
+  // shape, which a uniformly faster or slower host leaves unchanged.
+  double elapsed_vs_1rank = 0;
   double pair_imbalance = 0;
   double halo_max_seconds = 0;
   double halo_hidden_max_seconds = 0;
@@ -112,6 +119,7 @@ JsonObject summary_json(const RunSummary& s) {
       .add("policy", s.policy)
       .add("overlap_mode", s.overlap_mode)
       .add("elapsed_seconds", s.elapsed_seconds)
+      .add("elapsed_vs_1rank", s.elapsed_vs_1rank)
       .add("pair_imbalance", s.pair_imbalance)
       .add("halo_max_seconds", s.halo_max_seconds)
       .add("halo_hidden_max_seconds", s.halo_hidden_max_seconds)
@@ -324,6 +332,10 @@ int main(int argc, char** argv) {
       results.push_back(std::move(s));
     }
   }
+  for (RunSummary& s : results)
+    for (const RunSummary& one : results)
+      if (one.ranks == 1 && one.policy == s.policy && one.elapsed_seconds > 0)
+        s.elapsed_vs_1rank = s.elapsed_seconds / one.elapsed_seconds;
   if (root) {
     std::printf("\n");
     t.print();

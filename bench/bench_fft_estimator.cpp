@@ -10,8 +10,10 @@
 // interlaced error meets --target-err and its speedup over the tree — the
 // regime where the mesh wins outright.
 //
-// Emits BENCH_fft.json (--json) for the CI artifact trail; the committed
-// block is what tools/check_bench_regression.py --fft-* gates.
+// Emits BENCH_fft.json (--json) for the CI artifact trail.
+// tools/check_bench_regression.py gates it against
+// bench/baselines/BENCH_fft.ci.json: the committed block's error ceiling,
+// each grid's error drift, monotone convergence and the crossover grid.
 #include <cstdio>
 #include <sstream>
 #include <string>

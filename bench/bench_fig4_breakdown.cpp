@@ -8,7 +8,8 @@
 // Here: same density, laptop-scaled N and R_max, full-thread single "node".
 // The leaf-blocked traversal's breakdown is printed like the figure's
 // legend and emitted as machine-readable JSON (--json, default
-// BENCH_fig4.json) for CI artifacts.
+// BENCH_fig4.json) for CI artifacts. tools/check_bench_regression.py gates
+// it against bench/baselines/BENCH_fig4.{ci,soak}.json.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -150,8 +151,15 @@ int main(int argc, char** argv) {
     // Phase split plus the per-primary epilogue counters: every touched
     // (primary, bin) pays one fused lane reduction and one bin of a_lm,
     // whatever its pair count.
+    // query_share is the neighbor query's fraction of the phase total: a
+    // uniformly faster or slower host leaves it unchanged.
     JsonObject leaf_blocked = phases_json(stats);
-    leaf_blocked.add("bin_epilogues", stats.bin_epilogues)
+    leaf_blocked
+        .add("query_share", stats.phases.total() > 0
+                                ? stats.phases.get("neighbor query") /
+                                      stats.phases.total()
+                                : 0.0)
+        .add("bin_epilogues", stats.bin_epilogues)
         .add("pairs_per_epilogue",
              stats.bin_epilogues > 0
                  ? static_cast<double>(stats.pairs) /

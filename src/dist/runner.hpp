@@ -100,7 +100,9 @@ struct RankReport {
   // with useful work instead of blocking. kSequential: 0. kTwoPass: index
   // build + owned pass. The overlap
   // health metric is halo_hidden_seconds / (halo_hidden_seconds +
-  // halo_seconds), gated by tools/check_bench_regression.py.
+  // halo_seconds): bench_dist_scaling emits it as hidden_fraction per
+  // overlap mode, and the nightly soak gates it against
+  // bench/baselines/BENCH_dist.soak.json.
   double halo_hidden_seconds = 0.0;
   double reduce_seconds = 0.0;       // tree allreduce of the result payload
   double total_seconds = 0.0;

@@ -13,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/check.hpp"
@@ -24,15 +25,23 @@ class ArgParser {
   ArgParser(int argc, char** argv);
 
   // Retrieves --name=<value> (or "--name <value>"); falls back to `def`.
+  // The whole token must parse as a T: "12abc" and "3.7" for an int are
+  // rejected, and so is a leading '-' for an unsigned T (the stream would
+  // wrap "-5" to 2^64 - 5).
   template <typename T>
   T get(const std::string& name, T def) {
     used_.insert(name);
     auto it = kv_.find(name);
     if (it == kv_.end()) return def;
-    std::istringstream is(it->second);
+    const std::string& s = it->second;
+    std::istringstream is(s);
     T v{};
     is >> v;
-    GLX_CHECK_MSG(!is.fail(), "bad value for --" << name << ": " << it->second);
+    const bool negative_unsigned =
+        std::is_unsigned_v<T> && s.find('-') != std::string::npos;
+    GLX_CHECK_MSG(!is.fail() && is.peek() == std::char_traits<char>::eof() &&
+                      !negative_unsigned,
+                  "bad value for --" << name << ": " << s);
     return v;
   }
 

@@ -64,9 +64,16 @@ TEST(ArgParser, FinishRejectsUnknown) {
 }
 
 TEST(ArgParser, RejectsBadValues) {
-  const char* argv[] = {"prog", "--n=abc"};
-  g::ArgParser args(2, const_cast<char**>(argv));
+  const char* argv[] = {"prog", "--n=abc", "--m", "12abc", "--threads", "3.7",
+                        "--count", "-5"};
+  g::ArgParser args(8, const_cast<char**>(argv));
   EXPECT_THROW(args.get<int>("n", 0), std::logic_error);
+  EXPECT_THROW(args.get<std::size_t>("m", 0), std::logic_error);
+  EXPECT_THROW(args.get<int>("threads", 0), std::logic_error);
+  EXPECT_THROW(args.get<std::size_t>("count", 0), std::logic_error);
+  // The same token is fine where the type admits it.
+  EXPECT_EQ(args.get<int>("count", 0), -5);
+  EXPECT_DOUBLE_EQ(args.get<double>("threads", 0.0), 3.7);
 }
 
 TEST(ArgParser, RejectsPositional) {
