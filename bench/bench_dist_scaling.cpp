@@ -37,8 +37,9 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include <omp.h>
 
 #include "bench_util.hpp"
 #include "dist/runner.hpp"
@@ -292,6 +293,9 @@ int main(int argc, char** argv) {
 
   const bool root = session.is_root();
   const bool mpi = session.backend() == dist::Backend::kMpi;
+  // The cores this process may run on: omp_get_num_procs() honours the
+  // CPU affinity mask (taskset), which hardware_concurrency() ignores.
+  const int cores = omp_get_num_procs();
   if (mpi) max_ranks = std::min(max_ranks, session.size());
 
   if (root) {
@@ -302,8 +306,7 @@ int main(int argc, char** argv) {
     print_kv("R_max (Mpc/h)", fmt(rmax, "%.1f"));
     print_kv("lmax", fmt(lmax, "%.0f"));
     print_kv("hardware threads",
-             fmt(static_cast<double>(std::thread::hardware_concurrency()),
-                 "%.0f"));
+             fmt(static_cast<double>(cores), "%.0f"));
     print_kv("paper reference",
              "primaries balance to 0.1%, pairs diverge up to 60% (Fig. 7)");
   }
@@ -446,7 +449,7 @@ int main(int argc, char** argv) {
     }
     // The JSON `note` alone is easy to miss when eyeballing the table, so
     // repeat the single-core caveat on stderr where the run log shows it.
-    if (root && std::thread::hardware_concurrency() < 2)
+    if (root && cores < 2)
       std::fprintf(stderr,
                    "note: single-core host: rank threads time-share one CPU, "
                    "so the overlap A/B wall critical paths are "
@@ -471,7 +474,7 @@ int main(int argc, char** argv) {
         .add("backend", std::string(dist::backend_name(session.backend())))
         .add("world_size", session.size())
         .add("hardware_threads",
-             static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+             static_cast<std::uint64_t>(cores))
         .add("catalog",
              std::string("half-in-corner-clump clustered, f32-snapped"));
     std::string runs = "[";
@@ -523,7 +526,7 @@ int main(int argc, char** argv) {
              ab_results[1].critical_path > 0
                  ? ab_results[0].critical_path / ab_results[1].critical_path
                  : 0.0);
-      if (std::thread::hardware_concurrency() < 2)
+      if (cores < 2)
         ab.add("note",
                std::string("single-core host: rank threads time-share one "
                            "CPU, so wall critical paths are throughput-bound "

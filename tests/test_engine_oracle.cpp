@@ -35,7 +35,25 @@ struct OracleCase {
   bool radial;
   bool degenerate;
   std::uint64_t seed;
+  // Zero every fourth weight and stack extra galaxies on existing
+  // positions: zero-weight pairs must count without moving zeta, and the
+  // r = 0 pairs between coincident galaxies must drop.
+  bool zero_weight_coincident = false;
 };
+
+namespace {
+
+s::Catalog oracle_catalog(const OracleCase& tc) {
+  s::Catalog cat = galactos::testing::clumpy_catalog(tc.n, 40.0, tc.seed);
+  if (!tc.zero_weight_coincident) return cat;
+  for (std::size_t i = 0; i < cat.size(); i += 4) cat.w[i] = 0.0;
+  const std::size_t n = cat.size();
+  for (std::size_t i = 1; i < n; i += 7)
+    cat.push_back(cat.position(i), 0.25 + 0.1 * static_cast<double>(i % 3));
+  return cat;
+}
+
+}  // namespace
 
 class EngineVsOracle : public ::testing::TestWithParam<OracleCase> {};
 
@@ -49,10 +67,11 @@ TEST_P(EngineVsOracle, MatchesBruteForceTriplets) {
     ocfg.los = c::LineOfSight::kRadial;
     ocfg.observer = {-40.0, -35.0, -50.0};
   }
-  const s::Catalog cat = galactos::testing::clumpy_catalog(tc.n, 40.0, tc.seed);
+  const s::Catalog cat = oracle_catalog(tc);
 
   const c::ZetaResult oracle = b::brute_force_triplets(cat, ocfg);
   const c::ZetaResult engine = c::Engine(engine_cfg(ocfg)).run(cat);
+  EXPECT_EQ(engine.n_pairs, oracle.n_pairs);
   expect_results_match(engine, oracle, 1e-9, 1e-9);
 }
 
@@ -64,7 +83,33 @@ INSTANTIATE_TEST_SUITE_P(
         OracleCase{"plane_l4_self", 90, 4, false, false, 103},
         OracleCase{"radial_l3", 80, 3, true, true, 104},
         OracleCase{"radial_l3_self", 80, 3, true, false, 105},
-        OracleCase{"plane_l6", 70, 6, false, true, 106}),
+        OracleCase{"plane_l6", 70, 6, false, true, 106},
+        // The lmax x LOS x self-pair grid, down to the monopole and up to
+        // the paper's lmax 10.
+        OracleCase{"plane_l0", 90, 0, false, true, 111},
+        OracleCase{"plane_l0_self", 90, 0, false, false, 112},
+        OracleCase{"radial_l0", 90, 0, true, true, 113},
+        OracleCase{"radial_l0_self", 90, 0, true, false, 114},
+        OracleCase{"plane_l1", 90, 1, false, true, 115},
+        OracleCase{"plane_l1_self", 90, 1, false, false, 116},
+        OracleCase{"radial_l1", 90, 1, true, true, 117},
+        OracleCase{"radial_l1_self", 90, 1, true, false, 118},
+        OracleCase{"plane_l5", 80, 5, false, true, 119},
+        OracleCase{"plane_l5_self", 80, 5, false, false, 120},
+        OracleCase{"radial_l5", 80, 5, true, true, 121},
+        OracleCase{"radial_l5_self", 80, 5, true, false, 122},
+        OracleCase{"plane_l8", 60, 8, false, true, 123},
+        OracleCase{"plane_l8_self", 60, 8, false, false, 124},
+        OracleCase{"radial_l8", 60, 8, true, true, 125},
+        OracleCase{"radial_l8_self", 60, 8, true, false, 126},
+        OracleCase{"plane_l10", 50, 10, false, true, 127},
+        OracleCase{"plane_l10_self", 50, 10, false, false, 128},
+        OracleCase{"radial_l10", 50, 10, true, true, 129},
+        OracleCase{"radial_l10_self", 50, 10, true, false, 130},
+        OracleCase{"zero_weight_coincident_plane_l5", 80, 5, false, true, 131,
+                   true},
+        OracleCase{"zero_weight_coincident_radial_l4_self", 80, 4, true,
+                   false, 132, true}),
     [](const ::testing::TestParamInfo<OracleCase>& info) {
       return info.param.name;
     });
