@@ -35,7 +35,7 @@ double measure_kernel_gflops(int lmax) {
     w[i] = rng.uniform(0.5, 1.5);
   }
   std::vector<double> acc(
-      static_cast<std::size_t>(math::monomial_count(lmax)) * core::kLanes,
+      static_cast<std::size_t>(math::basis_size(lmax)) * core::kLanes,
       0.0);
   auto run = [&](int iters) {
     for (int it = 0; it < iters; ++it)

@@ -4,7 +4,10 @@
 // bucket k = 128, 8-lane accumulators, 4 independent streams. Here we
 // measure the same kernel's GF/s on the host CPU for all ILP widths and
 // several bucket sizes, using the paper's FLOP accounting (2 FLOPs per
-// monomial per pair = 572 FLOP/pair at lmax = 10).
+// monomial per pair = 572 FLOP/pair at lmax = 10). The kernel accumulates
+// the minimal basis (x+iy)^m z^k instead and executes fewer FLOPs
+// (277 at lmax 10): `actual_FLOP/pair` reports that count, `GF/s` stays
+// paper-equivalent.
 #include <benchmark/benchmark.h>
 
 #include <complex>
@@ -42,6 +45,7 @@ Bucket make_bucket(int n, std::uint64_t seed) {
 void set_flops(benchmark::State& state, int lmax, int count) {
   const double fl = c::kernel_flops_per_pair(lmax) * count;
   state.counters["FLOP/pair"] = c::kernel_flops_per_pair(lmax);
+  state.counters["actual_FLOP/pair"] = c::kernel_basis_flops_per_pair(lmax);
   state.counters["GF/s"] = benchmark::Counter(
       fl, benchmark::Counter::kIsIterationInvariantRate,
       benchmark::Counter::kIs1000);
@@ -82,7 +86,7 @@ static void BM_KernelRunningProduct(benchmark::State& state) {
   if (!isa.ok) return;
   const Bucket b = make_bucket(count, 42);
   std::vector<double> acc(
-      static_cast<std::size_t>(m::monomial_count(lmax)) * c::kLanes, 0.0);
+      static_cast<std::size_t>(m::basis_size(lmax)) * c::kLanes, 0.0);
   for (auto _ : state) {
     c::kernel_running_product(b.ux.data(), b.uy.data(), b.uz.data(),
                               b.w.data(), count, lmax, acc.data(), ilp);
@@ -90,26 +94,22 @@ static void BM_KernelRunningProduct(benchmark::State& state) {
   }
   set_flops(state, lmax, count);
 }
-// isa: 0 = scalar, 1 = avx2, 2 = avx512, 3 = auto. The paper configuration
-// (lmax 10, bucket 128, ilp 4) runs at every level — the kernel-GFLOP/s
-// A/B matrix; the shape sweeps run once at auto.
+// isa: 0 = scalar, 1 = avx2, 2 = avx512, 3 = auto. lmax 2/5/10 x ilp
+// 1/2/4 at the paper's bucket of 128 runs at every level — the
+// kernel-GFLOP/s A/B matrix and the ilp sweep; the bucket-size sweeps run
+// once at auto.
 BENCHMARK(BM_KernelRunningProduct)
     ->ArgNames({"lmax", "bucket", "ilp", "isa"})
-    ->Args({10, 128, 4, 0})
-    ->Args({10, 128, 4, 1})
-    ->Args({10, 128, 4, 2})
+    ->ArgsProduct({{2, 5, 10}, {128}, {1, 2, 4}, {0, 1, 2}})
     ->Args({10, 128, 4, 3})
-    ->Args({10, 128, 1, 3})
-    ->Args({10, 128, 2, 3})
     ->Args({10, 512, 4, 3})
-    ->Args({5, 128, 4, 3})
     ->Args({10, 32, 4, 3});
 
 static void BM_KernelReferenceScalar(benchmark::State& state) {
   const int lmax = static_cast<int>(state.range(0));
   const int count = 128;
   const Bucket b = make_bucket(count, 44);
-  std::vector<double> sums(m::monomial_count(lmax), 0.0);
+  std::vector<double> sums(m::basis_size(lmax), 0.0);
   for (auto _ : state) {
     c::kernel_reference(b.ux.data(), b.uy.data(), b.uz.data(), b.w.data(),
                         count, lmax, sums.data());
@@ -161,7 +161,7 @@ static void BM_AlmBinsAsLanes(benchmark::State& state) {
   const m::SphHarmTable table(10);
   const std::size_t stride = 16;
   const int nlm = m::nlm(10);
-  std::vector<double> sums(stride * m::monomial_count(10));
+  std::vector<double> sums(stride * m::basis_size(10));
   m::Rng rng(47);
   for (double& x : sums) x = rng.uniform(-1, 1);
   std::vector<int> bins(nbins);
@@ -182,14 +182,14 @@ BENCHMARK(BM_AlmBinsAsLanes)->ArgNames({"isa"})->Arg(0)->Arg(1)->Arg(2);
 static void BM_AlmPerBinOracle(benchmark::State& state) {
   const int nbins = 10;
   const m::SphHarmTable table(10);
-  const int nmono = m::monomial_count(10);
-  std::vector<double> sums(static_cast<std::size_t>(nbins) * nmono);
+  const int nslots = m::basis_size(10);
+  std::vector<double> sums(static_cast<std::size_t>(nbins) * nslots);
   m::Rng rng(47);
   for (double& x : sums) x = rng.uniform(-1, 1);
   std::vector<std::complex<double>> alm(m::nlm(10));
   for (auto _ : state) {
     for (int b = 0; b < nbins; ++b) {
-      table.alm_from_power_sums(sums.data() + b * nmono, alm.data());
+      table.alm_from_power_sums(sums.data() + b * nslots, alm.data());
       benchmark::DoNotOptimize(alm.data());
       benchmark::ClobberMemory();
     }
@@ -207,7 +207,7 @@ static void BM_ZetaAddPrimarySums(benchmark::State& state) {
   const int lmax = static_cast<int>(state.range(1));
   const m::SphHarmTable table(lmax);
   const std::size_t stride = 16;
-  std::vector<double> sums(stride * m::monomial_count(lmax));
+  std::vector<double> sums(stride * m::basis_size(lmax));
   m::Rng rng(53);
   for (double& x : sums) x = rng.uniform(-1, 1);
   std::vector<int> bins(nbins);

@@ -1,7 +1,8 @@
 // Per-primary a_lm assembly and the optional self-pair correction.
 //
-// After the kernel has reduced a primary's power sums, a_lm(bin) follows
-// from the precomputed Y_lm monomial tables (math/sph_table.hpp). Every
+// After the kernel has reduced a primary's minimal-basis power sums
+// T[m,k] = sum w (x+iy)^m z^k, a_lm(bin) = sum_k c_lmk conj(T[m,k]) follows
+// from the precomputed coefficient tables (math/sph_table.hpp). Every
 // production path assembles it with alm_bins_as_lanes (core/kernel.hpp):
 // all touched bins of a primary at once, bins as SIMD lanes, from the
 // bin-interleaved sums the kernel's fused reduction writes — bitwise the

@@ -128,8 +128,7 @@ struct Lane {
   void add_xi(double wp) {
     for (int b = 0; b < cfg.bins.count(); ++b)
       if (acc.bin_touched(b))
-        xi.add_primary_bin(wp, b, acc.sums() + b, table.monomials(),
-                           acc.sums_stride());
+        xi.add_primary_bin(wp, b, acc.sums() + b, acc.sums_stride());
   }
 
   // Removes the degenerate j == k terms of the pairs just pushed.

@@ -261,26 +261,36 @@ void zeta_batch_update(const double* wp, int np, const double* vr,
 void kernel_reference(const double* ux, const double* uy, const double* uz,
                       const double* w, int count, int lmax, double* sums) {
   for (int i = 0; i < count; ++i) {
-    double pa = w[i];
     int t = 0;
-    for (int a = 0; a <= lmax; ++a) {
-      double pb = pa;
-      for (int b = 0; a + b <= lmax; ++b) {
-        double pc = pb;
-        for (int c = 0; a + b + c <= lmax; ++c) {
-          sums[t++] += pc;
-          pc *= uz[i];
-        }
-        pb *= uy[i];
+    double q = w[i];
+    for (int k = 0; k <= lmax; ++k) {
+      sums[t++] += q;
+      q *= uz[i];
+    }
+    double pr = w[i], pi = 0.0;  // w (x + iy)^m
+    for (int m = 1; m <= lmax; ++m) {
+      if (m == 1) {
+        pi = pr * uy[i];
+        pr = pr * ux[i];
+      } else {
+        const double r = pr * ux[i] - pi * uy[i];
+        pi = pr * uy[i] + pi * ux[i];
+        pr = r;
       }
-      pa *= ux[i];
+      double qr = pr, qi = pi;
+      for (int k = 0; m + k <= lmax; ++k) {
+        sums[t++] += qr;
+        sums[t++] += qi;
+        qr *= uz[i];
+        qi *= uz[i];
+      }
     }
   }
 }
 
 MultipoleAccumulator::MultipoleAccumulator(const KernelConfig& cfg)
     : cfg_(cfg),
-      n_mono_(math::monomial_count(cfg.lmax)),
+      n_slots_(math::basis_size(cfg.lmax)),
       sums_stride_(static_cast<std::size_t>(cfg.nbins + kLanes - 1) / kLanes *
                    kLanes) {
   GLX_CHECK(cfg.lmax >= 0 && cfg.lmax <= 16);
@@ -291,9 +301,9 @@ MultipoleAccumulator::MultipoleAccumulator(const KernelConfig& cfg)
   GLX_CHECK(cfg.ilp == 1 || cfg.ilp == 2 || cfg.ilp == 4);
 
   const std::size_t nb = static_cast<std::size_t>(cfg.nbins);
-  acc_.reset(nb * n_mono_ * kLanes);
+  acc_.reset(nb * n_slots_ * kLanes);
   bucket_.reset(nb * 4 * cfg.bucket_capacity);
-  sums_.reset(sums_stride_ * n_mono_);
+  sums_.reset(sums_stride_ * n_slots_);
   sums_.fill(0.0);
   fill_.assign(cfg.nbins, 0);
   touched_.assign(cfg.nbins, 0);
@@ -336,7 +346,7 @@ void MultipoleAccumulator::flush(int bin, bool last) {
     bu[2 * cap + i] = 0.0;
     bu[3 * cap + i] = 0.0;
   }
-  double* a = acc_.data() + static_cast<std::size_t>(bin) * n_mono_ * kLanes;
+  double* a = acc_.data() + static_cast<std::size_t>(bin) * n_slots_ * kLanes;
   const bool overwrite = first_flush_[bin] != 0;
   first_flush_[bin] = 0;
   double* sums = last ? sums_.data() + bin : nullptr;

@@ -2,30 +2,30 @@
 // runtime (paper Fig. 4) and reaches 39 % of peak (paper §3.3.2).
 //
 // Per radial bin the kernel accumulates, over all (primary, secondary)
-// pairs, the power sums
+// pairs with unit separation u = (x, y, z), the minimal-basis power sums
 //
-//     S[a,b,c] += w * (dx/r)^a (dy/r)^b (dz/r)^c,    a+b+c <= lmax,
+//     T[m,k] += w * (x + i y)^m * z^k,    m + k <= lmax,
 //
-// 286 terms for lmax = 10 at 2 FLOPs each (575+ FLOP/pair, matching the
-// paper's 576). The design follows §3.3 exactly:
+// 121 real slots at lmax 10 (math/sph_table.hpp), where the paper sums 286
+// monomials x^a y^b z^c at 2 FLOPs each. GFLOP/s figures keep that
+// paper-equivalent count (kernel_flops_per_pair, 572 at lmax 10); the basis
+// executes kernel_basis_flops_per_pair (277). The design follows §3.3:
 //
 // * Pre-binning (§3.3.1): pairs are buffered into per-bin SoA *buckets* of
 //   `bucket_capacity` (paper: k = 128) and processed a bucket at a time, so
 //   vector operations touch a single bin's accumulators (cache reuse).
-// * Lane accumulators (§3.3.2): each S[a,b,c] is an 8-wide lane array;
+// * Lane accumulators (§3.3.2): each slot of T is an 8-wide lane array;
 //   groups of 8 pairs accumulate lane-wise and one reduction per (primary,
 //   bin) collapses the lanes — replacing N/8 vector reductions with one. It
 //   is fused into the bin's last bucket block: the final lane values are
 //   summed in registers with the fixed tree ((0+1)+(2+3))+((4+5)+(6+7)) and
 //   written as the power sum, so that block never stores its lane block.
-//   The power sums land bin-interleaved, [n_mono][nbins padded to kLanes],
+//   The power sums land bin-interleaved, [n_slots][nbins padded to kLanes],
 //   ready for the bins-as-lanes a_lm assembly (alm_bins_as_lanes).
-// * One accumulation scheme, the running product (§3.3.2): per 8-pair
-//   chunk, walk the (a,b,c) monomial tree with running products; `ilp`
-//   independent chunks are interleaved to expose instruction-level
-//   parallelism (paper: 4 independent vectors). The cache-blocked
-//   z-buffered variant was dropped after measuring 21-36% slower
-//   end to end in the ablation bench.
+// * Running products (§3.3.2): per 8-pair chunk a complex running product
+//   p <- p (x + iy) per m and a z-chain q <- q z per k, with no FMA;
+//   `ilp` independent chunks are interleaved to expose instruction-level
+//   parallelism (paper: 4 independent vectors).
 #pragma once
 
 #include <cstddef>
@@ -90,19 +90,29 @@ struct KernelConfig {
   int ilp = 4;  // independent running-product streams (1, 2 or 4)
 };
 
-// FLOPs per pair attributed to the kernel: one FMA (2 FLOPs) per monomial.
+// Paper-equivalent FLOPs per pair: one FMA (2 FLOPs) per monomial
+// x^a y^b z^c, a+b+c <= lmax — the unit of every kernel GFLOP/s figure.
 inline double kernel_flops_per_pair(int lmax) {
   return 2.0 * math::monomial_count(lmax);
 }
 
+// FLOPs per pair the minimal-basis kernel executes: one add per slot, the
+// z-chain muls (1 per step at m = 0, 2 above), 2 muls for p = w (x + iy)
+// and 6 per further complex step — 277 at lmax 10.
+inline double kernel_basis_flops_per_pair(int lmax) {
+  return math::basis_size(lmax) + lmax + lmax * (lmax - 1) +
+         (lmax >= 1 ? 2 + 6 * (lmax - 1) : 0);
+}
+
 // --- Raw bucket kernels (exposed for unit tests and the kernel bench). ---
 // All require count % kLanes == 0 (callers pad with zero weight); `acc` is
-// the lane accumulator block acc[n_mono][kLanes]. With `overwrite` the
-// first contribution stores instead of accumulating, so callers never have
-// to zero `acc` (the memset would cost as much as a ~40-pair bucket).
+// the lane accumulator block acc[n_slots][kLanes] (math::basis_slot
+// order). With `overwrite` the first contribution stores instead of
+// accumulating, so callers never have to zero `acc` (the memset would cost
+// as much as a ~40-pair bucket).
 //
 // With `sums` the bucket is the bin's last of the primary (count > 0): its
-// final block does not store its lane values but reduces each monomial's
+// final block does not store its lane values but reduces each slot's
 // 8 lanes in registers, ((0+1)+(2+3))+((4+5)+(6+7)), and writes the power
 // sum to sums[t * sums_stride]. Earlier blocks of the bucket still update
 // `acc`; after the call `acc` is stale.
@@ -113,27 +123,26 @@ void kernel_running_product(const double* ux, const double* uy,
                             bool overwrite = false, double* sums = nullptr,
                             std::size_t sums_stride = 1);
 
-// Scalar oracle (any count), accumulating directly into sums[n_mono].
+// Scalar reference (any count), accumulating directly into sums[n_slots]:
+// per pair the same per-lane operation sequence as the bucket kernel.
 void kernel_reference(const double* ux, const double* uy, const double* uz,
                       const double* w, int count, int lmax, double* sums);
 
 // --- Bins-as-lanes a_lm assembly (ZetaAccumulator::add_primary_sums). ---
 //
 // For every (l, m >= 0) and every bin b of the nb listed in `bins`, replays
-// SphHarmTable::alm_from_power_sums' chain
+// SphHarmTable::alm_from_power_sums' chains
 //
-//   a = 0;  for each term t of table.terms(l, m):  a += conj(c_t) * S[mono_t]
+//   re = 0;  for each term t of table.plane_terms(lm, 0):  re += c_t * T[slot_t]
+//   im = 0;  for each term t of table.plane_terms(lm, 1):  im += c_t * T[slot_t]
 //
 // with the bins as SIMD lanes: per term one broadcast of the coefficient,
-// one contiguous load over bins, then a mul and an add. conj(c_t) is purely
-// real or purely imaginary (SphHarmTable::plane_terms), so each term feeds
-// one plane: the other plane's product is +-0, and adding +-0 leaves a
-// chain that starts at +0 unchanged (it never reaches -0). For finite sums
-// each lane therefore ends on exactly the bits of alm_from_power_sums of
-// its bin, at every ISA level. `sums` is bin-interleaved,
-// S[mono * stride + bin] (MultipoleAccumulator::sums()), with stride a
-// multiple of kLanes; lanes past the last listed bin's vector are never
-// read, and unlisted lanes may hold anything.
+// one contiguous load over bins, then a mul and an add. Each lane therefore
+// ends on exactly the bits of alm_from_power_sums of its bin, at every ISA
+// level. `sums` is bin-interleaved, T[slot * stride + bin]
+// (MultipoleAccumulator::sums()), with stride a multiple of kLanes; lanes
+// past the last listed bin's vector are never read, and unlisted lanes may
+// hold anything.
 // Bin b's a_lm lands at out_re / out_im [out_off[lm] + b * out_step[lm]],
 // lm = lm_index(l, m); no other entry is written.
 void alm_bins_as_lanes(const math::SphHarmTable& table, const double* sums,
@@ -220,7 +229,7 @@ class MultipoleAccumulator {
   explicit MultipoleAccumulator(const KernelConfig& cfg);
 
   const KernelConfig& config() const { return cfg_; }
-  int n_mono() const { return n_mono_; }
+  int n_slots() const { return n_slots_; }
 
   void start_primary();
 
@@ -246,7 +255,7 @@ class MultipoleAccumulator {
 
   void finish_primary();
 
-  // One bin's power sums S[a,b,c] in MonomialMap order, read with the
+  // One bin's power sums T in math::basis_slot order, read with the
   // bin-interleaved stride; valid after finish_primary() for touched bins.
   struct PowerSums {
     const double* base;
@@ -259,7 +268,7 @@ class MultipoleAccumulator {
     GLX_DCHECK(bin >= 0 && bin < cfg_.nbins);
     return {sums_.data() + bin, sums_stride_};
   }
-  // Every bin's sums at once, S[t * sums_stride() + bin], sums_stride() =
+  // Every bin's sums at once, T[t * sums_stride() + bin], sums_stride() =
   // nbins rounded up to kLanes: the alm_bins_as_lanes operand. Untouched
   // bins hold stale finite values, the padding lanes zero.
   const double* sums() const { return sums_.data(); }
@@ -289,11 +298,11 @@ class MultipoleAccumulator {
   void flush(int bin, bool last);
 
   KernelConfig cfg_;
-  int n_mono_;
+  int n_slots_;
   std::size_t sums_stride_;
-  AlignedBuffer<double> acc_;     // [nbins][n_mono][kLanes]
+  AlignedBuffer<double> acc_;     // [nbins][n_slots][kLanes]
   AlignedBuffer<double> bucket_;  // [nbins][4][capacity]
-  AlignedBuffer<double> sums_;    // [n_mono][sums_stride_]
+  AlignedBuffer<double> sums_;    // [n_slots][sums_stride_]
   std::vector<int> fill_;
   std::vector<std::uint8_t> touched_;
   std::vector<std::uint8_t> first_flush_;

@@ -1,6 +1,11 @@
 // The pair stage, the multipole bucket kernels, the bins-as-lanes a_lm
 // assembly and the batched zeta update, compiled once per ISA level.
 //
+// The bucket kernel accumulates the minimal basis T[m,k] = w (x+iy)^m z^k
+// (math/sph_table.hpp, (lmax+1)^2 slots): per 8-pair chunk seven vectors
+// live across the loop — x, y, z, the complex running product p and its
+// z-chain q — so `ilp` 4 holds 28 of AVX-512's 32 registers.
+//
 // This header is included by exactly one translation unit per ISA
 // (kernel_scalar.cpp / kernel_avx2.cpp / kernel_avx512.cpp), each built with
 // its own per-source target flags; the includer must define
@@ -45,7 +50,7 @@ static_assert(kLanes % DVec::kWidth == 0,
               "lane accumulator block must be a whole number of vectors");
 inline constexpr int kNB = kLanes / DVec::kWidth;  // vectors per lane block
 
-// One monomial's 8 lanes summed with the tree ((0+1)+(2+3))+((4+5)+(6+7)):
+// One slot's 8 lanes summed with the tree ((0+1)+(2+3))+((4+5)+(6+7)):
 // dv_hsum is that tree over an 8-wide vector and (0+1)+(2+3) over a 4-wide
 // one, so two AVX2 halves add up to the same tree.
 inline double lane_sum(const DVec (&lane)[kNB]) {
@@ -56,71 +61,91 @@ inline double lane_sum(const DVec (&lane)[kNB]) {
     return math::simd::dv_hsum(lane[0]) + math::simd::dv_hsum(lane[1]);
 }
 
-// One 8-pair chunk through the monomial tree with running products.
-// NV chunks are interleaved for ILP; their partial products are summed
-// pairwise before the single accumulator update per monomial, keeping the
-// dependency chain on acc short. With OVW the accumulator is stored, not
-// accumulated (first contribution of a primary — saves the zeroing pass).
-// With RED the lane values are reduced into sums[t * stride] instead of
-// stored (the bin's last block of the primary).
+// Slot t's contribution of NV interleaved chunks: their values q are summed
+// pairwise, keeping the dependency chain on acc short, then added to the
+// lane block. With OVW the lane block is stored, not accumulated (first
+// contribution of a primary — saves the zeroing pass). With RED the lane
+// values are reduced into sums[t * stride] instead of stored (the bin's
+// last block of the primary).
 template <int NV, bool OVW, bool RED>
-void running_product_block(const double* __restrict ux,
-                           const double* __restrict uy,
-                           const double* __restrict uz,
-                           const double* __restrict w, int lmax,
-                           double* __restrict acc, double* __restrict sums,
-                           std::size_t stride) {
-  DVec vux[NV][kNB], vuy[NV][kNB], vuz[NV][kNB];
-  DVec px[NV][kNB], py[NV][kNB], pz[NV][kNB];
+inline void emit_slot(const DVec (&q)[NV][kNB], int t, double* __restrict acc,
+                      double* __restrict sums, std::size_t stride) {
+  double* __restrict at = acc + static_cast<std::size_t>(t) * kLanes;
+  DVec lane[kNB];
+  for (int n = 0; n < kNB; ++n) {
+    DVec s;
+    if constexpr (NV == 1) {
+      s = q[0][n];
+    } else if constexpr (NV == 2) {
+      s = q[0][n] + q[1][n];
+    } else {
+      static_assert(NV == 4);
+      s = (q[0][n] + q[1][n]) + (q[2][n] + q[3][n]);
+    }
+    if constexpr (OVW)
+      lane[n] = s;
+    else
+      lane[n] = dv_load(at + n * DVec::kWidth) + s;
+  }
+  if constexpr (RED) {
+    sums[static_cast<std::size_t>(t) * stride] = lane_sum(lane);
+  } else {
+    for (int n = 0; n < kNB; ++n) dv_store(at + n * DVec::kWidth, lane[n]);
+  }
+}
+
+// One 8-pair chunk (NV interleaved for ILP) through the minimal basis
+// T[m,k] = w (x+iy)^m z^k in slot order (math::basis_slot): the real
+// z-chain of m = 0, then per m the complex running product
+// p <- p (x+iy) and its z-chain q <- q z, Re and Im slot by slot.
+template <int NV, bool OVW, bool RED>
+void basis_block(const double* __restrict ux, const double* __restrict uy,
+                 const double* __restrict uz, const double* __restrict w,
+                 int lmax, double* __restrict acc, double* __restrict sums,
+                 std::size_t stride) {
+  DVec vx[NV][kNB], vy[NV][kNB], vz[NV][kNB];
+  DVec pr[NV][kNB], pi[NV][kNB];  // w (x+iy)^m
+  DVec qr[NV][kNB], qi[NV][kNB];  // w (x+iy)^m z^k
   for (int v = 0; v < NV; ++v)
     for (int n = 0; n < kNB; ++n) {
       const int off = v * kLanes + n * DVec::kWidth;
-      vux[v][n] = dv_load(ux + off);
-      vuy[v][n] = dv_load(uy + off);
-      vuz[v][n] = dv_load(uz + off);
-      px[v][n] = dv_load(w + off);
+      vx[v][n] = dv_load(ux + off);
+      vy[v][n] = dv_load(uy + off);
+      vz[v][n] = dv_load(uz + off);
+      pr[v][n] = qr[v][n] = dv_load(w + off);
     }
 
   int t = 0;
-  for (int a = 0; a <= lmax; ++a) {
+  for (int k = 0;; ++k) {
+    emit_slot<NV, OVW, RED>(qr, t++, acc, sums, stride);
+    if (k == lmax) break;
     for (int v = 0; v < NV; ++v)
-      for (int n = 0; n < kNB; ++n) py[v][n] = px[v][n];
-    for (int b = 0; a + b <= lmax; ++b) {
-      for (int v = 0; v < NV; ++v)
-        for (int n = 0; n < kNB; ++n) pz[v][n] = py[v][n];
-      for (int c = 0; a + b + c <= lmax; ++c) {
-        double* __restrict at = acc + static_cast<std::size_t>(t) * kLanes;
-        DVec lane[kNB];
-        for (int n = 0; n < kNB; ++n) {
-          DVec s;
-          if constexpr (NV == 1) {
-            s = pz[0][n];
-          } else if constexpr (NV == 2) {
-            s = pz[0][n] + pz[1][n];
-          } else {
-            static_assert(NV == 4);
-            s = (pz[0][n] + pz[1][n]) + (pz[2][n] + pz[3][n]);
-          }
-          if constexpr (OVW)
-            lane[n] = s;
-          else
-            lane[n] = dv_load(at + n * DVec::kWidth) + s;
-        }
-        if constexpr (RED) {
-          sums[static_cast<std::size_t>(t) * stride] = lane_sum(lane);
+      for (int n = 0; n < kNB; ++n) qr[v][n] = qr[v][n] * vz[v][n];
+  }
+  for (int m = 1; m <= lmax; ++m) {
+    for (int v = 0; v < NV; ++v)
+      for (int n = 0; n < kNB; ++n) {
+        if (m == 1) {  // p = w is real
+          pi[v][n] = pr[v][n] * vy[v][n];
+          pr[v][n] = pr[v][n] * vx[v][n];
         } else {
-          for (int n = 0; n < kNB; ++n)
-            dv_store(at + n * DVec::kWidth, lane[n]);
+          const DVec r = pr[v][n] * vx[v][n] - pi[v][n] * vy[v][n];
+          pi[v][n] = pr[v][n] * vy[v][n] + pi[v][n] * vx[v][n];
+          pr[v][n] = r;
         }
-        for (int v = 0; v < NV; ++v)
-          for (int n = 0; n < kNB; ++n) pz[v][n] = pz[v][n] * vuz[v][n];
-        ++t;
+        qr[v][n] = pr[v][n];
+        qi[v][n] = pi[v][n];
       }
+    for (int k = 0;; ++k) {
+      emit_slot<NV, OVW, RED>(qr, t++, acc, sums, stride);
+      emit_slot<NV, OVW, RED>(qi, t++, acc, sums, stride);
+      if (m + k == lmax) break;
       for (int v = 0; v < NV; ++v)
-        for (int n = 0; n < kNB; ++n) py[v][n] = py[v][n] * vuy[v][n];
+        for (int n = 0; n < kNB; ++n) {
+          qr[v][n] = qr[v][n] * vz[v][n];
+          qi[v][n] = qi[v][n] * vz[v][n];
+        }
     }
-    for (int v = 0; v < NV; ++v)
-      for (int n = 0; n < kNB; ++n) px[v][n] = px[v][n] * vux[v][n];
   }
 }
 
@@ -130,18 +155,14 @@ void dispatch_block(const double* ux, const double* uy, const double* uz,
                     double* sums, std::size_t stride) {
   if (sums) {
     if (overwrite)
-      running_product_block<NV, true, true>(ux, uy, uz, w, lmax, acc, sums,
-                                            stride);
+      basis_block<NV, true, true>(ux, uy, uz, w, lmax, acc, sums, stride);
     else
-      running_product_block<NV, false, true>(ux, uy, uz, w, lmax, acc, sums,
-                                             stride);
+      basis_block<NV, false, true>(ux, uy, uz, w, lmax, acc, sums, stride);
   } else {
     if (overwrite)
-      running_product_block<NV, true, false>(ux, uy, uz, w, lmax, acc,
-                                             nullptr, 0);
+      basis_block<NV, true, false>(ux, uy, uz, w, lmax, acc, nullptr, 0);
     else
-      running_product_block<NV, false, false>(ux, uy, uz, w, lmax, acc,
-                                              nullptr, 0);
+      basis_block<NV, false, false>(ux, uy, uz, w, lmax, acc, nullptr, 0);
   }
 }
 
@@ -164,10 +185,10 @@ void alm_vectors(const math::SphHarmTable& table, const double* sums,
       lane[n] = bins[i] - b0;
       bin[n++] = bins[i];
     }
-  // One term: a = a + coeff * S[mono] over the NV vectors of bins.
+  // One term: a = a + coeff * T[slot] over the NV vectors of bins.
   auto step = [&](DVec(&a)[NV], const math::SphHarmTable::PlaneTerm& t) {
     const DVec c = math::simd::dv_broadcast(t.coeff);
-    const double* s = s0 + static_cast<std::size_t>(t.mono) * stride;
+    const double* s = s0 + static_cast<std::size_t>(t.slot) * stride;
     for (int v = 0; v < NV; ++v) a[v] = a[v] + c * dv_load(s + v * kW);
   };
   for (int lm = 0; lm < nlm; ++lm) {

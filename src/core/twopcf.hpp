@@ -2,15 +2,15 @@
 //
 // After the line-of-sight rotation, mu = cos(angle to LOS) of a pair is just
 // the z-component of the unit separation, so the Legendre moments
-// sum_pairs w P_l(mu) are linear combinations of the pure-z power sums
-// S[0,0,c] that the kernel already accumulates. This is the quantity RSD
+// sum_pairs w P_l(mu) are linear combinations of the m = 0 power sums
+// T[0,k] = sum w z^k that the kernel already accumulates (slots 0..lmax of
+// the minimal basis, math/sph_table.hpp). This is the quantity RSD
 // analyses of the 2PCF use (paper §1.1) and it costs nothing extra.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "math/sph_table.hpp"
 
 namespace galactos::core {
 
@@ -18,11 +18,11 @@ class TwoPcfAccumulator {
  public:
   TwoPcfAccumulator(int lmax, int nbins);
 
-  // Adds one touched bin of one primary: S[t * stride] is the bin's power
-  // sum t in MonomialMap order (the accumulator extracts the S[0,0,c]
-  // entries; the engine's sums are bin-interleaved, hence the stride).
-  void add_primary_bin(double wp, int bin, const double* S,
-                       const math::MonomialMap& mono, std::size_t stride = 1);
+  // Adds one touched bin of one primary: T[k * stride] is the bin's power
+  // sum T[0,k], k = 0..lmax (the engine's sums are bin-interleaved, hence
+  // the stride).
+  void add_primary_bin(double wp, int bin, const double* T,
+                       std::size_t stride = 1);
 
   void merge(const TwoPcfAccumulator& other);
 

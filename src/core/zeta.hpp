@@ -191,7 +191,7 @@ struct ZetaResult {
   // zeta data, [bin_pair][llm] in LlmIndex order (b1 <= b2).
   std::vector<std::complex<double>> zeta_data;
 
-  // Weighted pair counts per bin: sum_p w_p sum_j w_j (the S[0,0,0] sums).
+  // Weighted pair counts per bin: sum_p w_p sum_j w_j (the T[0,0] sums).
   std::vector<double> pair_counts;
   // Raw anisotropic 2PCF multipole sums: sum_p w_p sum_j w_j P_l(mu_j).
   std::vector<double> xi_raw;  // [lmax+1][nbins]

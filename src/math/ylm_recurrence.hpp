@@ -7,7 +7,7 @@
 //   Q_mm     = (-1)^m (2m-1)!!
 //   Q_{m+1,m} = z (2m+1) Q_mm
 //   (l-m) Q_lm = (2l-1) z Q_{l-1,m} - (l+m-1) Q_{l-2,m}
-// Header-only; validated against the monomial-table evaluation in tests.
+// Header-only; validated against the SphHarmTable evaluation in tests.
 #pragma once
 
 #include <cmath>

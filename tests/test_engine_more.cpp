@@ -20,7 +20,7 @@ using galactos::testing::expect_results_match;
 
 TEST(KernelOverwrite, FirstFlushStoresInsteadOfAccumulating) {
   const int lmax = 4;
-  const int nmono = m::monomial_count(lmax);
+  const int nslots = m::basis_size(lmax);
   m::Rng rng(5);
   std::vector<double> ux(32), uy(32), uz(32), w(32);
   for (int i = 0; i < 32; ++i) {
@@ -28,15 +28,15 @@ TEST(KernelOverwrite, FirstFlushStoresInsteadOfAccumulating) {
     w[i] = rng.uniform(0.5, 1.5);
   }
   // Poison the accumulator; overwrite must ignore the garbage.
-  std::vector<double> acc(static_cast<std::size_t>(nmono) * c::kLanes, 1e30);
-  std::vector<double> ref(nmono, 0.0);
+  std::vector<double> acc(static_cast<std::size_t>(nslots) * c::kLanes, 1e30);
+  std::vector<double> ref(nslots, 0.0);
   c::kernel_reference(ux.data(), uy.data(), uz.data(), w.data(), 32, lmax,
                       ref.data());
   for (int ilp : {1, 2, 4}) {
     std::fill(acc.begin(), acc.end(), 1e30);
     c::kernel_running_product(ux.data(), uy.data(), uz.data(), w.data(), 32,
                               lmax, acc.data(), ilp, /*overwrite=*/true);
-    for (int t = 0; t < nmono; ++t) {
+    for (int t = 0; t < nslots; ++t) {
       double sum = 0;
       for (int l = 0; l < c::kLanes; ++l) sum += acc[t * c::kLanes + l];
       EXPECT_NEAR(sum, ref[t], 1e-11 * (1 + std::abs(ref[t])))

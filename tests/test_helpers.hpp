@@ -153,8 +153,8 @@ inline std::vector<double> unfused_power_sums(const core::KernelConfig& cfg,
                                               const double* uz,
                                               const double* w, int n) {
   const int cap = cfg.bucket_capacity;
-  const int nmono = math::monomial_count(cfg.lmax);
-  std::vector<double> acc(static_cast<std::size_t>(nmono) * core::kLanes);
+  const int nslots = math::basis_size(cfg.lmax);
+  std::vector<double> acc(static_cast<std::size_t>(nslots) * core::kLanes);
   std::vector<double> bx, by, bz, bw;
   for (int i0 = 0; i0 < n; i0 += cap) {
     const int cnt = std::min(cap, n - i0);
@@ -171,8 +171,8 @@ inline std::vector<double> unfused_power_sums(const core::KernelConfig& cfg,
                                  padded, cfg.lmax, acc.data(), cfg.ilp,
                                  i0 == 0);
   }
-  std::vector<double> s(nmono);
-  for (int t = 0; t < nmono; ++t) {
+  std::vector<double> s(nslots);
+  for (int t = 0; t < nslots; ++t) {
     const double* a = acc.data() + static_cast<std::size_t>(t) * core::kLanes;
     s[t] = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
   }
@@ -185,9 +185,9 @@ inline std::vector<double> unfused_power_sums(const core::KernelConfig& cfg,
 inline std::vector<std::complex<double>> per_bin_alm(
     const math::SphHarmTable& table, const std::vector<double>& sums,
     std::size_t stride, int b) {
-  const int nmono = math::monomial_count(table.lmax());
-  std::vector<double> col(nmono);
-  for (int t = 0; t < nmono; ++t)
+  const int nslots = math::basis_size(table.lmax());
+  std::vector<double> col(nslots);
+  for (int t = 0; t < nslots; ++t)
     col[t] = sums[static_cast<std::size_t>(t) * stride + b];
   std::vector<std::complex<double>> alm(math::nlm(table.lmax()));
   table.alm_from_power_sums(col.data(), alm.data());

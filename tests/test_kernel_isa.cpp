@@ -80,7 +80,7 @@ std::vector<double> sums_at(c::KernelIsa isa, const c::KernelConfig& cfg,
   acc.finish_primary();
   std::vector<double> out;
   for (int b = 0; b < cfg.nbins; ++b)
-    for (int t = 0; t < acc.n_mono(); ++t) out.push_back(acc.power_sums(b)[t]);
+    for (int t = 0; t < acc.n_slots(); ++t) out.push_back(acc.power_sums(b)[t]);
   return out;
 }
 
@@ -288,52 +288,77 @@ TEST(KernelIsaDispatch, SetRejectsUnsupportedLevel) {
 
 // --- Cross-ISA equivalence matrix ------------------------------------------
 
-// lmax 1..10 x ragged tails x zero weights: every supported level must
-// reproduce the scalar kernel's power sums BITWISE (same per-lane IEEE
+// lmax 0..16 x ilp x ragged tails x zero weights: every supported level
+// must reproduce the scalar kernel's power sums BITWISE (same per-lane IEEE
 // operation sequence at every level).
 TEST(KernelIsaEquivalence, PowerSumsBitwiseAcrossLevelsLmaxSweep) {
   IsaGuard guard;
   const std::vector<c::KernelIsa> levels = supported_levels();
   ASSERT_GE(levels.size(), 1u);
-  for (int lmax = 1; lmax <= 10; ++lmax) {
-    c::KernelConfig cfg;
-    cfg.lmax = lmax;
-    cfg.nbins = 3;
-    cfg.bucket_capacity = 32;  // small buckets -> many flushes + ragged tail
-    // 157 points: ragged across bins AND lanes; 25 zero-weight entries.
-    const PairSet p = random_pairs(157, 25, 7000 + lmax);
-    const std::vector<double> ref = sums_at(c::KernelIsa::kScalar, cfg, p);
-    for (c::KernelIsa isa : levels) {
-      const std::vector<double> got = sums_at(isa, cfg, p);
-      ASSERT_EQ(got.size(), ref.size());
-      for (std::size_t i = 0; i < ref.size(); ++i)
-        ASSERT_EQ(got[i], ref[i]) << "lmax=" << lmax << " isa="
-                                  << c::kernel_isa_name(isa) << " term=" << i;
+  for (int lmax = 0; lmax <= 16; ++lmax)
+    for (int ilp : {1, 2, 4}) {
+      c::KernelConfig cfg;
+      cfg.lmax = lmax;
+      cfg.nbins = 3;
+      cfg.ilp = ilp;
+      cfg.bucket_capacity = 32;  // small buckets -> many flushes + ragged tail
+      // 157 points: ragged across bins AND lanes; 25 zero-weight entries.
+      const PairSet p = random_pairs(157, 25, 7000 + lmax);
+      const std::vector<double> ref = sums_at(c::KernelIsa::kScalar, cfg, p);
+      for (c::KernelIsa isa : levels) {
+        const std::vector<double> got = sums_at(isa, cfg, p);
+        ASSERT_EQ(got.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i)
+          ASSERT_EQ(bits(got[i]), bits(ref[i]))
+              << "lmax=" << lmax << " ilp=" << ilp
+              << " isa=" << c::kernel_isa_name(isa) << " term=" << i;
+      }
     }
-  }
 }
 
-// Raw bucket kernels, all ilp variants, directly on lane accumulators.
+// Raw bucket kernels over lmax 0..16, all ilp variants, ragged block
+// counts (ILP blocks plus single-chunk tails), accumulate / overwrite and
+// plain / fused reduction, directly on lane accumulators: the lane block
+// and the strided sums must be bitwise the scalar level's.
 TEST(KernelIsaEquivalence, RawKernelsBitwiseAcrossLevels) {
   IsaGuard guard;
-  const int lmax = 8;
-  const int count = 64;
-  const int nmono = m::monomial_count(lmax);
-  const PairSet p = random_pairs(count, 8, 991);
-  for (c::KernelIsa isa : supported_levels()) {
-    for (int ilp : {1, 2, 4}) {
-      c::set_kernel_isa(c::KernelIsa::kScalar);
-      std::vector<double> ref(static_cast<std::size_t>(nmono) * c::kLanes,
-                              0.0);
-      c::kernel_running_product(p.ux.data(), p.uy.data(), p.uz.data(),
-                                p.w.data(), count, lmax, ref.data(), ilp);
-      c::set_kernel_isa(isa);
-      std::vector<double> got(ref.size(), 0.0);
-      c::kernel_running_product(p.ux.data(), p.uy.data(), p.uz.data(),
-                                p.w.data(), count, lmax, got.data(), ilp);
-      for (std::size_t i = 0; i < ref.size(); ++i)
-        ASSERT_EQ(got[i], ref[i]) << "running_product ilp=" << ilp << " isa="
-                                  << c::kernel_isa_name(isa) << " i=" << i;
+  for (int lmax = 0; lmax <= 16; ++lmax) {
+    const int nslots = m::basis_size(lmax);
+    for (int count : {8, 24, 64, 136}) {
+      const PairSet p = random_pairs(count, count / 8, 991 + lmax + count);
+      for (int ilp : {1, 2, 4})
+        for (bool overwrite : {false, true})
+          for (bool fused : {false, true}) {
+            const std::size_t stride = 3;
+            auto run = [&](c::KernelIsa isa, std::vector<double>& acc,
+                           std::vector<double>& sums) {
+              c::set_kernel_isa(isa);
+              acc.assign(static_cast<std::size_t>(nslots) * c::kLanes, 0.25);
+              sums.assign(nslots * stride, -1.0);
+              c::kernel_running_product(p.ux.data(), p.uy.data(), p.uz.data(),
+                                        p.w.data(), count, lmax, acc.data(),
+                                        ilp, overwrite,
+                                        fused ? sums.data() + 1 : nullptr,
+                                        stride);
+            };
+            std::vector<double> ref_acc, ref_sums, acc, sums;
+            run(c::KernelIsa::kScalar, ref_acc, ref_sums);
+            for (c::KernelIsa isa : supported_levels()) {
+              run(isa, acc, sums);
+              const std::string what =
+                  "lmax=" + std::to_string(lmax) +
+                  " count=" + std::to_string(count) +
+                  " ilp=" + std::to_string(ilp) +
+                  " overwrite=" + std::to_string(overwrite) +
+                  " fused=" + std::to_string(fused) +
+                  " isa=" + c::kernel_isa_name(isa);
+              for (std::size_t i = 0; i < acc.size(); ++i)
+                ASSERT_EQ(bits(acc[i]), bits(ref_acc[i])) << what << " i=" << i;
+              for (std::size_t i = 0; i < sums.size(); ++i)
+                ASSERT_EQ(bits(sums[i]), bits(ref_sums[i]))
+                    << what << " sum " << i;
+            }
+          }
     }
   }
 }
@@ -359,7 +384,7 @@ TEST(KernelIsaEquivalence, FusedEpilogueBitwiseAcrossLevels) {
         for (int i = 0; i < count; ++i)
           acc.push(1, p.ux[i], p.uy[i], p.uz[i], p.w[i]);
         acc.finish_primary();
-        for (int t = 0; t < acc.n_mono(); ++t)
+        for (int t = 0; t < acc.n_slots(); ++t)
           ASSERT_EQ(bits(acc.power_sums(1)[t]), bits(ref[t]))
               << "isa=" << c::kernel_isa_name(isa) << " lmax=" << lmax
               << " count=" << count << " t=" << t;
@@ -379,7 +404,7 @@ TEST(KernelIsaEquivalence, AlmBinsAsLanesBitwiseAcrossLevels) {
       const std::size_t stride =
           static_cast<std::size_t>(nbins + c::kLanes - 1) / c::kLanes *
           c::kLanes;
-      std::vector<double> sums(stride * m::monomial_count(lmax));
+      std::vector<double> sums(stride * m::basis_size(lmax));
       for (double& x : sums) x = rng.uniform(-3, 3);
       std::vector<int> bins;
       for (int b = 0; b < nbins; ++b)

@@ -1,4 +1,4 @@
-// Spherical-harmonic machinery: monomial maps, Y_lm tables, orthonormality,
+// Spherical-harmonic machinery: the minimal basis, Y_lm tables, orthonormality,
 // the addition theorem, power-sum reconstruction and the recurrence
 // evaluator — the math the whole estimator rests on.
 #include <gtest/gtest.h>
@@ -35,36 +35,42 @@ cd ylm_reference(int l, int mm, double theta, double phi) {
 
 }  // namespace
 
-TEST(MonomialMap, CountMatchesFormula) {
+TEST(MinimalBasis, SizeIsLmaxPlusOneSquared) {
   for (int lmax : {0, 1, 2, 5, 10, 12}) {
-    m::MonomialMap map(lmax);
-    EXPECT_EQ(map.size(), m::monomial_count(lmax));
+    // One real slot per k at m = 0, a (Re, Im) pair per (m > 0, k).
+    int slots = 0;
+    for (int mm = 0; mm <= lmax; ++mm) slots += (mm ? 2 : 1) * (lmax - mm + 1);
+    EXPECT_EQ(m::basis_size(lmax), slots);
   }
-  EXPECT_EQ(m::monomial_count(10), 286);  // the paper's number
+  EXPECT_EQ(m::basis_size(10), 121);  // against the paper's 286 monomials
 }
 
-TEST(MonomialMap, IndexRoundTrip) {
-  m::MonomialMap map(10);
-  for (int i = 0; i < map.size(); ++i) {
-    const auto [a, b, c] = map.abc(i);
-    EXPECT_EQ(map.index(a, b, c), i);
-    EXPECT_LE(a + b + c, 10);
-  }
-}
-
-TEST(MonomialMap, OrderingIsNestedLoops) {
-  // The kernel relies on the exact a->b->c nesting.
-  m::MonomialMap map(4);
-  int idx = 0;
-  for (int a = 0; a <= 4; ++a)
-    for (int b = 0; a + b <= 4; ++b)
-      for (int c = 0; a + b + c <= 4; ++c) {
-        const auto t = map.abc(idx);
-        EXPECT_EQ(t.a, a);
-        EXPECT_EQ(t.b, b);
-        EXPECT_EQ(t.c, c);
-        ++idx;
+TEST(MinimalBasis, SlotsTileTheBasis) {
+  for (int lmax : {0, 1, 4, 10}) {
+    std::vector<int> seen(m::basis_size(lmax), 0);
+    for (int mm = 0; mm <= lmax; ++mm)
+      for (int k = 0; mm + k <= lmax; ++k) {
+        const int t = m::basis_slot(lmax, mm, k);
+        ASSERT_GE(t, 0);
+        ASSERT_LT(t + (mm ? 1 : 0), m::basis_size(lmax));
+        ++seen[t];
+        if (mm) ++seen[t + 1];
       }
+    for (int n : seen) EXPECT_EQ(n, 1) << "lmax=" << lmax;
+  }
+}
+
+TEST(MinimalBasis, OrderingIsKernelLoops) {
+  // The kernel emits m = 0 for k = 0..lmax, then per m the (Re, Im) pairs
+  // for k = 0..lmax-m; its slot counter must walk basis_slot in order.
+  const int lmax = 4;
+  int t = 0;
+  for (int mm = 0; mm <= lmax; ++mm)
+    for (int k = 0; mm + k <= lmax; ++k) {
+      EXPECT_EQ(m::basis_slot(lmax, mm, k), t) << "m=" << mm << " k=" << k;
+      t += mm ? 2 : 1;
+    }
+  EXPECT_EQ(t, m::basis_size(lmax));
 }
 
 TEST(SphHarmTable, MatchesReferenceOnRandomDirections) {
@@ -176,30 +182,34 @@ TEST(SphHarmTable, ConjugationSymmetry) {
 }
 
 TEST(SphHarmTable, AlmFromPowerSumsMatchesDirectSum) {
-  // Build power sums from a small set of weighted directions; a_lm from the
-  // table must equal sum_j w_j conj(Y_lm(u_j)).
+  // Build the basis sums T[m,k] = sum_j w_j (x+iy)^m z^k from a small set
+  // of weighted directions in std::complex arithmetic; a_lm from the table
+  // must equal sum_j w_j conj(Y_lm(u_j)).
   const int lmax = 8;
   m::SphHarmTable table(lmax);
-  const m::MonomialMap& mono = table.monomials();
   m::Rng rng(19);
 
   const int npts = 37;
-  std::vector<double> S(mono.size(), 0.0);
+  std::vector<double> T(m::basis_size(lmax), 0.0);
   std::vector<cd> direct(m::nlm(lmax), cd{0, 0});
   for (int j = 0; j < npts; ++j) {
     double x, y, z;
     rng.unit_vector(x, y, z);
     const double w = rng.uniform(0.5, 2.0);
-    for (int t = 0; t < mono.size(); ++t) {
-      const auto [a, b, c] = mono.abc(t);
-      S[t] += w * std::pow(x, a) * std::pow(y, b) * std::pow(z, c);
-    }
+    cd xy{1, 0};  // (x+iy)^m
+    for (int mm = 0; mm <= lmax; ++mm, xy *= cd(x, y))
+      for (int k = 0; mm + k <= lmax; ++k) {
+        const cd v = w * xy * std::pow(z, k);
+        const int t = m::basis_slot(lmax, mm, k);
+        T[t] += v.real();
+        if (mm) T[t + 1] += v.imag();
+      }
     for (int l = 0; l <= lmax; ++l)
       for (int mm = 0; mm <= l; ++mm)
         direct[m::lm_index(l, mm)] += w * std::conj(table.eval(l, mm, x, y, z));
   }
   std::vector<cd> alm(m::nlm(lmax));
-  table.alm_from_power_sums(S.data(), alm.data());
+  table.alm_from_power_sums(T.data(), alm.data());
   for (int i = 0; i < m::nlm(lmax); ++i)
     EXPECT_NEAR(std::abs(alm[i] - direct[i]), 0.0, 1e-9) << "lm flat " << i;
 }
@@ -215,13 +225,13 @@ TEST(AlmBinsAsLanes, MatchesPerBinOracleBitwise) {
   for (int lmax : {0, 2, 5, 10}) {
     const m::SphHarmTable table(lmax);
     const int nlm = m::nlm(lmax);
-    const int nmono = m::monomial_count(lmax);
+    const int nslots = m::basis_size(lmax);
     for (int nbins : {1, 3, 8, 9, 10, 16, 17}) {
       m::Rng rng(100 * lmax + nbins);
       const std::size_t stride =
           static_cast<std::size_t>(nbins + c::kLanes - 1) / c::kLanes *
           c::kLanes;
-      std::vector<double> sums(stride * nmono);
+      std::vector<double> sums(stride * nslots);
       for (double& x : sums) x = rng.uniform(-3, 3);
       // Touched: every other bin from a random start, listed in reverse.
       std::vector<int> bins;

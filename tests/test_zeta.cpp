@@ -239,7 +239,7 @@ struct PerPrimaryZeta {
 struct RandomPrimary {
   double wp;
   bool from_sums;
-  std::vector<double> sums;  // [n_mono][stride], from_sums only
+  std::vector<double> sums;  // [n_slots][stride], from_sums only
   std::size_t stride = 0;
   std::vector<int> bins;     // touched, in a shuffled order
   std::vector<cd> alm;
@@ -250,18 +250,18 @@ RandomPrimary random_primary(const m::SphHarmTable& table, int nbins,
                              m::Rng& rng, bool from_sums = false) {
   const int lmax = table.lmax();
   const int nlm = m::nlm(lmax);
-  const int n_mono = m::monomial_count(lmax);
+  const int n_slots = m::basis_size(lmax);
   RandomPrimary p;
   p.wp = rng.uniform(-0.5, 2.0);
   p.from_sums = from_sums;
   if (from_sums) {
     p.stride = static_cast<std::size_t>(nbins + 7) / 8 * 8;
-    p.sums.resize(p.stride * n_mono);
+    p.sums.resize(p.stride * n_slots);
     for (double& x : p.sums) x = rng.uniform(-2, 2);  // stale lanes included
   }
   p.alm.assign(static_cast<std::size_t>(nbins) * nlm, cd{});
   p.touched.assign(nbins, 0);
-  std::vector<double> bin_sums(n_mono);
+  std::vector<double> bin_sums(n_slots);
   for (int b = 0; b < nbins; ++b) {
     if (nbins > 1 && b == nbins - 1) continue;
     if (rng.uniform() < 0.25) continue;
@@ -273,7 +273,7 @@ RandomPrimary random_primary(const m::SphHarmTable& table, int nbins,
       continue;
     }
     p.bins.insert(p.bins.begin() + rng.uniform_u64(p.bins.size() + 1), b);
-    for (int t = 0; t < n_mono; ++t) bin_sums[t] = p.sums[t * p.stride + b];
+    for (int t = 0; t < n_slots; ++t) bin_sums[t] = p.sums[t * p.stride + b];
     table.alm_from_power_sums(bin_sums.data(), alm);
   }
   return p;
