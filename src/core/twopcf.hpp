@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <vector>
 
-
 namespace galactos::core {
 
 class TwoPcfAccumulator {
