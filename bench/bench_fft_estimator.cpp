@@ -94,22 +94,21 @@ int main(int argc, char** argv) {
   print_kv("tree reference", fmt(tree_seconds) + " s, " +
                                  std::to_string(tree_stats.pairs) + " pairs");
 
-  core::EngineConfig fcfg = base;
-  fcfg.backend = core::EstimatorBackend::kFFT;
-  fcfg.fft.box_side = box;
-  fcfg.fft.assignment = core::assignment_from_name(assignment);
-  fcfg.fft.compensate = compensate != 0;
-  fcfg.fft.edge_antialias = edge_aa != 0;
+  core::FftConfig fcfg;
+  fcfg.box_side = box;
+  fcfg.assignment = core::assignment_from_name(assignment);
+  fcfg.compensate = compensate != 0;
+  fcfg.edge_antialias = edge_aa != 0;
 
   std::vector<GridRow> rows;
   for (std::size_t n : parse_grids(grids_csv)) {
     GridRow row;
     row.grid_n = n;
-    fcfg.fft.grid_n = n;
+    fcfg.grid_n = n;
     for (bool interlace : {false, true}) {
-      fcfg.fft.interlace = interlace;
+      fcfg.interlace = interlace;
       timer.restart();
-      const core::ZetaResult z = core::Engine(fcfg).run(cat);
+      const core::ZetaResult z = core::fft_3pcf(base, fcfg, cat);
       const double secs = timer.seconds();
       const double err = core::max_gated_rel_err(tree, z, gate);
       (interlace ? row.inter_seconds : row.plain_seconds) = secs;

@@ -23,11 +23,11 @@ using namespace galactos::bench;
 
 namespace {
 
-// Isolated bucket-kernel throughput at the paper configuration (bucket 128,
-// ilp 4) for whatever dispatch level is currently active — the per-ISA A/B
-// rows of the JSON artifact.
+// Isolated bucket-kernel throughput at the engine's constants (one
+// kBucketCapacity bucket, kKernelIlp streams) for whatever dispatch level
+// is currently active — the per-ISA A/B rows of the JSON artifact.
 double measure_kernel_gflops(int lmax) {
-  constexpr int kBucket = 128;
+  constexpr int kBucket = core::kBucketCapacity;
   math::Rng rng(42);
   std::vector<double> ux(kBucket), uy(kBucket), uz(kBucket), w(kBucket);
   for (int i = 0; i < kBucket; ++i) {
@@ -40,7 +40,8 @@ double measure_kernel_gflops(int lmax) {
   auto run = [&](int iters) {
     for (int it = 0; it < iters; ++it)
       core::kernel_running_product(ux.data(), uy.data(), uz.data(), w.data(),
-                                   kBucket, lmax, acc.data(), 4);
+                                   kBucket, lmax, acc.data(),
+                                   core::kKernelIlp);
   };
   run(2000);  // warmup
   int iters = 2000;

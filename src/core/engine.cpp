@@ -9,7 +9,6 @@
 #include <optional>
 
 #include "core/alm.hpp"
-#include "core/fft_estimator.hpp"
 #include "core/twopcf.hpp"
 #include "tree/kdtree.hpp"
 
@@ -57,8 +56,6 @@ KernelConfig kernel_config(const EngineConfig& cfg) {
   KernelConfig kc;
   kc.lmax = cfg.lmax;
   kc.nbins = cfg.bins.count();
-  kc.bucket_capacity = cfg.tree.bucket_capacity;
-  kc.ilp = cfg.tree.ilp;
   return kc;
 }
 
@@ -154,7 +151,7 @@ struct Lane {
 // Number of leaves the master thread processes between poll() calls.
 constexpr int kPollLeafStride = 4;
 
-// The one traversal skeleton behind every tree-backend pass: Algorithm 1
+// The one traversal skeleton behind every engine pass: Algorithm 1
 // amortized a leaf at a time (§3.3), one dynamically scheduled parallel
 // loop over the primary index's leaves. The master thread — the
 // caller's own OS thread, so single-threaded MPI progress rules hold —
@@ -302,7 +299,7 @@ void merge_partials(const EngineConfig& cfg,
   result.xi_raw = xi_total.xi_raw();
 }
 
-// Every tree-backend pass: the leaf's primaries against the primary index
+// Every engine pass: the leaf's primaries against the primary index
 // — plus the candidates of `secondary`, when given, whose catalog indices
 // are offset by catalog.size() so they never collide with a primary's —
 // with the finished power sums folded into zeta and the 2PCF. Each leaf
@@ -538,25 +535,10 @@ struct StagedImplT final : detail::EngineStagedImpl {
 
 }  // namespace
 
-const char* backend_name(EstimatorBackend b) {
-  switch (b) {
-    case EstimatorBackend::kTree: return "tree";
-    case EstimatorBackend::kFFT: return "fft";
-  }
-  return "?";
-}
-
-EstimatorBackend backend_from_name(const std::string& name) {
-  if (name == "tree") return EstimatorBackend::kTree;
-  if (name == "fft") return EstimatorBackend::kFFT;
-  GLX_CHECK_MSG(false, "unknown estimator backend '" << name
-                                                     << "' (tree|fft)");
-  return EstimatorBackend::kTree;
-}
-
 Engine::Engine(EngineConfig cfg) : cfg_(std::move(cfg)) {
   GLX_CHECK(cfg_.lmax >= 0 && cfg_.lmax <= 16);
   GLX_CHECK(cfg_.bins.count() >= 1);
+  GLX_CHECK(cfg_.threads >= 0);
 }
 
 ZetaResult Engine::empty_result() const {
@@ -573,9 +555,6 @@ Engine::Staged Engine::build_index(sim::Catalog&& owned) const {
 
 Engine::Staged Engine::build_index_impl(const sim::Catalog* borrowed,
                                         sim::Catalog&& adopted) const {
-  GLX_CHECK_MSG(cfg_.backend == EstimatorBackend::kTree,
-                "build_index: the staged pipeline is tree-backend only "
-                "(the FFT backend decomposes the mesh, not the points)");
   GLX_CHECK_MSG(!(borrowed ? *borrowed : adopted).empty(),
                 "build_index: empty catalog");
   Timer tbuild;
@@ -690,8 +669,6 @@ ZetaResult Engine::run(const sim::Catalog& catalog,
                        const std::vector<std::int64_t>* primaries,
                        EngineStats* stats) const {
   GLX_CHECK_MSG(!catalog.empty(), "empty catalog");
-  if (cfg_.backend == EstimatorBackend::kFFT)
-    return fft_3pcf(cfg_, catalog, primaries, stats);
   Timer wall;
   // The catalog outlives this call, so the staged handle references it
   // instead of copying (it never escapes this scope).

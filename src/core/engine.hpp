@@ -33,6 +33,10 @@
 // leaves (paper §3.3: "a significant performance boost over a static
 // schedule"). Each thread owns private accumulators merged once at the
 // end, in thread-id order.
+//
+// The engine is the only estimator behind this config. The FFT mesh
+// estimator (core/fft_estimator.hpp) is a free function with its own
+// FftConfig: an independent oracle for the engine, not a mode of it.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +46,6 @@
 #include <vector>
 
 #include "core/bins.hpp"
-#include "core/gridder.hpp"
 #include "core/kernel.hpp"
 #include "core/los.hpp"
 #include "core/zeta.hpp"
@@ -60,48 +63,14 @@ enum class TreePrecision {
   kMixed,   // spatial index + distances in float (paper's fast mode)
 };
 
-// Which estimator computes the multipole coefficients: the tree backend
-// pair-counts with a spatial index (exact, O(N * pairs-per-primary)); the
-// FFT backend grids the catalog and convolves with binned Y_lm kernels in
-// Fourier space (Slepian & Eisenstein 1506.04746) — O(Ngrid log Ngrid),
-// periodic boxes with a plane-parallel LOS only, accuracy set by the mesh.
-enum class EstimatorBackend { kTree, kFFT };
-
-const char* backend_name(EstimatorBackend b);
-EstimatorBackend backend_from_name(const std::string& name);  // "tree"|"fft"
-
-// Tree-backend knobs (the pair-counting engine). The neighbor index is
-// always a k-d tree (`leaf_size` points per leaf) in Morton layout, built
-// on EngineConfig::threads, and the multipole kernel always the running
-// product (`ilp` streams, `bucket_capacity` pairs per bucket; see
+// The engine's two tree settings. The neighbor index is always a
+// k-d tree (`leaf_size` points per leaf) in Morton layout, built on
+// EngineConfig::threads; the multipole kernel's bucket size and stream
+// count are the paper's §3.3 constants (kBucketCapacity, kKernelIlp in
 // core/kernel.hpp).
 struct TreeConfig {
   TreePrecision precision = TreePrecision::kDouble;
   int leaf_size = 32;
-  int ilp = 4;
-  int bucket_capacity = 128;
-};
-
-// FFT-backend knobs. The catalog must live in the periodic box
-// [0, box_side)^3, box_side > 0 (the FFT path has no ghost replication —
-// periodicity is native to the mesh). Accuracy improves with grid_n and
-// assignment order; interlacing (a second half-cell-shifted mesh averaged
-// in Fourier space) cancels the leading aliased images, and compensation
-// divides the density spectrum by the assignment window (squared: once for
-// assignment, once for the field interpolation back at the primaries).
-struct FftConfig {
-  std::size_t grid_n = 64;  // power of two
-  MassAssignment assignment = MassAssignment::kCic;
-  bool interlace = false;
-  bool compensate = true;
-  // Volume-fraction bin membership for kernel cells straddling a radial bin
-  // edge (supersampled), instead of all-or-nothing assignment by the cell
-  // center radius. Cuts the radial quantization error — the dominant error
-  // term at practical grids — at identical runtime. Disable to make the
-  // mesh reproduce the tree's sharp binning on exactly-gridded data (the
-  // cross-backend equivalence tests do).
-  bool edge_antialias = true;
-  double box_side = 0.0;  // REQUIRED for kFFT
 };
 
 struct EngineConfig {
@@ -110,20 +79,18 @@ struct EngineConfig {
   LineOfSight los = LineOfSight::kPlaneParallelZ;
   sim::Vec3 observer{0.0, 0.0, 0.0};  // used when los == kRadial
 
-  EstimatorBackend backend = EstimatorBackend::kTree;
-  TreeConfig tree;  // read when backend == kTree
-  FftConfig fft;    // read when backend == kFFT
+  TreeConfig tree;
 
-  int threads = 0;  // 0 = OpenMP default
+  int threads = 0;  // 0 = OpenMP default; negative is rejected
 
   // Subtract degenerate j == k contributions from diagonal bin pairs
   // (slow path: per-secondary Y_lm evaluation; used for validation and
-  // small science runs). Tree backend only.
+  // small science runs).
   bool subtract_self_pairs = false;
 };
 
 // Filled by every run entry point (Engine::run, Staged::run_indexed /
-// run_owned_pass / run_secondary_pass, fft_3pcf),
+// run_owned_pass / run_secondary_pass, and the FFT oracle fft_3pcf),
 // which first resets the object: a reused stats object reports its last
 // run only.
 struct EngineStats {
@@ -249,8 +216,6 @@ class Engine {
   // exchange is still in flight, then extend_with_secondaries(halo) and
   // run_indexed (paper §3.2–3.3 overlap). The handle keeps its own copy of
   // `owned`, so the caller's buffer is free to move afterwards.
-  // Tree backend only (the FFT backend has no spatial index). Throws for
-  // backend == kFFT.
   Staged build_index(const sim::Catalog& owned) const;
 
   // Move overload: adopts `owned` as the handle's storage instead of
@@ -264,8 +229,6 @@ class Engine {
   // All points always act as secondaries. The list must not contain
   // duplicates (the traversal tests membership per point);
   // duplicates are rejected like out-of-range indices.
-  // Dispatches on cfg.backend: the tree path is unchanged by backend
-  // selection (bit-for-bit), the FFT path delegates to fft_3pcf.
   ZetaResult run(const sim::Catalog& catalog,
                  const std::vector<std::int64_t>* primaries = nullptr,
                  EngineStats* stats = nullptr) const;

@@ -12,27 +12,25 @@ namespace galactos::core {
 
 using math::cplx;
 
-void validate_fft_config(const EngineConfig& cfg) {
-  GLX_CHECK_MSG(cfg.backend == EstimatorBackend::kFFT,
-                "validate_fft_config on a non-FFT configuration");
+void validate_fft_config(const EngineConfig& cfg, const FftConfig& f) {
   GLX_CHECK(cfg.lmax >= 0 && cfg.lmax <= 16);
   GLX_CHECK(cfg.bins.count() >= 1);
-  const FftConfig& f = cfg.fft;
+  GLX_CHECK(cfg.threads >= 0);
   GLX_CHECK_MSG(f.box_side > 0.0,
-                "fft backend: fft.box_side must be set (> 0)");
+                "fft_3pcf: box_side must be set (> 0)");
   GLX_CHECK_MSG(math::is_pow2(f.grid_n) && f.grid_n >= 4,
-                "fft backend: grid_n must be a power of two >= 4, got "
+                "fft_3pcf: grid_n must be a power of two >= 4, got "
                     << f.grid_n);
   GLX_CHECK_MSG(cfg.los == LineOfSight::kPlaneParallelZ,
-                "fft backend: only the plane-parallel +z line of sight is "
+                "fft_3pcf: only the plane-parallel +z line of sight is "
                 "supported (a mesh convolution has one global LOS)");
   GLX_CHECK_MSG(!cfg.subtract_self_pairs,
-                "fft backend: subtract_self_pairs is unsupported");
+                "fft_3pcf: subtract_self_pairs is unsupported");
   GLX_CHECK_MSG(cfg.bins.rmin() > 0.0,
-                "fft backend: bins.rmin() must be > 0 (the zero-lag cell "
+                "fft_3pcf: bins.rmin() must be > 0 (the zero-lag cell "
                 "holds the primary itself)");
   GLX_CHECK_MSG(cfg.bins.rmax() < 0.5 * f.box_side,
-                "fft backend: bins.rmax() must be < box_side / 2 "
+                "fft_3pcf: bins.rmax() must be < box_side / 2 "
                 "(minimum-image separations), got rmax = "
                     << cfg.bins.rmax() << " box_side = " << f.box_side);
 }
@@ -299,10 +297,11 @@ void validate_primaries(std::size_t catalog_size,
 
 }  // namespace
 
-ZetaResult fft_3pcf(const EngineConfig& cfg, const sim::Catalog& catalog,
+ZetaResult fft_3pcf(const EngineConfig& cfg, const FftConfig& f,
+                    const sim::Catalog& catalog,
                     const std::vector<std::int64_t>* primaries,
                     EngineStats* stats) {
-  validate_fft_config(cfg);
+  validate_fft_config(cfg, f);
   GLX_CHECK_MSG(!catalog.empty(), "empty catalog");
   validate_primaries(catalog.size(), primaries);
 
@@ -311,7 +310,6 @@ ZetaResult fft_3pcf(const EngineConfig& cfg, const sim::Catalog& catalog,
   EngineStats& st = stats ? *stats : local_stats;
   st = EngineStats{};
 
-  const FftConfig& f = cfg.fft;
   const std::size_t n = f.grid_n;
   const std::size_t ncube = n * n * n;
   const double h = f.box_side / static_cast<double>(n);

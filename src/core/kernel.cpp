@@ -295,14 +295,10 @@ MultipoleAccumulator::MultipoleAccumulator(const KernelConfig& cfg)
                    kLanes) {
   GLX_CHECK(cfg.lmax >= 0 && cfg.lmax <= 16);
   GLX_CHECK(cfg.nbins >= 1);
-  GLX_CHECK_MSG(cfg.bucket_capacity >= kLanes &&
-                    cfg.bucket_capacity % kLanes == 0,
-                "bucket capacity must be a positive multiple of " << kLanes);
-  GLX_CHECK(cfg.ilp == 1 || cfg.ilp == 2 || cfg.ilp == 4);
 
   const std::size_t nb = static_cast<std::size_t>(cfg.nbins);
   acc_.reset(nb * n_slots_ * kLanes);
-  bucket_.reset(nb * 4 * cfg.bucket_capacity);
+  bucket_.reset(nb * 4 * kBucketCapacity);
   sums_.reset(sums_stride_ * n_slots_);
   sums_.fill(0.0);
   fill_.assign(cfg.nbins, 0);
@@ -332,7 +328,7 @@ void MultipoleAccumulator::touch(int bin) {
 }
 
 void MultipoleAccumulator::flush(int bin, bool last) {
-  const int cap = cfg_.bucket_capacity;
+  constexpr int cap = kBucketCapacity;
   double* bu = bucket_.data() + static_cast<std::size_t>(bin) * 4 * cap;
   const int count = fill_[bin];
   if (count == 0) return;
@@ -351,7 +347,7 @@ void MultipoleAccumulator::flush(int bin, bool last) {
   first_flush_[bin] = 0;
   double* sums = last ? sums_.data() + bin : nullptr;
   kernel_running_product(bu, bu + cap, bu + 2 * cap, bu + 3 * cap, padded,
-                         cfg_.lmax, a, cfg_.ilp, overwrite, sums,
+                         cfg_.lmax, a, kKernelIlp, overwrite, sums,
                          sums_stride_);
   fill_[bin] = 0;
 }

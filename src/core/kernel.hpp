@@ -12,8 +12,9 @@
 // executes kernel_basis_flops_per_pair (277). The design follows §3.3:
 //
 // * Pre-binning (§3.3.1): pairs are buffered into per-bin SoA *buckets* of
-//   `bucket_capacity` (paper: k = 128) and processed a bucket at a time, so
-//   vector operations touch a single bin's accumulators (cache reuse).
+//   kBucketCapacity pairs (paper: k = 128) and processed a bucket at a
+//   time, so vector operations touch a single bin's accumulators (cache
+//   reuse).
 // * Lane accumulators (§3.3.2): each slot of T is an 8-wide lane array;
 //   groups of 8 pairs accumulate lane-wise and one reduction per (primary,
 //   bin) collapses the lanes — replacing N/8 vector reductions with one. It
@@ -24,8 +25,13 @@
 //   ready for the bins-as-lanes a_lm assembly (alm_bins_as_lanes).
 // * Running products (§3.3.2): per 8-pair chunk a complex running product
 //   p <- p (x + iy) per m and a z-chain q <- q z per k, with no FMA;
-//   `ilp` independent chunks are interleaved to expose instruction-level
-//   parallelism (paper: 4 independent vectors).
+//   kKernelIlp independent chunks are interleaved to expose
+//   instruction-level parallelism (paper: 4 independent vectors).
+//
+// Both are constants, not settings: any other value changes the result
+// bits (the bucket boundaries and the per-lane chunk sums move). The raw
+// kernel_running_product keeps an `ilp` argument only so bench_kernel can
+// sweep it and the tests can cover every stream count.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +49,11 @@
 namespace galactos::core {
 
 inline constexpr int kLanes = 8;  // 512-bit worth of doubles, as on KNL
+// Pairs per bucket (paper §3.3.1: k = 128); a multiple of kLanes.
+inline constexpr int kBucketCapacity = 128;
+// Interleaved running-product streams (paper §3.3.2: 4 vectors).
+inline constexpr int kKernelIlp = 4;
+static_assert(kBucketCapacity % kLanes == 0);
 
 // --- Runtime ISA dispatch -------------------------------------------------
 //
@@ -86,8 +97,6 @@ KernelIsa kernel_isa_from_env();
 struct KernelConfig {
   int lmax = 10;
   int nbins = 10;
-  int bucket_capacity = 128;  // pairs per bucket; multiple of kLanes
-  int ilp = 4;  // independent running-product streams (1, 2 or 4)
 };
 
 // Paper-equivalent FLOPs per pair: one FMA (2 FLOPs) per monomial
@@ -107,7 +116,8 @@ inline double kernel_basis_flops_per_pair(int lmax) {
 // --- Raw bucket kernels (exposed for unit tests and the kernel bench). ---
 // All require count % kLanes == 0 (callers pad with zero weight); `acc` is
 // the lane accumulator block acc[n_slots][kLanes] (math::basis_slot
-// order). With `overwrite` the first contribution stores instead of
+// order). `ilp` is the interleaved stream count, 1, 2 or 4; the
+// accumulator always passes kKernelIlp. With `overwrite` the first contribution stores instead of
 // accumulating, so callers never have to zero `acc` (the memset would cost
 // as much as a ~40-pair bucket).
 //
@@ -222,8 +232,8 @@ void stage_pairs(const tree::NeighborBlock<Real>& block, Real px, Real py,
 // push_staged(...) once; finish_primary(); then read the touched bins'
 // power sums. A full bucket is flushed on the next push into its bin, not
 // on the push that fills it: the bucket boundaries are the same, but every
-// touched bin reaches finish_primary with 1..capacity pending pairs, whose
-// flush carries the fused lane reduction.
+// touched bin reaches finish_primary with 1..kBucketCapacity pending pairs,
+// whose flush carries the fused lane reduction.
 class MultipoleAccumulator {
  public:
   explicit MultipoleAccumulator(const KernelConfig& cfg);
@@ -238,16 +248,16 @@ class MultipoleAccumulator {
     GLX_DCHECK(bin >= 0 && bin < cfg_.nbins);
     if (!touched_[bin]) touch(bin);
     double* bu = bucket_.data() +
-                 static_cast<std::size_t>(bin) * 4 * cfg_.bucket_capacity;
+                 static_cast<std::size_t>(bin) * 4 * kBucketCapacity;
     int f = fill_[bin];
-    if (f == cfg_.bucket_capacity) {
+    if (f == kBucketCapacity) {
       flush(bin, false);
       f = 0;
     }
     bu[f] = ux;
-    bu[cfg_.bucket_capacity + f] = uy;
-    bu[2 * cfg_.bucket_capacity + f] = uz;
-    bu[3 * cfg_.bucket_capacity + f] = w;
+    bu[kBucketCapacity + f] = uy;
+    bu[2 * kBucketCapacity + f] = uz;
+    bu[3 * kBucketCapacity + f] = w;
     fill_[bin] = f + 1;
   }
   // push() for each staged pair, in order.
@@ -281,8 +291,8 @@ class MultipoleAccumulator {
 
   // Lifetime work counters. Every touched (primary, bin) costs one
   // epilogue: its final flush with the fused lane reduction, and one bin
-  // of a_lm downstream. Flushes split into full buckets (capacity pairs)
-  // and final partial ones (fewer).
+  // of a_lm downstream. Flushes split into full buckets (kBucketCapacity
+  // pairs) and final partial ones (fewer).
   struct Counters {
     std::uint64_t epilogues = 0;
     std::uint64_t full_flushes = 0;
@@ -301,7 +311,7 @@ class MultipoleAccumulator {
   int n_slots_;
   std::size_t sums_stride_;
   AlignedBuffer<double> acc_;     // [nbins][n_slots][kLanes]
-  AlignedBuffer<double> bucket_;  // [nbins][4][capacity]
+  AlignedBuffer<double> bucket_;  // [nbins][4][kBucketCapacity]
   AlignedBuffer<double> sums_;    // [n_slots][sums_stride_]
   std::vector<int> fill_;
   std::vector<std::uint8_t> touched_;

@@ -49,14 +49,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-// The mesh estimator has no particles to partition or halo to exchange, so
-// the distributed pipeline is tree-backend only.
-void check_tree_backend(const DistRunConfig& cfg) {
-  GLX_CHECK_MSG(cfg.engine.backend == core::EstimatorBackend::kTree,
-                "the distributed pipeline runs the tree backend only; run "
-                "the FFT backend on a single node with core::Engine::run");
-}
-
 }  // namespace
 
 const char* overlap_mode_name(OverlapMode mode) {
@@ -104,7 +96,7 @@ core::ZetaResult reduce_across_ranks(Comm& comm,
   return out;
 }
 
-// The tree-backend pipeline body, writing its accounting into `rep` as each
+// The pipeline body, writing its accounting into `rep` as each
 // stage completes so run_rank's failure path can dump whatever was measured
 // before the error. Phases are marked on the comm both for diagnostics
 // (TimeoutError / failure_phase) and as FaultPlan stall/crash hook points.
@@ -248,7 +240,6 @@ void fill_phase_bytes(const Comm& comm, RankReport& rep) {
 
 core::ZetaResult run_rank(Comm& comm, const sim::Catalog& mine,
                           const DistRunConfig& cfg, RankReport* report) {
-  check_tree_backend(cfg);
   comm.set_timeout(timeout_from_env(cfg.timeout_s));
   Timer total;
   RankReport rep;
@@ -292,7 +283,6 @@ core::ZetaResult run_rank(Comm& comm, const sim::Catalog& mine,
 core::ZetaResult run_distributed(const sim::Catalog& catalog,
                                  const DistRunConfig& cfg,
                                  std::vector<RankReport>* reports) {
-  check_tree_backend(cfg);
   GLX_CHECK_MSG(cfg.ranks >= 1, "run_distributed: ranks must be >= 1");
   GLX_CHECK_MSG(!catalog.empty(), "run_distributed: empty catalog");
 
@@ -316,7 +306,6 @@ core::ZetaResult run_distributed(const Session& session,
                                  const DistRunConfig& cfg,
                                  std::vector<RankReport>* reports) {
   GLX_CHECK_MSG(session.valid(), "run_distributed: empty session");
-  check_tree_backend(cfg);
   if (session.backend() == Backend::kThreads) {
     // ranks == 0 means "all" on MPI; the thread world has no ambient rank
     // count, so mirror Session::run(0) and mean one rank.

@@ -27,9 +27,8 @@
 // for one rank, where every leaf is interior, ~1e-13 relative for many),
 // under either PartitionPolicy and any OverlapMode.
 //
-// Tree backend only: run_rank and run_distributed reject
-// EstimatorBackend::kFFT up front — the mesh estimator runs on a single
-// node through core::Engine::run.
+// The distributed pipeline runs core::Engine, the only estimator behind
+// EngineConfig; the FFT mesh oracle (core::fft_3pcf) is single-node only.
 #pragma once
 
 #include <cstdint>

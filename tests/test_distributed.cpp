@@ -213,23 +213,3 @@ TEST(Distributed, MoreRanksThanGalaxiesStillCorrect) {
   const c::ZetaResult dist = d::run_distributed(full, dcfg);
   expect_results_match(dist, single, 1e-10, 1e-10);
 }
-
-TEST(Distributed, RejectsFftBackendUpFront) {
-  // The mesh estimator has no particles to partition: both entry points
-  // refuse it before any rank starts, pointing at the single-node path.
-  const s::Catalog full = s::uniform_box(50, s::Aabb::cube(20), 61);
-  d::DistRunConfig dcfg;
-  dcfg.engine = base_config();
-  dcfg.engine.backend = c::EstimatorBackend::kFFT;
-  dcfg.ranks = 2;
-  try {
-    d::run_distributed(full, dcfg);
-    FAIL() << "run_distributed accepted backend == kFFT";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("Engine::run"), std::string::npos)
-        << e.what();
-  }
-  d::run_ranks(2, [&](d::Comm& comm) {
-    EXPECT_THROW(d::run_rank(comm, full, dcfg), std::logic_error);
-  });
-}

@@ -1,6 +1,6 @@
-// FFT estimator backend: config gates, exact discrete equivalence with the
-// tree backend, grid-refinement convergence on a lognormal mock, the
-// interlacing aliasing test, and Engine::run's dispatch to fft_3pcf.
+// FFT estimator (the mesh oracle, core::fft_3pcf): config gates, exact
+// discrete equivalence with the engine, grid-refinement convergence on a
+// lognormal mock and the interlacing aliasing test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,19 +23,23 @@ using galactos::testing::expect_results_match;
 
 namespace {
 
-c::EngineConfig small_fft_config() {
+c::EngineConfig small_config() {
   c::EngineConfig cfg;
   cfg.bins = c::RadialBins(1.7, 6.3, 3);
   cfg.lmax = 4;
   cfg.threads = 3;
-  cfg.backend = c::EstimatorBackend::kFFT;
-  cfg.fft.grid_n = 16;
-  cfg.fft.box_side = 20.0;
-  cfg.fft.assignment = c::MassAssignment::kNgp;
-  cfg.fft.interlace = false;
-  cfg.fft.compensate = false;
-  cfg.fft.edge_antialias = false;  // sharp binning: exact on gridded data
   return cfg;
+}
+
+c::FftConfig small_mesh() {
+  c::FftConfig f;
+  f.grid_n = 16;
+  f.box_side = 20.0;
+  f.assignment = c::MassAssignment::kNgp;
+  f.interlace = false;
+  f.compensate = false;
+  f.edge_antialias = false;  // sharp binning: exact on gridded data
+  return f;
 }
 
 // Shared lognormal mock + tree reference for the convergence /
@@ -43,7 +47,7 @@ c::EngineConfig small_fft_config() {
 // part; compute it once).
 struct MockRef {
   s::Catalog cat;
-  c::EngineConfig base;  // tree backend; bins/lmax/threads shared
+  c::EngineConfig base;  // bins/lmax/threads shared by both estimators
   c::ZetaResult tree;
 };
 
@@ -70,14 +74,13 @@ const MockRef& mock_ref() {
 double mock_fft_err(std::size_t grid_n, c::MassAssignment a, bool interlace,
                     bool compensate) {
   const MockRef& r = mock_ref();
-  c::EngineConfig cfg = r.base;
-  cfg.backend = c::EstimatorBackend::kFFT;
-  cfg.fft.grid_n = grid_n;
-  cfg.fft.box_side = 200.0;
-  cfg.fft.assignment = a;
-  cfg.fft.interlace = interlace;
-  cfg.fft.compensate = compensate;
-  const c::ZetaResult fft = c::Engine(cfg).run(r.cat);
+  c::FftConfig f;
+  f.grid_n = grid_n;
+  f.box_side = 200.0;
+  f.assignment = a;
+  f.interlace = interlace;
+  f.compensate = compensate;
+  const c::ZetaResult fft = c::fft_3pcf(r.base, f, r.cat);
   // 3% gate: the committed accuracy contract covers coefficients carrying
   // at least 3% of the peak signal (below that, the tree value itself is
   // cancellation noise for this statistically isotropic mock).
@@ -86,81 +89,78 @@ double mock_fft_err(std::size_t grid_n, c::MassAssignment a, bool interlace,
 
 }  // namespace
 
-TEST(FftEstimator, BackendNamesRoundTrip) {
-  EXPECT_STREQ(c::backend_name(c::EstimatorBackend::kTree), "tree");
-  EXPECT_STREQ(c::backend_name(c::EstimatorBackend::kFFT), "fft");
-  EXPECT_EQ(c::backend_from_name("tree"), c::EstimatorBackend::kTree);
-  EXPECT_EQ(c::backend_from_name("fft"), c::EstimatorBackend::kFFT);
-  EXPECT_THROW(c::backend_from_name("mesh"), std::logic_error);
-}
-
 TEST(FftEstimator, RejectsInvalidConfigs) {
   s::Catalog cat;
   cat.push_back(1.0, 1.0, 1.0);
-  const c::EngineConfig good = small_fft_config();
-  EXPECT_NO_THROW(c::validate_fft_config(good));
+  const c::EngineConfig good = small_config();
+  const c::FftConfig mesh = small_mesh();
+  EXPECT_NO_THROW(c::validate_fft_config(good, mesh));
 
   {  // box_side is required
-    c::EngineConfig cfg = good;
-    cfg.fft.box_side = 0.0;
-    EXPECT_THROW(c::Engine(cfg).run(cat), std::logic_error);
+    c::FftConfig f = mesh;
+    f.box_side = 0.0;
+    EXPECT_THROW(c::fft_3pcf(good, f, cat), std::logic_error);
   }
   {  // radial LOS: a convolution has a single global line of sight
     c::EngineConfig cfg = good;
     cfg.los = c::LineOfSight::kRadial;
-    EXPECT_THROW(c::Engine(cfg).run(cat), std::logic_error);
+    EXPECT_THROW(c::fft_3pcf(cfg, mesh, cat), std::logic_error);
   }
   {  // rmax must stay below half the box (minimum image)
     c::EngineConfig cfg = good;
     cfg.bins = c::RadialBins(1.7, 10.0, 3);
-    EXPECT_THROW(c::Engine(cfg).run(cat), std::logic_error);
+    EXPECT_THROW(c::fft_3pcf(cfg, mesh, cat), std::logic_error);
   }
   {  // rmin == 0 would include the zero-lag self cell
     c::EngineConfig cfg = good;
     cfg.bins = c::RadialBins(0.0, 6.3, 3);
-    EXPECT_THROW(c::Engine(cfg).run(cat), std::logic_error);
+    EXPECT_THROW(c::fft_3pcf(cfg, mesh, cat), std::logic_error);
   }
   {  // grid_n must be a power of two
-    c::EngineConfig cfg = good;
-    cfg.fft.grid_n = 24;
-    EXPECT_THROW(c::Engine(cfg).run(cat), std::logic_error);
+    c::FftConfig f = mesh;
+    f.grid_n = 24;
+    EXPECT_THROW(c::fft_3pcf(good, f, cat), std::logic_error);
   }
   {  // self-pair subtraction needs per-pair products the mesh cannot give
     c::EngineConfig cfg = good;
     cfg.subtract_self_pairs = true;
-    EXPECT_THROW(c::Engine(cfg).run(cat), std::logic_error);
+    EXPECT_THROW(c::fft_3pcf(cfg, mesh, cat), std::logic_error);
   }
   {  // validate_fft_config needs no catalog
-    c::EngineConfig cfg = good;
-    cfg.fft.box_side = -5.0;
-    EXPECT_THROW(c::validate_fft_config(cfg), std::logic_error);
+    c::FftConfig f = mesh;
+    f.box_side = -5.0;
+    EXPECT_THROW(c::validate_fft_config(good, f), std::logic_error);
   }
 }
 
-TEST(FftEstimator, BuildIndexIsTreeOnly) {
-  const s::Catalog cat = galactos::testing::clumpy_catalog(50, 20.0, 5);
-  EXPECT_THROW(c::Engine(small_fft_config()).build_index(cat),
-               std::logic_error);
+// A negative thread count is an error, not OpenMP's default (0 is).
+TEST(FftEstimator, RejectsNegativeThreads) {
+  c::EngineConfig cfg = small_config();
+  cfg.threads = -1;
+  EXPECT_THROW(c::validate_fft_config(cfg, small_mesh()), std::logic_error);
+  cfg.threads = 0;
+  EXPECT_NO_THROW(c::validate_fft_config(cfg, small_mesh()));
 }
 
 TEST(FftEstimator, RejectsOutOfBoxAndDuplicatePrimaries) {
   s::Catalog cat;
   cat.push_back(1.0, 1.0, 1.0);
   cat.push_back(2.0, 2.0, 2.0);
-  const c::EngineConfig cfg = small_fft_config();
   {
     std::vector<std::int64_t> bad = {0, 2};
-    EXPECT_THROW(c::Engine(cfg).run(cat, &bad), std::logic_error);
+    EXPECT_THROW(c::fft_3pcf(small_config(), small_mesh(), cat, &bad),
+                 std::logic_error);
   }
   {
     std::vector<std::int64_t> bad = {1, 1};
-    EXPECT_THROW(c::Engine(cfg).run(cat, &bad), std::logic_error);
+    EXPECT_THROW(c::fft_3pcf(small_config(), small_mesh(), cat, &bad),
+                 std::logic_error);
   }
 }
 
 // The cornerstone equivalence: on a catalog that already lives at cell
-// centers, NGP gridding is lossless, so the FFT backend (no interlacing, no
-// compensation) computes EXACTLY the tree backend's discrete pair sum — the
+// centers, NGP gridding is lossless, so the mesh (no interlacing, no
+// compensation) computes EXACTLY the engine's discrete pair sum — the
 // only difference is FFT round-off.
 TEST(FftEstimator, MatchesTreeExactlyOnCellCenterCatalog) {
   const double box = 20.0;
@@ -170,15 +170,10 @@ TEST(FftEstimator, MatchesTreeExactlyOnCellCenterCatalog) {
   c::assign_to_mesh(raw, c::MassAssignment::kNgp, n, box, 0.0, mesh);
   const s::Catalog cells = c::mesh_to_catalog(mesh, n, box);
 
-  c::EngineConfig tree_cfg;
-  tree_cfg.bins = c::RadialBins(1.7, 6.3, 3);
-  tree_cfg.lmax = 4;
-  tree_cfg.threads = 3;
+  const c::EngineConfig cfg = small_config();
   const c::ZetaResult tree =
-      c::periodic_box_3pcf(cells, s::Aabb::cube(box), tree_cfg);
-
-  c::EngineConfig fft_cfg = small_fft_config();
-  const c::ZetaResult fft = c::Engine(fft_cfg).run(cells);
+      c::periodic_box_3pcf(cells, s::Aabb::cube(box), cfg);
+  const c::ZetaResult fft = c::fft_3pcf(cfg, small_mesh(), cells);
 
   EXPECT_EQ(fft.n_pairs, 0u);  // documented: the mesh has no discrete count
   expect_results_match(tree, fft, 1e-9, 1e-6);
@@ -189,16 +184,16 @@ TEST(FftEstimator, MatchesTreeExactlyOnCellCenterCatalog) {
 TEST(FftEstimator, PrimarySubsetsAreAdditive) {
   const double box = 20.0;
   const s::Catalog cat = galactos::testing::clumpy_catalog(400, box, 31);
-  const c::EngineConfig cfg = small_fft_config();
-  const c::Engine engine(cfg);
+  const c::EngineConfig cfg = small_config();
+  const c::FftConfig mesh = small_mesh();
 
   std::vector<std::int64_t> evens, odds;
   for (std::int64_t i = 0; i < static_cast<std::int64_t>(cat.size()); ++i)
     (i % 2 ? odds : evens).push_back(i);
 
-  const c::ZetaResult full = engine.run(cat);
-  const c::ZetaResult a = engine.run(cat, &evens);
-  const c::ZetaResult b = engine.run(cat, &odds);
+  const c::ZetaResult full = c::fft_3pcf(cfg, mesh, cat);
+  const c::ZetaResult a = c::fft_3pcf(cfg, mesh, cat, &evens);
+  const c::ZetaResult b = c::fft_3pcf(cfg, mesh, cat, &odds);
 
   EXPECT_EQ(a.n_primaries + b.n_primaries, full.n_primaries);
   galactos::testing::expect_close(a.sum_primary_weight + b.sum_primary_weight,
@@ -234,39 +229,20 @@ TEST(FftEstimator, PrimarySubsetsAreAdditive) {
 // two runs, bitwise-equal results.
 TEST(FftEstimator, Deterministic) {
   const s::Catalog cat = galactos::testing::clumpy_catalog(500, 20.0, 41);
-  c::EngineConfig cfg = small_fft_config();
-  cfg.fft.assignment = c::MassAssignment::kTsc;
-  cfg.fft.interlace = true;
-  cfg.fft.compensate = true;
-  const c::Engine engine(cfg);
-  const c::ZetaResult r1 = engine.run(cat);
-  const c::ZetaResult r2 = engine.run(cat);
+  c::FftConfig mesh = small_mesh();
+  mesh.assignment = c::MassAssignment::kTsc;
+  mesh.interlace = true;
+  mesh.compensate = true;
+  const c::ZetaResult r1 = c::fft_3pcf(small_config(), mesh, cat);
+  const c::ZetaResult r2 = c::fft_3pcf(small_config(), mesh, cat);
   expect_results_match(r1, r2, 0.0, 1e-300);
-}
-
-TEST(FftEstimator, EngineDispatchMatchesFft3pcf) {
-  // Engine::run delegates kFFT to fft_3pcf, bit for bit.
-  const s::Catalog cat = galactos::testing::clumpy_catalog(300, 20.0, 51);
-  const c::EngineConfig cfg = small_fft_config();
-  const c::ZetaResult via_engine = c::Engine(cfg).run(cat);
-  const c::ZetaResult direct = c::fft_3pcf(cfg, cat);
-  expect_results_match(via_engine, direct, 0.0, 1e-300);
-}
-
-TEST(FftEstimator, EmptyResultMatchesShape) {
-  const c::EngineConfig cfg = small_fft_config();
-  const c::ZetaResult z = c::Engine(cfg).empty_result();
-  EXPECT_EQ(z.lmax, cfg.lmax);
-  EXPECT_EQ(z.bins.count(), cfg.bins.count());
-  EXPECT_EQ(z.n_primaries, 0u);
-  EXPECT_EQ(z.sum_primary_weight, 0.0);
 }
 
 // Grid refinement sweep on a clustered lognormal mock: the gated error vs
 // the tree answer must fall monotonically as the mesh refines, with the
 // tolerance tightening each refinement, and at the committed configuration
 // (grid_n = 128, TSC, interlaced, compensated, edge-antialiased) it must be
-// below 1e-3 — the acceptance bar for science use of the backend.
+// below 1e-3 — the acceptance bar for science use of the mesh.
 // Measured at the committed mock (seed 99): 2.7e-3 / 6.7e-4 / 2.5e-4.
 TEST(FftEstimator, ConvergesMonotonicallyToTreeOnLognormalMock) {
   const double e32 = mock_fft_err(32, c::MassAssignment::kTsc, true, true);

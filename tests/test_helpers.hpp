@@ -142,18 +142,19 @@ inline std::uint64_t bits(double x) {
 }
 
 // One bin's power sums the way the accumulator computed them before the
-// lane reduction was fused into the kernel: capacity-sized buckets of the
-// pairs, each zero-padded to kLanes and run through the raw bucket kernel
-// into the lane block (the first one overwriting), then one standalone
-// reduction per monomial with the tree ((0+1)+(2+3))+((4+5)+(6+7)). The
-// fused epilogue must reproduce it bit for bit.
-inline std::vector<double> unfused_power_sums(const core::KernelConfig& cfg,
+// lane reduction was fused into the kernel: kBucketCapacity-sized buckets
+// of the pairs, each zero-padded to kLanes and run through the raw bucket
+// kernel with `ilp` streams into the lane block (the first one
+// overwriting), then one standalone reduction per slot with the tree
+// ((0+1)+(2+3))+((4+5)+(6+7)). The fused epilogue must reproduce it bit for
+// bit (the accumulator runs ilp = kKernelIlp).
+inline std::vector<double> unfused_power_sums(int lmax, int ilp,
                                               const double* ux,
                                               const double* uy,
                                               const double* uz,
                                               const double* w, int n) {
-  const int cap = cfg.bucket_capacity;
-  const int nslots = math::basis_size(cfg.lmax);
+  constexpr int cap = core::kBucketCapacity;
+  const int nslots = math::basis_size(lmax);
   std::vector<double> acc(static_cast<std::size_t>(nslots) * core::kLanes);
   std::vector<double> bx, by, bz, bw;
   for (int i0 = 0; i0 < n; i0 += cap) {
@@ -168,8 +169,7 @@ inline std::vector<double> unfused_power_sums(const core::KernelConfig& cfg,
     std::copy(uz + i0, uz + i0 + cnt, bz.begin());
     std::copy(w + i0, w + i0 + cnt, bw.begin());
     core::kernel_running_product(bx.data(), by.data(), bz.data(), bw.data(),
-                                 padded, cfg.lmax, acc.data(), cfg.ilp,
-                                 i0 == 0);
+                                 padded, lmax, acc.data(), ilp, i0 == 0);
   }
   std::vector<double> s(nslots);
   for (int t = 0; t < nslots; ++t) {

@@ -69,8 +69,10 @@ PairSet random_pairs(int n, int nzero, std::uint64_t seed) {
 
 // One primary's power sums for every bin, computed at the given ISA level.
 // Points round-robin over bins so buckets end with ragged tails.
+// `full_flushes`, when given, receives the accumulator's full-bucket count.
 std::vector<double> sums_at(c::KernelIsa isa, const c::KernelConfig& cfg,
-                            const PairSet& p) {
+                            const PairSet& p,
+                            std::uint64_t* full_flushes = nullptr) {
   c::set_kernel_isa(isa);
   c::MultipoleAccumulator acc(cfg);
   acc.start_primary();
@@ -81,6 +83,7 @@ std::vector<double> sums_at(c::KernelIsa isa, const c::KernelConfig& cfg,
   std::vector<double> out;
   for (int b = 0; b < cfg.nbins; ++b)
     for (int t = 0; t < acc.n_slots(); ++t) out.push_back(acc.power_sums(b)[t]);
+  if (full_flushes) *full_flushes = acc.counters().full_flushes;
   return out;
 }
 
@@ -288,32 +291,33 @@ TEST(KernelIsaDispatch, SetRejectsUnsupportedLevel) {
 
 // --- Cross-ISA equivalence matrix ------------------------------------------
 
-// lmax 0..16 x ilp x ragged tails x zero weights: every supported level
-// must reproduce the scalar kernel's power sums BITWISE (same per-lane IEEE
-// operation sequence at every level).
+// lmax 0..16 x full buckets and ragged tails x zero weights: every
+// supported level must reproduce the scalar kernel's power sums BITWISE
+// (same per-lane IEEE operation sequence at every level).
 TEST(KernelIsaEquivalence, PowerSumsBitwiseAcrossLevelsLmaxSweep) {
   IsaGuard guard;
   const std::vector<c::KernelIsa> levels = supported_levels();
   ASSERT_GE(levels.size(), 1u);
-  for (int lmax = 0; lmax <= 16; ++lmax)
-    for (int ilp : {1, 2, 4}) {
-      c::KernelConfig cfg;
-      cfg.lmax = lmax;
-      cfg.nbins = 3;
-      cfg.ilp = ilp;
-      cfg.bucket_capacity = 32;  // small buckets -> many flushes + ragged tail
-      // 157 points: ragged across bins AND lanes; 25 zero-weight entries.
-      const PairSet p = random_pairs(157, 25, 7000 + lmax);
-      const std::vector<double> ref = sums_at(c::KernelIsa::kScalar, cfg, p);
-      for (c::KernelIsa isa : levels) {
-        const std::vector<double> got = sums_at(isa, cfg, p);
-        ASSERT_EQ(got.size(), ref.size());
-        for (std::size_t i = 0; i < ref.size(); ++i)
-          ASSERT_EQ(bits(got[i]), bits(ref[i]))
-              << "lmax=" << lmax << " ilp=" << ilp
-              << " isa=" << c::kernel_isa_name(isa) << " term=" << i;
-      }
+  for (int lmax = 0; lmax <= 16; ++lmax) {
+    c::KernelConfig cfg;
+    cfg.lmax = lmax;
+    cfg.nbins = 3;
+    // 421 points: 140-141 per bin, one full bucket and a ragged tail
+    // (across bins AND lanes); 25 zero-weight entries.
+    const PairSet p = random_pairs(421, 25, 7000 + lmax);
+    std::uint64_t full_flushes = 0;
+    const std::vector<double> ref =
+        sums_at(c::KernelIsa::kScalar, cfg, p, &full_flushes);
+    EXPECT_EQ(full_flushes, 3u);
+    for (c::KernelIsa isa : levels) {
+      const std::vector<double> got = sums_at(isa, cfg, p);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(bits(got[i]), bits(ref[i]))
+            << "lmax=" << lmax << " isa=" << c::kernel_isa_name(isa)
+            << " term=" << i;
     }
+  }
 }
 
 // Raw bucket kernels over lmax 0..16, all ilp variants, ragged block
@@ -376,7 +380,8 @@ TEST(KernelIsaEquivalence, FusedEpilogueBitwiseAcrossLevels) {
       const PairSet p = random_pairs(count, count / 4, 80 * count + lmax);
       c::set_kernel_isa(c::KernelIsa::kScalar);
       const std::vector<double> ref = galactos::testing::unfused_power_sums(
-          cfg, p.ux.data(), p.uy.data(), p.uz.data(), p.w.data(), count);
+          lmax, c::kKernelIlp, p.ux.data(), p.uy.data(), p.uz.data(),
+          p.w.data(), count);
       for (c::KernelIsa isa : supported_levels()) {
         c::set_kernel_isa(isa);
         c::MultipoleAccumulator acc(cfg);

@@ -7,7 +7,10 @@
 //     product a_lm a*_l'm of equal m, so the phase cancels;
 //   * a permutation of the catalog: the estimator is a sum over primaries
 //     and pairs, blind to input order (the k-d tree and the traversal
-//     order do change, so this also catches order-dependent bugs).
+//     order do change, so this also catches order-dependent bugs);
+//   * a translation of a periodic box, wrapped mod the side: every
+//     minimum-image separation is unchanged, though which galaxies get
+//     boundary ghosts (core::periodic_box_3pcf) changes completely.
 //
 // Coordinates sit on the 1/64 grid (testing::snapped_to_grid), so every
 // separation and r^2 is exact in float as well as double: both precisions
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/estimator.hpp"
 #include "test_helpers.hpp"
 
 namespace c = galactos::core;
@@ -75,6 +79,22 @@ TEST_P(Metamorphic, CatalogPermutation) {
   for (std::size_t i : order) shuffled.push_back(cat.position(i), cat.w[i]);
   const c::Engine engine(config(GetParam()));
   expect_invariant(engine.run(shuffled), engine.run(cat));
+}
+
+TEST_P(Metamorphic, PeriodicTranslation) {
+  const double side = 60.0;  // input() fills [0, 60]^3
+  const s::Aabb box = s::Aabb::cube(side);
+  const s::Catalog cat = input();
+  // Multiples of 1/64: shifted and wrapped coordinates stay on the grid.
+  const s::Vec3 shift{17.25, 41.0 + 3.0 / 64, 29.0 + 45.0 / 64};
+  const auto wrap = [side](double v) { return v >= side ? v - side : v; };
+  s::Catalog moved;
+  for (std::size_t i = 0; i < cat.size(); ++i)
+    moved.push_back(wrap(cat.x[i] + shift.x), wrap(cat.y[i] + shift.y),
+                    wrap(cat.z[i] + shift.z), cat.w[i]);
+  const c::EngineConfig cfg = config(GetParam());
+  expect_invariant(c::periodic_box_3pcf(moved, box, cfg),
+                   c::periodic_box_3pcf(cat, box, cfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(Precision, Metamorphic,

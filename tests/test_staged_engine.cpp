@@ -1,9 +1,9 @@
 // Engine staged pipeline (build_index → extend_with_secondaries →
 // run_indexed):
 //   * with no secondaries the staged path must be BITWISE identical to
-//     Engine::run over the same catalog, for every precision/leaf-size/
-//     bucket-capacity combination (it is the same code over the same
-//     index);
+//     Engine::run over the same catalog, for every precision/leaf-size
+//     combination (it is the same code over the same index), also where
+//     primaries fill several buckets per bin;
 //   * with halo points indexed as secondaries, the pair set must equal a
 //     fused run over the combined catalog restricted to owned primaries —
 //     only FP accumulation order may differ (candidate order changes), so
@@ -35,9 +35,6 @@ namespace {
 struct StagedCase {
   c::TreePrecision precision;
   int leaf_size;  // 5: many ragged leaves and long leaf gathers
-  // 8: one lane group per bucket, so a primary's pairs flush many times
-  // in either pass.
-  int bucket_capacity = 128;
 };
 
 std::string case_name(const ::testing::TestParamInfo<StagedCase>& info) {
@@ -48,8 +45,6 @@ std::string case_name(const ::testing::TestParamInfo<StagedCase>& info) {
   n += "LeafBlocked";
   if (info.param.leaf_size != 32)
     n += "Leaf" + std::to_string(info.param.leaf_size);
-  if (info.param.bucket_capacity != 128)
-    n += "Bucket" + std::to_string(info.param.bucket_capacity);
   return n;
 }
 
@@ -85,7 +80,6 @@ c::EngineConfig make_config(const StagedCase& p) {
   cfg.threads = 1;
   cfg.tree.precision = p.precision;
   cfg.tree.leaf_size = p.leaf_size;
-  cfg.tree.bucket_capacity = p.bucket_capacity;
   return cfg;
 }
 
@@ -385,10 +379,62 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(StagedCase{c::TreePrecision::kDouble, 32},
                       StagedCase{c::TreePrecision::kMixed, 32},
                       StagedCase{c::TreePrecision::kDouble, 5},
-                      StagedCase{c::TreePrecision::kMixed, 5},
-                      StagedCase{c::TreePrecision::kDouble, 32, 8},
-                      StagedCase{c::TreePrecision::kMixed, 32, 8}),
+                      StagedCase{c::TreePrecision::kMixed, 5}),
     case_name);
+
+// A catalog dense enough that primaries push more than kBucketCapacity
+// pairs into the outer bins, so full buckets flush before the final fused
+// one in the fused run and in BOTH passes of the two-pass pipeline: the
+// staged run and the empty-bound two-pass run stay bitwise equal to the
+// fused run, and a genuine interior/boundary split matches it to summation
+// order.
+TEST(StagedEngineApi, FullBucketsFlushInEveryPass) {
+  for (c::TreePrecision precision :
+       {c::TreePrecision::kDouble, c::TreePrecision::kMixed}) {
+    SCOPED_TRACE(precision == c::TreePrecision::kDouble ? "double" : "mixed");
+    const c::EngineConfig cfg = make_config({precision, 32});
+    const s::Aabb left{{0, 0, 0}, {40, 40, 40}};
+    const s::Catalog owned = s::uniform_box(3000, left, 81);
+    const s::Catalog halo =
+        s::uniform_box(1500, s::Aabb{{40, 0, 0}, {60, 40, 40}}, 82);
+    const c::Engine engine(cfg);
+
+    c::EngineStats run_stats, indexed_stats;
+    const c::ZetaResult fused = engine.run(owned, nullptr, &run_stats);
+    const c::ZetaResult indexed =
+        engine.build_index(owned).run_indexed(nullptr, &indexed_stats);
+    EXPECT_GT(run_stats.full_flushes, 0u);
+    EXPECT_EQ(indexed_stats.full_flushes, run_stats.full_flushes);
+    expect_results_match(indexed, fused, 0.0, 0.0);  // bitwise
+
+    c::Engine::Staged with_halo = engine.build_index(owned);
+    with_halo.extend_with_secondaries(halo);
+    c::EngineStats halo_stats;
+    const c::ZetaResult ref = with_halo.run_indexed(nullptr, &halo_stats);
+
+    c::Engine::Staged empty = engine.build_index(owned);
+    empty.run_owned_pass(kEmptyBound);
+    empty.extend_with_secondaries(halo);
+    c::EngineStats empty_stats;
+    expect_results_match(empty.run_secondary_pass(&empty_stats), ref, 0.0,
+                         0.0);
+    EXPECT_EQ(empty_stats.full_flushes, halo_stats.full_flushes);
+
+    // The halo lies beyond x = 40 only: the leaves more than R_max below
+    // that face are interior.
+    c::Engine::Staged split = engine.build_index(owned);
+    c::EngineStats p1, p2;
+    split.run_owned_pass({{-kInf, -kInf, -kInf}, {40, kInf, kInf}}, nullptr,
+                         &p1);
+    split.extend_with_secondaries(halo);
+    const c::ZetaResult piped = split.run_secondary_pass(&p2);
+    EXPECT_GT(p1.full_flushes, 0u);
+    EXPECT_GT(p2.full_flushes, 0u);
+    EXPECT_EQ(p1.full_flushes + p2.full_flushes, halo_stats.full_flushes);
+    EXPECT_EQ(p1.pairs + p2.pairs, halo_stats.pairs);
+    expect_results_match(piped, ref, 1e-11, 1e-11);
+  }
+}
 
 TEST(StagedEngineApi, EmptyHaloIsNoop) {
   c::EngineConfig cfg;

@@ -1,10 +1,11 @@
 // galactos — command-line 3PCF runner for catalog files.
 //
-//   galactos --input catalog.txt --rmin 20 --rmax 200 --nbins 10 --lmax 10 \
-//            [--randoms randoms.txt] [--periodic-box 3000] [--radial-los] \
-//            [--observer-x 0 --observer-y 0 --observer-z 0] \
-//            [--ranks 4] [--threads 0] [--double-precision] \
+//   galactos --input catalog.txt --rmin 20 --rmax 200 --nbins 10 --lmax 10
+//            [--randoms randoms.txt] [--periodic-box 3000] [--radial-los]
+//            [--observer-x 0 --observer-y 0 --observer-z 0]
+//            [--ranks 4] [--threads 0] [--double-precision]
 //            [--subtract-self] [--output zeta] [--binary]
+//            [--backend fft --grid-n 128 --assignment tsc --interlace 1]
 //
 // Input: text (x y z [w], '#' comments, commas allowed) or the GLXCAT01
 // binary format (by .bin extension). Three estimator modes:
@@ -12,13 +13,19 @@
 //   * periodic     — --periodic-box <side>: exact periodic-box estimate
 //   * survey       — --randoms <file>: D - (N_D/N_R) R contrast estimate
 // With --ranks > 1 the full distributed pipeline (k-d partition + LET halo
-// exchange + reduction) runs in-process — the same code path the scaling
-// benches exercise. The FFT backend (--backend fft) is single-node only.
+// exchange + reduction) runs in-process on the plain mode — the same code
+// path the scaling benches exercise. --backend fft runs the FFT mesh oracle
+// (core::fft_3pcf) instead of the engine: periodic mode, single node, and
+// the only mode that reads --grid-n, --assignment and --interlace.
+//
+// A flag the chosen mode would not read is an error, reported before the
+// catalog is read; no flag is ever silently ignored.
 #include <cstdio>
 #include <string>
 
 #include "core/engine.hpp"
 #include "core/estimator.hpp"
+#include "core/fft_estimator.hpp"
 #include "dist/runner.hpp"
 #include "io/catalog_io.hpp"
 #include "io/zeta_io.hpp"
@@ -91,8 +98,34 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  const sim::Catalog data = load(input);
-  std::printf("loaded %zu galaxies from %s\n", data.size(), input.c_str());
+  GLX_CHECK_MSG(backend == "tree" || backend == "fft",
+                "unknown --backend '" << backend << "' (tree|fft)");
+  const bool fft = backend == "fft";
+  const bool periodic_mode = args.has("periodic-box");
+  GLX_CHECK_MSG(!periodic_mode || periodic > 0.0,
+                "--periodic-box needs a side > 0, got " << periodic);
+  GLX_CHECK_MSG(!periodic_mode || randoms_path.empty(),
+                "--periodic-box and --randoms are exclusive modes");
+  GLX_CHECK_MSG(radial || !(args.has("observer-x") || args.has("observer-y") ||
+                            args.has("observer-z")),
+                "--observer-{x,y,z} need --radial-los");
+  GLX_CHECK_MSG(ranks >= 1, "--ranks must be >= 1, got " << ranks);
+  GLX_CHECK_MSG(ranks == 1 || !periodic_mode,
+                "--ranks > 1 runs the open-box distributed pipeline; it "
+                "has no --periodic-box mode");
+  GLX_CHECK_MSG(ranks == 1 || randoms_path.empty(),
+                "--ranks > 1 runs the open-box distributed pipeline; it "
+                "has no survey mode (--randoms)");
+  GLX_CHECK_MSG(fft || !(args.has("grid-n") || args.has("assignment") ||
+                         args.has("interlace")),
+                "--grid-n, --assignment and --interlace need --backend fft");
+  if (fft) {
+    GLX_CHECK_MSG(randoms_path.empty(),
+                  "--backend fft does not support survey mode (--randoms); "
+                  "the mesh estimator needs a periodic box");
+    GLX_CHECK_MSG(periodic_mode,
+                  "--backend fft requires --periodic-box <side>");
+  }
 
   core::EngineConfig cfg;
   cfg.bins = core::RadialBins(
@@ -107,34 +140,32 @@ int run(int argc, char** argv) {
     cfg.los = core::LineOfSight::kRadial;
     cfg.observer = {ox, oy, oz};
   }
-
-  cfg.backend = core::backend_from_name(backend);
-  if (cfg.backend == core::EstimatorBackend::kFFT) {
-    GLX_CHECK_MSG(randoms_path.empty(),
-                  "--backend fft does not support survey mode (--randoms); "
-                  "the mesh estimator needs a periodic box");
-    GLX_CHECK_MSG(periodic > 0.0,
-                  "--backend fft requires --periodic-box <side>");
-    GLX_CHECK_MSG(ranks <= 1,
-                  "--backend fft runs on a single node; drop --ranks");
-    cfg.fft.box_side = periodic;
-    cfg.fft.grid_n = static_cast<std::size_t>(grid_n);
-    cfg.fft.assignment = core::assignment_from_name(assignment);
-    cfg.fft.interlace = interlace != 0;
+  core::FftConfig fcfg;
+  if (fft) {
+    fcfg.box_side = periodic;
+    fcfg.grid_n = static_cast<std::size_t>(grid_n);
+    fcfg.assignment = core::assignment_from_name(assignment);
+    fcfg.interlace = interlace != 0;
+    core::validate_fft_config(cfg, fcfg);
+  } else {
+    (void)core::Engine(cfg);  // rejects a bad config before the read
   }
+
+  const sim::Catalog data = load(input);
+  std::printf("loaded %zu galaxies from %s\n", data.size(), input.c_str());
 
   core::EngineStats stats;
   core::ZetaResult result;
-  if (cfg.backend == core::EstimatorBackend::kFFT) {
+  if (fft) {
     std::printf("fft backend: grid %d^3, %s%s\n", grid_n, assignment.c_str(),
                 interlace ? ", interlaced" : "");
-    result = core::Engine(cfg).run(data, nullptr, &stats);
+    result = core::fft_3pcf(cfg, fcfg, data, nullptr, &stats);
   } else if (!randoms_path.empty()) {
     const sim::Catalog randoms = load(randoms_path);
     std::printf("survey mode: %zu randoms (%s)\n", randoms.size(),
                 randoms_path.c_str());
     result = core::survey_3pcf(data, randoms, cfg, &stats);
-  } else if (periodic > 0.0) {
+  } else if (periodic_mode) {
     std::printf("periodic-box mode: side %.2f\n", periodic);
     result = core::periodic_box_3pcf(data, sim::Aabb::cube(periodic), cfg,
                                      &stats);
