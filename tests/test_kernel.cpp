@@ -8,6 +8,7 @@
 #include <complex>
 #include <cstring>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "core/kernel.hpp"
@@ -169,14 +170,15 @@ TEST(Kernel, ZeroWeightPairsContributeNothing) {
     EXPECT_NEAR(got[t], ref[t], 1e-12 * (1 + std::abs(ref[t])));
 }
 
-class AccumulatorTest : public ::testing::TestWithParam<int> {};  // lmax
+class AccumulatorTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};  // lmax, nbins
 
 // The first primary stays inside one bucket per bin; the others push
 // hundreds of pairs per bin, so bins flush full buckets before their final
-// partial one.
+// partial one. With one bin every pair lands in the same bucket; with five
+// the pushes interleave across bins and bin 2 stays empty.
 TEST_P(AccumulatorTest, MatchesReferenceAcrossBinsAndPrimaries) {
-  const int lmax = GetParam();
-  const int nbins = 5;
+  const auto [lmax, nbins] = GetParam();
   const int nslots = m::basis_size(lmax);
 
   c::KernelConfig cfg;
@@ -201,8 +203,9 @@ TEST_P(AccumulatorTest, MatchesReferenceAcrossBinsAndPrimaries) {
       rng.unit_vector(x, y, z);
       const double w = rng.uniform(0.1, 3.0);
       // Leave bin 2 deliberately empty to test the touched flags.
-      int bin = static_cast<int>(rng.uniform_u64(nbins - 1));
-      if (bin >= 2) ++bin;
+      const bool skip2 = nbins > 2;
+      int bin = static_cast<int>(rng.uniform_u64(skip2 ? nbins - 1 : nbins));
+      if (skip2 && bin >= 2) ++bin;
       acc.push(bin, x, y, z, w);
       c::kernel_reference(&x, &y, &z, &w, 1, lmax, ref[bin].data());
       used[bin] = true;
@@ -223,7 +226,9 @@ TEST_P(AccumulatorTest, MatchesReferenceAcrossBinsAndPrimaries) {
   EXPECT_GT(acc.counters().full_flushes, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, AccumulatorTest, ::testing::Values(4, 10));
+INSTANTIATE_TEST_SUITE_P(Sweep, AccumulatorTest,
+                         ::testing::Combine(::testing::Values(0, 2, 4, 7, 10),
+                                            ::testing::Values(1, 5)));
 
 TEST(Accumulator, StartPrimaryResetsState) {
   c::KernelConfig cfg;

@@ -2,8 +2,7 @@
 // run_indexed):
 //   * with no secondaries the staged path must be BITWISE identical to
 //     Engine::run over the same catalog, for every precision/leaf-size
-//     combination (it is the same code over the same index), also where
-//     primaries fill several buckets per bin;
+//     combination (it is the same code over the same index);
 //   * with halo points indexed as secondaries, the pair set must equal a
 //     fused run over the combined catalog restricted to owned primaries —
 //     only FP accumulation order may differ (candidate order changes), so
@@ -12,6 +11,10 @@
 //     the same traversal by leaf, so it is bitwise identical to run_indexed
 //     whenever the split keeps run_indexed's leaf order (every leaf in one
 //     pass) and otherwise matches it to summation order.
+// The Dense cases run the StagedEngine tests on catalogs with six times the
+// points: primaries then push more than kBucketCapacity pairs into the
+// outer bins, so full buckets flush before each bin's final one, in every
+// pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +38,7 @@ namespace {
 struct StagedCase {
   c::TreePrecision precision;
   int leaf_size;  // 5: many ragged leaves and long leaf gathers
+  int density = 1;  // multiplies the point count of every catalog
 };
 
 std::string case_name(const ::testing::TestParamInfo<StagedCase>& info) {
@@ -45,6 +49,7 @@ std::string case_name(const ::testing::TestParamInfo<StagedCase>& info) {
   n += "LeafBlocked";
   if (info.param.leaf_size != 32)
     n += "Leaf" + std::to_string(info.param.leaf_size);
+  if (info.param.density != 1) n += "Dense";
   return n;
 }
 
@@ -85,14 +90,27 @@ c::EngineConfig make_config(const StagedCase& p) {
 
 }  // namespace
 
-class StagedEngine : public ::testing::TestWithParam<StagedCase> {};
+class StagedEngine : public ::testing::TestWithParam<StagedCase> {
+ protected:
+  static s::Catalog catalog(std::size_t n, const s::Aabb& box,
+                            std::uint64_t seed) {
+    return s::uniform_box(n * GetParam().density, box, seed);
+  }
+  // A dense case must flush full buckets in the run `st` counts.
+  static void expect_full_flushes(const c::EngineStats& st) {
+    if (GetParam().density > 1) {
+      EXPECT_GT(st.full_flushes, 0u);
+    }
+  }
+};
 
 TEST_P(StagedEngine, NoSecondariesBitwiseMatchesRun) {
   const c::EngineConfig cfg = make_config(GetParam());
-  const s::Catalog cat = s::uniform_box(900, s::Aabb::cube(50), 61);
+  const s::Catalog cat = catalog(900, s::Aabb::cube(50), 61);
 
   const c::Engine engine(cfg);
-  const c::ZetaResult fused = engine.run(cat);
+  c::EngineStats fused_stats;
+  const c::ZetaResult fused = engine.run(cat, nullptr, &fused_stats);
 
   c::Engine::Staged staged = engine.build_index(cat);
   c::EngineStats stats;
@@ -101,9 +119,16 @@ TEST_P(StagedEngine, NoSecondariesBitwiseMatchesRun) {
   expect_results_match(piped, fused, 0.0, 0.0);  // bitwise
   EXPECT_EQ(piped.n_pairs, fused.n_pairs);
   EXPECT_GT(stats.pairs, 0u);
+  EXPECT_EQ(stats.full_flushes, fused_stats.full_flushes);
+  expect_full_flushes(stats);
 }
 
-TEST_P(StagedEngine, SecondariesMatchFusedCombinedRun) {
+// Runs on the sparse cases only: its 1e-12 relative bound is met by
+// coefficients that cancel to near zero only at this catalog's scale (at
+// 2-6 times the points their summation-order noise reaches 1e-11 to 1e-10).
+class StagedEngineCombined : public ::testing::TestWithParam<StagedCase> {};
+
+TEST_P(StagedEngineCombined, SecondariesMatchFusedCombinedRun) {
   const c::EngineConfig cfg = make_config(GetParam());
   // Owned points in the left half of the box, halo in the right half with
   // plenty of cross-boundary pairs inside R_max.
@@ -128,19 +153,22 @@ TEST_P(StagedEngine, SecondariesMatchFusedCombinedRun) {
 
   // Identical pair sets (candidate order may differ → FP tolerance).
   EXPECT_EQ(staged_stats.pairs, fused_stats.pairs);
+  EXPECT_EQ(staged_stats.full_flushes, fused_stats.full_flushes);
   expect_results_match(piped, fused, 1e-12, 1e-12);
 }
 
 TEST_P(StagedEngine, SecondariesNeverActAsPrimaries) {
   const c::EngineConfig cfg = make_config(GetParam());
-  const s::Catalog owned = s::uniform_box(300, s::Aabb::cube(30), 64);
-  const s::Catalog halo = s::uniform_box(400, s::Aabb::cube(30), 65);
+  const s::Catalog owned = catalog(300, s::Aabb::cube(30), 64);
+  const s::Catalog halo = catalog(400, s::Aabb::cube(30), 65);
 
   const c::Engine engine(cfg);
   c::Engine::Staged staged = engine.build_index(owned);
   staged.extend_with_secondaries(halo);
-  const c::ZetaResult r = staged.run_indexed();
+  c::EngineStats stats;
+  const c::ZetaResult r = staged.run_indexed(nullptr, &stats);
   EXPECT_EQ(r.n_primaries, owned.size());
+  expect_full_flushes(stats);
 }
 
 // Two-pass pipeline, no secondaries ever indexed, under an all-interior
@@ -149,7 +177,7 @@ TEST_P(StagedEngine, SecondariesNeverActAsPrimaries) {
 // hence Engine::run) BITWISE — the merge runs in the same thread-id order.
 TEST_P(StagedEngine, TwoPassNoSecondariesBitwiseMatchesRun) {
   const c::EngineConfig cfg = make_config(GetParam());
-  const s::Catalog cat = s::uniform_box(900, s::Aabb::cube(50), 61);
+  const s::Catalog cat = catalog(900, s::Aabb::cube(50), 61);
 
   const c::Engine engine(cfg);
   c::EngineStats fused_stats;
@@ -167,6 +195,8 @@ TEST_P(StagedEngine, TwoPassNoSecondariesBitwiseMatchesRun) {
   EXPECT_EQ(piped.n_pairs, fused.n_pairs);
   EXPECT_EQ(pass1.pairs, fused_stats.pairs);
   EXPECT_EQ(pass1.leaves, fused_stats.leaves);
+  EXPECT_EQ(pass1.full_flushes, fused_stats.full_flushes);
+  expect_full_flushes(pass1);
   EXPECT_EQ(pass2.pairs, 0u);  // no boundary leaf → nothing left to run
   EXPECT_EQ(pass2.leaves, 0u);
 }
@@ -179,7 +209,7 @@ TEST_P(StagedEngine, TwoPassNoSecondariesBitwiseMatchesRun) {
 TEST_P(StagedEngine, TwoPassMixedBoundNoSecondariesMatchesRun) {
   const c::EngineConfig cfg = make_config(GetParam());
   const s::Aabb box = s::Aabb::cube(90);
-  const s::Catalog cat = s::uniform_box(2400, box, 61);
+  const s::Catalog cat = catalog(2400, box, 61);
 
   const c::Engine engine(cfg);
   c::EngineStats fused_stats;
@@ -196,6 +226,9 @@ TEST_P(StagedEngine, TwoPassMixedBoundNoSecondariesMatchesRun) {
   EXPECT_EQ(pass1.primaries + pass2.primaries, cat.size());
   EXPECT_EQ(pass1.pairs + pass2.pairs, fused_stats.pairs);
   EXPECT_EQ(pass1.candidates + pass2.candidates, fused_stats.candidates);
+  EXPECT_EQ(pass1.full_flushes + pass2.full_flushes, fused_stats.full_flushes);
+  expect_full_flushes(pass1);
+  expect_full_flushes(pass2);
   EXPECT_EQ(piped.n_pairs, fused.n_pairs);
   EXPECT_EQ(piped.n_primaries, fused.n_primaries);
   // Coefficients that cancel to near zero (odd-l 2PCF moments, odd cross
@@ -214,9 +247,9 @@ TEST_P(StagedEngine, TwoPassMixedBoundNoSecondariesMatchesRun) {
 TEST_P(StagedEngine, TwoPassWithSecondariesMatchesRunIndexed) {
   const c::EngineConfig cfg = make_config(GetParam());
   const s::Catalog owned =
-      s::uniform_box(500, s::Aabb{{0, 0, 0}, {25, 50, 50}}, 62);
+      catalog(500, s::Aabb{{0, 0, 0}, {25, 50, 50}}, 62);
   const s::Catalog halo =
-      s::uniform_box(500, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 63);
+      catalog(500, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 63);
 
   const c::Engine engine(cfg);
   c::Engine::Staged fused_staged = engine.build_index(owned);
@@ -233,6 +266,8 @@ TEST_P(StagedEngine, TwoPassWithSecondariesMatchesRunIndexed) {
   EXPECT_EQ(pass1.pairs + pass2.pairs, fused_stats.pairs);
   EXPECT_EQ(pass1.candidates + pass2.candidates, fused_stats.candidates);
   EXPECT_EQ(pass1.leaves + pass2.leaves, fused_stats.leaves);
+  EXPECT_EQ(pass1.full_flushes + pass2.full_flushes, fused_stats.full_flushes);
+  expect_full_flushes(pass2);
   EXPECT_GT(pass2.pairs, 0u);  // the halo really contributes
   EXPECT_EQ(piped.n_pairs, fused.n_pairs);
   EXPECT_EQ(piped.n_primaries, fused.n_primaries);
@@ -244,8 +279,8 @@ TEST_P(StagedEngine, TwoPassWithSecondariesMatchesRunIndexed) {
 // and runs in the secondary pass.
 TEST_P(StagedEngine, TwoPassInterleavedHaloMatchesRunIndexed) {
   const c::EngineConfig cfg = make_config(GetParam());
-  const s::Catalog owned = s::uniform_box(400, s::Aabb::cube(40), 68);
-  const s::Catalog halo = s::uniform_box(300, s::Aabb::cube(40), 69);
+  const s::Catalog owned = catalog(400, s::Aabb::cube(40), 68);
+  const s::Catalog halo = catalog(300, s::Aabb::cube(40), 69);
 
   const c::Engine engine(cfg);
   c::Engine::Staged fused_staged = engine.build_index(owned);
@@ -255,8 +290,10 @@ TEST_P(StagedEngine, TwoPassInterleavedHaloMatchesRunIndexed) {
   c::Engine::Staged staged = engine.build_index(owned);
   staged.run_owned_pass(kEmptyBound);
   staged.extend_with_secondaries(halo);
-  const c::ZetaResult piped = staged.run_secondary_pass();
+  c::EngineStats stats;
+  const c::ZetaResult piped = staged.run_secondary_pass(&stats);
 
+  expect_full_flushes(stats);
   expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
@@ -267,9 +304,9 @@ TEST_P(StagedEngine, TwoPassInterleavedHaloMatchesRunIndexed) {
 TEST_P(StagedEngine, TwoPassEmptyBoundBitwiseMatchesFused) {
   const c::EngineConfig cfg = make_config(GetParam());
   const s::Catalog owned =
-      s::uniform_box(500, s::Aabb{{0, 0, 0}, {25, 50, 50}}, 62);
+      catalog(500, s::Aabb{{0, 0, 0}, {25, 50, 50}}, 62);
   const s::Catalog halo =
-      s::uniform_box(500, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 63);
+      catalog(500, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 63);
   const c::Engine engine(cfg);
 
   c::Engine::Staged fused_staged = engine.build_index(owned);
@@ -288,6 +325,8 @@ TEST_P(StagedEngine, TwoPassEmptyBoundBitwiseMatchesFused) {
   EXPECT_EQ(pass1.leaves, 0u);
   EXPECT_EQ(pass2.leaves, fused_stats.leaves);
   EXPECT_EQ(pass2.candidates, fused_stats.candidates);
+  EXPECT_EQ(pass2.full_flushes, fused_stats.full_flushes);
+  expect_full_flushes(pass2);
 }
 
 // Halo points ON the bound's face keep the promise (only a secondary
@@ -302,9 +341,9 @@ TEST_P(StagedEngine, TwoPassHaloOnBoundFaceIsValid) {
   const double face = static_cast<double>(25.0f) + 1e-9;
   ASSERT_LT(static_cast<double>(static_cast<float>(face)), face);
   const s::Catalog owned =
-      s::uniform_box(400, s::Aabb{{0, 0, 0}, {face, 50, 50}}, 77);
+      catalog(400, s::Aabb{{0, 0, 0}, {face, 50, 50}}, 77);
   s::Catalog halo =
-      s::uniform_box(300, s::Aabb{{face, 0, 0}, {50, 50, 50}}, 78);
+      catalog(300, s::Aabb{{face, 0, 0}, {50, 50, 50}}, 78);
   for (int i = 0; i < 40; ++i) halo.push_back(face, 1.25 * i, 50 - 1.2 * i);
 
   const c::Engine engine(cfg);
@@ -317,8 +356,10 @@ TEST_P(StagedEngine, TwoPassHaloOnBoundFaceIsValid) {
   staged.run_owned_pass({{-inf, -inf, -inf}, {face, inf, inf}});
   staged.extend_with_secondaries(halo);
   c::ZetaResult piped;
-  ASSERT_NO_THROW(piped = staged.run_secondary_pass());
+  c::EngineStats stats;
+  ASSERT_NO_THROW(piped = staged.run_secondary_pass(&stats));
   EXPECT_EQ(piped.n_pairs, fused.n_pairs);
+  expect_full_flushes(stats);
   expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
@@ -327,8 +368,8 @@ TEST_P(StagedEngine, TwoPassHaloOnBoundFaceIsValid) {
 // is consumed, so the handle accepts a fresh, valid round.
 TEST_P(StagedEngine, TwoPassViolatedBoundThrows) {
   const c::EngineConfig cfg = make_config(GetParam());
-  const s::Catalog owned = s::uniform_box(400, s::Aabb::cube(40), 68);
-  const s::Catalog halo = s::uniform_box(300, s::Aabb::cube(40), 69);
+  const s::Catalog owned = catalog(400, s::Aabb::cube(40), 68);
+  const s::Catalog halo = catalog(300, s::Aabb::cube(40), 69);
   const c::Engine engine(cfg);
 
   c::Engine::Staged fused_staged = engine.build_index(owned);
@@ -346,16 +387,19 @@ TEST_P(StagedEngine, TwoPassViolatedBoundThrows) {
   EXPECT_FALSE(staged.owned_pass_pending());
 
   staged.run_owned_pass(kEmptyBound);
-  expect_results_match(staged.run_secondary_pass(), fused, 1e-11, 1e-11);
+  c::EngineStats stats;
+  expect_results_match(staged.run_secondary_pass(&stats), fused, 1e-11,
+                       1e-11);
+  expect_full_flushes(stats);
 }
 
 // A primary subset must restrict both passes identically.
 TEST_P(StagedEngine, TwoPassWithPrimarySubset) {
   const c::EngineConfig cfg = make_config(GetParam());
   const s::Catalog owned =
-      s::uniform_box(400, s::Aabb{{0, 0, 0}, {25, 50, 50}}, 71);
+      catalog(400, s::Aabb{{0, 0, 0}, {25, 50, 50}}, 71);
   const s::Catalog halo =
-      s::uniform_box(400, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 72);
+      catalog(400, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 72);
   std::vector<std::int64_t> primaries;
   for (std::size_t i = 0; i < owned.size(); i += 3)
     primaries.push_back(static_cast<std::int64_t>(i));
@@ -368,60 +412,43 @@ TEST_P(StagedEngine, TwoPassWithPrimarySubset) {
   c::Engine::Staged staged = engine.build_index(owned);
   staged.run_owned_pass(bound_of({{0, 0, 0}, {25, 50, 50}}), &primaries);
   staged.extend_with_secondaries(halo);
-  const c::ZetaResult piped = staged.run_secondary_pass();
+  c::EngineStats stats;
+  const c::ZetaResult piped = staged.run_secondary_pass(&stats);
 
   EXPECT_EQ(piped.n_primaries, primaries.size());
+  expect_full_flushes(stats);
   expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllCombos, StagedEngine,
-    ::testing::Values(StagedCase{c::TreePrecision::kDouble, 32},
-                      StagedCase{c::TreePrecision::kMixed, 32},
-                      StagedCase{c::TreePrecision::kDouble, 5},
-                      StagedCase{c::TreePrecision::kMixed, 5}),
-    case_name);
+// The first four are the sparse cases.
+const StagedCase kCases[] = {
+    {c::TreePrecision::kDouble, 32},    {c::TreePrecision::kMixed, 32},
+    {c::TreePrecision::kDouble, 5},     {c::TreePrecision::kMixed, 5},
+    {c::TreePrecision::kDouble, 32, 6}, {c::TreePrecision::kMixed, 32, 6}};
+INSTANTIATE_TEST_SUITE_P(AllCombos, StagedEngine, ::testing::ValuesIn(kCases),
+                         case_name);
+INSTANTIATE_TEST_SUITE_P(AllCombos, StagedEngineCombined,
+                         ::testing::ValuesIn(kCases, kCases + 4), case_name);
 
-// A catalog dense enough that primaries push more than kBucketCapacity
-// pairs into the outer bins, so full buckets flush before the final fused
-// one in the fused run and in BOTH passes of the two-pass pipeline: the
-// staged run and the empty-bound two-pass run stay bitwise equal to the
-// fused run, and a genuine interior/boundary split matches it to summation
-// order.
+// The Dense cases flush full buckets in both passes only without a halo
+// (their 25-wide owned slab has no interior leaf). Here a halo lies beyond
+// x = 40 and the leaves more than R_max below that face are interior: both
+// passes flush full buckets, as many in sum as the fused staged run.
 TEST(StagedEngineApi, FullBucketsFlushInEveryPass) {
   for (c::TreePrecision precision :
        {c::TreePrecision::kDouble, c::TreePrecision::kMixed}) {
     SCOPED_TRACE(precision == c::TreePrecision::kDouble ? "double" : "mixed");
-    const c::EngineConfig cfg = make_config({precision, 32});
-    const s::Aabb left{{0, 0, 0}, {40, 40, 40}};
-    const s::Catalog owned = s::uniform_box(3000, left, 81);
+    const c::Engine engine(make_config({precision, 32}));
+    const s::Catalog owned =
+        s::uniform_box(3000, s::Aabb{{0, 0, 0}, {40, 40, 40}}, 81);
     const s::Catalog halo =
         s::uniform_box(1500, s::Aabb{{40, 0, 0}, {60, 40, 40}}, 82);
-    const c::Engine engine(cfg);
-
-    c::EngineStats run_stats, indexed_stats;
-    const c::ZetaResult fused = engine.run(owned, nullptr, &run_stats);
-    const c::ZetaResult indexed =
-        engine.build_index(owned).run_indexed(nullptr, &indexed_stats);
-    EXPECT_GT(run_stats.full_flushes, 0u);
-    EXPECT_EQ(indexed_stats.full_flushes, run_stats.full_flushes);
-    expect_results_match(indexed, fused, 0.0, 0.0);  // bitwise
 
     c::Engine::Staged with_halo = engine.build_index(owned);
     with_halo.extend_with_secondaries(halo);
     c::EngineStats halo_stats;
     const c::ZetaResult ref = with_halo.run_indexed(nullptr, &halo_stats);
 
-    c::Engine::Staged empty = engine.build_index(owned);
-    empty.run_owned_pass(kEmptyBound);
-    empty.extend_with_secondaries(halo);
-    c::EngineStats empty_stats;
-    expect_results_match(empty.run_secondary_pass(&empty_stats), ref, 0.0,
-                         0.0);
-    EXPECT_EQ(empty_stats.full_flushes, halo_stats.full_flushes);
-
-    // The halo lies beyond x = 40 only: the leaves more than R_max below
-    // that face are interior.
     c::Engine::Staged split = engine.build_index(owned);
     c::EngineStats p1, p2;
     split.run_owned_pass({{-kInf, -kInf, -kInf}, {40, kInf, kInf}}, nullptr,

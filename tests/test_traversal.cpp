@@ -6,8 +6,9 @@
 // that: it tests every pair by brute force and evaluates Y_lm per
 // secondary. The sweep covers double/mixed × plane-parallel/radial LOS ×
 // all/subset primaries (the distributed-runner path) × the default and a
-// small leaf size (many ragged leaves, long leaf gathers); a dense catalog
-// makes every primary flush full buckets before its final one. The
+// small leaf size (many ragged leaves, long leaf gathers) × the clumpy
+// catalog and a dense uniform one, whose outer shells hold several hundred
+// pairs per primary, so full buckets flush before each bin's final one. The
 // catalogs are snapped to a 1/64 grid (snapped_to_grid), so mixed
 // precision accepts exactly the double pair set and the same tolerance
 // applies.
@@ -66,12 +67,13 @@ c::EngineStats expect_matches_direct(
 
 class TraversalEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<c::TreePrecision, c::LineOfSight, bool, int>> {};
+          std::tuple<c::TreePrecision, c::LineOfSight, bool, int, bool>> {};
 
 TEST_P(TraversalEquivalence, MatchesDirectSummation) {
-  const auto [precision, los, subset, leaf_size] = GetParam();
+  const auto [precision, los, subset, leaf_size, dense] = GetParam();
   const s::Catalog cat = galactos::testing::snapped_to_grid(
-      galactos::testing::clumpy_catalog(900, 60.0, 21));
+      dense ? s::uniform_box(1500, s::Aabb::cube(30), 27)
+            : galactos::testing::clumpy_catalog(900, 60.0, 21));
   c::EngineConfig cfg = traversal_config();
   cfg.tree.precision = precision;
   cfg.tree.leaf_size = leaf_size;
@@ -87,7 +89,10 @@ TEST_P(TraversalEquivalence, MatchesDirectSummation) {
       prims.push_back(i);
     pp = &prims;
   }
-  expect_matches_direct(cfg, cat, pp);
+  const c::EngineStats st = expect_matches_direct(cfg, cat, pp);
+  if (dense) {
+    EXPECT_GT(st.full_flushes, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -97,24 +102,7 @@ INSTANTIATE_TEST_SUITE_P(
                           c::TreePrecision::kMixed),
         ::testing::Values(c::LineOfSight::kPlaneParallelZ,
                           c::LineOfSight::kRadial),
-        ::testing::Bool(), ::testing::Values(32, 5)));
-
-// 1500 galaxies in a 30 box: the outer shells hold several hundred pairs
-// per primary, so full buckets flush before each bin's final fused one.
-TEST(Traversal, FullBucketsMatchDirect) {
-  const s::Catalog cat = galactos::testing::snapped_to_grid(
-      s::uniform_box(1500, s::Aabb::cube(30), 27));
-  for (c::TreePrecision precision :
-       {c::TreePrecision::kDouble, c::TreePrecision::kMixed})
-    for (c::LineOfSight los :
-         {c::LineOfSight::kPlaneParallelZ, c::LineOfSight::kRadial}) {
-      c::EngineConfig cfg = traversal_config();
-      cfg.tree.precision = precision;
-      cfg.los = los;
-      cfg.observer = {-40.0, -40.0, -40.0};
-      EXPECT_GT(expect_matches_direct(cfg, cat, nullptr).full_flushes, 0u);
-    }
-}
+        ::testing::Bool(), ::testing::Values(32, 5), ::testing::Bool()));
 
 TEST(Traversal, OddLeafSizesMatch) {
   // Odd leaf sizes and an n that is not a power of two exercise ragged
