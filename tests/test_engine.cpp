@@ -234,6 +234,16 @@ TEST(Engine, RejectsNegativeThreads) {
   EXPECT_NO_THROW(c::Engine{cfg});
 }
 
+// The zero result a rank without an index reports has the config's shape.
+TEST(Engine, EmptyResultMatchesShape) {
+  const c::EngineConfig cfg = small_config();
+  const c::ZetaResult z = c::Engine(cfg).empty_result();
+  EXPECT_EQ(z.lmax, cfg.lmax);
+  EXPECT_EQ(z.bins.count(), cfg.bins.count());
+  EXPECT_EQ(z.n_primaries, 0u);
+  EXPECT_EQ(z.sum_primary_weight, 0.0);
+}
+
 TEST(Engine, CoincidentGalaxiesAreSkippedNotCrashed) {
   s::Catalog cat;
   for (int i = 0; i < 20; ++i) cat.push_back(5.0, 5.0, 5.0);

@@ -123,19 +123,32 @@ TEST_P(StagedEngine, NoSecondariesBitwiseMatchesRun) {
   expect_full_flushes(stats);
 }
 
-// Runs on the sparse cases only: its 1e-12 relative bound is met by
-// coefficients that cancel to near zero only at this catalog's scale (at
-// 2-6 times the points their summation-order noise reaches 1e-11 to 1e-10).
-class StagedEngineCombined : public ::testing::TestWithParam<StagedCase> {};
-
-TEST_P(StagedEngineCombined, SecondariesMatchFusedCombinedRun) {
+// The catalog ignores the density: its 1e-12 relative bound is met by
+// coefficients that cancel to near zero only at this background's scale (at
+// 2-6 times the uniform points their summation-order noise reaches 1e-11
+// to 1e-10), so the Dense cases repeat the sparse ones. Full buckets come
+// from tight clumps instead: every primary in an owned clump sees more
+// than kBucketCapacity points of a halo clump across the face in one bin.
+TEST_P(StagedEngine, SecondariesMatchFusedCombinedRun) {
   const c::EngineConfig cfg = make_config(GetParam());
   // Owned points in the left half of the box, halo in the right half with
   // plenty of cross-boundary pairs inside R_max.
-  const s::Catalog owned =
+  s::Catalog owned =
       s::uniform_box(500, s::Aabb{{0, 0, 0}, {25, 50, 50}}, 62);
-  const s::Catalog halo =
+  s::Catalog halo =
       s::uniform_box(500, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 63);
+  // 140 points in unit cubes: owned clumps 3 below the face, halo clumps
+  // ~7 away across it (the [5.5, 9) bin), off-axis so that no coefficient
+  // vanishes by symmetry.
+  const auto clump = [](double x, double y, double z, std::uint64_t seed) {
+    return s::uniform_box(
+        140, s::Aabb{{x - 0.5, y - 0.5, z - 0.5}, {x + 0.5, y + 0.5, z + 0.5}},
+        seed);
+  };
+  owned.append(clump(22, 20, 30, 64));
+  owned.append(clump(22, 32, 14, 65));
+  halo.append(clump(27, 23, 34, 66));
+  halo.append(clump(26, 36, 19, 67));
 
   s::Catalog combined = owned;
   combined.append(halo);
@@ -153,6 +166,7 @@ TEST_P(StagedEngineCombined, SecondariesMatchFusedCombinedRun) {
 
   // Identical pair sets (candidate order may differ → FP tolerance).
   EXPECT_EQ(staged_stats.pairs, fused_stats.pairs);
+  EXPECT_GT(fused_stats.full_flushes, 0u);
   EXPECT_EQ(staged_stats.full_flushes, fused_stats.full_flushes);
   expect_results_match(piped, fused, 1e-12, 1e-12);
 }
@@ -420,15 +434,12 @@ TEST_P(StagedEngine, TwoPassWithPrimarySubset) {
   expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
-// The first four are the sparse cases.
 const StagedCase kCases[] = {
     {c::TreePrecision::kDouble, 32},    {c::TreePrecision::kMixed, 32},
     {c::TreePrecision::kDouble, 5},     {c::TreePrecision::kMixed, 5},
     {c::TreePrecision::kDouble, 32, 6}, {c::TreePrecision::kMixed, 32, 6}};
 INSTANTIATE_TEST_SUITE_P(AllCombos, StagedEngine, ::testing::ValuesIn(kCases),
                          case_name);
-INSTANTIATE_TEST_SUITE_P(AllCombos, StagedEngineCombined,
-                         ::testing::ValuesIn(kCases, kCases + 4), case_name);
 
 // The Dense cases flush full buckets in both passes only without a halo
 // (their 25-wide owned slab has no interior leaf). Here a halo lies beyond

@@ -119,13 +119,6 @@ int run(int argc, char** argv) {
   GLX_CHECK_MSG(fft || !(args.has("grid-n") || args.has("assignment") ||
                          args.has("interlace")),
                 "--grid-n, --assignment and --interlace need --backend fft");
-  if (fft) {
-    GLX_CHECK_MSG(randoms_path.empty(),
-                  "--backend fft does not support survey mode (--randoms); "
-                  "the mesh estimator needs a periodic box");
-    GLX_CHECK_MSG(periodic_mode,
-                  "--backend fft requires --periodic-box <side>");
-  }
 
   core::EngineConfig cfg;
   cfg.bins = core::RadialBins(
