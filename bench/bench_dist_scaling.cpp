@@ -7,24 +7,19 @@
 // policies over 1..max-ranks — kPairWeighted must sit below
 // kPrimaryBalanced.
 //
-// Section 2 — pipeline A/B: the same partition + halo exchange + index
-// build + traversal, 2 ranks with a skewed initial scatter (realistic
-// ingest skew, so one rank genuinely lags), run under both OverlapModes:
-// sequential (drain halo, then build + traverse) and two_pass (halo hides
-// behind index build AND the traversal of the interior leaves, with the
-// boundary leaves in a second pass). Reports, per mode, the
-// median rank critical path (halo wait + index build + traversal) plus
-// the blocked-vs-hidden halo seconds over many repeats; deeper overlap
-// must not lengthen it.
-// On a single-core host the A/B is throughput-bound (total CPU is
-// conserved, so the margin is structural: one fewer block/wake on the
-// critical path and staggered builds); multi-core hosts — e.g. the CI
-// runners that upload this JSON — additionally hide the halo wait itself.
+// Section 2 — halo hiding: the two-pass pipeline (the halo hides behind
+// the owned index build AND the traversal of the interior leaves, with the
+// boundary leaves in a second pass) on 2 ranks with a skewed initial
+// scatter (realistic ingest skew, so one rank genuinely lags). Reports the
+// median rank critical path (halo wait + index build + traversal) plus the
+// blocked-vs-hidden halo seconds over many repeats. On a single-core host
+// the rank threads time-share one CPU; multi-core hosts — e.g. the CI
+// runners that upload this JSON — hide the halo wait itself.
 //
 // Emits BENCH_dist.json (--json) for the CI artifact trail, like
 // BENCH_fig4.json. Every ratio a gate reads is emitted here, not derived
 // by the gate: elapsed_vs_1rank per run, ratio per halo policy and
-// hidden_fraction per overlap mode. tools/check_bench_regression.py
+// hidden_fraction of the two-pass run. tools/check_bench_regression.py
 // compares such a file with bench/baselines/BENCH_dist.{ci,soak}.json
 // under the gates those baselines declare.
 //
@@ -70,7 +65,6 @@ sim::Catalog clustered_catalog(std::size_t n, double side) {
 struct RunSummary {
   int ranks = 0;
   std::string policy;
-  std::string overlap_mode;
   double elapsed_seconds = 0;
   // elapsed / elapsed of the 1-rank run under the same policy: the scaling
   // shape, which a uniformly faster or slower host leaves unchanged.
@@ -96,7 +90,6 @@ RunSummary run_once(const dist::Session& session, const sim::Catalog& cat,
   s.policy = policy == dist::PartitionPolicy::kPairWeighted
                  ? "pair_weighted"
                  : "primary_balanced";
-  s.overlap_mode = dist::overlap_mode_name(dcfg.overlap);
 
   Timer t;
   (void)dist::run_distributed(session, cat, dcfg, &s.reports);
@@ -118,7 +111,7 @@ JsonObject summary_json(const RunSummary& s) {
   JsonObject o;
   o.add("ranks", s.ranks)
       .add("policy", s.policy)
-      .add("overlap_mode", s.overlap_mode)
+      .add("overlap_mode", "two_pass")
       .add("elapsed_seconds", s.elapsed_seconds)
       .add("elapsed_vs_1rank", s.elapsed_vs_1rank)
       .add("pair_imbalance", s.pair_imbalance)
@@ -226,21 +219,19 @@ struct AbSample {
   double halo_hidden = 0;     // max over ranks: in-flight window worked
 };
 
-// One A/B measurement through the production run_rank pipeline: 2 ranks,
+// One measurement through the production run_rank pipeline: 2 ranks,
 // rank 0 seeded with 95% of the catalog (skewed ingest). The traversal is
-// part of the critical path on purpose — the two_pass mode's whole point
-// is moving it inside the halo's in-flight window. All three maxima are
-// comm-reduced, so the values are valid on whatever rank 0 is (thread 0 or
-// world root).
+// part of the critical path on purpose — the two-pass pipeline's whole
+// point is moving it inside the halo's in-flight window. All three maxima
+// are comm-reduced, so the values are valid on whatever rank 0 is (thread
+// 0 or world root).
 AbSample pipeline_critical_path(const dist::Session& session,
                                 const sim::Catalog& cat,
-                                const core::EngineConfig& ecfg,
-                                dist::OverlapMode mode) {
+                                const core::EngineConfig& ecfg) {
   constexpr int kTagAbCrit = 901;
   dist::DistRunConfig dcfg;
   dcfg.engine = ecfg;
   dcfg.ranks = 2;
-  dcfg.overlap = mode;
   const std::size_t cutoff = cat.size() * 19 / 20;  // 95% / 5% scatter
 
   AbSample out;
@@ -284,9 +275,9 @@ int main(int argc, char** argv) {
   int max_ranks = args.get<int>("max-ranks", 16);
   const std::size_t ab_n = args.get<std::size_t>("ab-n", 200000);
   const int ab_repeats = std::max(1, args.get<int>("ab-repeats", 9));
-  // lmax for the A/B catalog: > 0 so the traversal carries real weight —
-  // what the two_pass mode hides the halo behind — yet small enough that
-  // the partition/halo phases stay visible next to it.
+  // lmax for the section 2 catalog: > 0 so the traversal carries real
+  // weight — what the two-pass pipeline hides the halo behind — yet small
+  // enough that the partition/halo phases stay visible next to it.
   const int ab_lmax = args.get<int>("ab-lmax", 3);
   const std::string json_path = args.get_str("json", "BENCH_dist.json");
   args.finish();
@@ -386,23 +377,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Section 2: overlap A/B (sequential / two-pass) --------------------
+  // --- Section 2: halo hiding of the two-pass pipeline -------------------
   // Needs 2 ranks; an mpirun -np 1 world cannot host it.
   const bool run_ab = !mpi || session.size() >= 2;
-  const dist::OverlapMode kAbModes[] = {dist::OverlapMode::kSequential,
-                                        dist::OverlapMode::kTwoPass};
-  constexpr int kAbCount = 2;
-  struct AbResult {
-    std::string mode;
-    double critical_path = 0, halo_blocked = 0, halo_hidden = 0;
-  };
-  std::vector<AbResult> ab_results;
+  double ab_crit = 0, ab_blocked = 0, ab_hidden = 0;  // medians
   if (run_ab) {
     if (root) {
-      print_header("Pipeline A/B — sequential vs two-pass");
+      print_header("Pipeline — two-pass halo hiding");
       print_kv("galaxies", fmt(static_cast<double>(ab_n), "%.0f"));
       print_kv("ranks", "2 (95%/5% skewed scatter)");
-      print_kv("lmax (A/B)", fmt(ab_lmax, "%.0f"));
+      print_kv("lmax", fmt(ab_lmax, "%.0f"));
       print_kv("repeats (median)", fmt(ab_repeats, "%.0f"));
     }
 
@@ -410,53 +394,35 @@ int main(int argc, char** argv) {
     core::EngineConfig ab_cfg = ecfg;
     ab_cfg.lmax = ab_lmax;
 
-    // Interleave the modes inside every repeat so host noise hits both
-    // alike.
-    std::vector<std::vector<AbSample>> samples(kAbCount);
-    for (int rep = 0; rep < ab_repeats; ++rep)
-      for (int m = 0; m < kAbCount; ++m)
-        samples[m].push_back(
-            pipeline_critical_path(session, ab_cat, ab_cfg, kAbModes[m]));
-
-    Table abt({"overlap mode", "critical path (ms)", "halo blocked (ms)",
-               "halo hidden (ms)", "hidden fraction"});
-    for (int m = 0; m < kAbCount; ++m) {
-      AbResult r;
-      r.mode = dist::overlap_mode_name(kAbModes[m]);
-      std::vector<double> crit, blocked, hidden;
-      for (const AbSample& s : samples[m]) {
-        crit.push_back(s.critical_path);
-        blocked.push_back(s.halo_blocked);
-        hidden.push_back(s.halo_hidden);
-      }
-      r.critical_path = median(crit);
-      r.halo_blocked = median(blocked);
-      r.halo_hidden = median(hidden);
-      const double denom = r.halo_blocked + r.halo_hidden;
-      abt.add_row({r.mode, fmt(1e3 * r.critical_path, "%.2f"),
-                   fmt(1e3 * r.halo_blocked, "%.2f"),
-                   fmt(1e3 * r.halo_hidden, "%.2f"),
-                   denom > 0 ? fmt(r.halo_hidden / denom, "%.3f") : "—"});
-      ab_results.push_back(std::move(r));
+    std::vector<double> crit, blocked, hidden;
+    for (int rep = 0; rep < ab_repeats; ++rep) {
+      const AbSample s = pipeline_critical_path(session, ab_cat, ab_cfg);
+      crit.push_back(s.critical_path);
+      blocked.push_back(s.halo_blocked);
+      hidden.push_back(s.halo_hidden);
     }
+    ab_crit = median(crit);
+    ab_blocked = median(blocked);
+    ab_hidden = median(hidden);
     if (root) {
+      const double denom = ab_blocked + ab_hidden;
+      Table abt({"overlap mode", "critical path (ms)", "halo blocked (ms)",
+                 "halo hidden (ms)", "hidden fraction"});
+      abt.add_row({"two_pass", fmt(1e3 * ab_crit, "%.2f"),
+                   fmt(1e3 * ab_blocked, "%.2f"), fmt(1e3 * ab_hidden, "%.2f"),
+                   denom > 0 ? fmt(ab_hidden / denom, "%.3f") : "—"});
       std::printf("\n");
       abt.print();
-      std::printf("\n");
-      print_kv("speedup, two-pass vs sequential",
-               fmt(ab_results[0].critical_path / ab_results[1].critical_path,
-                   "%.2fx"));
     }
     // The JSON `note` alone is easy to miss when eyeballing the table, so
     // repeat the single-core caveat on stderr where the run log shows it.
     if (root && cores < 2)
       std::fprintf(stderr,
-                   "note: single-core host: rank threads time-share one CPU, "
-                   "so the overlap A/B wall critical paths are "
-                   "throughput-bound (~1.0x); the overlap hides halo wait "
-                   "only with >= 2 cores (see the CI artifact)\n");
+                   "note: single-core host: rank threads time-share one CPU; "
+                   "the overlap hides halo wait only with >= 2 cores (see "
+                   "the CI artifact)\n");
   } else if (root) {
-    print_kv("pipeline A/B", "skipped (MPI world of 1)");
+    print_kv("pipeline", "skipped (MPI world of 1)");
   }
 
   if (root && !json_path.empty()) {
@@ -466,8 +432,7 @@ int main(int argc, char** argv) {
         .add("side", side)
         .add("lmax", lmax)
         .add("max_ranks", max_ranks)
-        .add("overlap_mode",
-             std::string(dist::overlap_mode_name(dist::DistRunConfig{}.overlap)))
+        .add("overlap_mode", "two_pass")
         .add("ab_n", static_cast<std::uint64_t>(ab_n))
         .add("ab_repeats", ab_repeats)
         .add("ab_lmax", ab_lmax)
@@ -506,32 +471,20 @@ int main(int argc, char** argv) {
       doc.add_raw("halo_compression", hc.str(2));
     }
     if (run_ab) {
-      JsonObject ab;
+      JsonObject ab, mo;
       ab.add("ranks", 2);
-      std::string modes = "[";
-      for (std::size_t m = 0; m < ab_results.size(); ++m) {
-        const AbResult& r = ab_results[m];
-        JsonObject mo;
-        const double denom = r.halo_blocked + r.halo_hidden;
-        mo.add("overlap_mode", r.mode)
-            .add("critical_path_seconds", r.critical_path)
-            .add("halo_blocked_seconds", r.halo_blocked)
-            .add("halo_hidden_seconds", r.halo_hidden)
-            .add("hidden_fraction", denom > 0 ? r.halo_hidden / denom : 0.0);
-        modes += (m ? ",\n      " : "\n      ") + mo.str(6);
-      }
-      modes += "\n    ]";
-      ab.add_raw("modes", modes);
-      ab.add("speedup_two_pass_vs_sequential",
-             ab_results[1].critical_path > 0
-                 ? ab_results[0].critical_path / ab_results[1].critical_path
-                 : 0.0);
+      const double denom = ab_blocked + ab_hidden;
+      mo.add("overlap_mode", "two_pass")
+          .add("critical_path_seconds", ab_crit)
+          .add("halo_blocked_seconds", ab_blocked)
+          .add("halo_hidden_seconds", ab_hidden)
+          .add("hidden_fraction", denom > 0 ? ab_hidden / denom : 0.0);
+      ab.add_raw("modes", "[\n      " + mo.str(6) + "\n    ]");
       if (cores < 2)
         ab.add("note",
                std::string("single-core host: rank threads time-share one "
-                           "CPU, so wall critical paths are throughput-bound "
-                           "(~1.0x); the overlap hides halo wait only with "
-                           ">= 2 cores (see the CI artifact)"));
+                           "CPU; the overlap hides halo wait only with >= 2 "
+                           "cores (see the CI artifact)"));
       doc.add_raw("pipeline_ab", ab.str(2));
     }
     write_json_file(json_path, doc.str());

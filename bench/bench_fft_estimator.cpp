@@ -1,12 +1,13 @@
 // FFT estimator backend bench: accuracy + runtime vs grid size, against the
 // tree backend as both the accuracy reference and the timing baseline.
 //
-// Generates a periodic lognormal mock, measures the tree answer once, then
-// sweeps the FFT backend over a list of grid sizes (plain and interlaced),
-// reporting per grid the wall seconds and the max gated relative error of
-// the zeta multipoles (core::max_gated_rel_err, gate = 3% of the largest
-// coefficient — the committed accuracy contract; coefficients below it are
-// cancellation-dominated). The "crossover" row reports the smallest grid whose
+// Generates a periodic lognormal mock, measures the tree answer once — on
+// one thread, so the errors repeat bit for bit; --threads sets the FFT
+// runs' threads — then sweeps the FFT backend over a list of grid sizes
+// (plain and interlaced), reporting per grid the wall seconds and the max
+// gated relative error of the zeta multipoles (core::max_gated_rel_err,
+// gate = 3% of the largest coefficient — the committed accuracy contract;
+// coefficients below it are cancellation-dominated). The "crossover" row reports the smallest grid whose
 // interlaced error meets --target-err and its speedup over the tree — the
 // regime where the mesh wins outright.
 //
@@ -86,10 +87,14 @@ int main(int argc, char** argv) {
                              std::to_string(nbins));
   print_kv("lmax / assignment", std::to_string(lmax) + " / " + assignment);
 
+  // The tree reference runs on one thread: at more, the dynamic leaf
+  // schedule changes its last bits run to run, and so every error below.
+  core::EngineConfig tree_cfg = base;
+  tree_cfg.threads = 1;
   Timer timer;
   core::EngineStats tree_stats;
-  const core::ZetaResult tree =
-      core::periodic_box_3pcf(cat, sim::Aabb::cube(box), base, &tree_stats);
+  const core::ZetaResult tree = core::periodic_box_3pcf(
+      cat, sim::Aabb::cube(box), tree_cfg, &tree_stats);
   const double tree_seconds = timer.seconds();
   print_kv("tree reference", fmt(tree_seconds) + " s, " +
                                  std::to_string(tree_stats.pairs) + " pairs");

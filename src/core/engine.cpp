@@ -16,7 +16,7 @@ namespace galactos::core {
 
 namespace detail {
 
-// Per-thread partial accumulators, merged in thread-id order. The fused
+// Per-thread partial accumulators, merged in thread-id order. The one-pass
 // run_indexed path merges them as soon as its traversal ends; the two-pass
 // pipeline parks them in the Staged handle between the passes, so pass 2
 // keeps adding into the exact per-thread slots pass 1 filled and the final
@@ -426,35 +426,27 @@ std::int64_t secondary_inside(const tree::KdTree<Real>& secondary,
 namespace detail {
 
 // Type-erased holder behind Engine::Staged: the Real template choice is
-// made once at build_index time, so extend/run dispatch without re-deciding
+// made once at build_index time, so the passes dispatch without re-deciding
 // precision.
 struct EngineStagedImpl {
   virtual ~EngineStagedImpl() = default;
-  virtual void extend(const sim::Catalog& halo) = 0;
-  virtual bool has_secondary() const = 0;
   virtual void run(const std::vector<std::int64_t>* primaries,
                    ZetaResult& result, EngineStats& stats) const = 0;
-  virtual void owned_pass(const std::vector<std::int64_t>* primaries,
-                          EngineStats& stats,
+  virtual void owned_pass(EngineStats& stats,
                           const std::function<void()>& poll) = 0;
-  virtual void secondary_pass(const std::vector<std::int64_t>* primaries,
+  virtual void secondary_pass(sim::Catalog& halo,
                               TraversalPartials& parts, ZetaResult& result,
                               EngineStats& stats) const = 0;
 
   EngineConfig cfg;
   std::size_t owned_size = 0;
-  double build_seconds = 0.0;  // primary + secondary index build time
+  double build_seconds = 0.0;  // primary index build time
 
   // Two-pass state: the bound of run_owned_pass (which splits the leaves
-  // and which pass 2 checks the secondaries against), the partials it
-  // parks (consumed by run_secondary_pass), its primary restriction (pass
-  // 2 must see the same set), and how much of build_seconds has already
-  // been reported as an "index build" phase.
+  // and which pass 2 checks the secondaries against) and the partials it
+  // parks (consumed by run_secondary_pass).
   std::unique_ptr<TraversalPartials> partials;
   Engine::SecondaryBound bound{};
-  std::vector<std::int64_t> primaries_storage;
-  bool restrict_primaries = false;
-  double build_reported = 0.0;
 };
 
 }  // namespace detail
@@ -464,10 +456,10 @@ namespace {
 template <typename Real>
 struct StagedImplT final : detail::EngineStagedImpl {
   // `borrowed` non-null: reference the caller's catalog, which outlives
-  // the handle (the fused Engine::run path, kept free of an O(N) copy).
+  // the handle (the Engine::run path, kept free of an O(N) copy).
   // Otherwise `adopted` — the caller's copy or moved-in buffer — becomes
   // the handle's own storage (the caller's buffer may move or be freed
-  // before run_indexed; e.g. the runner's halo append reallocates it).
+  // before the traversal runs).
   StagedImplT(const EngineConfig& c, const sim::Catalog* borrowed,
               sim::Catalog&& adopted)
       : storage(std::move(adopted)), owned(borrowed ? borrowed : &storage) {
@@ -476,43 +468,36 @@ struct StagedImplT final : detail::EngineStagedImpl {
     primary = make_index<Real>(*owned, cfg);
   }
 
-  void extend(const sim::Catalog& halo) override {
-    secondary.emplace(make_index<Real>(halo, cfg));
-  }
-
-  bool has_secondary() const override { return secondary.has_value(); }
-
-  const tree::KdTree<Real>* secondary_index() const {
-    return secondary ? &*secondary : nullptr;
-  }
-
   void run(const std::vector<std::int64_t>* primaries, ZetaResult& result,
            EngineStats& stats) const override {
     detail::TraversalPartials parts(thread_count(cfg));
-    run_primary_pass<Real>(cfg, *owned, primary, secondary_index(),
+    run_primary_pass<Real>(cfg, *owned, primary, /*secondary=*/nullptr,
                            primaries, /*leaf_mask=*/nullptr, 0, /*poll=*/{},
                            parts, stats);
     merge_partials(cfg, parts, result);
   }
 
-  void owned_pass(const std::vector<std::int64_t>* primaries,
-                  EngineStats& stats,
+  void owned_pass(EngineStats& stats,
                   const std::function<void()>& poll) override {
     partials = std::make_unique<detail::TraversalPartials>(thread_count(cfg));
     partials->boundary = boundary_leaves(primary, bound, cfg.bins.rmax());
     run_primary_pass<Real>(cfg, *owned, primary, /*secondary=*/nullptr,
-                           primaries, &partials->boundary, /*run_if=*/0, poll,
-                           *partials, stats);
+                           /*primaries=*/nullptr, &partials->boundary,
+                           /*run_if=*/0, poll, *partials, stats);
   }
 
-  // The deferred boundary leaves, each once with the fused body (owned and
-  // secondary candidates in one block), into the parked partials; then the
-  // merge. A secondary inside the bound could have reached an interior
-  // leaf that pass 1 ran without it, so it is an error, raised before any
-  // work.
-  void secondary_pass(const std::vector<std::int64_t>* primaries,
-                      detail::TraversalPartials& parts, ZetaResult& result,
-                      EngineStats& stats) const override {
+  // Indexes the halo, then runs the deferred boundary leaves, each once
+  // with owned and secondary candidates in one block, into the parked
+  // partials; then the merge. A secondary inside the bound could have
+  // reached an interior leaf that pass 1 ran without it, so it is an
+  // error, raised before any leaf runs.
+  void secondary_pass(sim::Catalog& halo, detail::TraversalPartials& parts,
+                      ZetaResult& result, EngineStats& stats) const override {
+    Timer tbuild;
+    std::optional<tree::KdTree<Real>> secondary;
+    if (!halo.empty()) secondary.emplace(make_index<Real>(halo, cfg));
+    halo = sim::Catalog{};
+    stats.phases.add("index build", tbuild.seconds());
     if (secondary) {
       const std::int64_t inside = secondary_inside(*secondary, bound);
       GLX_CHECK_MSG(inside < 0,
@@ -521,16 +506,16 @@ struct StagedImplT final : detail::EngineStagedImpl {
                         << " lies inside the SecondaryBound given to "
                            "run_owned_pass");
     }
-    run_primary_pass<Real>(cfg, *owned, primary, secondary_index(),
-                           primaries, &parts.boundary, /*run_if=*/1,
-                           /*poll=*/{}, parts, stats);
+    run_primary_pass<Real>(cfg, *owned, primary,
+                           secondary ? &*secondary : nullptr,
+                           /*primaries=*/nullptr, &parts.boundary,
+                           /*run_if=*/1, /*poll=*/{}, parts, stats);
     merge_partials(cfg, parts, result);
   }
 
   sim::Catalog storage;                 // empty when borrowed
   const sim::Catalog* owned = nullptr;  // primaries index into this
   tree::KdTree<Real> primary;
-  std::optional<tree::KdTree<Real>> secondary;
 };
 
 }  // namespace
@@ -569,17 +554,6 @@ Engine::Staged Engine::build_index_impl(const sim::Catalog* borrowed,
   return staged;
 }
 
-void Engine::Staged::extend_with_secondaries(const sim::Catalog& halo) {
-  GLX_CHECK_MSG(impl_ != nullptr,
-                "extend_with_secondaries on an empty Staged handle");
-  GLX_CHECK_MSG(!impl_->has_secondary(),
-                "extend_with_secondaries called twice");
-  if (halo.empty()) return;
-  Timer t;
-  impl_->extend(halo);
-  impl_->build_seconds += t.seconds();
-}
-
 namespace {
 
 void validate_primaries(std::size_t owned_size,
@@ -614,29 +588,23 @@ ZetaResult Engine::Staged::run_indexed(
   return result;
 }
 
-void Engine::Staged::run_owned_pass(
-    const SecondaryBound& bound, const std::vector<std::int64_t>* primaries,
-    EngineStats* stats, const std::function<void()>& poll) {
+void Engine::Staged::run_owned_pass(const SecondaryBound& bound,
+                                    EngineStats* stats,
+                                    const std::function<void()>& poll) {
   GLX_CHECK_MSG(impl_ != nullptr, "run_owned_pass on an empty Staged handle");
   GLX_CHECK_MSG(impl_->partials == nullptr,
                 "run_owned_pass called twice without run_secondary_pass");
-  validate_primaries(impl_->owned_size, primaries);
-  impl_->restrict_primaries = primaries != nullptr;
-  impl_->primaries_storage =
-      primaries ? *primaries : std::vector<std::int64_t>{};
 
   EngineStats local_stats;
   EngineStats& st = stats ? *stats : local_stats;
   st = EngineStats{};
   st.phases.add("index build", impl_->build_seconds);
-  impl_->build_reported = impl_->build_seconds;
   impl_->bound = bound;
-  impl_->owned_pass(
-      impl_->restrict_primaries ? &impl_->primaries_storage : nullptr, st,
-      poll);
+  impl_->owned_pass(st, poll);
 }
 
-ZetaResult Engine::Staged::run_secondary_pass(EngineStats* stats) {
+ZetaResult Engine::Staged::run_secondary_pass(sim::Catalog halo,
+                                              EngineStats* stats) {
   GLX_CHECK_MSG(impl_ != nullptr,
                 "run_secondary_pass on an empty Staged handle");
   GLX_CHECK_MSG(impl_->partials != nullptr,
@@ -645,24 +613,13 @@ ZetaResult Engine::Staged::run_secondary_pass(EngineStats* stats) {
   EngineStats local_stats;
   EngineStats& st = stats ? *stats : local_stats;
   st = EngineStats{};
-  // Only the build time accrued since the owned pass reported (i.e. the
-  // secondary index, in the canonical post → pass 1 → extend → pass 2
-  // order).
-  st.phases.add("index build", impl_->build_seconds - impl_->build_reported);
-  impl_->build_reported = impl_->build_seconds;
   // The parked state is consumed even when the pass throws (a broken
   // SecondaryBound promise), so the handle accepts a fresh run_owned_pass.
   const std::unique_ptr<detail::TraversalPartials> parts =
       std::move(impl_->partials);
   ZetaResult result;
-  impl_->secondary_pass(
-      impl_->restrict_primaries ? &impl_->primaries_storage : nullptr, *parts,
-      result, st);
+  impl_->secondary_pass(halo, *parts, result, st);
   return result;
-}
-
-bool Engine::Staged::owned_pass_pending() const {
-  return impl_ != nullptr && impl_->partials != nullptr;
 }
 
 ZetaResult Engine::run(const sim::Catalog& catalog,

@@ -18,16 +18,15 @@
 // through MultipoleAccumulator::push_staged.
 //
 // The outer API comes in two shapes: Engine::run builds the index and
-// traverses in one call; the staged pipeline (build_index →
-// extend_with_secondaries → run_indexed) splits those steps so the
-// distributed runner can build the owned-point index while the halo
-// exchange is still in flight, then index halo points into a SECONDARY
-// structure whose candidates union with the primary index's per leaf. With
-// no secondaries the staged path is bitwise identical to Engine::run. The
-// two-pass variant (run_owned_pass → run_secondary_pass) splits the same
-// traversal by leaf: the interior leaves, which no halo point can reach,
-// run before the halo arrives, and the boundary leaves run once afterwards
-// against owned and halo points together.
+// traverses in one call; the staged pipeline (build_index → run_indexed)
+// splits those steps. The distributed runner builds the owned-point index
+// while its halo exchange is still in flight and splits the traversal by
+// leaf (run_owned_pass → run_secondary_pass): the interior leaves, which no
+// halo point can reach, run before the halo arrives; then the secondary
+// pass indexes the halo points into a SECONDARY structure and runs the
+// boundary leaves once against owned and halo candidates together. With no
+// halo and every leaf in one pass the staged paths are bitwise identical to
+// Engine::run.
 //
 // Work is distributed over OpenMP threads with a dynamic schedule over
 // leaves (paper §3.3: "a significant performance boost over a static
@@ -104,7 +103,7 @@ struct EngineStats {
   // Candidate pairs examined: the shared-block entries each primary scans
   // (the block is gathered once per leaf but scanned by every primary;
   // owned and secondary candidates alike). The two passes of the two-pass
-  // pipeline run disjoint leaf sets, so their counts add up to the fused
+  // pipeline run disjoint leaf sets, so their counts add up to the one-pass
   // run's.
   std::uint64_t candidates = 0;
   // Leaves the pass ran (those holding at least one of its primaries) and
@@ -131,8 +130,8 @@ class Engine {
 
   const EngineConfig& config() const { return cfg_; }
 
-  // The contract of the two-pass pipeline: no secondary later indexed via
-  // extend_with_secondaries lies strictly inside this axis-aligned box
+  // The contract of the two-pass pipeline: no secondary later passed to
+  // run_secondary_pass lies strictly inside this axis-aligned box
   // (faces may be infinite). The distributed runner passes its k-d leaf
   // domain with the faces on the global bounding box opened to ±infinity:
   // halo copies come from other ranks' domains, which tile space
@@ -145,28 +144,22 @@ class Engine {
   };
 
   // Staged pipeline handle (see build_index): the primary spatial index is
-  // built eagerly; halo secondaries can be indexed later into a secondary
-  // structure whose candidates union with the primary index's during the
-  // traversal. Copyable (shared state); default-constructed handles are
-  // empty until assigned.
+  // built eagerly; halo secondaries are indexed by run_secondary_pass.
+  // Copyable (shared state); default-constructed handles are empty until
+  // assigned.
   class Staged {
    public:
     Staged() = default;
 
     bool valid() const { return impl_ != nullptr; }
 
-    // Indexes `halo` points as secondaries-only (they never act as
-    // primaries and primary indices never refer to them). Call at most
-    // once; an empty halo is a no-op.
-    void extend_with_secondaries(const sim::Catalog& halo);
-
-    // Runs the traversal over the prebuilt indexes. `primaries` indexes
-    // into the owned catalog passed to build_index (same contract as
-    // Engine::run: no duplicates, all owned points act as primaries when
-    // omitted). With no secondaries this is bitwise identical to
+    // Runs the whole traversal over the prebuilt index, with no
+    // secondaries. `primaries` indexes into the owned catalog passed to
+    // build_index (same contract as Engine::run: no duplicates, all owned
+    // points act as primaries when omitted). Bitwise identical to
     // Engine::run on the owned catalog. stats->wall_seconds covers the
     // traversal only; the "index build" phase reports the staged build
-    // time (primary + secondary).
+    // time.
     ZetaResult run_indexed(const std::vector<std::int64_t>* primaries = nullptr,
                            EngineStats* stats = nullptr) const;
 
@@ -178,33 +171,36 @@ class Engine {
     // primaries, since no secondary can reach them — and parks the
     // per-thread accumulators in this handle instead of merging them, so
     // the caller can run it while its halo exchange is still in flight.
-    // `poll`, when given, is invoked from the master thread between leaf
-    // batches so the caller can progress outstanding communication
-    // requests.
+    // Every owned point acts as a primary. `poll`, when given, is invoked
+    // from the master thread between leaf batches so the caller can
+    // progress outstanding communication requests.
     //
-    // run_secondary_pass runs every BOUNDARY leaf once, with run_indexed's
-    // fused body (one candidate block of owned plus secondary points per
-    // leaf), into the parked accumulators; then merges and returns. Every
-    // primary is therefore computed exactly once, so the result equals
-    // run_indexed up to summation order: interior primaries are added
-    // before boundary ones. A bound with no interior leaf (the empty box)
-    // runs every leaf in pass 2 and one with no boundary leaf every leaf in
-    // pass 1, both in run_indexed's order: then the result is BITWISE
-    // identical at one thread. A secondary strictly inside the bound
-    // breaks the promise and is a std::logic_error naming it, raised
-    // before the pass runs. The parked state is consumed either way; the
-    // pair may be run again.
+    // run_secondary_pass indexes `halo` as secondaries-only (they never act
+    // as primaries; an empty halo indexes nothing) and frees it — the index
+    // holds its own copy, so a caller done with the halo moves it in — then
+    // runs every
+    // BOUNDARY leaf once with one candidate block of owned plus secondary
+    // points per leaf, into the parked accumulators; then merges and
+    // returns. Every primary is therefore computed exactly once, so the
+    // result equals the single-node run over owned + halo (owned points as
+    // primaries) up to summation order: interior primaries are added before
+    // boundary ones. A bound with no interior leaf (the empty box) runs
+    // every leaf in pass 2 and one with no boundary leaf every leaf in pass
+    // 1, both in run_indexed's order: with an empty halo the result is then
+    // BITWISE identical to run_indexed at one thread. A secondary strictly
+    // inside the bound breaks the promise and is a std::logic_error naming
+    // it, raised before any leaf runs. The parked state is consumed either
+    // way; the pair may be run again.
     //
-    // The pass stats add up to run_indexed's: pairs, candidates, leaves
-    // and primaries of the two passes sum to the fused run's.
+    // The pass stats add up: pairs, candidates, leaves and primaries of the
+    // two passes sum to those of the one-pass run over the same points.
+    // Pass 2's "index build" phase is the halo index build; its
+    // wall_seconds covers the traversal only.
     void run_owned_pass(const SecondaryBound& bound,
-                        const std::vector<std::int64_t>* primaries = nullptr,
                         EngineStats* stats = nullptr,
                         const std::function<void()>& poll = {});
-    ZetaResult run_secondary_pass(EngineStats* stats = nullptr);
-
-    // True between run_owned_pass and run_secondary_pass.
-    bool owned_pass_pending() const;
+    ZetaResult run_secondary_pass(sim::Catalog halo,
+                                  EngineStats* stats = nullptr);
 
    private:
     friend class Engine;
@@ -213,22 +209,22 @@ class Engine {
 
   // Stage 1 of the pipelined API: build the spatial index over the `owned`
   // points now, so e.g. the distributed runner can do it while its halo
-  // exchange is still in flight, then extend_with_secondaries(halo) and
-  // run_indexed (paper §3.2–3.3 overlap). The handle keeps its own copy of
-  // `owned`, so the caller's buffer is free to move afterwards.
+  // exchange is still in flight, then run_owned_pass and, once the halo is
+  // in, run_secondary_pass (paper §3.2–3.3 overlap). The handle keeps its
+  // own copy of `owned`, so the caller's buffer is free to move afterwards.
   Staged build_index(const sim::Catalog& owned) const;
 
   // Move overload: adopts `owned` as the handle's storage instead of
-  // copying it — the sequential distributed path snapshots the owned prefix
-  // once and hands it over, instead of copy + internal re-copy.
+  // copying it — the distributed runner and perfsuite hand over a catalog
+  // they no longer need, instead of copy + internal re-copy.
   Staged build_index(sim::Catalog&& owned) const;
 
   // Computes the anisotropic 3PCF of `catalog`. If `primaries` is given,
-  // only those indices act as primaries (the distributed runner passes the
-  // rank-owned galaxies; halo copies are secondaries only — paper §3.3).
-  // All points always act as secondaries. The list must not contain
-  // duplicates (the traversal tests membership per point);
-  // duplicates are rejected like out-of-range indices.
+  // only those indices act as primaries (periodic_box_3pcf passes the
+  // box's own galaxies; its periodic ghosts are secondaries only). All
+  // points always act as secondaries. The list must not contain duplicates
+  // (the traversal tests membership per point); duplicates are rejected
+  // like out-of-range indices.
   ZetaResult run(const sim::Catalog& catalog,
                  const std::vector<std::int64_t>* primaries = nullptr,
                  EngineStats* stats = nullptr) const;
@@ -241,7 +237,7 @@ class Engine {
 
  private:
   // The one build body. `borrowed` non-null references the caller's
-  // catalog (the fused run() path, where it outlives the handle);
+  // catalog (the run() path, where it outlives the handle);
   // otherwise the handle adopts `adopted` — a copy, or the caller's
   // moved-in buffer.
   Staged build_index_impl(const sim::Catalog* borrowed,

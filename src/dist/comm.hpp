@@ -65,17 +65,6 @@ struct CommControl;
 struct CommByteCounters {
   std::uint64_t sent[kPhaseCount] = {};
   std::uint64_t recv[kPhaseCount] = {};
-
-  std::uint64_t total_sent() const {
-    std::uint64_t t = 0;
-    for (std::uint64_t v : sent) t += v;
-    return t;
-  }
-  std::uint64_t total_recv() const {
-    std::uint64_t t = 0;
-    for (std::uint64_t v : recv) t += v;
-    return t;
-  }
 };
 
 // Handle for a posted non-blocking operation (MPI_Request analog).

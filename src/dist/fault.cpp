@@ -206,18 +206,6 @@ std::vector<std::string> split(const std::string& s, char sep) {
 
 }  // namespace
 
-const char* fault_kind_name(FaultRule::Kind k) {
-  switch (k) {
-    case FaultRule::Kind::kDrop: return "drop";
-    case FaultRule::Kind::kDelay: return "delay";
-    case FaultRule::Kind::kDup: return "dup";
-    case FaultRule::Kind::kCorrupt: return "corrupt";
-    case FaultRule::Kind::kStall: return "stall";
-    case FaultRule::Kind::kCrash: return "crash";
-  }
-  return "unknown";
-}
-
 bool FaultRule::matches_channel(int s, int d, int t) const {
   if (src >= 0 && s != src) return false;
   if (dst >= 0 && d != dst) return false;

@@ -72,8 +72,6 @@ struct FaultRule {
   bool matches_rank_phase(int r, Phase p) const;
 };
 
-const char* fault_kind_name(FaultRule::Kind k);
-
 struct FaultPlan {
   std::vector<FaultRule> rules;
   std::uint64_t seed = 1;

@@ -49,18 +49,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-}  // namespace
-
-const char* overlap_mode_name(OverlapMode mode) {
-  switch (mode) {
-    case OverlapMode::kSequential: return "sequential";
-    case OverlapMode::kTwoPass: return "two_pass";
-  }
-  return "unknown";
-}
-
-namespace {
-
 // Shared tail of both backends' pipelines: one allreduce for the additive
 // double payload, one for the integer counters — each a recursive-doubling
 // butterfly with a fixed lower-rank-first combine, so every rank ends with
@@ -119,109 +107,76 @@ core::ZetaResult run_rank_pipeline(Comm& comm, const sim::Catalog& mine,
   // The pipeline: halo traffic is already in flight (sends buffered,
   // receives posted), so everything timed between here and
   // complete_halo_exchange() is work the halo hides behind
-  // (halo_hidden_seconds). kSequential drains the exchange first — the A/B
-  // baseline; kTwoPass builds the owned index and runs the whole
-  // owned-vs-owned traversal before blocking, polling the outstanding
-  // receives between leaf batches.
-  double halo_seconds = 0.0;
+  // (halo_hidden_seconds): the owned index build and the owned-vs-owned
+  // traversal of the interior leaves, polling the outstanding receives
+  // between leaf batches. A rank that owns no points builds nothing and
+  // contributes empty_result().
   double index_seconds = 0.0;
-  double owned_pass_seconds = 0.0;
-  double secondary_pass_seconds = 0.0;
-  double halo_hidden_seconds = 0.0;
   core::Engine::Staged staged;
   core::EngineStats stats;
+  if (n_owned > 0) {
+    // post_halo_exchange has already built and shipped the owned LETs, so
+    // the owned catalog is free to move into the index handle.
+    Timer ti;
+    staged = engine.build_index(std::move(pending.result.local));
+    index_seconds = ti.seconds();
 
-  // post_halo_exchange has already built and shipped the owned LETs, so
-  // the owned catalog is free to move into the index handle.
-  PartitionResult part;
-  if (cfg.overlap == OverlapMode::kSequential) {
-    comm.set_phase(Phase::kHaloComplete);
-    Timer th;
-    part = complete_halo_exchange(pending);
-    halo_seconds = th.seconds();
-    rep.halo_seconds = halo_seconds;
-    if (n_owned > 0) {
-      Timer ti;
-      staged = engine.build_index(std::move(part.local));
-      index_seconds += ti.seconds();
-    }
-  } else {
-    if (n_owned > 0) {
-      Timer ti;
-      staged = engine.build_index(std::move(pending.result.local));
-      index_seconds += ti.seconds();
-      halo_hidden_seconds += index_seconds;
-
-      comm.set_phase(Phase::kOwnedPass);
-      // Halo copies come from other ranks' domains, which tile space
-      // disjointly from ours — so the k-d leaf domain, opened to infinity
-      // on the global bounding box, is a valid SecondaryBound: pass 1 runs
-      // the leaves more than R_max inside it and defers the rest to pass 2.
-      const core::Engine::SecondaryBound bound{
-          pending.result.open_domain.lo, pending.result.open_domain.hi};
-      Timer tp;
-      staged.run_owned_pass(bound, nullptr, &stats,
-                            [&pending] { pending.poll(); });
-      owned_pass_seconds = tp.seconds();
-      halo_hidden_seconds += owned_pass_seconds;
-      rep.owned_pass_seconds = owned_pass_seconds;
-      rep.owned_pass_leaves = stats.leaves;
-    }
-    comm.set_phase(Phase::kHaloComplete);
-    Timer th;
-    part = complete_halo_exchange(pending);
-    halo_seconds = th.seconds();
-    rep.halo_seconds = halo_seconds;
+    comm.set_phase(Phase::kOwnedPass);
+    // Halo copies come from other ranks' domains, which tile space
+    // disjointly from ours — so the k-d leaf domain, opened to infinity on
+    // the global bounding box, is a valid SecondaryBound: pass 1 runs the
+    // leaves more than R_max inside it and defers the rest to pass 2.
+    const core::Engine::SecondaryBound bound{pending.result.open_domain.lo,
+                                             pending.result.open_domain.hi};
+    Timer tp;
+    staged.run_owned_pass(bound, &stats, [&pending] { pending.poll(); });
+    rep.owned_pass_seconds = tp.seconds();
+    rep.owned_pass_leaves = stats.leaves;
   }
+  rep.halo_hidden_seconds = index_seconds + rep.owned_pass_seconds;
+  comm.set_phase(Phase::kHaloComplete);
+  Timer th;
+  PartitionResult part = complete_halo_exchange(pending);
+  rep.halo_seconds = th.seconds();
   rep.held = n_owned;
   for (const tree::LetMessage& m : part.let) rep.held += m.point_count();
   rep.index_build_seconds = index_seconds;
-  rep.halo_hidden_seconds = halo_hidden_seconds;
   rep.halo_bytes_sent = part.traffic.bytes_sent;
   rep.halo_bytes_recv = part.traffic.bytes_recv;
   rep.halo_points_shipped = part.traffic.points_shipped;
   rep.let_cells_sent = part.traffic.cells_sent;
   rep.let_cells_pruned = part.traffic.cells_pruned;
 
-  // Halo copies act as secondaries only. Unpack the peers' LET cells within
-  // R_max of this rank's domain — the receiver-side pruning tier: whole
-  // cells beyond reach never reach the secondary build — and index them.
-  if (staged.valid()) {
-    Timer ti;
+  core::ZetaResult local;
+  if (!staged.valid()) {
+    local = engine.empty_result();
+  } else {
+    // Halo copies act as secondaries only. Unpack the peers' LET cells
+    // within R_max of this rank's domain — the receiver-side pruning tier:
+    // whole cells beyond reach never reach the secondary build — and let
+    // pass 2 index them and run the boundary leaves.
+    Timer tu;
     sim::Catalog halo;
     for (const tree::LetMessage& m : part.let)
       tree::append_let_to_catalog(m, part.domain, engine_cfg.bins.rmax(),
                                   halo);
-    staged.extend_with_secondaries(halo);
-    index_seconds += ti.seconds();
-  }
+    part.let.clear();  // unpacked: free the wire buffers before pass 2
+    index_seconds += tu.seconds();
 
-  double engine_seconds = 0.0;
-  core::ZetaResult local;
-  if (cfg.overlap == OverlapMode::kTwoPass && staged.valid()) {
     comm.set_phase(Phase::kSecondaryPass);
     Timer tsec;
     core::EngineStats sec_stats;
-    local = staged.run_secondary_pass(&sec_stats);
-    secondary_pass_seconds = tsec.seconds();
+    local = staged.run_secondary_pass(std::move(halo), &sec_stats);
+    const double halo_build = sec_stats.phases.get("index build");
+    index_seconds += halo_build;
+    rep.secondary_pass_seconds = tsec.seconds() - halo_build;
     stats.pairs += sec_stats.pairs;  // the two passes' leaves are disjoint
-    stats.bin_epilogues += sec_stats.bin_epilogues;
-    stats.full_flushes += sec_stats.full_flushes;
-    stats.partial_flushes += sec_stats.partial_flushes;
-    engine_seconds = owned_pass_seconds + secondary_pass_seconds;
     rep.secondary_pass_leaves = sec_stats.leaves;
     rep.boundary_primaries = sec_stats.primaries;
-  } else {
-    comm.set_phase(Phase::kOwnedPass);  // the fused owned+halo traversal
-    Timer teng;
-    local = staged.valid() ? staged.run_indexed(nullptr, &stats)
-                           : engine.empty_result();
-    engine_seconds = teng.seconds();
   }
   rep.pairs = stats.pairs;
   rep.index_build_seconds = index_seconds;
-  rep.engine_seconds = engine_seconds;
-  rep.secondary_pass_seconds = secondary_pass_seconds;
+  rep.engine_seconds = rep.owned_pass_seconds + rep.secondary_pass_seconds;
 
   return reduce_across_ranks(comm, engine_cfg, local, stats.pairs, rep);
 }

@@ -2,30 +2,29 @@
 //
 //   scatter → k-d partition → [LET halo in flight ∥ owned-index build
 //                               ∥ PASS 1: interior leaves × owned]
-//           → complete halo → unpack LETs → secondary (halo) index
-//           → PASS 2: boundary leaves × (owned + halo)
+//           → complete halo → unpack LETs
+//           → PASS 2: secondary (halo) index, boundary leaves × (owned + halo)
 //           → O(log P) tree allreduce of the additive ZetaResult payload
 //
 // post_halo_exchange() returns with halo sends buffered and receives
-// posted; in the default OverlapMode::kTwoPass each rank then builds the
-// spatial index over its OWNED galaxies and runs the owned-vs-owned
-// traversal of its interior leaves (Engine::Staged::run_owned_pass,
-// polling the outstanding receives between leaf batches) before blocking
-// on the exchange — most of the O(N·n_nbr) kernel phase hides the halo,
-// not just the index build. The pass's SecondaryBound is the rank's k-d
-// domain with the faces on the global bounding box opened to ±infinity
-// (PartitionResult::open_domain): halo copies come from other ranks'
-// disjoint domains, so no halo point lies inside it, and a leaf more than
-// R_max inside it needs no halo. The runner then unpacks the received LET
-// cells within R_max of its domain (tree::append_let_to_catalog), indexes
-// them into a secondary structure (Engine::Staged::extend_with_secondaries
-// — the engine never sees the wire format), and run_secondary_pass runs
+// posted; each rank then builds the spatial index over its OWNED galaxies
+// and runs the owned-vs-owned traversal of its interior leaves
+// (Engine::Staged::run_owned_pass, polling the outstanding receives
+// between leaf batches) before blocking on the exchange — most of the
+// O(N·n_nbr) kernel phase hides the halo, not just the index build. The
+// pass's SecondaryBound is the rank's k-d domain with the faces on the
+// global bounding box opened to ±infinity (PartitionResult::open_domain):
+// halo copies come from other ranks' disjoint domains, so no halo point
+// lies inside it, and a leaf more than R_max inside it needs no halo. The
+// runner then unpacks the received LET cells within R_max of its domain
+// (tree::append_let_to_catalog — the engine never sees the wire format),
+// and run_secondary_pass indexes them into a secondary structure and runs
 // every remaining (boundary) leaf once against owned and halo points
 // together. The decomposition is exact — every primary is computed on
 // exactly one rank, in exactly one pass — so the reduced result matches
 // the single-node engine up to floating-point summation order (bitwise
 // for one rank, where every leaf is interior, ~1e-13 relative for many),
-// under either PartitionPolicy and any OverlapMode.
+// under either PartitionPolicy.
 //
 // The distributed pipeline runs core::Engine, the only estimator behind
 // EngineConfig; the FFT mesh oracle (core::fft_3pcf) is single-node only.
@@ -41,17 +40,11 @@
 
 namespace galactos::dist {
 
-// How much of the pipeline runs while the halo exchange is in flight —
-// the A/B axis of bench_dist_scaling. kSequential is the single reference
-// mode; kTwoPass is what production runs.
-enum class OverlapMode {
-  kSequential,  // drain the exchange, then build + traverse (the baseline)
-  kTwoPass,     // index build + the interior leaves' pass hide the halo,
-                // then a second pass runs the boundary leaves (the default)
-};
-
-// Stable names for reports/JSON: "sequential" / "two_pass".
-const char* overlap_mode_name(OverlapMode mode);
+// The two-pass pipeline above is the only one. The enum and
+// DistRunConfig::overlap stay so configurations that name it keep
+// compiling (perfsuite assigns it); like HaloMode, both go with the next
+// change to perfsuite.
+enum class OverlapMode { kTwoPass };
 
 struct DistRunConfig {
   core::EngineConfig engine;
@@ -59,8 +52,7 @@ struct DistRunConfig {
   // What the k-d cuts equalize: raw galaxy counts or estimated pair counts
   // (the Fig. 7 imbalance fix).
   PartitionPolicy partition = PartitionPolicy::kPrimaryBalanced;
-  // What hides the halo exchange (A/B measurement axis).
-  OverlapMode overlap = OverlapMode::kTwoPass;
+  OverlapMode overlap = OverlapMode::kTwoPass;  // the only pipeline
   // LET wire options (float32 quantization; see dist/partition.hpp).
   HaloOptions halo;
   // Comm-wide receive deadline in seconds; <= 0 (the default) keeps the
@@ -83,24 +75,23 @@ struct RankReport {
   int levels = 0;           // k-d recursion depth
   double partition_seconds = 0.0;    // k-d exchange + halo posting
   double halo_seconds = 0.0;         // time BLOCKED waiting on halo data
-  double index_build_seconds = 0.0;  // primary + secondary index build
-  double engine_seconds = 0.0;       // traversal (excludes index build);
-                                     // two-pass: owned + secondary passes
-  double owned_pass_seconds = 0.0;      // pass 1 (kTwoPass only)
-  double secondary_pass_seconds = 0.0;  // pass 2 (kTwoPass only)
-  // The two-pass split (kTwoPass only): primary-index leaves run by the
-  // owned pass (interior) and by the secondary pass (boundary), and the
-  // owned primaries in the boundary leaves.
+  // Primary index build + LET unpack + halo (secondary) index build.
+  double index_build_seconds = 0.0;
+  double engine_seconds = 0.0;          // owned + secondary passes
+  double owned_pass_seconds = 0.0;      // pass 1
+  double secondary_pass_seconds = 0.0;  // pass 2, excluding the halo build
+  // The two-pass split: primary-index leaves run by the owned pass
+  // (interior) and by the secondary pass (boundary), and the owned
+  // primaries in the boundary leaves.
   std::uint64_t owned_pass_leaves = 0;
   std::uint64_t secondary_pass_leaves = 0;
   std::uint64_t boundary_primaries = 0;
   // Wall time spent computing between post_halo_exchange returning and
   // complete_halo_exchange being entered — the in-flight window filled
-  // with useful work instead of blocking. kSequential: 0. kTwoPass: index
-  // build + owned pass. The overlap
-  // health metric is halo_hidden_seconds / (halo_hidden_seconds +
-  // halo_seconds): bench_dist_scaling emits it as hidden_fraction per
-  // overlap mode, and the nightly soak gates it against
+  // with useful work instead of blocking: the owned index build + the owned
+  // pass. The overlap health metric is halo_hidden_seconds /
+  // (halo_hidden_seconds + halo_seconds): bench_dist_scaling emits it as
+  // hidden_fraction, and the nightly soak gates it against
   // bench/baselines/BENCH_dist.soak.json.
   double halo_hidden_seconds = 0.0;
   double reduce_seconds = 0.0;       // tree allreduce of the result payload

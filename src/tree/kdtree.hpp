@@ -89,13 +89,6 @@ class KdTree {
   void gather_box_neighbors(const Real lo[3], const Real hi[3], double rmax,
                             NeighborBlock<Real>& out) const;
 
-  // Visits fn(leaf_id, begin, end) for every leaf, in storage order.
-  template <typename Fn>
-  void for_each_leaf(Fn&& fn) const {
-    for (std::size_t l = 0; l < leaves_.size(); ++l)
-      fn(l, leaf_begin(l), leaf_end(l));
-  }
-
   // LET admissibility walk (tree/let.hpp, dist halo compression): one
   // pruned traversal collecting every leaf whose bounding box lies within
   // `rmax` of [lo, hi] — exactly the leaves a query from inside the box

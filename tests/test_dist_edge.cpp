@@ -205,9 +205,9 @@ TEST(OctantClusteredRun, DistributedMatchesSingle) {
 
 // Two-pass edge ranks. More ranks than galaxies leaves some ranks with
 // zero owned points (no staged engine at all — they contribute
-// empty_result and skip both passes); a huge R_max relative to rank
-// domains makes every leaf halo-adjacent. Both must stay exact under
-// every pipeline (galactos::testing::kPipelineCases).
+// empty_result and skip both passes); two clusters far apart leave every
+// rank without halo. Both must stay exact at every leaf size of
+// galactos::testing::kPipelineCases.
 class OverlapModeEdges
     : public ::testing::TestWithParam<galactos::testing::PipelineCase> {};
 

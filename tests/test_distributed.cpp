@@ -56,11 +56,11 @@ TEST_P(DistributedVsSingle, ResultsIdentical) {
 INSTANTIATE_TEST_SUITE_P(RankSweep, DistributedVsSingle,
                          ::testing::Values(1, 2, 3, 5, 6));
 
-// Every overlap depth and both partition policies must leave the
-// decomposition exact: every (ranks, policy, pipeline) combination
-// matches the single-node engine to 1e-10 — including the two-pass
-// pipeline, whose boundary leaves run as a separate traversal after the
-// halo arrives, at the default and at a small leaf size.
+// Both partition policies must leave the decomposition exact: every
+// (ranks, policy, leaf size) combination matches the single-node engine to
+// 1e-10 — the two-pass pipeline runs its boundary leaves as a separate
+// traversal after the halo arrives, at the default and at a small leaf
+// size.
 class DistributedPipeline
     : public ::testing::TestWithParam<std::tuple<
           int, d::PartitionPolicy, galactos::testing::PipelineCase>> {};
@@ -82,34 +82,23 @@ TEST_P(DistributedPipeline, MatchesSingleNode) {
   expect_results_match(dist, single, 1e-10, 1e-10);
 
   // Extended RankReport accounting: the pipeline phases are all measured,
-  // the overlap metrics match the mode, and pair_imbalance is the same
+  // the two-pass split is reported, and pair_imbalance is the same
   // max/mean on every rank.
   std::uint64_t max_pairs = 0, sum_pairs = 0;
   for (const auto& r : reports) {
     EXPECT_GE(r.halo_seconds, 0.0);
     EXPECT_GE(r.index_build_seconds, 0.0);
-    if (r.owned > 0) EXPECT_GT(r.index_build_seconds, 0.0);
-    switch (pipeline.overlap) {
-      case d::OverlapMode::kSequential:
-        EXPECT_EQ(r.halo_hidden_seconds, 0.0);
-        EXPECT_EQ(r.owned_pass_seconds, 0.0);
-        EXPECT_EQ(r.secondary_pass_seconds, 0.0);
-        EXPECT_EQ(r.owned_pass_leaves + r.secondary_pass_leaves, 0u);
-        EXPECT_EQ(r.boundary_primaries, 0u);
-        break;
-      case d::OverlapMode::kTwoPass:
-        if (r.owned > 0) {
-          EXPECT_GT(r.owned_pass_seconds, 0.0);
-          EXPECT_GT(r.secondary_pass_seconds, 0.0);
-          EXPECT_GT(r.halo_hidden_seconds, 0.0);
-          EXPECT_NEAR(r.engine_seconds,
-                      r.owned_pass_seconds + r.secondary_pass_seconds, 1e-12);
-          EXPECT_GT(r.owned_pass_leaves + r.secondary_pass_leaves, 0u);
-        }
-        EXPECT_LE(r.boundary_primaries, r.owned);
-        EXPECT_EQ(r.boundary_primaries > 0, r.secondary_pass_leaves > 0);
-        break;
+    if (r.owned > 0) {
+      EXPECT_GT(r.index_build_seconds, 0.0);
+      EXPECT_GT(r.owned_pass_seconds, 0.0);
+      EXPECT_GT(r.secondary_pass_seconds, 0.0);
+      EXPECT_GT(r.halo_hidden_seconds, 0.0);
+      EXPECT_NEAR(r.engine_seconds,
+                  r.owned_pass_seconds + r.secondary_pass_seconds, 1e-12);
+      EXPECT_GT(r.owned_pass_leaves + r.secondary_pass_leaves, 0u);
     }
+    EXPECT_LE(r.boundary_primaries, r.owned);
+    EXPECT_EQ(r.boundary_primaries > 0, r.secondary_pass_leaves > 0);
     max_pairs = std::max(max_pairs, r.pairs);
     sum_pairs += r.pairs;
   }
@@ -129,26 +118,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(d::PartitionPolicy::kPrimaryBalanced,
                           d::PartitionPolicy::kPairWeighted),
         ::testing::ValuesIn(galactos::testing::kPipelineCases)));
-
-// The per-rank kernel-pair totals are identical whichever overlap depth
-// produced them (the two-pass split runs every leaf exactly once), so
-// Fig.-7 imbalance numbers stay comparable across modes.
-TEST(DistributedPipelineModes, PairCountsAgreeAcrossModes) {
-  const s::Catalog full = galactos::testing::clumpy_catalog(900, 60.0, 77);
-  std::vector<std::vector<std::uint64_t>> per_mode;
-  for (auto mode : {d::OverlapMode::kSequential, d::OverlapMode::kTwoPass}) {
-    d::DistRunConfig dcfg;
-    dcfg.engine = base_config();
-    dcfg.ranks = 4;
-    dcfg.overlap = mode;
-    std::vector<d::RankReport> reports;
-    (void)d::run_distributed(full, dcfg, &reports);
-    std::vector<std::uint64_t> pairs;
-    for (const auto& r : reports) pairs.push_back(r.pairs);
-    per_mode.push_back(std::move(pairs));
-  }
-  EXPECT_EQ(per_mode[0], per_mode[1]);
-}
 
 TEST(Distributed, ClusteredCatalogNonPowerOfTwo) {
   const s::Catalog full = galactos::testing::clumpy_catalog(900, 60.0, 56);

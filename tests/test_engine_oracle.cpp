@@ -240,8 +240,7 @@ TEST_P(TwoPassVsDirect, PlaneSplitMatchesDirectSummation) {
                       const c::Engine::SecondaryBound& bound) {
     c::Engine::Staged staged = engine.build_index(owned);
     staged.run_owned_pass(bound);
-    staged.extend_with_secondaries(halo);
-    return staged.run_secondary_pass();
+    return staged.run_secondary_pass(halo);
   };
   c::ZetaResult split = two_pass(left, right, left_slab);
   split.accumulate(two_pass(right, left, right_slab));

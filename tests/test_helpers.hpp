@@ -109,30 +109,24 @@ inline sim::Catalog snapped_to_grid(sim::Catalog cat) {
   return cat;
 }
 
-// The distributed pipelines the dist suites sweep: the sequential
-// reference, the two-pass default, and the two-pass pipeline over 5-point
-// leaves (many more leaf boxes per rank, so both passes run many leaves
-// and the interior/boundary split is exercised on fine leaf boxes).
+// The two-pass pipeline as the dist suites sweep it: at the engine
+// config's leaf size and over 5-point leaves (many more leaf boxes per
+// rank, so both passes run many leaves and the interior/boundary split is
+// exercised on fine leaf boxes).
 struct PipelineCase {
-  dist::OverlapMode overlap;
   int leaf_size = 0;  // 0: keep the engine config's leaf size
 
   void apply(dist::DistRunConfig& cfg) const {
-    cfg.overlap = overlap;
     if (leaf_size > 0) cfg.engine.tree.leaf_size = leaf_size;
   }
 };
 
 inline void PrintTo(const PipelineCase& p, std::ostream* os) {
-  *os << dist::overlap_mode_name(p.overlap);
+  *os << "two_pass";
   if (p.leaf_size > 0) *os << "_leaf" << p.leaf_size;
 }
 
-inline constexpr PipelineCase kPipelineCases[] = {
-    {dist::OverlapMode::kSequential},
-    {dist::OverlapMode::kTwoPass},
-    {dist::OverlapMode::kTwoPass, 5},
-};
+inline constexpr PipelineCase kPipelineCases[] = {{}, {5}};
 
 // The IEEE bit pattern of a double, so equality checks see -0 vs +0.
 inline std::uint64_t bits(double x) {

@@ -156,29 +156,24 @@ TEST(MpiBackend, RunDistributedMatchesMinimpiBitwise) {
   }
 }
 
-// Both partition policies and every overlap depth — including the
-// two-pass pipeline, whose owned pass polls real MPI_Request progress
-// between leaf batches — stay exact over MPI.
+// Both partition policies — through the two-pass pipeline, whose owned
+// pass polls real MPI_Request progress between leaf batches — stay exact
+// over MPI.
 TEST(MpiBackend, PolicyAndOverlapSweepMatchesMinimpi) {
   if (!on_mpi() || session().size() < 2) GTEST_SKIP() << "needs MPI np>=2";
   const s::Catalog cat = s::uniform_box(700, s::Aabb::cube(55), 654);
   for (auto policy : {d::PartitionPolicy::kPrimaryBalanced,
                       d::PartitionPolicy::kPairWeighted}) {
-    for (auto overlap : {d::OverlapMode::kSequential,
-                         d::OverlapMode::kTwoPass}) {
-      d::DistRunConfig cfg;
-      cfg.engine = small_config();
-      cfg.ranks = session().size();
-      cfg.partition = policy;
-      cfg.overlap = overlap;
-      const c::ZetaResult over_mpi = d::run_distributed(session(), cat, cfg);
-      const c::ZetaResult over_threads = d::run_distributed(cat, cfg);
-      SCOPED_TRACE(std::string("policy=") +
-                   (policy == d::PartitionPolicy::kPairWeighted ? "pair"
-                                                                : "primary") +
-                   " overlap=" + d::overlap_mode_name(overlap));
-      expect_bitwise_equal(over_mpi, over_threads);
-    }
+    d::DistRunConfig cfg;
+    cfg.engine = small_config();
+    cfg.ranks = session().size();
+    cfg.partition = policy;
+    const c::ZetaResult over_mpi = d::run_distributed(session(), cat, cfg);
+    const c::ZetaResult over_threads = d::run_distributed(cat, cfg);
+    SCOPED_TRACE(std::string("policy=") +
+                 (policy == d::PartitionPolicy::kPairWeighted ? "pair"
+                                                              : "primary"));
+    expect_bitwise_equal(over_mpi, over_threads);
   }
 }
 

@@ -1,16 +1,17 @@
-// Engine staged pipeline (build_index → extend_with_secondaries →
-// run_indexed):
-//   * with no secondaries the staged path must be BITWISE identical to
-//     Engine::run over the same catalog, for every precision/leaf-size
-//     combination (it is the same code over the same index);
+// Engine staged pipeline (build_index → run_indexed, or build_index →
+// run_owned_pass → run_secondary_pass(halo)):
+//   * with no secondaries the staged paths must be BITWISE identical to
+//     Engine::run over the same catalog whenever every leaf runs in one
+//     pass, for every precision/leaf-size combination (it is the same code
+//     over the same index), and otherwise match it to summation order;
 //   * with halo points indexed as secondaries, the pair set must equal a
-//     fused run over the combined catalog restricted to owned primaries —
-//     only FP accumulation order may differ (candidate order changes), so
+//     run over the combined catalog restricted to owned primaries — only
+//     FP accumulation order may differ (candidate order changes), so
 //     results match to tight tolerance and pair counts match exactly;
-//   * the two-pass pipeline (run_owned_pass → run_secondary_pass) splits
-//     the same traversal by leaf, so it is bitwise identical to run_indexed
-//     whenever the split keeps run_indexed's leaf order (every leaf in one
-//     pass) and otherwise matches it to summation order.
+//   * a split with interior and boundary leaves must match the one-pass
+//     run over the same halo (every leaf in the secondary pass, under the
+//     empty bound) to summation order, with the stats of its passes adding
+//     up to the one-pass run's.
 // The Dense cases run the StagedEngine tests on catalogs with six times the
 // points: primaries then push more than kBucketCapacity pairs into the
 // outer bins, so full buckets flush before each bin's final one, in every
@@ -77,6 +78,20 @@ struct CanRunUnbounded<
     : std::true_type {};
 static_assert(!CanRunUnbounded<c::Engine::Staged>::value,
               "run_owned_pass must require a SecondaryBound");
+
+// The one-pass run over owned + halo: the empty bound defers every leaf to
+// the secondary pass, which runs them in run_indexed's order against owned
+// and halo candidates. `stats` receives pass 2's stats; pass 1 runs none.
+c::ZetaResult one_pass_with_halo(const c::Engine& engine,
+                                 const s::Catalog& owned,
+                                 const s::Catalog& halo,
+                                 c::EngineStats* stats = nullptr) {
+  c::Engine::Staged staged = engine.build_index(owned);
+  c::EngineStats pass1;
+  staged.run_owned_pass(kEmptyBound, &pass1);
+  EXPECT_EQ(pass1.leaves, 0u);
+  return staged.run_secondary_pass(halo, stats);
+}
 
 c::EngineConfig make_config(const StagedCase& p) {
   c::EngineConfig cfg;
@@ -159,10 +174,9 @@ TEST_P(StagedEngine, SecondariesMatchFusedCombinedRun) {
   c::EngineStats fused_stats;
   const c::ZetaResult fused = engine.run(combined, &primaries, &fused_stats);
 
-  c::Engine::Staged staged = engine.build_index(owned);
-  staged.extend_with_secondaries(halo);
   c::EngineStats staged_stats;
-  const c::ZetaResult piped = staged.run_indexed(nullptr, &staged_stats);
+  const c::ZetaResult piped =
+      one_pass_with_halo(engine, owned, halo, &staged_stats);
 
   // Identical pair sets (candidate order may differ → FP tolerance).
   EXPECT_EQ(staged_stats.pairs, fused_stats.pairs);
@@ -177,10 +191,8 @@ TEST_P(StagedEngine, SecondariesNeverActAsPrimaries) {
   const s::Catalog halo = catalog(400, s::Aabb::cube(30), 65);
 
   const c::Engine engine(cfg);
-  c::Engine::Staged staged = engine.build_index(owned);
-  staged.extend_with_secondaries(halo);
   c::EngineStats stats;
-  const c::ZetaResult r = staged.run_indexed(nullptr, &stats);
+  const c::ZetaResult r = one_pass_with_halo(engine, owned, halo, &stats);
   EXPECT_EQ(r.n_primaries, owned.size());
   expect_full_flushes(stats);
 }
@@ -198,12 +210,9 @@ TEST_P(StagedEngine, TwoPassNoSecondariesBitwiseMatchesRun) {
   const c::ZetaResult fused = engine.run(cat, nullptr, &fused_stats);
 
   c::Engine::Staged staged = engine.build_index(cat);
-  EXPECT_FALSE(staged.owned_pass_pending());
   c::EngineStats pass1, pass2;
-  staged.run_owned_pass(kWholeSpace, nullptr, &pass1);
-  EXPECT_TRUE(staged.owned_pass_pending());
-  const c::ZetaResult piped = staged.run_secondary_pass(&pass2);
-  EXPECT_FALSE(staged.owned_pass_pending());
+  staged.run_owned_pass(kWholeSpace, &pass1);
+  const c::ZetaResult piped = staged.run_secondary_pass(s::Catalog{}, &pass2);
 
   expect_results_match(piped, fused, 0.0, 0.0);  // bitwise
   EXPECT_EQ(piped.n_pairs, fused.n_pairs);
@@ -231,8 +240,8 @@ TEST_P(StagedEngine, TwoPassMixedBoundNoSecondariesMatchesRun) {
 
   c::Engine::Staged staged = engine.build_index(cat);
   c::EngineStats pass1, pass2;
-  staged.run_owned_pass(bound_of(box), nullptr, &pass1);
-  const c::ZetaResult piped = staged.run_secondary_pass(&pass2);
+  staged.run_owned_pass(bound_of(box), &pass1);
+  const c::ZetaResult piped = staged.run_secondary_pass(s::Catalog{}, &pass2);
 
   EXPECT_GT(pass1.leaves, 0u);  // interior leaves ran in the owned pass
   EXPECT_GT(pass2.leaves, 0u);  // boundary leaves in the secondary pass
@@ -255,9 +264,9 @@ TEST_P(StagedEngine, TwoPassMixedBoundNoSecondariesMatchesRun) {
 
 // Two-pass with a genuine halo: the owned pass runs the leaves the halo
 // cannot reach, the secondary pass the rest against owned and halo points
-// together. Must agree with the fused staged run (union candidates per
-// leaf) to tight tolerance, with exactly the same pair and candidate
-// counts split across the passes.
+// together. Must agree with the one-pass run (union candidates per leaf)
+// to tight tolerance, with exactly the same pair and candidate counts
+// split across the passes.
 TEST_P(StagedEngine, TwoPassWithSecondariesMatchesRunIndexed) {
   const c::EngineConfig cfg = make_config(GetParam());
   const s::Catalog owned =
@@ -266,16 +275,14 @@ TEST_P(StagedEngine, TwoPassWithSecondariesMatchesRunIndexed) {
       catalog(500, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 63);
 
   const c::Engine engine(cfg);
-  c::Engine::Staged fused_staged = engine.build_index(owned);
-  fused_staged.extend_with_secondaries(halo);
   c::EngineStats fused_stats;
-  const c::ZetaResult fused = fused_staged.run_indexed(nullptr, &fused_stats);
+  const c::ZetaResult fused =
+      one_pass_with_halo(engine, owned, halo, &fused_stats);
 
   c::Engine::Staged staged = engine.build_index(owned);
   c::EngineStats pass1, pass2;
-  staged.run_owned_pass(bound_of({{0, 0, 0}, {25, 50, 50}}), nullptr, &pass1);
-  staged.extend_with_secondaries(halo);
-  const c::ZetaResult piped = staged.run_secondary_pass(&pass2);
+  staged.run_owned_pass(bound_of({{0, 0, 0}, {25, 50, 50}}), &pass1);
+  const c::ZetaResult piped = staged.run_secondary_pass(halo, &pass2);
 
   EXPECT_EQ(pass1.pairs + pass2.pairs, fused_stats.pairs);
   EXPECT_EQ(pass1.candidates + pass2.candidates, fused_stats.candidates);
@@ -290,57 +297,27 @@ TEST_P(StagedEngine, TwoPassWithSecondariesMatchesRunIndexed) {
 
 // Halo points scattered INSIDE the owned volume (no clean boundary): only
 // an empty bound is a valid promise here, so every leaf is a boundary leaf
-// and runs in the secondary pass.
+// and runs in the secondary pass. The reference is Engine::run over the
+// combined catalog with the owned points as primaries.
 TEST_P(StagedEngine, TwoPassInterleavedHaloMatchesRunIndexed) {
   const c::EngineConfig cfg = make_config(GetParam());
   const s::Catalog owned = catalog(400, s::Aabb::cube(40), 68);
   const s::Catalog halo = catalog(300, s::Aabb::cube(40), 69);
 
   const c::Engine engine(cfg);
-  c::Engine::Staged fused_staged = engine.build_index(owned);
-  fused_staged.extend_with_secondaries(halo);
-  const c::ZetaResult fused = fused_staged.run_indexed();
+  s::Catalog combined = owned;
+  combined.append(halo);
+  std::vector<std::int64_t> primaries(owned.size());
+  std::iota(primaries.begin(), primaries.end(), 0);
+  const c::ZetaResult fused = engine.run(combined, &primaries);
 
   c::Engine::Staged staged = engine.build_index(owned);
   staged.run_owned_pass(kEmptyBound);
-  staged.extend_with_secondaries(halo);
   c::EngineStats stats;
-  const c::ZetaResult piped = staged.run_secondary_pass(&stats);
+  const c::ZetaResult piped = staged.run_secondary_pass(halo, &stats);
 
   expect_full_flushes(stats);
   expect_results_match(piped, fused, 1e-11, 1e-11);
-}
-
-// The empty bound carries no information: the owned pass runs nothing and
-// the secondary pass runs every leaf, in run_indexed's order, with the
-// fused body — so the result must be IDENTICAL to the fused run over the
-// same halo.
-TEST_P(StagedEngine, TwoPassEmptyBoundBitwiseMatchesFused) {
-  const c::EngineConfig cfg = make_config(GetParam());
-  const s::Catalog owned =
-      catalog(500, s::Aabb{{0, 0, 0}, {25, 50, 50}}, 62);
-  const s::Catalog halo =
-      catalog(500, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 63);
-  const c::Engine engine(cfg);
-
-  c::Engine::Staged fused_staged = engine.build_index(owned);
-  fused_staged.extend_with_secondaries(halo);
-  c::EngineStats fused_stats;
-  const c::ZetaResult fused = fused_staged.run_indexed(nullptr, &fused_stats);
-
-  c::Engine::Staged staged = engine.build_index(owned);
-  c::EngineStats pass1, pass2;
-  staged.run_owned_pass(kEmptyBound, nullptr, &pass1);
-  staged.extend_with_secondaries(halo);
-  const c::ZetaResult piped = staged.run_secondary_pass(&pass2);
-
-  expect_results_match(piped, fused, 0.0, 0.0);  // bitwise
-  EXPECT_EQ(piped.n_pairs, fused.n_pairs);
-  EXPECT_EQ(pass1.leaves, 0u);
-  EXPECT_EQ(pass2.leaves, fused_stats.leaves);
-  EXPECT_EQ(pass2.candidates, fused_stats.candidates);
-  EXPECT_EQ(pass2.full_flushes, fused_stats.full_flushes);
-  expect_full_flushes(pass2);
 }
 
 // Halo points ON the bound's face keep the promise (only a secondary
@@ -361,34 +338,28 @@ TEST_P(StagedEngine, TwoPassHaloOnBoundFaceIsValid) {
   for (int i = 0; i < 40; ++i) halo.push_back(face, 1.25 * i, 50 - 1.2 * i);
 
   const c::Engine engine(cfg);
-  c::Engine::Staged fused_staged = engine.build_index(owned);
-  fused_staged.extend_with_secondaries(halo);
-  const c::ZetaResult fused = fused_staged.run_indexed();
+  const c::ZetaResult fused = one_pass_with_halo(engine, owned, halo);
 
   const double inf = std::numeric_limits<double>::infinity();
   c::Engine::Staged staged = engine.build_index(owned);
   staged.run_owned_pass({{-inf, -inf, -inf}, {face, inf, inf}});
-  staged.extend_with_secondaries(halo);
   c::ZetaResult piped;
   c::EngineStats stats;
-  ASSERT_NO_THROW(piped = staged.run_secondary_pass(&stats));
+  ASSERT_NO_THROW(piped = staged.run_secondary_pass(halo, &stats));
   EXPECT_EQ(piped.n_pairs, fused.n_pairs);
   expect_full_flushes(stats);
   expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
 // A BROKEN promise (secondaries inside the bound box) is an error, raised
-// from the calling thread after pass 2's parallel region; the parked state
-// is consumed, so the handle accepts a fresh, valid round.
+// from the calling thread before pass 2 runs a leaf; the parked state is
+// consumed, so the handle accepts a fresh, valid round.
 TEST_P(StagedEngine, TwoPassViolatedBoundThrows) {
   const c::EngineConfig cfg = make_config(GetParam());
   const s::Catalog owned = catalog(400, s::Aabb::cube(40), 68);
   const s::Catalog halo = catalog(300, s::Aabb::cube(40), 69);
   const c::Engine engine(cfg);
-
-  c::Engine::Staged fused_staged = engine.build_index(owned);
-  fused_staged.extend_with_secondaries(halo);
-  const c::ZetaResult fused = fused_staged.run_indexed();
+  const c::ZetaResult fused = one_pass_with_halo(engine, owned, halo);
 
   // Promise a huge box (every leaf is interior → the owned pass runs them
   // all without the halo) that every secondary then violates by lying
@@ -396,42 +367,13 @@ TEST_P(StagedEngine, TwoPassViolatedBoundThrows) {
   const c::Engine::SecondaryBound bound{{-200, -200, -200}, {200, 200, 200}};
   c::Engine::Staged staged = engine.build_index(owned);
   staged.run_owned_pass(bound);
-  staged.extend_with_secondaries(halo);
-  EXPECT_THROW(staged.run_secondary_pass(), std::logic_error);
-  EXPECT_FALSE(staged.owned_pass_pending());
+  EXPECT_THROW(staged.run_secondary_pass(halo), std::logic_error);
 
   staged.run_owned_pass(kEmptyBound);
   c::EngineStats stats;
-  expect_results_match(staged.run_secondary_pass(&stats), fused, 1e-11,
+  expect_results_match(staged.run_secondary_pass(halo, &stats), fused, 1e-11,
                        1e-11);
   expect_full_flushes(stats);
-}
-
-// A primary subset must restrict both passes identically.
-TEST_P(StagedEngine, TwoPassWithPrimarySubset) {
-  const c::EngineConfig cfg = make_config(GetParam());
-  const s::Catalog owned =
-      catalog(400, s::Aabb{{0, 0, 0}, {25, 50, 50}}, 71);
-  const s::Catalog halo =
-      catalog(400, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 72);
-  std::vector<std::int64_t> primaries;
-  for (std::size_t i = 0; i < owned.size(); i += 3)
-    primaries.push_back(static_cast<std::int64_t>(i));
-
-  const c::Engine engine(cfg);
-  c::Engine::Staged fused_staged = engine.build_index(owned);
-  fused_staged.extend_with_secondaries(halo);
-  const c::ZetaResult fused = fused_staged.run_indexed(&primaries);
-
-  c::Engine::Staged staged = engine.build_index(owned);
-  staged.run_owned_pass(bound_of({{0, 0, 0}, {25, 50, 50}}), &primaries);
-  staged.extend_with_secondaries(halo);
-  c::EngineStats stats;
-  const c::ZetaResult piped = staged.run_secondary_pass(&stats);
-
-  EXPECT_EQ(piped.n_primaries, primaries.size());
-  expect_full_flushes(stats);
-  expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
 const StagedCase kCases[] = {
@@ -444,7 +386,7 @@ INSTANTIATE_TEST_SUITE_P(AllCombos, StagedEngine, ::testing::ValuesIn(kCases),
 // The Dense cases flush full buckets in both passes only without a halo
 // (their 25-wide owned slab has no interior leaf). Here a halo lies beyond
 // x = 40 and the leaves more than R_max below that face are interior: both
-// passes flush full buckets, as many in sum as the fused staged run.
+// passes flush full buckets, as many in sum as the one-pass run.
 TEST(StagedEngineApi, FullBucketsFlushInEveryPass) {
   for (c::TreePrecision precision :
        {c::TreePrecision::kDouble, c::TreePrecision::kMixed}) {
@@ -455,17 +397,14 @@ TEST(StagedEngineApi, FullBucketsFlushInEveryPass) {
     const s::Catalog halo =
         s::uniform_box(1500, s::Aabb{{40, 0, 0}, {60, 40, 40}}, 82);
 
-    c::Engine::Staged with_halo = engine.build_index(owned);
-    with_halo.extend_with_secondaries(halo);
     c::EngineStats halo_stats;
-    const c::ZetaResult ref = with_halo.run_indexed(nullptr, &halo_stats);
+    const c::ZetaResult ref =
+        one_pass_with_halo(engine, owned, halo, &halo_stats);
 
     c::Engine::Staged split = engine.build_index(owned);
     c::EngineStats p1, p2;
-    split.run_owned_pass({{-kInf, -kInf, -kInf}, {40, kInf, kInf}}, nullptr,
-                         &p1);
-    split.extend_with_secondaries(halo);
-    const c::ZetaResult piped = split.run_secondary_pass(&p2);
+    split.run_owned_pass({{-kInf, -kInf, -kInf}, {40, kInf, kInf}}, &p1);
+    const c::ZetaResult piped = split.run_secondary_pass(halo, &p2);
     EXPECT_GT(p1.full_flushes, 0u);
     EXPECT_GT(p2.full_flushes, 0u);
     EXPECT_EQ(p1.full_flushes + p2.full_flushes, halo_stats.full_flushes);
@@ -474,37 +413,20 @@ TEST(StagedEngineApi, FullBucketsFlushInEveryPass) {
   }
 }
 
-TEST(StagedEngineApi, EmptyHaloIsNoop) {
-  c::EngineConfig cfg;
-  cfg.bins = c::RadialBins(1.0, 8.0, 2);
-  cfg.lmax = 2;
-  cfg.threads = 1;
-  const s::Catalog cat = s::uniform_box(200, s::Aabb::cube(20), 66);
-  const c::Engine engine(cfg);
-
-  c::Engine::Staged staged = engine.build_index(cat);
-  staged.extend_with_secondaries(s::Catalog{});
-  expect_results_match(staged.run_indexed(), engine.run(cat), 0.0, 0.0);
-}
-
 TEST(StagedEngineApi, MisuseThrows) {
   c::EngineConfig cfg;
   cfg.bins = c::RadialBins(1.0, 8.0, 2);
   cfg.lmax = 2;
   cfg.threads = 1;
   const s::Catalog cat = s::uniform_box(100, s::Aabb::cube(15), 67);
-  const s::Catalog halo = s::uniform_box(50, s::Aabb::cube(15), 68);
   const c::Engine engine(cfg);
 
   c::Engine::Staged empty;
   EXPECT_FALSE(empty.valid());
   EXPECT_THROW(empty.run_indexed(), std::logic_error);
-  EXPECT_THROW(empty.extend_with_secondaries(halo), std::logic_error);
   EXPECT_THROW(engine.build_index(s::Catalog{}), std::logic_error);
 
   c::Engine::Staged staged = engine.build_index(cat);
-  staged.extend_with_secondaries(halo);
-  EXPECT_THROW(staged.extend_with_secondaries(halo), std::logic_error);
 
   // Primaries must index the OWNED catalog only.
   std::vector<std::int64_t> bad{static_cast<std::int64_t>(cat.size())};
@@ -523,19 +445,19 @@ TEST(StagedEngineApi, TwoPassMisuseThrows) {
 
   c::Engine::Staged empty;
   EXPECT_THROW(empty.run_owned_pass(bound), std::logic_error);
-  EXPECT_THROW(empty.run_secondary_pass(), std::logic_error);
+  EXPECT_THROW(empty.run_secondary_pass(s::Catalog{}), std::logic_error);
 
   c::Engine::Staged staged = engine.build_index(cat);
   // Secondary pass before any owned pass.
-  EXPECT_THROW(staged.run_secondary_pass(), std::logic_error);
+  EXPECT_THROW(staged.run_secondary_pass(s::Catalog{}), std::logic_error);
   staged.run_owned_pass(bound);
   // Owned pass twice without completing; fused run mid-pipeline.
   EXPECT_THROW(staged.run_owned_pass(bound), std::logic_error);
   EXPECT_THROW(staged.run_indexed(), std::logic_error);
-  (void)staged.run_secondary_pass();
+  (void)staged.run_secondary_pass(s::Catalog{});
   // The parked state was consumed: a fresh round is legal again.
   staged.run_owned_pass(bound);
-  (void)staged.run_secondary_pass();
+  (void)staged.run_secondary_pass(s::Catalog{});
 }
 
 // The owned pass invokes the caller's poll hook between leaf batches — the
@@ -551,12 +473,11 @@ TEST(StagedEngineApi, OwnedPassInvokesPollHook) {
 
   c::Engine::Staged staged = engine.build_index(cat);
   int polls = 0;
-  staged.run_owned_pass(kWholeSpace, nullptr, nullptr,
-                        [&polls] { ++polls; });
+  staged.run_owned_pass(kWholeSpace, nullptr, [&polls] { ++polls; });
   EXPECT_GT(polls, 0);
 
   // Every leaf ran in the owned pass: still bitwise.
-  const c::ZetaResult piped = staged.run_secondary_pass();
+  const c::ZetaResult piped = staged.run_secondary_pass(s::Catalog{});
   expect_results_match(piped, engine.run(cat), 0.0, 0.0);
 }
 
@@ -573,22 +494,18 @@ TEST(StagedEngineApi, TwoPassSubtractSelfPairsMatchesFused) {
   const s::Catalog halo =
       s::uniform_box(250, s::Aabb{{15, 0, 0}, {30, 30, 30}}, 76);
   const c::Engine engine(cfg);
-
-  c::Engine::Staged fused_staged = engine.build_index(owned);
-  fused_staged.extend_with_secondaries(halo);
-  const c::ZetaResult fused = fused_staged.run_indexed();
+  const c::ZetaResult fused = one_pass_with_halo(engine, owned, halo);
 
   c::Engine::Staged staged = engine.build_index(owned);
   staged.run_owned_pass(bound_of({{0, 0, 0}, {15, 30, 30}}));
-  staged.extend_with_secondaries(halo);
-  const c::ZetaResult piped = staged.run_secondary_pass();
+  const c::ZetaResult piped = staged.run_secondary_pass(halo);
 
   expect_results_match(piped, fused, 1e-11, 1e-11);
 }
 
-// extend_with_secondaries(empty) between the passes is a no-op: with the
-// empty bound every leaf runs in the secondary pass, and the result stays
-// bitwise equal to the fused no-secondary run.
+// An empty halo indexes nothing: with the empty bound every leaf runs in
+// the secondary pass, and the result stays bitwise equal to the run with
+// no secondaries.
 TEST(StagedEngineApi, TwoPassEmptyHaloIsBitwiseNoop) {
   c::EngineConfig cfg;
   cfg.bins = c::RadialBins(1.0, 8.0, 2);
@@ -599,7 +516,6 @@ TEST(StagedEngineApi, TwoPassEmptyHaloIsBitwiseNoop) {
 
   c::Engine::Staged staged = engine.build_index(cat);
   staged.run_owned_pass(kEmptyBound);
-  staged.extend_with_secondaries(s::Catalog{});
-  expect_results_match(staged.run_secondary_pass(), engine.run(cat), 0.0,
-                       0.0);
+  expect_results_match(staged.run_secondary_pass(s::Catalog{}),
+                       engine.run(cat), 0.0, 0.0);
 }

@@ -141,7 +141,7 @@ CASES = {"BENCH_dist.ci.json": [
     (2, "malformed row", "d['halo_compression']['policies'][0].clear()"),
 ], "BENCH_dist.soak.json": [
     (1, "elapsed_vs_1rank", "for r in d['runs']: r['elapsed_vs_1rank'] *= 3"),
-    (1, "hidden", "d['pipeline_ab']['modes'][1]['hidden_fraction'] = 0"),
+    (1, "hidden", "d['pipeline_ab']['modes'][0]['hidden_fraction'] = 0"),
 ], "BENCH_fig4.ci.json": [
     (2, "declares no gates", "b.pop('gates')"),
     (1, "kernel_gflops", "d['leaf_blocked']['kernel_gflops'] /= 9"),

@@ -48,11 +48,12 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
   const std::string input = args.get_str("input", "");
   const std::size_t n = args.get<std::size_t>("n", 100000);
   const std::uint64_t seed = args.get<std::uint64_t>("seed", 12345);
-  // Sentinel -1 = "rmax/nbins"; an explicit --rmin 0 is honored (RadialBins
-  // accepts a zero lower edge for linear bins).
-  const double rmin = args.get<double>("rmin", -1.0);
   const double rmax = args.get<double>("rmax", 16.0);
   const int nbins = args.get<int>("nbins", 10);
+  // Defaults to rmax/nbins; an explicit value, 0 included, is passed on to
+  // RadialBins, which rejects a negative one.
+  const double rmin =
+      args.has("rmin") ? args.get<double>("rmin", 0.0) : rmax / nbins;
   const int lmax = args.get<int>("lmax", 10);
   const int threads = args.get<int>("threads", 1);
   // Comm-wide receive deadline (seconds); 0 = wait forever (the default).
@@ -63,8 +64,6 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
   const int ranks_arg = args.get<int>(
       "ranks", session.backend() == dist::Backend::kMpi ? 0 : 4);
   const std::string policy = args.get_str("policy", "pair");
-  // Overlap depth: two-pass (default) | sequential.
-  const std::string overlap_arg = args.get_str("overlap", "two-pass");
   // The halo travels as a pruned locally-essential tree; --let-f32
   // quantizes its coordinates to float32 on the wire (safe at the default
   // kMixed tree precision, where the stored planes are float anyway).
@@ -72,6 +71,22 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
   const std::string output = args.get_str("output", "");
   const std::string json_path = args.get_str("json", "");
   args.finish();
+  if (policy != "primary" && policy != "pair")
+    throw std::runtime_error("--policy must be primary | pair (got '" +
+                             policy + "')");
+
+  // Built before the catalog is read, so a bad value fails fast.
+  dist::DistRunConfig cfg;
+  cfg.engine.bins = core::RadialBins(rmin, rmax, nbins);
+  cfg.engine.lmax = lmax;
+  cfg.engine.threads = threads;
+  cfg.engine.tree.precision = core::TreePrecision::kMixed;
+  cfg.ranks = ranks_arg;
+  cfg.timeout_s = timeout_s;
+  cfg.partition = policy == "primary"
+                      ? dist::PartitionPolicy::kPrimaryBalanced
+                      : dist::PartitionPolicy::kPairWeighted;
+  cfg.halo.let_f32 = let_f32;
 
   const bool root = session.is_root();
   if (root)
@@ -90,27 +105,6 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
       std::printf("synthetic catalog: %zu galaxies, seed %llu\n", cat.size(),
                   static_cast<unsigned long long>(seed));
   }
-
-  dist::DistRunConfig cfg;
-  cfg.engine.bins =
-      core::RadialBins(rmin >= 0 ? rmin : rmax / nbins, rmax, nbins);
-  cfg.engine.lmax = lmax;
-  cfg.engine.threads = threads;
-  cfg.engine.tree.precision = core::TreePrecision::kMixed;
-  cfg.ranks = ranks_arg;
-  cfg.timeout_s = timeout_s;
-  cfg.partition = policy == "primary"
-                      ? dist::PartitionPolicy::kPrimaryBalanced
-                      : dist::PartitionPolicy::kPairWeighted;
-  if (overlap_arg == "sequential") {
-    cfg.overlap = dist::OverlapMode::kSequential;
-  } else if (overlap_arg == "two-pass" || overlap_arg == "two_pass") {
-    cfg.overlap = dist::OverlapMode::kTwoPass;
-  } else {
-    throw std::runtime_error("--overlap must be sequential | two-pass (got '" +
-                             overlap_arg + "')");
-  }
-  cfg.halo.let_f32 = let_f32;
 
   std::vector<dist::RankReport> reports;
   Timer timer;
@@ -162,13 +156,12 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
         static_cast<unsigned long long>(halo_pts),
         static_cast<unsigned long long>(cells_pruned),
         static_cast<unsigned long long>(comm_sent));
-    if (cfg.overlap == dist::OverlapMode::kTwoPass)
-      std::printf(
-          "two-pass leaves %llu interior / %llu boundary  boundary "
-          "primaries %llu\n",
-          static_cast<unsigned long long>(pass1_leaves),
-          static_cast<unsigned long long>(pass2_leaves),
-          static_cast<unsigned long long>(boundary_prims));
+    std::printf(
+        "two-pass leaves %llu interior / %llu boundary  boundary "
+        "primaries %llu\n",
+        static_cast<unsigned long long>(pass1_leaves),
+        static_cast<unsigned long long>(pass2_leaves),
+        static_cast<unsigned long long>(boundary_prims));
 
     if (!output.empty()) io::write_zeta_csv(result, output + "_zeta.csv");
     if (!json_path.empty()) {
@@ -181,8 +174,6 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
           .add("lmax", lmax)
           .add("policy", policy == "primary" ? "primary_balanced"
                                              : "pair_weighted")
-          .add("overlap_mode",
-               std::string(dist::overlap_mode_name(cfg.overlap)))
           .add("let_f32", cfg.halo.let_f32 ? 1 : 0)
           .add("halo_bytes_sent", halo_sent)
           .add("halo_points_shipped", halo_pts)
