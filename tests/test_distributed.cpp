@@ -59,8 +59,8 @@ INSTANTIATE_TEST_SUITE_P(RankSweep, DistributedVsSingle,
 // Both partition policies must leave the decomposition exact: every
 // (ranks, policy, leaf size) combination matches the single-node engine to
 // 1e-10 — the two-pass pipeline runs its boundary leaves as a separate
-// traversal after the halo arrives, at the default and at a small leaf
-// size.
+// traversal after the halo arrives, at the default leaf size and over 5-
+// and 1-point leaves.
 class DistributedPipeline
     : public ::testing::TestWithParam<std::tuple<
           int, d::PartitionPolicy, galactos::testing::PipelineCase>> {};

@@ -110,9 +110,10 @@ inline sim::Catalog snapped_to_grid(sim::Catalog cat) {
 }
 
 // The two-pass pipeline as the dist suites sweep it: at the engine
-// config's leaf size and over 5-point leaves (many more leaf boxes per
-// rank, so both passes run many leaves and the interior/boundary split is
-// exercised on fine leaf boxes).
+// config's leaf size, over 5-point leaves (many more leaf boxes per rank,
+// so both passes run many leaves and the interior/boundary split is
+// exercised on fine leaf boxes), and over 1-point leaves (zero-extent
+// leaf boxes: the split decides every primary on its own position).
 struct PipelineCase {
   int leaf_size = 0;  // 0: keep the engine config's leaf size
 
@@ -126,7 +127,7 @@ inline void PrintTo(const PipelineCase& p, std::ostream* os) {
   if (p.leaf_size > 0) *os << "_leaf" << p.leaf_size;
 }
 
-inline constexpr PipelineCase kPipelineCases[] = {{}, {5}};
+inline constexpr PipelineCase kPipelineCases[] = {{}, {5}, {1}};
 
 // The IEEE bit pattern of a double, so equality checks see -0 vs +0.
 inline std::uint64_t bits(double x) {

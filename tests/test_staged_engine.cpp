@@ -376,6 +376,93 @@ TEST_P(StagedEngine, TwoPassViolatedBoundThrows) {
   expect_full_flushes(stats);
 }
 
+// The halo is indexed inside run_secondary_pass and freed with it: a later
+// round on the same handle sees none of it. A round without a halo, every
+// leaf in the owned pass, is then bitwise identical to Engine::run over the
+// owned points, and a repeat of the halo round repeats its bits.
+TEST_P(StagedEngine, TwoPassHaloDoesNotOutliveItsPass) {
+  const c::EngineConfig cfg = make_config(GetParam());
+  const s::Aabb slab{{0, 0, 0}, {25, 50, 50}};
+  const s::Catalog owned = catalog(500, slab, 62);
+  const s::Catalog halo =
+      catalog(500, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 63);
+  const c::Engine engine(cfg);
+
+  c::Engine::Staged staged = engine.build_index(owned);
+  staged.run_owned_pass(bound_of(slab));
+  const c::ZetaResult first = staged.run_secondary_pass(halo);
+
+  staged.run_owned_pass(kWholeSpace);
+  c::EngineStats bare_stats;
+  const c::ZetaResult bare =
+      staged.run_secondary_pass(s::Catalog{}, &bare_stats);
+  EXPECT_EQ(bare_stats.leaves, 0u);  // every leaf ran in the owned pass
+  expect_results_match(bare, engine.run(owned), 0.0, 0.0);  // bitwise
+  EXPECT_GT(first.n_pairs, bare.n_pairs);  // the halo did add pairs
+
+  staged.run_owned_pass(bound_of(slab));
+  c::EngineStats again_stats;
+  const c::ZetaResult again = staged.run_secondary_pass(halo, &again_stats);
+  expect_results_match(again, first, 0.0, 0.0);  // bitwise
+  EXPECT_EQ(again.n_pairs, first.n_pairs);
+  expect_full_flushes(again_stats);
+}
+
+// Each pass reports the index it stands on as its "index build" phase:
+// run_indexed and the owned pass the primary index, built once by
+// build_index, and the secondary pass the halo index it builds itself.
+TEST_P(StagedEngine, PassStatsReportTheirIndexBuilds) {
+  const c::EngineConfig cfg = make_config(GetParam());
+  const s::Aabb slab{{0, 0, 0}, {25, 50, 50}};
+  const s::Catalog owned = catalog(500, slab, 62);
+  const s::Catalog halo =
+      catalog(500, s::Aabb{{25, 0, 0}, {50, 50, 50}}, 63);
+  const c::Engine engine(cfg);
+
+  c::Engine::Staged staged = engine.build_index(owned);
+  c::EngineStats indexed, pass1, pass2;
+  (void)staged.run_indexed(nullptr, &indexed);
+  staged.run_owned_pass(bound_of(slab), &pass1);
+  (void)staged.run_secondary_pass(halo, &pass2);
+
+  const double primary_build = indexed.phases.get("index build");
+  EXPECT_GT(primary_build, 0.0);
+  EXPECT_EQ(pass1.phases.get("index build"), primary_build);
+  EXPECT_GT(pass2.phases.get("index build"), 0.0);
+  // The owned pass ran without the halo; pass 2 added the halo's pairs.
+  EXPECT_GT(pass1.pairs + pass2.pairs, indexed.pairs);
+}
+
+// run_indexed's primary subset (the survey estimator's data and random
+// primaries): disjoint subsets covering the catalog add up to the run over
+// all of it — exactly in pairs, candidates and primaries, to summation
+// order in the coefficients. The catalog ignores the density: the odd
+// multipoles of a self-correlation cancel to zero, and the rounding noise
+// they keep grows with the pair count (at six times the points it reaches
+// 1e-10), so the Dense cases repeat the sparse ones.
+TEST_P(StagedEngine, PrimarySubsetsPartitionTheRun) {
+  const c::EngineConfig cfg = make_config(GetParam());
+  const s::Catalog cat = s::uniform_box(900, s::Aabb::cube(50), 71);
+  const c::Engine engine(cfg);
+  const c::Engine::Staged staged = engine.build_index(cat);
+
+  std::vector<std::int64_t> thirds, rest;
+  for (std::size_t i = 0; i < cat.size(); ++i)
+    (i % 3 == 0 ? thirds : rest).push_back(static_cast<std::int64_t>(i));
+
+  c::EngineStats all_stats, a_stats, b_stats;
+  const c::ZetaResult all = staged.run_indexed(nullptr, &all_stats);
+  c::ZetaResult split = staged.run_indexed(&thirds, &a_stats);
+  EXPECT_EQ(split.n_primaries, thirds.size());
+  split.accumulate(staged.run_indexed(&rest, &b_stats));
+
+  EXPECT_EQ(a_stats.pairs + b_stats.pairs, all_stats.pairs);
+  EXPECT_EQ(a_stats.candidates + b_stats.candidates, all_stats.candidates);
+  EXPECT_EQ(a_stats.primaries + b_stats.primaries, all_stats.primaries);
+  EXPECT_EQ(split.n_pairs, all.n_pairs);
+  expect_results_match(split, all, 1e-11, 1e-11);
+}
+
 const StagedCase kCases[] = {
     {c::TreePrecision::kDouble, 32},    {c::TreePrecision::kMixed, 32},
     {c::TreePrecision::kDouble, 5},     {c::TreePrecision::kMixed, 5},
