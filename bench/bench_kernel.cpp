@@ -10,6 +10,7 @@
 // paper-equivalent.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <complex>
 #include <string>
 #include <vector>
@@ -224,6 +225,57 @@ static void BM_ZetaAddPrimarySums(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ZetaAddPrimarySums)
+    ->ArgNames({"isa", "lmax"})
+    ->ArgsProduct({{0, 1, 2}, {5, 10}});
+
+// ZetaAccumulator::flush's update alone: one full batch (kBatch primaries)
+// at `lmax` and 10 bins, replaying its zeta_batch_update calls (one per m,
+// the m = 0 block through the real-only update). GF/s counts 8 FLOP per
+// complex entry and 2 per real-only entry per primary (182,710 FLOP per
+// primary at lmax 10). isa as above.
+static void BM_ZetaBatchUpdate(benchmark::State& state) {
+  IsaRun isa(state, static_cast<int>(state.range(0)));
+  if (!isa.ok) return;
+  const int lmax = static_cast<int>(state.range(1));
+  const int nbins = 10;
+  const int np = c::ZetaAccumulator::kBatch;
+  const std::size_t slot = static_cast<std::size_t>(nbins) * m::nlm(lmax);
+  std::vector<double> vr(np * slot + c::kZetaOperandPad), vi(vr.size());
+  m::Rng rng(61);
+  for (double& x : vr) x = rng.uniform(-1, 1);
+  for (double& x : vi) x = rng.uniform(-1, 1);
+  for (int p = 0; p < np; ++p)  // the m = 0 planes are real
+    std::fill_n(vi.begin() + p * slot, nbins * (lmax + 1), 0.0);
+  std::vector<double> wp(np);
+  for (int p = 0; p < np; ++p) wp[p] = p % 2 ? -0.75 : 1.25;
+  const std::size_t npairs = c::ZetaAccumulator::bin_pair_count(nbins);
+  std::vector<double> zr(npairs * c::LlmIndex(lmax).size(), 0.0),
+      zi(zr.size(), 0.0);
+  double flop = 0.0;
+  for (int mm = 0; mm <= lmax; ++mm) {
+    const int len = lmax + 1 - mm;
+    flop += (mm ? 8.0 : 2.0) * len * len * npairs;
+  }
+  for (auto _ : state) {
+    std::size_t plane = 0, z = 0;
+    for (int mm = 0; mm <= lmax; ++mm) {
+      const int len = lmax + 1 - mm;
+      c::zeta_batch_update(wp.data(), np, vr.data() + plane,
+                           vi.data() + plane, slot, len, nbins, zr.data() + z,
+                           mm ? zi.data() + z : nullptr);
+      plane += static_cast<std::size_t>(nbins) * len;
+      z += npairs * len * len;
+    }
+    benchmark::DoNotOptimize(zr.data());
+    benchmark::DoNotOptimize(zi.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["FLOP/primary"] = flop;
+  state.counters["GF/s"] = benchmark::Counter(
+      flop * np, benchmark::Counter::kIsIterationInvariantRate,
+      benchmark::Counter::kIs1000);
+}
+BENCHMARK(BM_ZetaBatchUpdate)
     ->ArgNames({"isa", "lmax"})
     ->ArgsProduct({{0, 1, 2}, {5, 10}});
 

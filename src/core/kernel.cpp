@@ -235,25 +235,26 @@ void alm_bins_as_lanes(const math::SphHarmTable& table, const double* sums,
 }
 
 void zeta_batch_update(const double* wp, int np, const double* vr,
-                       const double* vi, std::size_t vstride, int rows,
-                       int cols, double* zr, double* zi, std::size_t ld) {
+                       const double* vi, std::size_t vstride, int len,
+                       int nblocks, double* zr, double* zi) {
   GLX_CHECK(np >= 0 && np <= kZetaMaxPrimaries);
+  GLX_CHECK(len >= 1 && nblocks >= 1);
   switch (active_isa()) {
 #if defined(GALACTOS_KERNEL_HAVE_AVX512)
     case KernelIsa::kAvx512:
-      isa_avx512::zeta_batch_update(wp, np, vr, vi, vstride, rows, cols, zr,
-                                    zi, ld);
+      isa_avx512::zeta_batch_update(wp, np, vr, vi, vstride, len, nblocks, zr,
+                                    zi);
       return;
 #endif
 #if defined(GALACTOS_KERNEL_HAVE_AVX2)
     case KernelIsa::kAvx2:
-      isa_avx2::zeta_batch_update(wp, np, vr, vi, vstride, rows, cols, zr, zi,
-                                  ld);
+      isa_avx2::zeta_batch_update(wp, np, vr, vi, vstride, len, nblocks, zr,
+                                  zi);
       return;
 #endif
     default:
-      isa_scalar::zeta_batch_update(wp, np, vr, vi, vstride, rows, cols, zr,
-                                    zi, ld);
+      isa_scalar::zeta_batch_update(wp, np, vr, vi, vstride, len, nblocks, zr,
+                                    zi);
       return;
   }
 }

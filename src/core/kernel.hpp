@@ -163,31 +163,42 @@ void alm_bins_as_lanes(const math::SphHarmTable& table, const double* sums,
 
 // --- Batched zeta update (ZetaAccumulator's flush; exposed for tests). ---
 //
-// For np staged primaries p with weights wp[p] and real/imaginary operand
-// vectors v_p = (vr, vi) + p * vstride, adds to the rows x cols block
-// (zr, zi) with row stride ld, per entry and for p = 0, 1, ... in order:
+// One m block of zeta as a rank-np Hermitian-style update. The np staged
+// primaries p have weights wp[p] and operand vectors v_p = (vr, vi) +
+// p * vstride of n = nblocks * len entries, block-major (entry b * len + k:
+// bin b, k = l - m). Row r of the block, in block b = r / len, covers the
+// columns [b * len, n) — the upper block triangle. Rows are packed back to
+// back, each one contiguous over its columns, in zr (and zi). Per entry
+// (r, c) and for p = 0, 1, ... in order:
 //
-//   t = wp[p] * v_p[r];  zr[r][c] += t.re * v_p[c].re + t.im * v_p[c].im
-//                        zi[r][c] += t.im * v_p[c].re - t.re * v_p[c].im
+//   t  = wp[p] * v_p[r]                        (t.re and t.im, one mul each)
+//   zr = fma(t.im, v_p[c].im, fma(t.re, v_p[c].re, zr))
+//   zi = fma(-t.re, v_p[c].im, fma(t.im, v_p[c].re, zi))
 //
-// i.e. t * conj(v_p[c]) with exactly that IEEE operation sequence — the
-// one ZetaAccumulator used per primary — so every ISA level, and any
-// batch split, gives bitwise the same block. Rows and columns index the
-// same operand vector. The block is walked in register tiles of 4 rows by
-// two vectors of columns, each tile loaded once per batch; a ragged column
-// tail runs as one tile on a padded copy, so each operand vector must stay
-// readable for kZetaOperandPad entries past cols (their values are unused).
-// Requires 0 <= np <= kZetaMaxPrimaries.
+// i.e. t * conj(v_p[c]), each fma rounded once (std::fma at the scalar
+// level) — except that a diagonal entry (r, r) keeps its zi: its exact
+// increment wp * (v.im * v.re - v.re * v.im) is 0, which the fma pair
+// would leave as rounding noise. The sequence is fixed per entry and per
+// primary, so every ISA level, every tiling and any batch split give
+// bitwise the same block.
+// Zeta entries outside the block are never read or written. The last
+// column tile may read each operand vector up to kZetaOperandPad - 1
+// entries past n (the values are unused), so they must stay readable.
+// Requires 0 <= np <= kZetaMaxPrimaries, len >= 1 and nblocks >= 1.
 //
-// zi == nullptr selects the real-only update zr[r][c] += t.re * v_p[c].re
+// zi == nullptr selects the real-only update zr = fma(t.re, v_p[c].re, zr)
 // (vi is not read and may be null either). For finite operands whose
-// imaginary parts are all +-0 it gives the full update's bits: the skipped
-// terms are +-0 additions, and an accumulated entry is never -0.
+// imaginary parts are all +-0 it gives the full update's bits: t.im *
+// v.im is an exact +-0 product, and fma(a, b, x) with a * b = +-0 returns
+// x unless x is -0. Here x = fma(t.re, v.re, zr) is -0 only if zr is, and
+// an accumulated entry never is (it starts at +0, and an fma or a sum
+// rounds to -0 only when both terms are -0). The imaginary plane is left
+// as the full update would leave it, for the same reason.
 inline constexpr int kZetaMaxPrimaries = 8;
 inline constexpr int kZetaOperandPad = 8;
 void zeta_batch_update(const double* wp, int np, const double* vr,
-                       const double* vi, std::size_t vstride, int rows,
-                       int cols, double* zr, double* zi, std::size_t ld);
+                       const double* vi, std::size_t vstride, int len,
+                       int nblocks, double* zr, double* zi);
 
 // --- Pair stage: gathered block -> one primary's accepted pairs. ---
 //

@@ -20,10 +20,13 @@
 // adds and muls are never fused or reassociated — so the per-ISA kernels
 // are BITWISE identical, not merely close. Keep it that way: no dv_fmadd
 // in this file (and the build passes -ffp-contract=off, so the compiler
-// cannot fuse them either). The pair stage keeps the same contract per
-// candidate: its SIMD levels are written with intrinsics (AVX-512F only,
-// no VL: 8 candidates per vector; AVX2: 4) and the scalar level is the
-// plain per-candidate loop they reproduce.
+// cannot fuse them either). The one exception is the zeta update, which
+// fuses on purpose through dv_fused_madd / dv_fused_nmadd: those round once
+// on every level (std::fma at the scalar one), and each entry runs a fixed
+// fma sequence per primary, so it stays bitwise too. The pair stage keeps
+// the same contract per candidate: its SIMD levels are written with
+// intrinsics (AVX-512F only, no VL: 8 candidates per vector; AVX2: 4) and
+// the scalar level is the plain per-candidate loop they reproduce.
 #ifndef GALACTOS_KERNEL_NS
 #error "kernel_body.hpp must be included with GALACTOS_KERNEL_NS defined"
 #endif
@@ -221,92 +224,198 @@ void alm_vectors(const math::SphHarmTable& table, const double* sums,
   }
 }
 
-// Batched zeta update (see zeta_batch_update in core/kernel.hpp). One
-// NR x (NV vectors) tile of zeta stays in registers while the batch's
-// primaries stream past in order; every entry sees the scalar reference
-// sequence z + (tr*br + ti*bi), so the tile shape never changes a bit.
-// kImag false: the real-only update z + tr*br, the imaginary planes neither
-// loaded nor stored.
+// Batched zeta update (see zeta_batch_update in core/kernel.hpp). The rows
+// of the packed triangle are cut into groups of kZetaTileRows consecutive
+// rows, across block boundaries; a group walks its columns from its first
+// row's start in NR x NV-vector register tiles that stay loaded while the
+// batch's primaries stream past in order. Every entry sees the contract's
+// FMA sequence, so the tiling never changes a bit. kImag false: the
+// real-only update, the imaginary plane neither loaded nor stored.
 inline constexpr int kZetaTileRows = 4;
+// Column vectors of the main tile: 4 x 2 holds 16 accumulators, the two
+// pairs of operand vectors and two broadcasts in AVX-512's 32 registers;
+// AVX2's 16 take 4 x 1.
+inline constexpr int kZetaTileVecs = math::simd::kLevel == 2 ? 1 : 2;
 
-// tr/ti: the weighted row operands t = wp * v_p[row], [primary][tile row].
-template <int NR, int NV, bool kImag>
-void zeta_tile(const double (&tr)[kZetaMaxPrimaries][NR],
-               const double (&ti)[kZetaMaxPrimaries][NR], int np,
-               const double* __restrict vr, const double* __restrict vi,
-               std::size_t vstride, int c0, double* __restrict zr,
-               double* __restrict zi, std::size_t ld) {
+// Rows whose weighted operands t = wp * v_p[r] are formed at once, as
+// [primary][row] planes on the stack.
+inline constexpr int kZetaChunkRows = 64;
+static_assert(kZetaChunkRows % kZetaTileRows == 0,
+              "only the last chunk may end in a short row group");
+
+// One row group: its weighted row operands (row i of primary p at
+// tr[p * kZetaChunkRows + i]) and, per row, its first column and the offset
+// of its column c at off + c in the packed planes.
+template <int NR>
+struct ZetaRows {
+  const double* tr;
+  const double* ti;
+  int start[NR];
+  std::size_t off[NR];
+};
+
+// Columns [c0, c0 + NV * kWidth) of the group; with kMask only the zeta
+// lanes of columns below n and at or past each row's start are read and
+// written (the operand loads may run into the caller's kZetaOperandPad).
+template <int NR, int NV, bool kImag, bool kMask>
+void zeta_tile(const ZetaRows<NR>& g, int np, const double* __restrict vr,
+               const double* __restrict vi, std::size_t vstride, int c0,
+               int n, double* __restrict zr, double* __restrict zi) {
+  constexpr int kW = DVec::kWidth;
+  using math::simd::dv_fused_madd;
+  using math::simd::dv_fused_nmadd;
+  // Lane range [lo_of, hi_of) of row i in vector v.
+  const auto lo_of = [&](int i, int v) {
+    return std::max(c0, g.start[i]) - c0 - v * kW;
+  };
+  const auto hi_of = [&](int v) { return n - c0 - v * kW; };
   DVec accr[NR][NV], acci[NR][NV];
   for (int i = 0; i < NR; ++i)
     for (int v = 0; v < NV; ++v) {
-      accr[i][v] = dv_load(zr + i * ld + v * DVec::kWidth);
-      if constexpr (kImag) acci[i][v] = dv_load(zi + i * ld + v * DVec::kWidth);
+      const std::size_t at = g.off[i] + c0 + v * kW;
+      if constexpr (kMask) {
+        accr[i][v] = math::simd::dv_load_lanes(zr + at, lo_of(i, v), hi_of(v));
+        if constexpr (kImag)
+          acci[i][v] =
+              math::simd::dv_load_lanes(zi + at, lo_of(i, v), hi_of(v));
+      } else {
+        accr[i][v] = dv_load(zr + at);
+        if constexpr (kImag) acci[i][v] = dv_load(zi + at);
+      }
     }
   for (int p = 0; p < np; ++p) {
+    const double* pr = vr + p * vstride + c0;
+    const double* pi = kImag ? vi + p * vstride + c0 : nullptr;
     DVec br[NV], bi[NV];
     for (int v = 0; v < NV; ++v) {
-      br[v] = dv_load(vr + p * vstride + c0 + v * DVec::kWidth);
-      if constexpr (kImag)
-        bi[v] = dv_load(vi + p * vstride + c0 + v * DVec::kWidth);
+      br[v] = dv_load(pr + v * kW);
+      if constexpr (kImag) bi[v] = dv_load(pi + v * kW);
     }
     for (int i = 0; i < NR; ++i) {
-      const DVec r = math::simd::dv_broadcast(tr[p][i]);
+      const DVec r = math::simd::dv_broadcast(g.tr[p * kZetaChunkRows + i]);
       if constexpr (kImag) {
-        const DVec m = math::simd::dv_broadcast(ti[p][i]);
+        const DVec m =
+            math::simd::dv_broadcast(g.ti[p * kZetaChunkRows + i]);
         for (int v = 0; v < NV; ++v) {
-          accr[i][v] = accr[i][v] + (r * br[v] + m * bi[v]);
-          acci[i][v] = acci[i][v] + (m * br[v] - r * bi[v]);
+          accr[i][v] = dv_fused_madd(r, br[v], accr[i][v]);
+          acci[i][v] = dv_fused_madd(m, br[v], acci[i][v]);
+          accr[i][v] = dv_fused_madd(m, bi[v], accr[i][v]);
+          acci[i][v] = dv_fused_nmadd(r, bi[v], acci[i][v]);
         }
       } else {
-        for (int v = 0; v < NV; ++v) accr[i][v] = accr[i][v] + r * br[v];
+        for (int v = 0; v < NV; ++v)
+          accr[i][v] = dv_fused_madd(r, br[v], accr[i][v]);
       }
     }
   }
   for (int i = 0; i < NR; ++i)
     for (int v = 0; v < NV; ++v) {
-      dv_store(zr + i * ld + v * DVec::kWidth, accr[i][v]);
-      if constexpr (kImag) dv_store(zi + i * ld + v * DVec::kWidth, acci[i][v]);
+      const std::size_t at = g.off[i] + c0 + v * kW;
+      if constexpr (kMask) {
+        math::simd::dv_store_lanes(zr + at, accr[i][v], lo_of(i, v),
+                                   hi_of(v));
+        if constexpr (kImag)
+          math::simd::dv_store_lanes(zi + at, acci[i][v], lo_of(i, v),
+                                     hi_of(v));
+      } else {
+        dv_store(zr + at, accr[i][v]);
+        if constexpr (kImag) dv_store(zi + at, acci[i][v]);
+      }
     }
 }
 
-// Rows [r0, r0 + NR) of the block; zr/zi point at row r0.
+// The next row of the packed triangle: its block b, its index k in the
+// block, and the offset of its first entry.
+struct ZetaRowCursor {
+  int b = 0, k = 0;
+  std::size_t row = 0;
+};
+
+// Rows [r0, r0 + NR) of the len-blocked triangle over n = nblocks * len
+// columns, the cursor at row r0 (advanced past them). Main tiles while
+// they fit, then single vectors; a tile is masked where it crosses a row's
+// start (the group spans a block boundary) or the end of the columns.
 template <int NR, bool kImag>
-void zeta_rows(const double* wp, int np, const double* vr, const double* vi,
-               std::size_t vstride, int r0, int cols, double* zr, double* zi,
-               std::size_t ld) {
+void zeta_rows(const double* tr, const double* ti, int np, const double* vr,
+               const double* vi, std::size_t vstride, int len, int nblocks,
+               int r0, ZetaRowCursor& cur, double* zr, double* zi) {
   constexpr int kW = DVec::kWidth;
-  double tr[kZetaMaxPrimaries][NR], ti[kZetaMaxPrimaries][NR];
-  for (int p = 0; p < np; ++p)
-    for (int i = 0; i < NR; ++i) {
-      tr[p][i] = wp[p] * vr[p * vstride + r0 + i];
-      ti[p][i] = kImag ? wp[p] * vi[p * vstride + r0 + i] : 0.0;
+  constexpr int kMainW = kZetaTileVecs * kW;
+  const int n = nblocks * len;
+  ZetaRows<NR> g{tr, ti, {}, {}};
+  for (int i = 0; i < NR; ++i) {
+    g.start[i] = cur.b * len;
+    g.off[i] = cur.row - g.start[i];  // the row's offset is >= its start
+    cur.row += n - g.start[i];
+    if (++cur.k == len) {
+      cur.k = 0;
+      ++cur.b;
     }
-  int c0 = 0;
-  for (; c0 + 2 * kW <= cols; c0 += 2 * kW)
-    zeta_tile<NR, 2, kImag>(tr, ti, np, vr, vi, vstride, c0, zr + c0,
-                            kImag ? zi + c0 : nullptr, ld);
-  const int rem = cols - c0;
-  if (rem == 0) return;
-  // Ragged tail: one tile on a zero-padded copy of the last columns. Its
-  // operand loads run up to kW - 1 entries past `cols` (the caller's
-  // kZetaOperandPad); those lanes are computed and dropped.
-  double tail_r[NR][2 * kW] = {}, tail_i[NR][2 * kW] = {};
-  for (int i = 0; i < NR; ++i)
-    for (int c = 0; c < rem; ++c) {
-      tail_r[i][c] = zr[i * ld + c0 + c];
-      if constexpr (kImag) tail_i[i][c] = zi[i * ld + c0 + c];
+  }
+  // The diagonal entries (r, r) keep their imaginary part (contract).
+  double diag[NR] = {};
+  if constexpr (kImag)
+    for (int i = 0; i < NR; ++i) diag[i] = zi[g.off[i] + r0 + i];
+  int c = g.start[0];
+  for (; c + kMainW <= n; c += kMainW) {
+    if (c < g.start[NR - 1])
+      zeta_tile<NR, kZetaTileVecs, kImag, true>(g, np, vr, vi, vstride, c, n,
+                                                 zr, zi);
+    else
+      zeta_tile<NR, kZetaTileVecs, kImag, false>(g, np, vr, vi, vstride, c, n,
+                                                  zr, zi);
+  }
+  for (; c < n; c += kW) {
+    if (c < g.start[NR - 1] || c + kW > n)
+      zeta_tile<NR, 1, kImag, true>(g, np, vr, vi, vstride, c, n, zr, zi);
+    else
+      zeta_tile<NR, 1, kImag, false>(g, np, vr, vi, vstride, c, n, zr, zi);
+  }
+  if constexpr (kImag)
+    for (int i = 0; i < NR; ++i) zi[g.off[i] + r0 + i] = diag[i];
+}
+
+// The whole block: per chunk of rows their weighted operands, then the
+// row groups.
+template <bool kImag>
+void zeta_block(const double* wp, int np, const double* vr, const double* vi,
+                std::size_t vstride, int len, int nblocks, double* zr,
+                double* zi) {
+  const int n = nblocks * len;
+  ZetaRowCursor cur;
+  alignas(64) double tr[kZetaMaxPrimaries * kZetaChunkRows];
+  alignas(64) double ti[kImag ? kZetaMaxPrimaries * kZetaChunkRows : 1];
+  for (int c0 = 0; c0 < n; c0 += kZetaChunkRows) {
+    const int c1 = std::min(n, c0 + kZetaChunkRows);
+    for (int p = 0; p < np; ++p)
+      for (int r = c0; r < c1; ++r) {
+        tr[p * kZetaChunkRows + r - c0] = wp[p] * vr[p * vstride + r];
+        if constexpr (kImag)
+          ti[p * kZetaChunkRows + r - c0] = wp[p] * vi[p * vstride + r];
+      }
+    int r0 = c0;
+    const auto rows = [&](auto nr) {
+      zeta_rows<decltype(nr)::value, kImag>(
+          tr + (r0 - c0), kImag ? ti + (r0 - c0) : nullptr, np, vr, vi,
+          vstride, len, nblocks, r0, cur, zr, zi);
+      r0 += decltype(nr)::value;
+    };
+    while (r0 + kZetaTileRows <= c1)
+      rows(std::integral_constant<int, kZetaTileRows>{});
+    switch (c1 - r0) {  // only the last chunk has a remainder
+      case 3:
+        rows(std::integral_constant<int, 3>{});
+        break;
+      case 2:
+        rows(std::integral_constant<int, 2>{});
+        break;
+      case 1:
+        rows(std::integral_constant<int, 1>{});
+        break;
+      default:
+        break;
     }
-  if (rem > kW)
-    zeta_tile<NR, 2, kImag>(tr, ti, np, vr, vi, vstride, c0, tail_r[0],
-                            tail_i[0], 2 * kW);
-  else
-    zeta_tile<NR, 1, kImag>(tr, ti, np, vr, vi, vstride, c0, tail_r[0],
-                            tail_i[0], 2 * kW);
-  for (int i = 0; i < NR; ++i)
-    for (int c = 0; c < rem; ++c) {
-      zr[i * ld + c0 + c] = tail_r[i][c];
-      if constexpr (kImag) zi[i * ld + c0 + c] = tail_i[i][c];
-    }
+  }
 }
 
 // --- Pair stage (see stage_pairs in core/kernel.hpp) ----------------------
@@ -707,42 +816,13 @@ void alm_bins_as_lanes(const math::SphHarmTable& table, const double* sums,
   }
 }
 
-template <bool kImag>
-void zeta_block(const double* wp, int np, const double* vr, const double* vi,
-                std::size_t vstride, int rows, int cols, double* zr,
-                double* zi, std::size_t ld) {
-  // Row r's imaginary plane is zi + r * ld, never formed when null.
-  const auto row_i = [&](int r) { return kImag ? zi + r * ld : nullptr; };
-  int r0 = 0;
-  for (; r0 + kZetaTileRows <= rows; r0 += kZetaTileRows)
-    zeta_rows<kZetaTileRows, kImag>(wp, np, vr, vi, vstride, r0, cols,
-                                    zr + r0 * ld, row_i(r0), ld);
-  double* zrt = zr + r0 * ld;
-  switch (rows - r0) {
-    case 3:
-      zeta_rows<3, kImag>(wp, np, vr, vi, vstride, r0, cols, zrt, row_i(r0),
-                          ld);
-      break;
-    case 2:
-      zeta_rows<2, kImag>(wp, np, vr, vi, vstride, r0, cols, zrt, row_i(r0),
-                          ld);
-      break;
-    case 1:
-      zeta_rows<1, kImag>(wp, np, vr, vi, vstride, r0, cols, zrt, row_i(r0),
-                          ld);
-      break;
-    default:
-      break;
-  }
-}
-
 void zeta_batch_update(const double* wp, int np, const double* vr,
-                       const double* vi, std::size_t vstride, int rows,
-                       int cols, double* zr, double* zi, std::size_t ld) {
+                       const double* vi, std::size_t vstride, int len,
+                       int nblocks, double* zr, double* zi) {
   if (zi)
-    zeta_block<true>(wp, np, vr, vi, vstride, rows, cols, zr, zi, ld);
+    zeta_block<true>(wp, np, vr, vi, vstride, len, nblocks, zr, zi);
   else
-    zeta_block<false>(wp, np, vr, vi, vstride, rows, cols, zr, zi, ld);
+    zeta_block<false>(wp, np, vr, vi, vstride, len, nblocks, zr, nullptr);
 }
 
 }  // namespace GALACTOS_KERNEL_NS

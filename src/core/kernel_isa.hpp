@@ -35,8 +35,8 @@ namespace galactos::core {
                          const std::size_t* out_off,                         \
                          const std::size_t* out_step);                       \
   void zeta_batch_update(const double* wp, int np, const double* vr,         \
-                         const double* vi, std::size_t vstride, int rows,    \
-                         int cols, double* zr, double* zi, std::size_t ld);
+                         const double* vi, std::size_t vstride, int len,     \
+                         int nblocks, double* zr, double* zi);
 
 namespace isa_scalar {
 GLX_KERNEL_ISA_DECL

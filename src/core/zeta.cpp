@@ -55,7 +55,6 @@ void ZetaAccumulator::ensure_batch() const {
   batch_.re.assign(kBatch * slot_size() + kZetaOperandPad, 0.0);
   batch_.im.assign(kBatch * slot_size() + kZetaOperandPad, 0.0);
   batch_.open.assign(nbins_, 0);
-  batch_.any.assign(nbins_, 0);
 }
 
 void ZetaAccumulator::add_primary(double wp, const std::complex<double>* alm,
@@ -103,7 +102,6 @@ void ZetaAccumulator::commit_primary(double wp) {
   for (int b = 0; b < nbins_; ++b) {
     if (batch_.open[b]) {
       batch_.open[b] = 0;
-      batch_.any[b] = 1;
       continue;
     }
     // The slot holds an earlier primary's data: zero the untouched bin.
@@ -125,25 +123,17 @@ void ZetaAccumulator::flush() const {
   if (batch_.count == 0) return;
   const int lmax = llm_.lmax();
   for (int m = 0; m <= lmax; ++m) {
-    const int len = lmax + 1 - m;
     // m = 0 with no imaginary operand: the real-only update (class note).
     const bool imag = m > 0 || batch_.m0_imag;
-    const double* vr = batch_.re.data() + plane_offset(m);
-    const double* vi = batch_.im.data() + plane_offset(m);
-    for (int b1 = 0; b1 < nbins_; ++b1) {
-      if (!batch_.any[b1]) continue;  // all-zero rows add nothing
-      const std::size_t row = row_offset(m, b1, m);
-      const int cols = (nbins_ - b1) * len;
-      const std::size_t off = static_cast<std::size_t>(b1) * len;
-      zeta_batch_update(batch_.wp, batch_.count, vr + off, vi + off,
-                        slot_size(), len, cols, re_.data() + row,
-                        imag ? im_.data() + row : nullptr,
-                        static_cast<std::size_t>(cols));
-    }
+    const std::size_t z = zeta_offset_[m];
+    zeta_batch_update(batch_.wp, batch_.count,
+                      batch_.re.data() + plane_offset(m),
+                      batch_.im.data() + plane_offset(m), slot_size(),
+                      lmax + 1 - m, nbins_, re_.data() + z,
+                      imag ? im_.data() + z : nullptr);
   }
   batch_.count = 0;
   batch_.m0_imag = false;
-  std::fill(batch_.any.begin(), batch_.any.end(), 0);
 }
 
 void ZetaAccumulator::subtract_self(double wp, int bin, const double* self_re,

@@ -69,20 +69,25 @@ class LlmIndex {
 //
 // Batching: add_primary / add_primary_sums only stage the primary's a_lm,
 // as m-major planes [m][bin][l], in a slot of a kBatch-primary batch
-// (allocated on first use). A full batch is applied by one register-tiled
-// update (zeta_batch_update in core/kernel.hpp, dispatched like the
-// multipole kernel, so GALACTOS_KERNEL_ISA pins it too) that keeps a
-// tile of zeta in registers while it walks the staged primaries in order
-// — zeta crosses the cache once per batch instead of once per primary.
+// (allocated on first use). A full batch is applied per m by one call of
+// zeta_batch_update (core/kernel.hpp, dispatched like the multipole kernel,
+// so GALACTOS_KERNEL_ISA pins it too): the m block is the upper block
+// triangle of a rank-kBatch update over the operand vector (bin, l), cut
+// into 4-row groups across bins and walked in 4-row x 2-vector register
+// tiles that stay loaded while the staged primaries stream past in order —
+// zeta crosses the cache once per batch instead of once per primary.
 // Every other member flushes the batch first, so the results are BITWISE
-// those of adding each primary on its own: each entry sees the same IEEE
-// sequence z + (t.re*a.re + t.im*a.im), t = wp*a, in the same primary
-// order. Bins a primary did not touch enter as zero planes; adding a
-// +-0 product leaves any finite entry unchanged, and an entry can never
-// be -0 (it starts at +0 and x + y rounds to -0 only when both are -0).
-// For the same reason the m = 0 planes flush through the real-only update
-// whenever every staged m = 0 imaginary entry is 0, as it always is for
-// add_primary_sums (the m = 0 harmonics have no imaginary part).
+// those of adding each primary on its own: each entry sees the same fma
+// sequence per primary, t = w*a, zr = fma(t.im, a.im, fma(t.re, a.re, zr)),
+// zi = fma(-t.re, a.im, fma(t.im, a.re, zi)), in the same primary order,
+// and a diagonal entry (b, l, b, l) keeps its imaginary part (its exact
+// increment is 0). Bins a primary did not touch enter as zero planes; an
+// fma with a +-0 product leaves any finite entry unchanged, and an entry
+// can never be -0 (it starts at +0, and an fma or a sum rounds to -0 only
+// when both terms are -0). For the same reason the m = 0 planes flush
+// through the real-only update whenever every staged m = 0 imaginary entry
+// is 0, as it always is for add_primary_sums (the m = 0 harmonics have no
+// imaginary part).
 //
 // The const readers (raw, snapshot, merge's argument) flush too, so they
 // must not run concurrently on one instance while primaries are staged.
@@ -170,7 +175,6 @@ class ZetaAccumulator {
     double wp[kBatch] = {};
     int count = 0;                     // staged primaries
     std::vector<std::uint8_t> open;    // bins staged into slot `count`
-    std::vector<std::uint8_t> any;     // bins touched by a staged primary
     bool m0_imag = false;  // a staged m = 0 imaginary entry is nonzero
   };
   mutable Batch batch_;

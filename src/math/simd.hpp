@@ -8,19 +8,23 @@
 // generic code yields the scalar, AVX2 and AVX-512 kernels that
 // core/kernel.cpp dispatches between at runtime.
 //
-// The arithmetic set is intentionally tiny: lane-wise load/store, add, sub,
-// mul, div, explicit FMA, and a horizontal sum. add/mul are exact IEEE per
-// lane on every level, which is what lets the per-ISA kernels stay bitwise
-// identical — each lane of the 8-wide accumulator block sees the same
-// operation sequence no matter how many lanes a hardware vector holds. The
-// horizontal sum dv_hsum uses a fixed pairwise tree per width, so the two
-// AVX2 halves of an 8-lane block, summed, give the 8-wide tree bit for
-// bit. fmadd/fmsub fuse on AVX2/AVX-512 and fall back to mul-then-add on
-// the generic level; use them only where cross-level bitwise identity is
-// NOT required (the self-pair a_lm accumulation, the batched Y_lm
-// recurrence).
+// The arithmetic set is intentionally tiny: lane-wise load/store (also of a
+// lane range), add, sub, mul, div, two kinds of FMA, and a horizontal sum.
+// add/mul are exact IEEE per lane on every level, which is what lets the
+// per-ISA kernels stay bitwise identical — each lane of the 8-wide
+// accumulator block sees the same operation sequence no matter how many
+// lanes a hardware vector holds. The horizontal sum dv_hsum uses a fixed
+// pairwise tree per width, so the two AVX2 halves of an 8-lane block,
+// summed, give the 8-wide tree bit for bit. dv_fmadd/dv_fmsub/dv_fnmadd
+// fuse on AVX2/AVX-512 and fall back to mul-then-add on the generic level;
+// use them only where cross-level bitwise identity is NOT required (the
+// self-pair a_lm accumulation, the batched Y_lm recurrence).
+// dv_fused_madd/dv_fused_nmadd round once on every level, the generic one
+// through std::fma, so they give the same bits everywhere (the zeta
+// update); std::fma without hardware FMA is a slow library call.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 #if defined(__AVX512F__) || defined(__AVX2__)
@@ -79,6 +83,27 @@ inline DVec dv_fmsub(DVec a, DVec b, DVec c) {
 inline DVec dv_fnmadd(DVec a, DVec b, DVec c) {
   return {_mm512_fnmadd_pd(a.v, b.v, c.v)};
 }
+// a*b + c and c - a*b rounded once: std::fma(a, b, c) and std::fma(-a, b, c)
+// bit for bit (the product's sign flips before the single rounding).
+inline DVec dv_fused_madd(DVec a, DVec b, DVec c) {
+  return dv_fmadd(a, b, c);
+}
+inline DVec dv_fused_nmadd(DVec a, DVec b, DVec c) {
+  return dv_fnmadd(a, b, c);
+}
+// Lanes k with lo <= k < hi of p[0..8) (the others zero), and their store;
+// the other lanes' memory is never touched.
+inline unsigned dv_lane_mask(int lo, int hi) {
+  lo = lo < 0 ? 0 : lo > 8 ? 8 : lo;
+  hi = hi < 0 ? 0 : hi > 8 ? 8 : hi;
+  return (0xFFu << lo) & ~(0xFFu << hi) & 0xFFu;
+}
+inline DVec dv_load_lanes(const double* p, int lo, int hi) {
+  return {_mm512_maskz_loadu_pd(__mmask8(dv_lane_mask(lo, hi)), p)};
+}
+inline void dv_store_lanes(double* p, DVec a, int lo, int hi) {
+  _mm512_mask_storeu_pd(p, __mmask8(dv_lane_mask(lo, hi)), a.v);
+}
 
 }  // namespace abi_avx512
 
@@ -114,6 +139,24 @@ inline DVec dv_fmsub(DVec a, DVec b, DVec c) {
 }
 inline DVec dv_fnmadd(DVec a, DVec b, DVec c) {
   return {_mm256_fnmadd_pd(a.v, b.v, c.v)};
+}
+inline DVec dv_fused_madd(DVec a, DVec b, DVec c) {
+  return dv_fmadd(a, b, c);
+}
+inline DVec dv_fused_nmadd(DVec a, DVec b, DVec c) {
+  return dv_fnmadd(a, b, c);
+}
+// All-ones in lanes k with lo <= k < hi.
+inline __m256i dv_lane_mask(int lo, int hi) {
+  const __m256i k = _mm256_setr_epi64x(0, 1, 2, 3);
+  return _mm256_andnot_si256(_mm256_cmpgt_epi64(_mm256_set1_epi64x(lo), k),
+                             _mm256_cmpgt_epi64(_mm256_set1_epi64x(hi), k));
+}
+inline DVec dv_load_lanes(const double* p, int lo, int hi) {
+  return {_mm256_maskload_pd(p, dv_lane_mask(lo, hi))};
+}
+inline void dv_store_lanes(double* p, DVec a, int lo, int hi) {
+  _mm256_maskstore_pd(p, dv_lane_mask(lo, hi), a.v);
 }
 
 }  // namespace abi_avx2
@@ -168,6 +211,29 @@ inline double dv_hsum(DVec a) {
 inline DVec dv_fmadd(DVec a, DVec b, DVec c) { return a * b + c; }
 inline DVec dv_fmsub(DVec a, DVec b, DVec c) { return a * b - c; }
 inline DVec dv_fnmadd(DVec a, DVec b, DVec c) { return c - a * b; }
+
+inline DVec dv_fused_madd(DVec a, DVec b, DVec c) {
+  DVec r;
+  for (int i = 0; i < DVec::kWidth; ++i)
+    r.v[i] = std::fma(a.v[i], b.v[i], c.v[i]);
+  return r;
+}
+inline DVec dv_fused_nmadd(DVec a, DVec b, DVec c) {
+  DVec r;
+  for (int i = 0; i < DVec::kWidth; ++i)
+    r.v[i] = std::fma(-a.v[i], b.v[i], c.v[i]);
+  return r;
+}
+inline DVec dv_load_lanes(const double* p, int lo, int hi) {
+  DVec r = dv_zero();
+  for (int i = lo < 0 ? 0 : lo; i < hi && i < DVec::kWidth; ++i)
+    r.v[i] = p[i];
+  return r;
+}
+inline void dv_store_lanes(double* p, DVec a, int lo, int hi) {
+  for (int i = lo < 0 ? 0 : lo; i < hi && i < DVec::kWidth; ++i)
+    p[i] = a.v[i];
+}
 
 }  // namespace abi_generic
 

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -441,58 +442,87 @@ TEST(KernelIsaEquivalence, AlmBinsAsLanesBitwiseAcrossLevels) {
   }
 }
 
-// Raw batched zeta update: every level must reproduce the scalar level's
-// block bitwise, over row counts around the 4-row tile, column counts
-// around both vector widths (ragged tails, blocks narrower than one
-// vector), and partial and full batches.
+// Raw batched zeta update over the flush's shapes: block lengths 1..11
+// (m = 10..0 at lmax 10) times 1..10 bins, so the 4-row groups straddle
+// block boundaries and the column runs end mid-vector; partial and full
+// batches; the full and the real-only (zi == nullptr) update. The scalar
+// level must equal a plain std::fma loop over the contract's sequence (the
+// diagonal entries keeping their imaginary part), every level the scalar
+// level, bitwise; entries around the packed block, and the imaginary
+// plane of a real-only update, are never written.
 TEST(KernelIsaEquivalence, ZetaBatchUpdateBitwiseAcrossLevels) {
   IsaGuard guard;
   m::Rng rng(4242);
+  const std::size_t kGuard = 16;  // entries before and after the block
   for (int np : {1, 3, c::kZetaMaxPrimaries})
-    for (int rows : {1, 2, 3, 4, 5, 11})
-      for (int cols : {1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 33, 110}) {
-        // Operand vectors long enough for both indexings, plus the pad.
-        const std::size_t vstride =
-            static_cast<std::size_t>(std::max(rows, cols)) + 5;
-        std::vector<double> wp(np), vr(np * vstride + c::kZetaOperandPad),
-            vi(vr.size());
-        for (double& x : wp) x = rng.uniform(-1.0, 2.0);
-        for (double& x : vr) x = rng.uniform(-1.0, 1.0);
-        for (double& x : vi) x = rng.uniform(-1.0, 1.0);
-        const std::size_t ld = static_cast<std::size_t>(cols) + 2;
-        std::vector<double> z0r(rows * ld), z0i(rows * ld);
-        for (double& x : z0r) x = rng.uniform(-1.0, 1.0);
-        for (double& x : z0i) x = rng.uniform(-1.0, 1.0);
+    for (int len = 1; len <= 11; ++len)
+      for (int nblocks : {1, 2, 3, 5, 10})
+        for (bool imag : {true, false}) {
+          const int n = len * nblocks;
+          const std::size_t vstride = static_cast<std::size_t>(n) + 3;
+          std::vector<double> wp(np), vr(np * vstride + c::kZetaOperandPad),
+              vi(vr.size());
+          for (double& x : wp) x = rng.uniform(-1.0, 2.0);
+          for (double& x : vr) x = rng.uniform(-1.0, 1.0);
+          for (double& x : vi) x = rng.uniform(-1.0, 1.0);
+          const std::size_t size = static_cast<std::size_t>(len) * len *
+                                   nblocks * (nblocks + 1) / 2;
+          std::vector<double> z0r(size + 2 * kGuard), z0i(z0r.size());
+          for (double& x : z0r) x = rng.uniform(-1.0, 1.0);
+          for (double& x : z0i) x = rng.uniform(-1.0, 1.0);
 
-        auto run = [&](c::KernelIsa isa, std::vector<double>& zr,
-                       std::vector<double>& zi) {
-          c::set_kernel_isa(isa);
-          zr = z0r;
-          zi = z0i;
-          c::zeta_batch_update(wp.data(), np, vr.data(), vi.data(), vstride,
-                               rows, cols, zr.data(), zi.data(), ld);
-        };
-        std::vector<double> rr, ri;
-        run(c::KernelIsa::kScalar, rr, ri);
-        for (c::KernelIsa isa : supported_levels()) {
-          std::vector<double> gr, gi;
-          run(isa, gr, gi);
-          for (std::size_t k = 0; k < rr.size(); ++k) {
-            ASSERT_EQ(gr[k], rr[k]) << "isa=" << c::kernel_isa_name(isa)
-                                    << " np=" << np << " rows=" << rows
-                                    << " cols=" << cols << " k=" << k;
-            ASSERT_EQ(gi[k], ri[k]) << "isa=" << c::kernel_isa_name(isa)
-                                    << " np=" << np << " rows=" << rows
-                                    << " cols=" << cols << " k=" << k;
+          // The contract, entry by entry, on the packed rows.
+          std::vector<double> fr = z0r, fi = z0i;
+          std::size_t k = kGuard;
+          for (int r = 0; r < n; ++r)
+            for (int col = r / len * len; col < n; ++col, ++k)
+              for (int p = 0; p < np; ++p) {
+                const double* pr = vr.data() + p * vstride;
+                const double* pi = vi.data() + p * vstride;
+                const double tr = wp[p] * pr[r];
+                if (!imag) {
+                  fr[k] = std::fma(tr, pr[col], fr[k]);
+                  continue;
+                }
+                const double ti = wp[p] * pi[r];
+                fr[k] = std::fma(ti, pi[col], std::fma(tr, pr[col], fr[k]));
+                if (col != r)
+                  fi[k] = std::fma(-tr, pi[col], std::fma(ti, pr[col], fi[k]));
+              }
+          ASSERT_EQ(k, size + kGuard);
+
+          auto run = [&](c::KernelIsa isa, std::vector<double>& zr,
+                         std::vector<double>& zi) {
+            c::set_kernel_isa(isa);
+            zr = z0r;
+            zi = z0i;
+            c::zeta_batch_update(wp.data(), np, vr.data(), vi.data(), vstride,
+                                 len, nblocks, zr.data() + kGuard,
+                                 imag ? zi.data() + kGuard : nullptr);
+          };
+          const std::string what = "np=" + std::to_string(np) +
+                                   " len=" + std::to_string(len) +
+                                   " nblocks=" + std::to_string(nblocks) +
+                                   " imag=" + std::to_string(imag);
+          std::vector<double> rr, ri;
+          run(c::KernelIsa::kScalar, rr, ri);
+          for (std::size_t e = 0; e < rr.size(); ++e) {
+            ASSERT_EQ(bits(rr[e]), bits(fr[e])) << what << " e=" << e;
+            ASSERT_EQ(bits(ri[e]), bits(fi[e])) << what << " e=" << e;
+          }
+          for (c::KernelIsa isa : supported_levels()) {
+            std::vector<double> gr, gi;
+            run(isa, gr, gi);
+            for (std::size_t e = 0; e < rr.size(); ++e) {
+              ASSERT_EQ(bits(gr[e]), bits(rr[e]))
+                  << "isa=" << c::kernel_isa_name(isa) << " " << what
+                  << " e=" << e;
+              ASSERT_EQ(bits(gi[e]), bits(ri[e]))
+                  << "isa=" << c::kernel_isa_name(isa) << " " << what
+                  << " e=" << e;
+            }
           }
         }
-        // Entries outside the block (the ld padding) are never written.
-        for (int r = 0; r < rows; ++r)
-          for (std::size_t c0 = cols; c0 < ld; ++c0) {
-            EXPECT_EQ(rr[r * ld + c0], z0r[r * ld + c0]);
-            EXPECT_EQ(ri[r * ld + c0], z0i[r * ld + c0]);
-          }
-      }
 }
 
 // The pair stage over every block length 0..33 (every vector tail at both

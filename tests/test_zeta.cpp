@@ -155,25 +155,31 @@ TEST(ZetaAccumulator, MergeRejectsMismatchedShapes) {
 
 namespace {
 
-// The per-primary zeta update ZetaAccumulator ran before batching, kept as
-// the oracle: planes in the public [bin_pair][llm] order, one primary at a
-// time, untouched bins skipped. The batched accumulator must reproduce it
-// bit for bit.
+// The per-primary zeta update, kept as the oracle: planes in the public
+// [bin_pair][llm] order, one primary at a time, untouched bins skipped, each
+// entry updated with the fma sequence of zeta_batch_update's contract. The
+// batched accumulator must reproduce it bit for bit. With `fused` false it
+// runs the mul-then-add sequence z + (t.re*a.re + t.im*a.im) instead, an
+// independent reference that agrees to rounding; `scale` accumulates
+// sum_p |w_p| |a(b1, l)| |a(b2, l')|, the size that rounding is relative to.
 struct PerPrimaryZeta {
   int lmax, nbins, nlm;
   c::LlmIndex llm;
   int nllm;
-  std::vector<double> re, im;
+  bool fused;
+  std::vector<double> re, im, scale;
 
-  PerPrimaryZeta(int lmax_, int nbins_)
+  PerPrimaryZeta(int lmax_, int nbins_, bool fused_ = true)
       : lmax(lmax_),
         nbins(nbins_),
         nlm(m::nlm(lmax_)),
         llm(lmax_),
         nllm(llm.size()),
+        fused(fused_),
         re(static_cast<std::size_t>(c::ZetaAccumulator::bin_pair_count(
                nbins_)) * nllm, 0.0),
-        im(re.size(), 0.0) {}
+        im(re.size(), 0.0),
+        scale(re.size(), 0.0) {}
 
   std::size_t base(int b1, int b2) const {
     return static_cast<std::size_t>(b1 * nbins - b1 * (b1 - 1) / 2 +
@@ -196,8 +202,16 @@ struct PerPrimaryZeta {
             for (int lp = mm; lp <= lmax; ++lp, ++i) {
               const double br = at(alm, b2, lp, mm).real();
               const double bi = at(alm, b2, lp, mm).imag();
-              re[i] += tr * br + ti * bi;
-              im[i] += ti * br - tr * bi;
+              if (fused) {
+                re[i] = std::fma(ti, bi, std::fma(tr, br, re[i]));
+                if (b1 != b2 || l != lp)  // the diagonal's increment is 0
+                  im[i] = std::fma(-tr, bi, std::fma(ti, br, im[i]));
+              } else {
+                re[i] += tr * br + ti * bi;
+                im[i] += ti * br - tr * bi;
+              }
+              scale[i] += std::abs(wp) * std::abs(at(alm, b1, l, mm)) *
+                          std::abs(at(alm, b2, lp, mm));
             }
           }
       }
@@ -377,6 +391,31 @@ TEST(ZetaBatch, RealOnlyM0PlaneMatchesPerPrimaryOracleBitwise) {
                 ASSERT_FALSE(std::signbit(im)) << what;
               }
       }
+}
+
+// The fused update against the mul-then-add reference it replaced: per
+// entry within 1e-14 of sum_p |w_p| |a_r| |a_c| (a few ulps of that size
+// per primary over 17 primaries, both sequences rounding each product and
+// sum at most once), and exactly equal where no primary contributes.
+TEST(ZetaBatch, MatchesMulThenAddReferenceToRounding) {
+  for (int lmax : kLmaxGrid)
+    for (int nbins : kNbinsGrid) {
+      const std::string what =
+          "lmax=" + std::to_string(lmax) + " nbins=" + std::to_string(nbins);
+      m::Rng rng(6000 + 97 * lmax + 13 * nbins);
+      const m::SphHarmTable table(lmax);
+      c::ZetaAccumulator z(lmax, nbins);
+      PerPrimaryZeta ref(lmax, nbins, /*fused=*/false);
+      for (int p = 0; p < 17; ++p)
+        add_both(z, ref, table, random_primary(table, nbins, rng, p % 2 == 1));
+      const std::vector<cd> s = z.snapshot();
+      ASSERT_EQ(s.size(), ref.re.size()) << what;
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        const double tol = 1e-14 * ref.scale[i];
+        ASSERT_LE(std::abs(s[i].real() - ref.re[i]), tol) << what << " " << i;
+        ASSERT_LE(std::abs(s[i].imag() - ref.im[i]), tol) << what << " " << i;
+      }
+    }
 }
 
 // A bin no primary touches stays exactly zero.

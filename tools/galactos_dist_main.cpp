@@ -87,6 +87,7 @@ int run_with_session(dist::Session& session, int argc, char** argv) {
                       ? dist::PartitionPolicy::kPrimaryBalanced
                       : dist::PartitionPolicy::kPairWeighted;
   cfg.halo.let_f32 = let_f32;
+  (void)core::Engine(cfg.engine);  // rejects a bad lmax or threads here
 
   const bool root = session.is_root();
   if (root)
