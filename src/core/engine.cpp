@@ -76,11 +76,11 @@ struct LaneTally {
 template <typename Real>
 struct Lane {
   Lane(const EngineConfig& c, const sim::Catalog& cat,
-       const math::SphHarmTable& t, const LlmIndex& llm, ZetaAccumulator& z,
-       TwoPcfAccumulator& x, int id)
+       const math::SphHarmTable& t, const SelfPairTable* self_table,
+       ZetaAccumulator& z, TwoPcfAccumulator& x, int id)
       : cfg(c), catalog(cat), table(t), tid(id), acc(kernel_config(c)),
         zeta(z), xi(x) {
-    if (c.subtract_self_pairs) sp.emplace(t, llm, c.bins.count());
+    if (self_table) sp.emplace(*self_table, c.bins.count());
   }
 
   // LOS setup: false when the primary must be skipped (radial mode,
@@ -113,10 +113,6 @@ struct Lane {
     acc.start_primary();
     acc.push_staged(staged);
     acc.finish_primary();
-    if (sp) {
-      sp->start_primary();
-      sp->add(staged);
-    }
     tally.t_kernel += tk.seconds();
     return staged.count;
   }
@@ -128,12 +124,10 @@ struct Lane {
         xi.add_primary_bin(wp, b, acc.sums() + b, acc.sums_stride());
   }
 
-  // Removes the degenerate j == k terms of the pairs just pushed.
-  void subtract_self(double wp) {
-    if (!sp) return;
-    for (int b = 0; b < cfg.bins.count(); ++b)
-      if (sp->bin_touched(b))
-        zeta.subtract_self(wp, b, sp->self_re(b), sp->self_im(b));
+  // The degenerate j == k moments of the pairs just pushed (subtracted
+  // after the lane's last leaf).
+  void add_self(double wp) {
+    if (sp) sp->add(wp, staged);
   }
 
   const EngineConfig& cfg;
@@ -174,7 +168,8 @@ void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
   const int nthreads = parts.nthreads;
   const int nbins = cfg.bins.count();
   const math::SphHarmTable table(cfg.lmax);
-  const LlmIndex llm(cfg.lmax);
+  std::optional<SelfPairTable> self_table;
+  if (cfg.subtract_self_pairs) self_table.emplace(table);
 
   // Leaves hold points in index order, so a subset of primaries is tested
   // per point.
@@ -194,7 +189,8 @@ void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
     if (!zeta) zeta = std::make_unique<ZetaAccumulator>(cfg.lmax, nbins);
     std::unique_ptr<TwoPcfAccumulator>& xi = parts.xi[tid];
     if (!xi) xi = std::make_unique<TwoPcfAccumulator>(cfg.lmax, nbins);
-    Lane<Real> lane(cfg, catalog, table, llm, *zeta, *xi, tid);
+    Lane<Real> lane(cfg, catalog, table, self_table ? &*self_table : nullptr,
+                    *zeta, *xi, tid);
     auto body = make_body(lane);
     const bool do_poll = static_cast<bool>(poll) && tid == 0;
     int since_poll = 0;
@@ -225,6 +221,7 @@ void traverse_leaves(const EngineConfig& cfg, const sim::Catalog& catalog,
 
     {
       Timer tz;
+      if (lane.sp) lane.sp->subtract_from(lane.zeta);
       lane.zeta.flush();  // the last, partial batch
       lane.tally.t_zeta += tz.seconds();
     }
@@ -357,7 +354,7 @@ void run_primary_pass(const EngineConfig& cfg, const sim::Catalog& catalog,
             lane.zeta.add_primary_sums(wp, lane.table, acc.sums(),
                                        acc.sums_stride(), bins.data(),
                                        static_cast<int>(bins.size()));
-            lane.subtract_self(wp);
+            lane.add_self(wp);
             lane.tally.t_zeta += tz.seconds();
           }
         };

@@ -82,9 +82,9 @@ struct EngineConfig {
 
   int threads = 0;  // 0 = OpenMP default; negative is rejected
 
-  // Subtract degenerate j == k contributions from diagonal bin pairs
-  // (slow path: per-secondary Y_lm evaluation; used for validation and
-  // small science runs).
+  // Subtract degenerate j == k contributions from diagonal bin pairs:
+  // 2 lmax + 1 Legendre moments in u_z per pair, contracted once per bin
+  // and thread (core/alm.hpp).
   bool subtract_self_pairs = false;
 };
 

@@ -18,12 +18,12 @@
 // performs the identical IEEE operation sequence per lane of the 8-wide
 // accumulator block — lanes mix only in the fixed-tree final reduction,
 // adds and muls are never fused or reassociated — so the per-ISA kernels
-// are BITWISE identical, not merely close. Keep it that way: no dv_fmadd
-// in this file (and the build passes -ffp-contract=off, so the compiler
+// are BITWISE identical, not merely close. Keep it that way: no mul feeding
+// an add is ever fused (the build passes -ffp-contract=off, so the compiler
 // cannot fuse them either). The one exception is the zeta update, which
-// fuses on purpose through dv_fused_madd / dv_fused_nmadd: those round once
-// on every level (std::fma at the scalar one), and each entry runs a fixed
-// fma sequence per primary, so it stays bitwise too. The pair stage keeps
+// fuses on purpose through dv_fused_madd / dv_fused_nmadd, math/simd.hpp's
+// only FMA: it rounds once on every level (std::fma at the scalar one), and
+// each entry runs a fixed fma sequence per primary, so it stays bitwise too. The pair stage keeps
 // the same contract per candidate: its SIMD levels are written with
 // intrinsics (AVX-512F only, no VL: 8 candidates per vector; AVX2: 4) and
 // the scalar level is the plain per-candidate loop they reproduce.

@@ -9,6 +9,15 @@
 // GALACTOS_KERNEL_HAVE_AVX2 / GALACTOS_KERNEL_HAVE_AVX512). core/kernel.cpp
 // owns the runtime CPUID dispatch between them; nothing else should call
 // these directly.
+//
+// The scalar level is a fallback and test reference, not a tuned level:
+// `auto` picks it only on x86-64 without AVX2+FMA or in a non-x86 build
+// (avx512 on the AVX-512 reference host). Its dv_fused_madd is std::fma, a
+// libm call at the x86-64 baseline flags, so BM_ZetaBatchUpdate runs 8x
+// slower than the unfused update it replaced (lmax 10: 2.2 ms per batch,
+// 54 us at avx2) — the price of one FMA kind with the same bits on every
+// level. CI's kernel-isa job forces scalar and avx2 (its third leg runs
+// auto); KernelIsaEquivalence holds every level bitwise to scalar.
 #pragma once
 
 #include <cstddef>

@@ -136,18 +136,15 @@ void ZetaAccumulator::flush() const {
   batch_.m0_imag = false;
 }
 
-void ZetaAccumulator::subtract_self(double wp, int bin, const double* self_re,
-                                    const double* self_im) {
+void ZetaAccumulator::subtract_self(int bin, const double* self) {
   flush();
   const int lmax = llm_.lmax();
   int i = 0;  // LlmIndex order: m, then l, then l'
   for (int m = 0; m <= lmax; ++m)
     for (int l = m; l <= lmax; ++l) {
       const std::size_t row = row_offset(m, bin, l);  // b2 == bin: first run
-      for (int lp = m; lp <= lmax; ++lp, ++i) {
-        re_[row + (lp - m)] -= wp * self_re[i];
-        im_[row + (lp - m)] -= wp * self_im[i];
-      }
+      for (int lp = m; lp <= lmax; ++lp, ++i)
+        re_[row + (lp - m)] -= self[i];
     }
 }
 

@@ -125,11 +125,10 @@ class ZetaAccumulator {
   // engine calls it once per thread so the cost lands in its own timer.
   void flush() const;
 
-  // Subtracts the degenerate j == k "triplet" contribution for diagonal bin
-  // pairs: self[llm] = sum_j w_j^2 conj(Y_lm(u_j)) Y_l'm(u_j), supplied as
-  // the SelfPairAccumulator's SoA real/imaginary planes in LlmIndex order.
-  void subtract_self(double wp, int bin, const double* self_re,
-                     const double* self_im);
+  // Subtracts the degenerate j == k "triplets" of the diagonal pair (bin,
+  // bin), self[llm] = sum_p wp sum_j w_j^2 conj(Y_lm(u_j)) Y_l'm(u_j) in
+  // LlmIndex order, from the real plane only: the term is real (core/alm.hpp).
+  void subtract_self(int bin, const double* self);
 
   void merge(const ZetaAccumulator& other);
 

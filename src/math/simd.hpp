@@ -9,19 +9,17 @@
 // core/kernel.cpp dispatches between at runtime.
 //
 // The arithmetic set is intentionally tiny: lane-wise load/store (also of a
-// lane range), add, sub, mul, div, two kinds of FMA, and a horizontal sum.
+// lane range), add, sub, mul, div, one kind of FMA, and a horizontal sum.
 // add/mul are exact IEEE per lane on every level, which is what lets the
 // per-ISA kernels stay bitwise identical — each lane of the 8-wide
 // accumulator block sees the same operation sequence no matter how many
 // lanes a hardware vector holds. The horizontal sum dv_hsum uses a fixed
 // pairwise tree per width, so the two AVX2 halves of an 8-lane block,
-// summed, give the 8-wide tree bit for bit. dv_fmadd/dv_fmsub/dv_fnmadd
-// fuse on AVX2/AVX-512 and fall back to mul-then-add on the generic level;
-// use them only where cross-level bitwise identity is NOT required (the
-// self-pair a_lm accumulation, the batched Y_lm recurrence).
-// dv_fused_madd/dv_fused_nmadd round once on every level, the generic one
-// through std::fma, so they give the same bits everywhere (the zeta
-// update); std::fma without hardware FMA is a slow library call.
+// summed, give the 8-wide tree bit for bit. dv_fused_madd/dv_fused_nmadd
+// round once on every level — the FMA instruction on AVX2/AVX-512, std::fma
+// on the generic one — so they give the same bits everywhere (the zeta
+// update); std::fma without hardware FMA is a slow library call
+// (core/kernel_isa.hpp).
 #pragma once
 
 #include <cmath>
@@ -71,25 +69,13 @@ inline double dv_hsum(DVec a) {
   const __m512d h = _mm512_mask_shuffle_f64x2(q, 0xFF, q, q, 0x02);
   return _mm512_cvtsd_f64(q) + _mm512_cvtsd_f64(h);
 }
-// a*b + c
-inline DVec dv_fmadd(DVec a, DVec b, DVec c) {
-  return {_mm512_fmadd_pd(a.v, b.v, c.v)};
-}
-// a*b - c
-inline DVec dv_fmsub(DVec a, DVec b, DVec c) {
-  return {_mm512_fmsub_pd(a.v, b.v, c.v)};
-}
-// c - a*b
-inline DVec dv_fnmadd(DVec a, DVec b, DVec c) {
-  return {_mm512_fnmadd_pd(a.v, b.v, c.v)};
-}
 // a*b + c and c - a*b rounded once: std::fma(a, b, c) and std::fma(-a, b, c)
 // bit for bit (the product's sign flips before the single rounding).
 inline DVec dv_fused_madd(DVec a, DVec b, DVec c) {
-  return dv_fmadd(a, b, c);
+  return {_mm512_fmadd_pd(a.v, b.v, c.v)};
 }
 inline DVec dv_fused_nmadd(DVec a, DVec b, DVec c) {
-  return dv_fnmadd(a, b, c);
+  return {_mm512_fnmadd_pd(a.v, b.v, c.v)};
 }
 // Lanes k with lo <= k < hi of p[0..8) (the others zero), and their store;
 // the other lanes' memory is never touched.
@@ -131,20 +117,11 @@ inline double dv_hsum(DVec a) {
   return _mm_cvtsd_f64(_mm_add_sd(_mm256_castpd256_pd128(p),
                                   _mm256_extractf128_pd(p, 1)));
 }
-inline DVec dv_fmadd(DVec a, DVec b, DVec c) {
+inline DVec dv_fused_madd(DVec a, DVec b, DVec c) {
   return {_mm256_fmadd_pd(a.v, b.v, c.v)};
 }
-inline DVec dv_fmsub(DVec a, DVec b, DVec c) {
-  return {_mm256_fmsub_pd(a.v, b.v, c.v)};
-}
-inline DVec dv_fnmadd(DVec a, DVec b, DVec c) {
-  return {_mm256_fnmadd_pd(a.v, b.v, c.v)};
-}
-inline DVec dv_fused_madd(DVec a, DVec b, DVec c) {
-  return dv_fmadd(a, b, c);
-}
 inline DVec dv_fused_nmadd(DVec a, DVec b, DVec c) {
-  return dv_fnmadd(a, b, c);
+  return {_mm256_fnmadd_pd(a.v, b.v, c.v)};
 }
 // All-ones in lanes k with lo <= k < hi.
 inline __m256i dv_lane_mask(int lo, int hi) {
@@ -207,10 +184,6 @@ inline double dv_hsum(DVec a) {
   const double* v = a.v;
   return ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]));
 }
-
-inline DVec dv_fmadd(DVec a, DVec b, DVec c) { return a * b + c; }
-inline DVec dv_fmsub(DVec a, DVec b, DVec c) { return a * b - c; }
-inline DVec dv_fnmadd(DVec a, DVec b, DVec c) { return c - a * b; }
 
 inline DVec dv_fused_madd(DVec a, DVec b, DVec c) {
   DVec r;

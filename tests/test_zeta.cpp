@@ -1,5 +1,6 @@
 // Zeta accumulation: LlmIndex, bin-pair layout, symmetry, merging, the
-// batched update against the per-primary oracle (bitwise), result
+// batched update against the per-primary oracle (bitwise), the self-pair
+// term from Legendre moments against direct Y_lm products, result
 // arithmetic and the isotropic projection identity.
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/alm.hpp"
 #include "core/zeta.hpp"
 #include "math/legendre.hpp"
 #include "math/rng.hpp"
@@ -218,12 +220,9 @@ struct PerPrimaryZeta {
     }
   }
 
-  void subtract_self(double wp, int bin, const double* sr, const double* si) {
+  void subtract_self(int bin, const double* self) {
     const std::size_t b = base(bin, bin);
-    for (int i = 0; i < nllm; ++i) {
-      re[b + i] -= wp * sr[i];
-      im[b + i] -= wp * si[i];
-    }
+    for (int i = 0; i < nllm; ++i) re[b + i] -= self[i];
   }
 
   void merge(const PerPrimaryZeta& o) {
@@ -459,13 +458,10 @@ TEST(ZetaBatch, MembersInterleavedMidBatchMatchOracleBitwise) {
       };
 
       add(3);
-      std::vector<double> sr(nllm), si(nllm);
-      for (int i = 0; i < nllm; ++i) {
-        sr[i] = rng.uniform(-1, 1);
-        si[i] = rng.uniform(-1, 1);
-      }
-      z.subtract_self(0.7, 0, sr.data(), si.data());
-      ref.subtract_self(0.7, 0, sr.data(), si.data());
+      std::vector<double> self(nllm);
+      for (int i = 0; i < nllm; ++i) self[i] = rng.uniform(-1, 1);
+      z.subtract_self(0, self.data());
+      ref.subtract_self(0, self.data());
 
       add(6);
       for (int b1 = 0; b1 < nbins; ++b1)
@@ -488,6 +484,105 @@ TEST(ZetaBatch, MembersInterleavedMidBatchMatchOracleBitwise) {
       add(4);
       expect_bitwise(z, ref, what);
       EXPECT_EQ(z.primaries(), 23u);
+    }
+}
+
+// The self-pair term of core/alm.hpp, sum_p wp sum_j w_j^2 conj(Y_lm(u_j))
+// Y_l'm(u_j) per bin from Legendre moments in u_z, against the direct
+// products of SphHarmTable::eval_all: random directions plus both poles,
+// random weights, two primaries per accumulator (bins 0 and 2 only when
+// there are 3, so bin 1 stays untouched). Applied to a fresh accumulator
+// it must read -self on the diagonal; applied to one holding a random
+// primary it must leave every imaginary entry and every off-diagonal pair
+// bitwise unchanged. A second subtract_from finds the moments cleared.
+TEST(SelfPairMoments, MatchDirectYlmProducts) {
+  for (int lmax = 0; lmax <= 10; ++lmax)
+    for (int nbins : {1, 3}) {
+      const std::string what =
+          "lmax=" + std::to_string(lmax) + " nbins=" + std::to_string(nbins);
+      m::Rng rng(500 + 7 * lmax + nbins);
+      const m::SphHarmTable table(lmax);
+      const c::SelfPairTable self_table(table);
+      const c::LlmIndex& llm = self_table.llm();
+      const int nllm = llm.size();
+      c::SelfPairAccumulator fresh_acc(self_table, nbins);
+      c::SelfPairAccumulator busy_acc(self_table, nbins);
+
+      std::vector<double> direct(static_cast<std::size_t>(nbins) * nllm, 0.0);
+      std::vector<cd> ylm(m::nlm(lmax));
+      for (int p = 0; p < 2; ++p) {
+        const double wp = rng.uniform(-0.5, 2.0);
+        const std::size_t n = 41;
+        c::StagedPairs s;
+        s.reserve(n);
+        s.count = n;
+        for (std::size_t j = 0; j < n; ++j) {
+          double ux = 0.0, uy = 0.0, uz = j == 0 ? 1.0 : -1.0;
+          if (j >= 2) {
+            uz = rng.uniform(-1, 1);
+            const double phi = rng.uniform(0, 2 * M_PI);
+            const double st = std::sqrt((1 - uz) * (1 + uz));
+            ux = st * std::cos(phi);
+            uy = st * std::sin(phi);
+          }
+          const double w = rng.uniform(0.1, 2.0);
+          const int b = nbins == 1 ? 0 : 2 * static_cast<int>(j % 2);
+          s.bin[j] = b;
+          s.ux[j] = ux;
+          s.uy[j] = uy;
+          s.uz[j] = uz;
+          s.w[j] = w;
+          table.eval_all(ux, uy, uz, ylm.data());
+          for (int i = 0; i < nllm; ++i) {
+            const cd y = std::conj(ylm[llm.alm_index_1()[i]]) *
+                         ylm[llm.alm_index_2()[i]];
+            direct[static_cast<std::size_t>(b) * nllm + i] +=
+                wp * w * w * y.real();
+          }
+        }
+        fresh_acc.add(wp, s);
+        busy_acc.add(wp, s);
+      }
+      double scale = 0.0;
+      for (double d : direct) scale = std::max(scale, std::abs(d));
+
+      c::ZetaAccumulator fresh(lmax, nbins);
+      fresh_acc.subtract_from(fresh);
+      c::ZetaAccumulator busy(lmax, nbins);
+      const RandomPrimary rp = random_primary(table, nbins, rng);
+      busy.add_primary(rp.wp, rp.alm.data(), rp.touched.data());
+      const std::vector<cd> before = busy.snapshot();
+      busy_acc.subtract_from(busy);
+      const std::vector<cd> after = busy.snapshot();
+
+      for (int b1 = 0; b1 < nbins; ++b1)
+        for (int b2 = b1; b2 < nbins; ++b2)
+          for (int i = 0; i < nllm; ++i) {
+            const std::size_t e =
+                static_cast<std::size_t>(fresh.bin_pair(b1, b2)) * nllm + i;
+            ASSERT_EQ(after[e].imag(), before[e].imag()) << what;
+            if (b1 != b2) {
+              ASSERT_EQ(after[e].real(), before[e].real()) << what;
+              continue;
+            }
+            const double want = direct[static_cast<std::size_t>(b1) * nllm + i];
+            const auto t = llm.at(i);
+            ASSERT_NEAR(-fresh.raw(b1, b1, t.l, t.lp, t.m).real(), want,
+                        1e-12 * scale)
+                << what << " bin " << b1 << " (l, l', m) = (" << t.l << ", "
+                << t.lp << ", " << t.m << ")";
+            ASSERT_NEAR(before[e].real() - after[e].real(), want,
+                        1e-12 * scale + 1e-15 * std::abs(before[e].real()))
+                << what;
+          }
+
+      const std::vector<cd> once = busy.snapshot();
+      busy_acc.subtract_from(busy);
+      const std::vector<cd> twice = busy.snapshot();
+      for (std::size_t e = 0; e < once.size(); ++e) {
+        ASSERT_EQ(twice[e].real(), once[e].real()) << what;
+        ASSERT_EQ(twice[e].imag(), once[e].imag()) << what;
+      }
     }
 }
 
